@@ -9,16 +9,18 @@ strict prefix of sigma in B never makes B big above sigma.
 
 The workhorse is `bushiness_numbers`, a single bottom-up pass computing for
 every node tau of the region the largest n such that B is n-big above tau
-(BIG_CAP for members).  Bigness queries, closures, and greedy witness
-extraction all read off that table.  `brute_force_is_n_big` is the
-deliberately naive mirror: a top-down existential search over n-subsets of
-children, kept free of the production shortcuts so the two can be played
-against each other in tests.
+(BIG_CAP for members), optionally with a set of forbidden nodes.  It is
+also where string sets are validated.  Bigness queries, closures, and
+greedy witness extraction (`tree_from_marking`) all read off that table.
+`brute_force_is_n_big` is the deliberately naive mirror: a top-down
+existential search over n-subsets of children, kept free of the production
+shortcuts so the two can be played against each other in tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional
 
@@ -127,8 +129,12 @@ def region_nodes(g: OrderFunction, depth: int, stem: Node = ()) -> Iterator[Node
         yield from level_nodes(g, d, stem)
 
 
+def _string_set(B: Iterable[Node]) -> frozenset[Node]:
+    return B if isinstance(B, frozenset) else frozenset(tuple(node) for node in B)
+
+
 def validate_string_set(B: Iterable[Node], g: OrderFunction, depth: int) -> frozenset[Node]:
-    B = frozenset(tuple(node) for node in B)
+    B = _string_set(B)
     for node in B:
         if len(node) > depth:
             raise ValueError(f"member {node} exceeds depth horizon {depth}")
@@ -138,20 +144,30 @@ def validate_string_set(B: Iterable[Node], g: OrderFunction, depth: int) -> froz
 
 
 def bushiness_numbers(B: Iterable[Node], g: OrderFunction, depth: int,
-                      stem: Node = ()) -> dict[Node, int]:
+                      stem: Node = (), avoid: frozenset[Node] = frozenset()) -> dict[Node, int]:
     """beta(tau) for every tau in the region above stem.
 
     beta(tau) is the largest n such that B is n-big above tau within the
     horizon (BIG_CAP when tau is a member).  Computed in one bottom-up pass:
     for a non-member with children betas sorted descending, beta(tau) is the
-    largest n with at least n children of beta >= n.
+    largest n with at least n children of beta >= n.  Nodes in `avoid` are
+    forbidden outright (beta 0, members included), so the table then
+    measures bigness by trees that avoid them.
+
+    This pass is where a string set is validated: above a valid stem, every
+    member it meets in the region is a valid string within the horizon by
+    construction, so only the members it does not meet are checked.
     """
-    B = validate_string_set(B, g, depth)
+    B = _string_set(B)
     beta: dict[Node, int] = {}
+    met = 0
     for d in range(depth, len(stem) - 1, -1):
         for tau in level_nodes(g, d, stem):
-            if tau in B:
+            if tau in avoid:
+                beta[tau] = 0
+            elif tau in B:
                 beta[tau] = BIG_CAP
+                met += 1
             elif d == depth:
                 beta[tau] = 0
             else:
@@ -165,6 +181,10 @@ def bushiness_numbers(B: Iterable[Node], g: OrderFunction, depth: int,
                     else:
                         break
                 beta[tau] = best
+    region_valid = g.validate_node(stem)
+    if met < len(B) or not region_valid:
+        validate_string_set(
+            [node for node in B if not region_valid or node not in beta], g, depth)
     return beta
 
 
@@ -201,12 +221,28 @@ class TreeWitness:
     stem: Node
     nodes: frozenset[Node]
 
+    @cached_property
+    def _children(self) -> dict[Node, list[Node]]:
+        """Parent -> children, built once on first use."""
+        index: dict[Node, list[Node]] = {}
+        for node in self.nodes:
+            if len(node) > len(self.stem):
+                index.setdefault(node[:-1], []).append(node)
+        return index
+
     def leaves(self) -> frozenset[Node]:
-        parents = {node[:-1] for node in self.nodes if len(node) > len(self.stem)}
-        return frozenset(node for node in self.nodes if node not in parents)
+        index = self._children
+        return frozenset(node for node in self.nodes if node not in index)
 
     def children_of(self, tau: Node) -> list[Node]:
-        return sorted(n for n in self.nodes if len(n) == len(tau) + 1 and n[:-1] == tau)
+        return sorted(self._children.get(tau, ()))
+
+    def to_jsonable(self) -> dict:
+        return {"stem": list(self.stem), "nodes": sorted(list(n) for n in self.nodes)}
+
+    @classmethod
+    def from_jsonable(cls, data: dict) -> "TreeWitness":
+        return cls(tuple(data["stem"]), frozenset(tuple(n) for n in data["nodes"]))
 
 
 def verify_tree_shape(witness: TreeWitness, g: OrderFunction) -> None:
@@ -231,36 +267,28 @@ def verify_bushy(witness: TreeWitness, n: int, g: OrderFunction,
     `exactly`).  When `leaves_in` is given, every leaf must belong to it.
     """
     verify_tree_shape(witness, g)
-    child_count: dict[Node, int] = {}
+    index = witness._children
     for node in witness.nodes:
-        if len(node) > len(witness.stem):
-            parent = node[:-1]
-            child_count[parent] = child_count.get(parent, 0) + 1
-    for node in witness.nodes:
-        k = child_count.get(node, 0)
+        k = len(index.get(node, ()))
         if k == 0:
             continue  # a leaf
         if k < n or (exactly and k != n):
             raise MalformedTree(
                 f"internal node {node} has {k} children, wanted {'exactly' if exactly else 'at least'} {n}")
     if leaves_in is not None:
-        stray = frozenset(witness.nodes) - child_count.keys() - leaves_in
+        stray = witness.leaves() - leaves_in
         if stray:
             raise MalformedTree(f"leaves outside the target set: {sorted(stray)[:3]}")
 
 
-def witness_tree(B: Iterable[Node], n: int, g: OrderFunction, stem: Node,
-                 depth: int, exactly: bool = True) -> TreeWitness:
-    """Greedy lex-least n-bushy tree above stem with all leaves in B.
+def tree_from_marking(beta: dict[Node, int], B: frozenset[Node], n: int,
+                      g: OrderFunction, stem: Node, exactly: bool = True) -> TreeWitness:
+    """Greedy lex-least n-bushy tree read off a marking with beta[stem] >= n.
 
-    Requires B to be n-big above stem; raises ValueError otherwise.  Members
-    of B become leaves (descent stops), so the tree is as shallow as the
-    marking allows.  With `exactly`, internal nodes keep exactly n children.
+    Members of B become leaves (descent stops), so the tree is as shallow as
+    the marking allows.  With `exactly`, internal nodes keep exactly n
+    children.  Nodes the marking forbids have beta 0 and are never picked.
     """
-    B = validate_string_set(B, g, depth)
-    beta = bushiness_numbers(B, g, depth, stem)
-    if beta[stem] < n:
-        raise ValueError(f"set is not {n}-big above {stem} within depth {depth}")
     nodes = {stem}
     frontier = [stem]
     while frontier:
@@ -274,7 +302,22 @@ def witness_tree(B: Iterable[Node], n: int, g: OrderFunction, stem: Node,
             child = tau + (c,)
             nodes.add(child)
             frontier.append(child)
-    witness = TreeWitness(stem, frozenset(nodes))
+    return TreeWitness(stem, frozenset(nodes))
+
+
+def witness_tree(B: Iterable[Node], n: int, g: OrderFunction, stem: Node,
+                 depth: int, exactly: bool = True,
+                 avoid: frozenset[Node] = frozenset()) -> TreeWitness:
+    """Greedy lex-least n-bushy tree above stem with all leaves in B.
+
+    Requires B to be n-big above stem by trees avoiding `avoid`; raises
+    ValueError otherwise.  See `tree_from_marking` for the shape.
+    """
+    B = _string_set(B)
+    beta = bushiness_numbers(B, g, depth, stem, avoid)
+    if beta[stem] < n:
+        raise ValueError(f"set is not {n}-big above {stem} within depth {depth}")
+    witness = tree_from_marking(beta, B, n, g, stem, exactly)
     verify_bushy(witness, n, g, exactly=exactly, leaves_in=B)
     return witness
 
@@ -327,12 +370,13 @@ def union_smallness_check(B1: Iterable[Node], m: int, B2: Iterable[Node], n: int
     A CounterexampleWitness carries an (m+n-1)-bushy tree through the union,
     which would refute the lemma; sweeps count those (always zero).
     """
-    B1 = validate_string_set(B1, g, depth)
-    B2 = validate_string_set(B2, g, depth)
+    B1, B2 = _string_set(B1), _string_set(B2)
     stem = tuple(stem)
-    if is_n_big(B1, m, g, stem, depth):
+    # both sets are marked (and so validated) before either verdict
+    big1, big2 = is_n_big(B1, m, g, stem, depth), is_n_big(B2, n, g, stem, depth)
+    if big1:
         return PreconditionViolated(f"first set is {m}-big above {stem}")
-    if is_n_big(B2, n, g, stem, depth):
+    if big2:
         return PreconditionViolated(f"second set is {n}-big above {stem}")
     union = B1 | B2
     if is_n_big(union, m + n - 1, g, stem, depth):
@@ -349,7 +393,7 @@ def closure_check(B: Iterable[Node], n: int, g: OrderFunction, depth: int) -> Le
     inside B*.  The last two are what makes B* prunable: big sets can be
     thinned to bushy trees avoiding the complement of B*.
     """
-    B = validate_string_set(B, g, depth)
+    B = _string_set(B)
     beta = bushiness_numbers(B, g, depth, ())
     missing = [tau for tau in B if beta[tau] < n]
     if missing:
@@ -366,17 +410,6 @@ def closure_check(B: Iterable[Node], n: int, g: OrderFunction, depth: int) -> Le
                 f"closure node {tau} not in the base has only {inside} children inside")
     size = sum(1 for v in beta.values() if v >= n)
     return LemmaHolds(f"closure of size {size} verified over {len(beta)} nodes")
-
-
-def subtree_nodes(witness: TreeWitness, keep: frozenset[Node]) -> TreeWitness:
-    """Restrict a tree to the kept nodes (stem always kept)."""
-    nodes = {n for n in witness.nodes if n in keep} | {witness.stem}
-    # drop orphans: a node survives only with its whole ancestor chain kept
-    good = set()
-    for node in sorted(nodes, key=len):
-        if node == witness.stem or node[:-1] in good:
-            good.add(node)
-    return TreeWitness(witness.stem, frozenset(good))
 
 
 def intersection_bushiness_check(ambient: TreeWitness, F: Iterable[Node],

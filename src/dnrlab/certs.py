@@ -34,7 +34,7 @@ from .forcing import (
     _packed_masks,
     c_m_set,
 )
-from .machine import Halted, domain_window, eval_program, re_enumeration_order
+from .machine import Halted, domain_window, eval_program, gamma, re_enumeration_growth
 from .numbering import (
     CanonicalNumbering,
     lowness_bound_check,
@@ -56,11 +56,46 @@ def _replayer(kind: str):
     return register
 
 
+# Fields that hold a natural (an int, not a bool), whatever the kind; the
+# optional ones may also be null, and the lists hold naturals only.
+_NATURAL_FIELDS = frozenset({
+    "a", "base", "budget", "c", "candidate", "cap", "cardinality",
+    "chosen_color", "claimed_bound", "count", "counterexamples", "depth", "e",
+    "e0", "e1", "e_max", "e_prime", "eval_budget", "f", "f_value",
+    "fixpoint_budget", "h", "h_e", "h_value", "horizon", "instances",
+    "interval_count", "intersection_size", "k", "m", "membership", "n", "p",
+    "position_horizon", "probes", "q", "record_count", "scan_cap",
+    "smallness_bound", "stages", "tail_exponent", "term_cap",
+    "tree_bushiness", "value", "value_cap", "winner",
+})
+_OPTIONAL_NATURAL_FIELDS = frozenset({"side_code", "complement_code"})
+_NATURAL_LIST_FIELDS = frozenset({
+    "members", "ones", "order_prefix", "q_values", "sigma", "w_winner"})
+
+
+def _is_natural(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _well_typed(key: str, value) -> bool:
+    if key in _NATURAL_FIELDS:
+        return _is_natural(value)
+    if key in _OPTIONAL_NATURAL_FIELDS:
+        return value is None or _is_natural(value)
+    if key in _NATURAL_LIST_FIELDS:
+        return isinstance(value, list) and all(_is_natural(v) for v in value)
+    return True
+
+
 def _fields(cert: Mapping, *keys: str) -> list:
+    kind = cert.get("kind", "?")
     missing = [k for k in keys if k not in cert]
     if missing:
-        raise MalformedCertificate(
-            f"{cert.get('kind', '?')} certificate lacks fields {missing}")
+        raise MalformedCertificate(f"{kind} certificate lacks fields {missing}")
+    for key in keys:
+        if not _well_typed(key, cert[key]):
+            raise MalformedCertificate(
+                f"{kind} field {key!r} must hold naturals, got {cert[key]!r}")
     return [cert[k] for k in keys]
 
 
@@ -130,8 +165,7 @@ def _replay_diagonal(cert: Mapping) -> None:
         "new_stem", "case")
     g = OrderFunction.from_spec(g_spec)
     func = FiniteFunctional.from_jsonable(func_js)
-    tree = TreeWitness(tuple(tree_js["stem"]),
-                       frozenset(tuple(n) for n in tree_js["nodes"]))
+    tree = TreeWitness.from_jsonable(tree_js)
     _check(tree.stem == tuple(tau), kind, "tree stem differs from tau")
     try:
         verify_bushy(tree, bushiness, g, exactly=True)
@@ -186,10 +220,6 @@ def _replay_diagonal(cert: Mapping) -> None:
 # ---------------------------------------------------------------------------
 # Diagonal-value audits.
 
-def _gamma_members(value: int) -> list[int]:
-    return [i for i in range(value.bit_length()) if value >> i & 1]
-
-
 @_replayer("ebi_violation")
 def _replay_ebi(cert: Mapping) -> None:
     kind = cert["kind"]
@@ -201,7 +231,7 @@ def _replay_ebi(cert: Mapping) -> None:
            f"diagonal value at {e} is no longer {value}")
     _check(_halted_value(f, h_e, budget) == f_value, kind,
            f"f({h_e}) is no longer {f_value}")
-    _check(members == _gamma_members(value), kind,
+    _check(members == sorted(gamma(value)), kind,
            "members are not the decoded diagonal value")
     _check(len(members) == f_value + 1, kind,
            "member count is not the claimed bound plus one")
@@ -265,9 +295,8 @@ def _replay_blocking_finite(cert: Mapping) -> None:
         cert, "e", "f", "f_value", "members", "budget", "sigma")
     _check(_halted_value(f, e, budget) == f_value, kind,
            f"f({e}) is no longer {f_value}")
-    full = re_enumeration_order(e, budget)
-    half = re_enumeration_order(e, budget // 2)
-    _check(len(full) == len(half), kind,
+    full, at_half = re_enumeration_growth(e, budget)
+    _check(len(full) == at_half, kind,
            "the set still grows at the checkpoint: not the finite case")
     _check(sorted(full) == list(members), kind,
            "enumerated members disagree with the record")
@@ -286,9 +315,8 @@ def _replay_blocking_infinite(cert: Mapping) -> None:
            "slice index fails to rebuild")
     _check(_halted_value(f, e_prime, budget) == f_value, kind,
            f"f on the slice index is no longer {f_value}")
-    full = re_enumeration_order(e, budget)
-    half = re_enumeration_order(e, budget // 2)
-    _check(len(full) > len(half), kind,
+    full, at_half = re_enumeration_growth(e, budget)
+    _check(len(full) > at_half, kind,
            "the set no longer grows at the checkpoint")
     k = f_value + 1
     _check(list(full[:k]) == list(order_prefix), kind,
@@ -370,7 +398,8 @@ def _replay_cylinder_measure(cert: Mapping) -> None:
     want = DyadicRational.from_jsonable(measure_js)
     _check(got == want, kind, f"measure is now {got}, recorded {want}")
     if "tail_exponent" in cert:
-        _check(got <= DyadicRational.half_power(cert["tail_exponent"]), kind,
+        (exponent,) = _fields(cert, "tail_exponent")
+        _check(got <= DyadicRational.half_power(exponent), kind,
                "measure exceeds the recorded tail bound")
 
 
@@ -397,9 +426,7 @@ def _replay_bushiness_verdict(cert: Mapping) -> None:
     _check(is_n_big(B, n, g, stem, depth) == big, kind,
            f"bigness verdict flipped for n = {n}")
     if big:
-        tree_js = _fields(cert, "witness")[0]
-        tree = TreeWitness(tuple(tree_js["stem"]),
-                           frozenset(tuple(x) for x in tree_js["nodes"]))
+        tree = TreeWitness.from_jsonable(_fields(cert, "witness")[0])
         _check(tree.stem == stem, kind, "witness stem differs")
         try:
             verify_bushy(tree, n, g, exactly=True, leaves_in=B)
@@ -437,8 +464,7 @@ def _replay_pigeonhole(cert: Mapping) -> None:
     chosen_class = frozenset(by_color.get(chosen, set()))
     _check(is_n_big(chosen_class, 2 * k, g, stem, depth), kind,
            f"color class {chosen} is not 2k-big")
-    tree = TreeWitness(tuple(tree_js["stem"]),
-                       frozenset(tuple(x) for x in tree_js["nodes"]))
+    tree = TreeWitness.from_jsonable(tree_js)
     _check(tree.stem == stem, kind, "witness stem differs")
     try:
         verify_bushy(tree, 2 * k, g, exactly=True, leaves_in=chosen_class)
@@ -452,8 +478,7 @@ def _replay_fusion_intersection(cert: Mapping) -> None:
     g_spec, k, ambient_js, first, second, size = _fields(
         cert, "g", "k", "ambient", "first", "second", "intersection_size")
     g = OrderFunction.from_spec(g_spec)
-    ambient = TreeWitness(tuple(ambient_js["stem"]),
-                          frozenset(tuple(x) for x in ambient_js["nodes"]))
+    ambient = TreeWitness.from_jsonable(ambient_js)
     F = frozenset(tuple(x) for x in first)
     C = frozenset(tuple(x) for x in second)
     verdict = intersection_bushiness_check(ambient, F, C, k, g)

@@ -137,10 +137,6 @@ def _load_input(config: RunConfig) -> dict:
     return data
 
 
-def _tree_json(tree: TreeWitness) -> dict:
-    return {"stem": list(tree.stem), "nodes": sorted(list(n) for n in tree.nodes)}
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 
@@ -163,7 +159,7 @@ def _cmd_bushy_check(config: RunConfig) -> CommandResult:
         "big": big,
     }
     if big:
-        cert["witness"] = _tree_json(witness_tree(B, n, g, stem, depth, exactly=True))
+        cert["witness"] = witness_tree(B, n, g, stem, depth, exactly=True).to_jsonable()
     word = "big" if big else "small"
     return CommandResult(
         summary=[f"set of {len(B)} strings is {n}-{word} above {stem}"],
@@ -252,7 +248,7 @@ def _cmd_fusion_check(config: RunConfig) -> CommandResult:
             "kind": "fusion_intersection",
             "g": g.to_spec(),
             "k": k,
-            "ambient": _tree_json(ambient),
+            "ambient": ambient.to_jsonable(),
             "first": sorted(list(x) for x in F),
             "second": sorted(list(x) for x in C),
             "intersection_size": len(F & C),
@@ -277,8 +273,8 @@ def _cmd_fusion_check(config: RunConfig) -> CommandResult:
         "k": k,
         "colors": colors,
         "chosen_color": chosen,
-        "witness": _tree_json(
-            witness_tree(classes[chosen], 2 * k, g, (), depth, exactly=True)),
+        "witness": witness_tree(
+            classes[chosen], 2 * k, g, (), depth, exactly=True).to_jsonable(),
     })
     code = EXIT_COUNTEREXAMPLE if failures else EXIT_OK
     return CommandResult(
@@ -510,19 +506,21 @@ def _cmd_replay(config: RunConfig) -> CommandResult:
     return CommandResult(exit_code=code, summary=summary, certificates=[])
 
 
+# Each command with the --budget.<name> knobs it reads; any other name is
+# an input error.
 COMMANDS = {
-    "bushy-check": _cmd_bushy_check,
-    "closure": _cmd_closure,
-    "lemma-sweep": _cmd_lemma_sweep,
-    "fusion-check": _cmd_fusion_check,
-    "density-search": _cmd_density_search,
-    "dnr-audit": _cmd_dnr_audit,
-    "ei-construct": _cmd_ei_construct,
-    "schnorr-measure": _cmd_schnorr_measure,
-    "lowness-check": _cmd_lowness_check,
-    "snr-demo": _cmd_snr_demo,
-    "blocking-prefix": _cmd_blocking_prefix,
-    "replay": _cmd_replay,
+    "bushy-check": (_cmd_bushy_check, ()),
+    "closure": (_cmd_closure, ()),
+    "lemma-sweep": (_cmd_lemma_sweep, ()),
+    "fusion-check": (_cmd_fusion_check, ("instances", "depth")),
+    "density-search": (_cmd_density_search, ("eval", "fixpoint", "bad_len")),
+    "dnr-audit": (_cmd_dnr_audit, ("audit", "eval")),
+    "ei-construct": (_cmd_ei_construct, ("stages", "eval", "value_cap", "probes")),
+    "schnorr-measure": (_cmd_schnorr_measure, ("c", "e_max", "terms")),
+    "lowness-check": (_cmd_lowness_check, ("c", "e_max", "eval")),
+    "snr-demo": (_cmd_snr_demo, ("audit", "eval")),
+    "blocking-prefix": (_cmd_blocking_prefix, ("eval",)),
+    "replay": (_cmd_replay, ()),
 }
 
 
@@ -577,11 +575,16 @@ def _dump(obj: dict) -> str:
 
 
 def run(config: RunConfig) -> int:
+    command, budget_names = COMMANDS[config.command]
+    unknown = sorted({name for name, _ in config.budgets} - set(budget_names))
+    if unknown:
+        raise InputError(f"{config.command} reads no budget named {unknown[0]!r}; "
+                         f"it reads {list(budget_names)}")
     try:
-        result = COMMANDS[config.command](config)
+        result = command(config)
     except InputError:
         raise
-    except (PreconditionViolated, InsufficientOracle) as exc:
+    except (PreconditionViolated, InsufficientOracle, ValueError) as exc:
         raise InputError(str(exc))
     except WitnessBudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

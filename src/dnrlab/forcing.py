@@ -33,22 +33,21 @@ honor the whole fused list, not just the newest pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .asm import assemble_index
 from .bushy import (
-    BIG_CAP,
     Node,
     OrderFunction,
     TreeWitness,
     bushiness_numbers,
     closure,
     is_n_big,
-    level_nodes,
     region_nodes,
-    validate_string_set,
+    tree_from_marking,
     verify_bushy,
+    witness_tree,
 )
 from .machine import (
     Halted,
@@ -100,16 +99,6 @@ class SearchLimits:
     fixpoint_budget: int = 10_000
     bad_string_len: int = 4
 
-    def replace(self, **kw) -> "SearchLimits":
-        data = {"eval_budget": self.eval_budget, "fixpoint_budget": self.fixpoint_budget,
-                "bad_string_len": self.bad_string_len}
-        data.update(kw)
-        return SearchLimits(**data)
-
-    def to_jsonable(self) -> dict:
-        return {"eval_budget": self.eval_budget, "fixpoint_budget": self.fixpoint_budget,
-                "bad_string_len": self.bad_string_len}
-
 
 # ---------------------------------------------------------------------------
 # Finite functionals.
@@ -149,6 +138,7 @@ class FiniteFunctional:
                             f"monotonicity violation: table({prefix}) is not a prefix of table({node})")
                     break
         object.__setattr__(self, "table", tuple(sorted(seen.items())))
+        object.__setattr__(self, "_by_node", seen)
 
     @classmethod
     def from_entries(cls, depth: int, entries: Mapping[Node, Sequence[int]] |
@@ -162,19 +152,16 @@ class FiniteFunctional:
         """The functional outputting `bits` on every node, the root included."""
         return cls(depth, (((), tuple(bits)),))
 
-    def _lookup(self) -> dict[Node, tuple[int, ...]]:
-        return dict(self.table)
-
     def output(self, node: Node) -> tuple[int, ...]:
         """Output bits at `node`: the value of its longest tabled prefix."""
         node = tuple(node)
         if len(node) > self.depth:
             raise ValueError(f"node {node} exceeds functional depth {self.depth}")
-        lookup = self._lookup()
+        by_node = self._by_node
         for cut in range(len(node), -1, -1):
-            prefix = node[:cut]
-            if prefix in lookup:
-                return lookup[prefix]
+            out = by_node.get(node[:cut])
+            if out is not None:
+                return out
         return ()
 
     def decided_length(self, node: Node) -> int:
@@ -214,7 +201,6 @@ class ForcingCondition:
         if not self.g.validate_node(self.stem):
             raise ValueError(f"stem {self.stem} is not a valid string for g")
         horizon = _badset_horizon(self.stem, self.badset)
-        validate_string_set(self.badset, self.g, horizon)
         bound = self.g(len(self.stem))
         if is_n_big(self.badset, bound, self.g, self.stem, horizon):
             raise ValueError(
@@ -237,23 +223,16 @@ def condition_extends(c1: ForcingCondition, c2: ForcingCondition) -> bool:
 # ---------------------------------------------------------------------------
 # Delta sets and C_m.
 
-@dataclass(frozen=True)
-class DeltaSet:
-    strings: frozenset[Node]
-    m: int
-    i: int
-
-
-def delta_set(gamma_table: FiniteFunctional, tree: TreeWitness, m: int, i: int) -> DeltaSet:
+def delta_set(gamma_table: FiniteFunctional, tree: TreeWitness, m: int,
+              i: int) -> frozenset[Node]:
     """Nodes of the tree whose output decides position m with bit i."""
     if i not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     if m >= gamma_table.max_output_length():
         raise ValueError(f"position {m} is beyond every tabled output")
-    members = frozenset(
+    return frozenset(
         node for node in tree.nodes
         if len(out := gamma_table.output(node)) > m and out[m] == i)
-    return DeltaSet(members, m, i)
 
 
 def c_m_set(gamma_table: FiniteFunctional, g: OrderFunction, stem: Node,
@@ -275,72 +254,6 @@ def _c_m_minimal(gamma_table: FiniteFunctional, g: OrderFunction, stem: Node,
             continue
         out.append(node)
     return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# Avoid-aware marking: bigness with a pruned node set.
-
-def _avoid_beta(target: frozenset[Node], avoid: frozenset[Node], g: OrderFunction,
-                stem: Node, depth: int) -> dict[Node, int]:
-    """Bushiness numbers where nodes in `avoid` are forbidden outright."""
-    beta: dict[Node, int] = {}
-    for d in range(depth, len(stem) - 1, -1):
-        for tau in level_nodes(g, d, stem):
-            if tau in avoid:
-                beta[tau] = 0
-            elif tau in target:
-                beta[tau] = BIG_CAP
-            elif d == depth:
-                beta[tau] = 0
-            else:
-                kids = sorted((beta[tau + (c,)] for c in range(g.value(d))), reverse=True)
-                best = 0
-                for idx, v in enumerate(kids):
-                    if v >= idx + 1:
-                        best = idx + 1
-                    else:
-                        break
-                beta[tau] = best
-    return beta
-
-
-def _beta_witness(beta: Mapping[Node, int], target: frozenset[Node], n: int,
-                  g: OrderFunction, stem: Node, exactly: bool = True) -> TreeWitness:
-    """Greedy lex-least n-bushy tree read off a beta table, leaves in target."""
-    if beta[stem] < n:
-        raise ValueError(f"marking is only {beta[stem]}-big above {stem}, wanted {n}")
-    nodes = {stem}
-    frontier = [stem]
-    while frontier:
-        tau = frontier.pop()
-        if tau in target:
-            continue
-        picked = [c for c in range(g.value(len(tau))) if beta[tau + (c,)] >= n]
-        if exactly:
-            picked = picked[:n]
-        for c in picked:
-            child = tau + (c,)
-            nodes.add(child)
-            frontier.append(child)
-    return TreeWitness(stem, frozenset(nodes))
-
-
-def big_avoiding(target: Iterable[Node], n: int, g: OrderFunction, stem: Node,
-                 depth: int, avoid: Iterable[Node] = ()) -> bool:
-    """Whether target is n-big above stem by trees avoiding `avoid` entirely."""
-    target = frozenset(tuple(t) for t in target)
-    avoid = frozenset(tuple(a) for a in avoid)
-    return _avoid_beta(target - avoid, avoid, g, stem, depth)[tuple(stem)] >= n
-
-
-def witness_avoiding(target: Iterable[Node], n: int, g: OrderFunction, stem: Node,
-                     depth: int, avoid: Iterable[Node] = (),
-                     exactly: bool = True) -> TreeWitness:
-    target = frozenset(tuple(t) for t in target)
-    avoid = frozenset(tuple(a) for a in avoid)
-    stem = tuple(stem)
-    beta = _avoid_beta(target - avoid, avoid, g, stem, depth)
-    return _beta_witness(beta, target - avoid, n, g, stem, exactly=exactly)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +297,10 @@ def build_totality_tree(gamma_table: FiniteFunctional, tau: Node, k: int,
             cm = c_m_set(gamma_table, g, rho, m)
             if not is_n_big(cm, 7 * k, g, rho, depth):
                 raise BignessUnavailable(m, rho, "totality")
-            beta = _avoid_beta(cm - avoid, avoid, g, rho, depth)
+            beta = bushiness_numbers(cm, g, depth, rho, avoid)
             # 7k-big minus a k-small closure leaves 6k; failure here is a bug
             assert beta[rho] >= 6 * k, "pruning lemma violated"
-            graft = _beta_witness(beta, cm - avoid, 6 * k, g, rho, exactly=True)
+            graft = tree_from_marking(beta, cm, 6 * k, g, rho)
             nodes.update(graft.nodes)
             new_leaves.extend(graft.leaves())
         leaves = new_leaves
@@ -443,12 +356,12 @@ def fusion_step(gamma_table: FiniteFunctional, tau: Node, k: int,
     for m, i in big_inputs:
         candidate = fused + [(m, i)]
         cand_set = _constraint_set(gamma_table, source, candidate)
-        if big_avoiding(cand_set, 2 * k, g, tau, depth, avoid):
+        if bushiness_numbers(cand_set, g, depth, tau, avoid)[tau] >= 2 * k:
             fused = candidate
             kept = cand_set
     if len(fused) < require_count:
         raise PigeonholeExhausted(len(fused), require_count)
-    tree = witness_avoiding(kept, 2 * k, g, tau, depth, avoid, exactly=True)
+    tree = witness_tree(kept, 2 * k, g, tau, depth, avoid=avoid)
     for m, i in fused:
         for leaf in tree.leaves():
             bits = gamma_table.output(leaf)
@@ -496,16 +409,15 @@ def case2_zero_tree(gamma_table: FiniteFunctional, sigma: Node, k: int, count: i
                 # totality must persist above every leaf before zeros are forced
                 tree_rho = build_totality_tree(
                     gamma_table, rho, k, position + 1, badset, g)
-                zero_delta = delta_set(gamma_table, tree_rho, position, 0).strings
+                zero_delta = delta_set(gamma_table, tree_rho, position, 0)
                 if not is_n_big(zero_delta, 2 * k, g, rho, depth):
                     ok = False
                     last_failure = (position, rho)
                     break
-                beta = _avoid_beta(zero_delta - avoid, avoid, g, rho, depth)
+                beta = bushiness_numbers(zero_delta, g, depth, rho, avoid)
                 # 2k-big minus a k-small closure leaves k; failure is a bug
                 assert beta[rho] >= k, "pruning lemma violated"
-                grafts[rho] = _beta_witness(beta, zero_delta - avoid, k, g, rho,
-                                            exactly=True)
+                grafts[rho] = tree_from_marking(beta, zero_delta, k, g, rho)
             if ok:
                 chosen = position
                 break
@@ -583,10 +495,6 @@ class BudgetExceeded:
 
 
 DensityVerdict = NonTotalExt | DiagonalExt | BudgetExceeded
-
-
-def _tree_jsonable(tree: TreeWitness) -> dict:
-    return {"stem": list(tree.stem), "nodes": sorted(list(n) for n in tree.nodes)}
 
 
 def _lengthen_stem(stem: Node, target_length: int, avoid: frozenset[Node],
@@ -755,8 +663,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
     big_inputs: list[tuple[int, int]] = []
     for m in range(target_len):
         for i in (0, 1):
-            delta = delta_set(gamma_table, totality, m, i)
-            if is_n_big(delta.strings, 4 * k, g, tau0, depth):
+            if is_n_big(delta_set(gamma_table, totality, m, i), 4 * k, g, tau0, depth):
                 big_inputs.append((m, i))
                 break
     trace.append({"step": "big_inputs", "pairs": [list(p) for p in big_inputs]})
@@ -785,7 +692,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
             "functional": gamma_table.to_jsonable(),
             "k": k,
             "tau": list(tau0),
-            "tree": _tree_jsonable(tree),
+            "tree": tree.to_jsonable(),
             "tree_bushiness": bushiness,
             "fused": [list(p) for p in fused[:c]],
             "e0": e0,

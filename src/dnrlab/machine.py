@@ -229,28 +229,6 @@ def gamma_inverse(members: Iterable[int]) -> int:
     return code
 
 
-@dataclass(frozen=True)
-class FiniteSetCode:
-    """A finite set together with its bit-sum code."""
-
-    code: int
-    members: frozenset[int]
-
-    @classmethod
-    def from_code(cls, code: int) -> "FiniteSetCode":
-        return cls(code, gamma(code))
-
-    @classmethod
-    def from_members(cls, members: Iterable[int]) -> "FiniteSetCode":
-        ms = frozenset(members)
-        return cls(gamma_inverse(ms), ms)
-
-    @property
-    def max_element(self) -> Optional[int]:
-        # max of the set is read off the code's bit length
-        return self.code.bit_length() - 1 if self.code else None
-
-
 # ---------------------------------------------------------------------------
 # Program codes: Elias-gamma instruction streams packed into one natural.
 
@@ -522,25 +500,6 @@ def domain_window(e: ProgramIndex, horizon: int, budget: int,
     )
 
 
-def enumerate_re_capped(e: ProgramIndex, budget: int, max_count: int,
-                        oracle: Optional[Oracle] = None) -> tuple[int, ...]:
-    """The <= max_count least elements of W_{e,budget}, in increasing order.
-
-    Exact on the prefix it returns: it is the ascending scan of enumerate_re
-    stopped early, provided for callers that only inspect a few elements.
-    """
-    prog = decode(e)
-    if not prog.instructions or not _halt_reachable(prog.instructions)[0]:
-        return ()
-    out = []
-    for x in range(budget + 1):
-        if isinstance(_run(prog, x, budget, oracle)[0], Halted):
-            out.append(x)
-            if len(out) >= max_count:
-                break
-    return tuple(out)
-
-
 def re_enumeration_order(e: ProgramIndex, budget: int, oracle: Optional[Oracle] = None) -> tuple[int, ...]:
     """W_{e,budget} in canonical enumeration order.
 
@@ -548,16 +507,32 @@ def re_enumeration_order(e: ProgramIndex, budget: int, oracle: Optional[Oracle] 
     is stable as the budget grows, so "the first k elements of W_e" is well
     defined independent of the budget that first exposed them.
     """
+    return re_enumeration_growth(e, budget, oracle)[0]
+
+
+def re_enumeration_growth(e: ProgramIndex, budget: int,
+                          oracle: Optional[Oracle] = None) -> tuple[tuple[int, ...], int]:
+    """re_enumeration_order(e, budget) and |W_{e,budget//2}| from one pass.
+
+    The second value is the growth checkpoint: W_e looks infinite at this
+    budget when the first value is longer.  By budget monotonicity, x lies
+    in W_{e,budget//2} exactly when x <= budget//2 and the run at this
+    budget halts within budget//2 steps, so no second pass is needed.
+    """
     prog = decode(e)
     if not prog.instructions or not _halt_reachable(prog.instructions)[0]:
-        return ()
+        return (), 0
+    half = budget // 2
     entries = []
+    at_half = 0
     for x in range(budget + 1):
         out, steps = _run(prog, x, budget, oracle)
         if isinstance(out, Halted):
             entries.append((max(steps, x), x))
+            if x <= half and steps <= half:
+                at_half += 1
     entries.sort()
-    return tuple(x for _, x in entries)
+    return tuple(x for _, x in entries), at_half
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,11 @@ from .errors import PreconditionViolated, WitnessBudgetExceeded
 from .machine import (
     Halted,
     ProgramIndex,
-    domain_window,
     eval_program,
     fixed_point,
     gamma,
     gamma_inverse,
-    re_enumeration_order,
+    re_enumeration_growth,
     smn_fill,
 )
 from .oracle import BitOracle, PatchedOracle, first_members, oracle_to_spec
@@ -269,9 +268,8 @@ def blocking_prefix(A_prefix: tuple[int, ...], e: ProgramIndex, f: ProgramIndex,
     if not isinstance(f_out, Halted):
         raise WitnessBudgetExceeded(f"f = {f} did not converge on {e} within {budget} steps")
     bound = f_out.value
-    full = re_enumeration_order(e, budget)
-    half = re_enumeration_order(e, budget // 2)
-    appears_infinite = len(full) > len(half)
+    full, at_half = re_enumeration_growth(e, budget)
+    appears_infinite = len(full) > at_half
 
     if not appears_infinite:
         members = sorted(full)
@@ -327,10 +325,3 @@ def blocking_prefix(A_prefix: tuple[int, ...], e: ProgramIndex, f: ProgramIndex,
         "sigma": sigma,
     }
     return tuple(sigma), cert
-
-
-def slice_window_ok(cert: dict, budget: int | None = None) -> bool:
-    """Replay helper: the slice index's domain window matches its members."""
-    b = cert["budget"] if budget is None else budget
-    window = domain_window(cert["e_prime"], cert["horizon"], b)
-    return window == frozenset(cert["members"])

@@ -196,11 +196,3 @@ def audit_effective_immunity(g: dict[int, int], e_max: int, budget: int) -> list
             violations.append({"e": e, "count": len(window),
                                "members": sorted(window)})
     return violations
-
-
-def replay_interval_record(record: dict, budget: int | None = None) -> bool:
-    """The manufactured set is exactly its recorded fresh interval."""
-    b = record["budget"] if budget is None else budget
-    lo, n = record["base"], record["count"]
-    window = domain_window(record["a"], lo + n + 2, b)
-    return window == frozenset(range(lo, lo + n))

@@ -38,7 +38,7 @@ from dnrlab.bushy import (
     witness_tree,
 )
 from dnrlab.certs import replay_certificate
-from dnrlab.cli import COMMANDS, EXIT_OK, TRACE_SCHEMA, main
+from dnrlab.cli import COMMANDS, EXIT_OK, TRACE_SCHEMA, _random_subtree, main
 from dnrlab.dyadic import DyadicRational
 from dnrlab.forcing import (
     BudgetExceeded,
@@ -77,10 +77,6 @@ _CACHE: dict[str, object] = {}
 def _keep(cert: dict) -> None:
     replay_certificate(cert)
     ACCUMULATED.append(cert)
-
-
-def _tree_json(tree: TreeWitness) -> dict:
-    return {"stem": list(tree.stem), "nodes": sorted(list(n) for n in tree.nodes)}
 
 
 def _node_list(nodes) -> list:
@@ -186,8 +182,8 @@ def test_criterion_03_bigness_matches_brute_force():
                 "big": big,
             }
             if big:
-                cert["witness"] = _tree_json(
-                    witness_tree(B, n, g, (), depth, exactly=True))
+                cert["witness"] = witness_tree(
+                    B, n, g, (), depth, exactly=True).to_jsonable()
             _keep(cert)
     print(f"[criterion 03] PASS: marking agrees with the all-trees "
           f"enumerator on {2 << len(nodes)} exhaustive and {deep_checked} random instances")
@@ -226,27 +222,13 @@ def test_criterion_04_fusion_intersection():
                 "kind": "fusion_intersection",
                 "g": g.to_spec(),
                 "k": k,
-                "ambient": _tree_json(ambient),
+                "ambient": ambient.to_jsonable(),
                 "first": _node_list(F),
                 "second": _node_list(C),
                 "intersection_size": len(F & C),
             })
     print(f"[criterion 04] PASS: F and C intersect 2k-bushily on all "
           f"{len(draws)} instances")
-
-
-def _random_subtree(rng: random.Random, ambient: TreeWitness, width: int) -> frozenset:
-    keep = {ambient.stem}
-    frontier = [ambient.stem]
-    while frontier:
-        node = frontier.pop()
-        children = ambient.children_of(node)
-        if not children:
-            continue
-        chosen = rng.sample(children, width)
-        keep.update(chosen)
-        frontier.extend(chosen)
-    return frozenset(keep)
 
 
 def test_criterion_05_recursion_theorem_and_diagonal_sets():

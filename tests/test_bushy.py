@@ -32,7 +32,6 @@ from dnrlab.bushy import (
     is_n_small,
     level_nodes,
     region_nodes,
-    subtree_nodes,
     union_smallness_check,
     verify_bushy,
     verify_tree_shape,
@@ -332,8 +331,75 @@ def test_intersection_bushiness_preconditions():
     assert isinstance(v2, PreconditionViolated)
 
 
-def test_subtree_nodes_drops_orphans():
-    w = TreeWitness((), frozenset({(), (0,), (0, 0), (1,), (1, 1)}))
-    kept = subtree_nodes(w, frozenset({(), (0, 0), (1,), (1, 1)}))
-    # (0,0) lost its parent, so it goes too
-    assert kept.nodes == frozenset({(), (1,), (1, 1)})
+
+# ---------------------------------------------------------------------------
+# Marking with forbidden nodes, against a naive avoiding search.
+
+def _brute_big_avoiding(B, A, n, g, stem, depth):
+    """Whether B is n-big above stem by trees that touch no node of A."""
+    def big(tau):
+        if tau in A:
+            return False
+        if tau in B:
+            return True
+        if len(tau) >= depth:
+            return False
+        children = [tau + (c,) for c in range(g.value(len(tau)))]
+        return any(all(big(c) for c in combo) for combo in combinations(children, n))
+
+    return big(tuple(stem))
+
+
+def test_avoiding_marking_matches_brute_force_exhaustively():
+    region = list(region_nodes(G2, 2))
+    for B in map(frozenset, _powerset(region)):
+        for A in map(frozenset, _powerset(region)):
+            beta = bushiness_numbers(B, G2, 2, avoid=A)
+            for tau in region:
+                for n in (1, 2):
+                    assert (beta[tau] >= n) == _brute_big_avoiding(B, A, n, G2, tau, 2), \
+                        (B, A, tau, n)
+
+
+@given(set_st, set_st, st.sampled_from([(), (0,), (2,), (1, 1)]), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_avoiding_marking_matches_brute_force_random(B, A, stem, n):
+    beta = bushiness_numbers(B, G3, 3, stem, avoid=A)
+    big = beta[stem] >= n
+    assert big == _brute_big_avoiding(B, A, n, G3, stem, 3)
+    if big:
+        w = witness_tree(B, n, G3, stem, 3, avoid=A)
+        assert not w.nodes & A
+        verify_bushy(w, n, G3, exactly=True, leaves_in=B - A)
+    else:
+        with pytest.raises(ValueError):
+            witness_tree(B, n, G3, stem, 3, avoid=A)
+
+
+def test_unmet_members_are_still_validated():
+    # members off the stem are never met by the pass, yet must be valid
+    with pytest.raises(ValueError, match="not a valid string"):
+        bushiness_numbers({(1, 0), (0, 5)}, G3, 2, (1,))
+    with pytest.raises(ValueError, match="exceeds depth"):
+        bushiness_numbers({(1, 0), (0, 0, 0)}, G3, 2, (1,))
+    assert bushiness_numbers({(1, 0), (0, 1), ()}, G3, 2, (1,))[(1,)] == 1
+    # above an invalid stem the region itself is invalid, so nothing is met
+    with pytest.raises(ValueError, match="not a valid string"):
+        bushiness_numbers({(5, 0)}, G3, 2, (5,))
+
+
+# ---------------------------------------------------------------------------
+# The tree's children index and JSON form, against naive scans.
+
+@given(set_st, st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_tree_index_matches_scans(B, n):
+    if not is_n_big(B, n, G3, (), 3):
+        return
+    w = witness_tree(B, n, G3, (), 3, exactly=False)
+    for tau in region_nodes(G3, 3):
+        scan = sorted(x for x in w.nodes if len(x) == len(tau) + 1 and x[:-1] == tau)
+        assert w.children_of(tau) == scan
+    parents = {x[:-1] for x in w.nodes if x}
+    assert w.leaves() == frozenset(x for x in w.nodes if x not in parents)
+    assert TreeWitness.from_jsonable(w.to_jsonable()) == w

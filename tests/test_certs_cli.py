@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from dnrlab import cli
 from dnrlab.asm import DIVERGE_INDEX, ZERO_INDEX, const_index
 from dnrlab.bushy import OrderFunction
 from dnrlab.certs import REPLAYERS, replay_certificate
@@ -318,3 +319,66 @@ class TestReplayCommand:
         path.write_text(header + "\n" + forged + "\n")
         assert main(["--command", "replay", "--in", str(path)]) == \
             EXIT_COUNTEREXAMPLE
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("spec", [{"depth": -3}, {"depth": 2, "set": [[0, 9]]}])
+    def test_library_value_error_is_json_input_error(self, spec, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(spec))
+        assert main(["--command", "closure", "--in", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
+    def test_assertion_error_is_not_mapped(self, monkeypatch):
+        def broken(config):
+            raise AssertionError("internal invariant")
+        _, names = cli.COMMANDS["closure"]
+        monkeypatch.setitem(cli.COMMANDS, "closure", (broken, names))
+        with pytest.raises(AssertionError):
+            main(["--command", "closure"])
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS + ["replay"])
+    def test_unknown_budget_name_rejected(self, command, capsys):
+        assert main(["--command", command, "--budget.bogus=3"]) == EXIT_INPUT
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "bogus" in err["error"]
+
+    def test_declared_budget_names_cover_the_documented_ones(self):
+        documented = {"eval", "fixpoint", "bad_len", "audit", "stages", "value_cap",
+                      "probes", "instances", "depth", "c", "e_max", "terms"}
+        declared = {name for _, names in cli.COMMANDS.values() for name in names}
+        assert declared == documented
+
+
+class TestTypedReplayFields:
+    @pytest.mark.parametrize("cert", [
+        {"kind": "diagonal_diverges", "e": True, "budget": 10.5},
+        {"kind": "diagonal_diverges", "e": 4, "budget": 10.5},
+        {"kind": "diagonal_diverges", "e": 4.0, "budget": 10},
+        {"kind": "diagonal_diverges", "e": -1, "budget": 10},
+        {"kind": "diagonal_diverges", "e": 4, "budget": False},
+        {"kind": "cylinder_measure", "sets": [], "term_cap": 16,
+         "measure": {"num": "0", "exp": "0"}, "tail_exponent": True},
+    ])
+    def test_ill_typed_natural_is_malformed(self, cert, tmp_path):
+        with pytest.raises(MalformedCertificate, match="naturals"):
+            replay_certificate(cert)
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps({"schema": TRACE_SCHEMA}) + "\n" + json.dumps(cert) + "\n")
+        assert main(["--command", "replay", "--in", str(path)]) == EXIT_INPUT
+
+    def test_ill_typed_members_are_malformed(self, audit_certs):
+        cert = copy.deepcopy(next(c for c in audit_certs if c["kind"] == "ebi_violation"))
+        cert["members"] = [True if x == 1 else x for x in cert["members"]] + [0.5]
+        with pytest.raises(MalformedCertificate, match="members"):
+            replay_certificate(cert)
+
+    def test_null_side_code_still_accepted(self):
+        # the all-ones oracle has an empty complement side
+        certs = dnr_reduction_audit(PeriodicOracle((1,)), ZERO_INDEX, 40, 1_000)
+        nulls = [c for c in certs if c["kind"] == "dnr_value"
+                 and c["complement_code"] is None]
+        assert nulls
+        for cert in nulls:
+            assert replay_certificate(cert) == "dnr_value"

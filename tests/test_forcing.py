@@ -1,5 +1,7 @@
 """Forcing layer: conditions, staged trees, fusion, and density searches."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,6 +66,7 @@ class TestFiniteFunctional:
         assert f.output((0, 0)) == ()
         assert f.decided_length((1, 2, 5)) == 2
         assert f.max_output_length() == 2
+        assert FiniteFunctional.constant(2, (1,)).output((0, 1)) == (1,)
 
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError, match="monotonicity"):
@@ -122,21 +125,21 @@ class TestConditions:
 class TestDeltaSet:
     def test_constant_zero_table(self):
         tree = build_totality_tree(CONST3, (), 1, 1, frozenset(), G8)
-        assert delta_set(CONST3, tree, 0, 0).strings == tree.nodes
-        assert delta_set(CONST3, tree, 0, 1).strings == frozenset()
+        assert delta_set(CONST3, tree, 0, 0) == tree.nodes
+        assert delta_set(CONST3, tree, 0, 1) == frozenset()
 
     def test_depth2_even_split(self):
         tree = build_totality_tree(PARITY1, (), 1, 1, frozenset(), G8)
-        zeros = delta_set(PARITY1, tree, 0, 0).strings
-        ones = delta_set(PARITY1, tree, 0, 1).strings
+        zeros = delta_set(PARITY1, tree, 0, 0)
+        ones = delta_set(PARITY1, tree, 0, 1)
         assert zeros == {(0,), (2,), (4,)}
         assert ones == {(1,), (3,), (5,)}
 
     def test_partition_of_deciders(self):
         tree = build_totality_tree(PARITY3, (), 1, 3, frozenset(), G8)
         for m in range(3):
-            zeros = delta_set(PARITY3, tree, m, 0).strings
-            ones = delta_set(PARITY3, tree, m, 1).strings
+            zeros = delta_set(PARITY3, tree, m, 0)
+            ones = delta_set(PARITY3, tree, m, 1)
             deciders = {n for n in tree.nodes if PARITY3.decided_length(n) > m}
             assert zeros | ones == deciders
             assert not zeros & ones
@@ -399,13 +402,13 @@ class TestDensitySearch:
 
 class TestGenericPrefix:
     def test_empty_requirements(self):
-        stem, trace = generic_prefix(G8, None, [], LIMITS.replace(bad_string_len=2))
+        stem, trace = generic_prefix(G8, None, [], replace(LIMITS, bad_string_len=2))
         assert len(stem) >= 1
         assert all(v < G8(i) for i, v in enumerate(stem))
 
     def test_one_requirement_one_certificate(self):
         stem, trace = generic_prefix(G8, None, [(PARITY1, Q0)],
-                                     LIMITS.replace(bad_string_len=2))
+                                     replace(LIMITS, bad_string_len=2))
         certs = [t for t in trace if t["step"] == "requirement_met"]
         assert len(certs) == 1
         assert certs[0]["certificate"]["kind"] == "diagonal_extension"
@@ -414,7 +417,7 @@ class TestGenericPrefix:
     def test_two_requirements(self):
         stem, trace = generic_prefix(
             G8, None, [(PARITY1, Q0), (CONST3, Q0)],
-            LIMITS.replace(bad_string_len=2))
+            replace(LIMITS, bad_string_len=2))
         certs = [t for t in trace if t["step"] == "requirement_met"]
         assert len(certs) == 2
         assert all(v < G8(i) for i, v in enumerate(stem))
@@ -422,7 +425,7 @@ class TestGenericPrefix:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExceededError) as exc:
             generic_prefix(G8, None, [(CONST3, const_index(5))],
-                           LIMITS.replace(bad_string_len=2))
+                           replace(LIMITS, bad_string_len=2))
         assert len(exc.value.trace) > 0
 
 

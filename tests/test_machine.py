@@ -34,7 +34,6 @@ from dnrlab.machine import (
     OP_UNIV,
     RUNNING,
     SMN_STEP_OVERHEAD,
-    FiniteSetCode,
     FixedPointBudgetExceeded,
     Halted,
     ToyProgram,
@@ -42,7 +41,6 @@ from dnrlab.machine import (
     diagonal_index,
     encode,
     enumerate_re,
-    enumerate_re_capped,
     eval_program,
     eval_steps,
     fixed_point,
@@ -50,6 +48,7 @@ from dnrlab.machine import (
     gamma_inverse,
     pair,
     program,
+    re_enumeration_growth,
     re_enumeration_order,
     smn_fill,
     unpair,
@@ -192,9 +191,6 @@ def test_unpair_pair_identity(z):
 @given(st.frozensets(st.integers(0, 200), max_size=20))
 def test_finite_set_coding(members):
     assert gamma(gamma_inverse(members)) == members
-    fsc = FiniteSetCode.from_members(members)
-    assert FiniteSetCode.from_code(fsc.code) == fsc
-    assert fsc.max_element == (max(members) if members else None)
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +472,6 @@ def test_enumerate_re_monotone(e, budget):
     assert all(x <= budget for x in small)
 
 
-def test_enumerate_re_capped_is_prefix():
-    e = encode(EVEN_HALT)
-    full = sorted(enumerate_re(e, 40))
-    assert list(enumerate_re_capped(e, 40, 5)) == full[:5]
-    assert list(enumerate_re_capped(e, 40, 100)) == full
-
-
 def test_enumeration_order_stable_under_budget_growth():
     for e in (encode(EVEN_HALT), 23, encode(CONST1)):
         prev = re_enumeration_order(e, 10)
@@ -496,3 +485,37 @@ def test_enumeration_order_breaks_ties_by_value():
     # identity halts on x in exactly 1 step; order key is (max(1, x), x)
     order = re_enumeration_order(23, 5)
     assert order == (0, 1, 2, 3, 4, 5)
+
+
+def _order_by_eval_steps(e, budget):
+    """Canonical order rebuilt from eval_steps, one evaluation per input."""
+    entries = []
+    for x in range(budget + 1):
+        out, steps = eval_steps(e, x, budget)
+        if isinstance(out, Halted):
+            entries.append((max(steps, x), x))
+    return tuple(x for _, x in sorted(entries))
+
+
+@given(program_st, st.integers(0, 60))
+@settings(max_examples=150, deadline=None)
+def test_growth_checkpoint_matches_two_passes(p, budget):
+    e = encode(p)
+    order, at_half = re_enumeration_growth(e, budget)
+    assert order == re_enumeration_order(e, budget) == _order_by_eval_steps(e, budget)
+    assert at_half == len(re_enumeration_order(e, budget // 2))
+    assert at_half == len(_order_by_eval_steps(e, budget // 2))
+
+
+def test_growth_checkpoint_on_stock_sets():
+    # runs halting in exactly budget//2 steps sit on the checkpoint's edge
+    for prog in (IDENTITY, CONST1, EVEN_HALT):
+        for budget in range(12):
+            at_half = re_enumeration_growth(encode(prog), budget)[1]
+            assert at_half == len(re_enumeration_order(encode(prog), budget // 2))
+    # evens keep growing between the checkpoint and the budget; a finite
+    # set has stopped by then
+    order, at_half = re_enumeration_growth(encode(EVEN_HALT), 40)
+    assert len(order) > at_half == len(re_enumeration_order(encode(EVEN_HALT), 20))
+    zero_only = program([(OP_JZ, 0, 2), (OP_JMP, 1), (OP_HALT, 0)])
+    assert re_enumeration_growth(encode(zero_only), 40) == ((0,), 1)

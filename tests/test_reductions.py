@@ -11,6 +11,7 @@ from dnrlab.asm import (
     finite_set_index,
     residue_index,
 )
+from dnrlab.certs import replay_certificate
 from dnrlab.errors import PreconditionViolated, WitnessBudgetExceeded
 from dnrlab.machine import (
     Halted,
@@ -37,7 +38,6 @@ from dnrlab.reductions import (
     dnr_reduction_audit,
     first_slice_index,
     patch_oracle_dnr_only,
-    slice_window_ok,
 )
 
 BUDGET = 10_000
@@ -200,7 +200,7 @@ class TestBlockingPrefixInfinite:
         assert cert["kind"] == "blocking_infinite"
         assert cert["members"] == [0, 2, 4]
         assert sigma == (1, 0, 1, 0, 1)
-        assert slice_window_ok(cert)
+        assert replay_certificate(cert) == "blocking_infinite"
 
     def test_slice_is_the_canonical_order_prefix(self):
         _, cert = blocking_prefix((1,), EVEN_HALT_INDEX, const_index(2), 100_000)

@@ -3,13 +3,13 @@
 import pytest
 
 from dnrlab.asm import ZERO_INDEX, const_index
+from dnrlab.certs import replay_certificate
 from dnrlab.machine import domain_window
 from dnrlab.stages import (
     StageTrace,
     audit_effective_immunity,
     ei_not_coei,
     interval_slice_index,
-    replay_interval_record,
 )
 
 BUDGET = 100_000
@@ -121,7 +121,7 @@ class TestIntervalRecords:
     def test_replay(self, long_run):
         trace, _ = long_run
         for r in trace.interval_records():
-            assert replay_interval_record(r)
+            assert replay_certificate({"kind": "interval_slice", **r}) == "interval_slice"
 
 
 class TestAudit:
