@@ -14,19 +14,36 @@ also where string sets are validated.  Bigness queries, closures, and
 greedy witness extraction (`tree_from_marking`) all read off that table.
 `brute_force_is_n_big` is the deliberately naive mirror: a top-down
 existential search over n-subsets of children, kept free of the production
-shortcuts so the two can be played against each other in tests.
+shortcuts so the two can be played against each other in tests.  Every
+marking first checks the region's node count (`region_size`).
+
+The union-smallness sweep counts instead of enumerating: it works up the
+levels of a region once, counting subsets and splits by the bigness they
+give a node, and `brute_force_union_sweep` keeps the 2^N/3^N enumerator as
+its mirror.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
+from math import comb, prod
 from typing import Iterable, Iterator, Optional
+
+from .errors import CombinatorialBlowup
 
 Node = tuple[int, ...]
 
 BIG_CAP = 2**30  # bushiness number assigned to members of B
+# Largest region (nodes above a stem within the horizon) that marking and
+# the sweep take on; the fusion ambient at k = 3, depth 3 has 6175.
+REGION_NODE_LIMIT = 1 << 13
+BRUTE_FORCE_NODE_LIMIT = 20  # the naive sweep walks 3^N splits
+# Child-count states the sweep may step through, summed over levels and
+# pairs (see _non_member_states): a few seconds of counting at most.
+SWEEP_WORK_LIMIT = 2 * 10**6
 
 
 class MalformedTree(ValueError):
@@ -129,6 +146,23 @@ def region_nodes(g: OrderFunction, depth: int, stem: Node = ()) -> Iterator[Node
         yield from level_nodes(g, d, stem)
 
 
+def region_size(g: OrderFunction, depth: int, stem: Node = (),
+                limit: int = REGION_NODE_LIMIT) -> int:
+    """Number of nodes region_nodes(g, depth, stem) yields, counted level by
+    level without enumerating them.  Raises CombinatorialBlowup as soon as
+    the count passes `limit`, so any depth returns at once (widths are at
+    least 2, so each level holds at least twice the nodes of the one above).
+    """
+    total, level = 0, 1
+    for d in range(len(stem), depth + 1):
+        total += level
+        if total > limit:
+            raise CombinatorialBlowup(
+                f"region above {stem} to depth {depth} has more than {limit} nodes")
+        level *= g.value(d)
+    return total
+
+
 def _string_set(B: Iterable[Node]) -> frozenset[Node]:
     return B if isinstance(B, frozenset) else frozenset(tuple(node) for node in B)
 
@@ -156,8 +190,10 @@ def bushiness_numbers(B: Iterable[Node], g: OrderFunction, depth: int,
 
     This pass is where a string set is validated: above a valid stem, every
     member it meets in the region is a valid string within the horizon by
-    construction, so only the members it does not meet are checked.
+    construction, so only the members it does not meet are checked.  A
+    region above REGION_NODE_LIMIT nodes raises CombinatorialBlowup first.
     """
+    region_size(g, depth, stem)
     B = _string_set(B)
     beta: dict[Node, int] = {}
     met = 0
@@ -445,41 +481,159 @@ def intersection_bushiness_check(ambient: TreeWitness, F: Iterable[Node],
     return LemmaHolds(f"intersection of {len(inter)} nodes is {2 * k}-bushy")
 
 
+def _pair_list(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    pair_list = sorted({(int(n), int(m)) for n, m in pairs})
+    if any(n < 1 or m < 1 for n, m in pair_list):
+        raise ValueError("bigness parameters must be >= 1")
+    return pair_list
+
+
+def _at_least(width: int, k: int, hit: int, total: int) -> int:
+    """Colourings of width children, each weighing `total` of which `hit`
+    reach a threshold, in which at least k children reach it."""
+    miss = total - hit
+    fewer = sum(comb(width, j) * hit**j * miss**(width - j)
+                for j in range(min(k, width + 1)))
+    return total**width - fewer
+
+
+def _non_member_states(states: dict, width: int, thresholds: tuple) -> dict:
+    """States of a non-member over all colourings of its width children.
+
+    A non-member's beta is the h-index of its children's, so it reaches t
+    exactly when at least t children reach t: counting, per threshold, the
+    children that reach it decides the parent.  Counts are capped at the
+    threshold, or not kept at all when the threshold exceeds the width.
+    """
+    ca, cb, cu = (t if t <= width else 0 for t in thresholds)
+    kinds = list(states.items())
+    counts = {(0, 0, 0): 1}
+    for _ in range(width):
+        grown: dict = defaultdict(int)
+        for (a, b, u), v in counts.items():
+            # the count after a child that does not / does reach each threshold
+            na, nb, nu = (a, a + (a < ca)), (b, b + (b < cb)), (u, u + (u < cu))
+            for (x, y, z), c in kinds:
+                grown[na[x], nb[y], nu[z]] += v * c
+        counts = grown
+    out: dict = defaultdict(int)
+    for key, v in counts.items():
+        out[tuple(int(k >= t) for k, t in zip(key, thresholds))] += v
+    return out
+
+
+def _big_unions(widths: list[int], target: int) -> int:
+    """Subsets U of a region with these level widths, stem level first,
+    that are target-big above the stem.
+
+    All nodes of one level have isomorphic subtrees, so the subsets of one
+    node's subtree are counted once per level, split by whether the node
+    reaches the target, from the horizon up.  A member's beta is BIG_CAP.
+    """
+    if target > BIG_CAP:
+        return 0
+    small, big = 1, 1  # a node at the horizon is outside U (beta 0) or a member
+    for width in reversed(widths):
+        total = small + big
+        free = total**width  # a member leaves its subtree free
+        reached = _at_least(width, target, big, total)
+        small, big = free - reached, reached + free
+    return big
+
+
+def _bad_splits(widths: list[int], n: int, m: int, target: int) -> int:
+    """3-colourings (outside U, in A, in B) of a region with these level
+    widths where U is target-big above the stem but A is m-small and B
+    n-small.
+
+    As in _big_unions, one count per level and node state, the state being
+    (beta_A >= m, beta_B >= n, beta_U >= target).
+    """
+    if target > BIG_CAP:
+        return 0
+    states: dict = {(0, 0, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}  # at the horizon
+    for width in reversed(widths):
+        total = sum(states.values())
+        free = total**width
+        a_big = _at_least(width, m, sum(v for s, v in states.items() if s[0]), total)
+        b_big = _at_least(width, n, sum(v for s, v in states.items() if s[1]), total)
+        states = _non_member_states(states, width, (m, n, target))
+        # a member of A reaches m and the target; its beta_B is still the
+        # h-index of its children's, and symmetrically for a member of B
+        states[1, 1, 1] += b_big + a_big
+        states[1, 0, 1] += free - b_big
+        states[0, 1, 1] += free - a_big
+    return states.get((0, 0, 1), 0)
+
+
+def _sweep(g: OrderFunction, depth: int, checks: list[tuple[int, int, int]],
+           stems: Iterable[Node]) -> dict:
+    """union_smallness_sweep over (n, m, target) checks, by level counts."""
+    stems = [tuple(stem) for stem in stems]
+    for stem in stems:
+        if region_size(g, depth, stem) and not g.validate_node(stem):
+            raise ValueError(f"member {stem} is not a valid string for g")
+    # the counts depend on a stem only through its length
+    widths = {k: [g.value(d) for d in range(k, depth)]
+              for k in {len(stem) for stem in stems if len(stem) <= depth}}
+    work = sum(width * prod(t + 1 if t <= width else 1 for t in check)
+               for check in checks if check[2] <= BIG_CAP
+               for level in widths.values() for width in level)
+    if work > SWEEP_WORK_LIMIT:
+        raise CombinatorialBlowup(
+            f"the sweep would step through {work} child-count states, "
+            f"more than {SWEEP_WORK_LIMIT}")
+    counts = {k: [(_big_unions(level, target), _bad_splits(level, n, m, target))
+                  for n, m, target in checks]
+              for k, level in widths.items()}
+    instances = 0
+    counterexamples: list[dict] = []
+    for stem in stems:
+        if len(stem) not in counts:
+            continue  # an empty region has no big union
+        instances += sum(big for big, _ in counts[len(stem)])
+        if any(bad for _, bad in counts[len(stem)]):
+            # only a broken kernel gets here: list the certificates in the
+            # enumerator's order
+            counterexamples += _brute_force_sweep(g, depth, checks, [stem])["counterexamples"]
+    return {"instances": instances, "counterexamples": counterexamples}
+
+
 def union_smallness_sweep(g: OrderFunction, depth: int,
                           pairs: Iterable[tuple[int, int]],
-                          stems: Iterable[Node] = ((),),
-                          region_cap: int = 20) -> dict:
-    """Exhaustive counterexample search for additivity of smallness.
+                          stems: Iterable[Node] = ((),)) -> dict:
+    """Exact counterexample count for additivity of smallness.
 
     For every stem, every subset U of its region, and every (n, m) pair:
     whenever U is (n + m - 1)-big, each two-coloring of U must leave the
     first class m-big or the second n-big.  Disjoint colorings suffice,
     since parts only shrink under disjointification and bigness is
     monotone.  Returns the count of checked big unions and the (expected
-    empty) list of counterexample certificates.
+    empty) list of counterexample certificates, exactly as
+    `brute_force_union_sweep` does, but counted level by level instead of
+    enumerated, so regions of hundreds of nodes are in reach.  Raises
+    CombinatorialBlowup for a region above REGION_NODE_LIMIT nodes, or when
+    the counts would step through more than SWEEP_WORK_LIMIT states.
     """
-    from .errors import CombinatorialBlowup
+    return _sweep(g, depth, [(n, m, n + m - 1) for n, m in _pair_list(pairs)], stems)
 
-    pair_list = sorted({(int(n), int(m)) for n, m in pairs})
-    if any(n < 1 or m < 1 for n, m in pair_list):
-        raise ValueError("bigness parameters must be >= 1")
+
+def _brute_force_sweep(g: OrderFunction, depth: int,
+                       checks: list[tuple[int, int, int]],
+                       stems: Iterable[Node]) -> dict:
     instances = 0
     counterexamples: list[dict] = []
     for stem in stems:
         stem = tuple(stem)
+        size = region_size(g, depth, stem, BRUTE_FORCE_NODE_LIMIT)
         region = sorted(region_nodes(g, depth, stem))
-        if len(region) > region_cap:
-            raise CombinatorialBlowup(
-                f"region above {stem} has {len(region)} nodes",
-                upper_bound=1 << len(region))
         # beta of every subset once; split checks are then table lookups
-        beta = [0] * (1 << len(region))
-        for mask in range(1, 1 << len(region)):
-            members = [region[i] for i in range(len(region)) if mask >> i & 1]
+        beta = [0] * (1 << size)
+        for mask in range(1, 1 << size):
+            members = [region[i] for i in range(size) if mask >> i & 1]
             beta[mask] = bushiness_numbers(members, g, depth, stem)[stem]
-        for n, m in pair_list:
-            target = n + m - 1
-            for mask in range(1 << len(region)):
+        for n, m, target in checks:
+            for mask in range(1 << size):
                 if beta[mask] < target:
                     continue
                 instances += 1
@@ -493,14 +647,25 @@ def union_smallness_sweep(g: OrderFunction, depth: int,
                             "stem": list(stem),
                             "n": n,
                             "m": m,
-                            "union": [list(region[i]) for i in range(len(region))
+                            "union": [list(region[i]) for i in range(size)
                                       if mask >> i & 1],
-                            "part_small_m": [list(region[i]) for i in range(len(region))
+                            "part_small_m": [list(region[i]) for i in range(size)
                                              if sub >> i & 1],
-                            "part_small_n": [list(region[i]) for i in range(len(region))
+                            "part_small_n": [list(region[i]) for i in range(size)
                                              if (mask ^ sub) >> i & 1],
                         })
                     if sub == 0:
                         break
                     sub = (sub - 1) & mask
     return {"instances": instances, "counterexamples": counterexamples}
+
+
+def brute_force_union_sweep(g: OrderFunction, depth: int,
+                            pairs: Iterable[tuple[int, int]],
+                            stems: Iterable[Node] = ((),)) -> dict:
+    """Naive mirror of union_smallness_sweep: a beta table for all 2^N
+    subsets of each region, then every (union, split) pair walked.  Raises
+    CombinatorialBlowup for a region above BRUTE_FORCE_NODE_LIMIT nodes.
+    """
+    return _brute_force_sweep(
+        g, depth, [(n, m, n + m - 1) for n, m in _pair_list(pairs)], stems)

@@ -71,6 +71,7 @@ _NATURAL_FIELDS = frozenset({
 _OPTIONAL_NATURAL_FIELDS = frozenset({"side_code", "complement_code"})
 _NATURAL_LIST_FIELDS = frozenset({
     "members", "ones", "order_prefix", "q_values", "sigma", "w_winner"})
+_STRING_FIELDS = frozenset({"g"})  # an order function spec
 
 
 def _is_natural(value) -> bool:
@@ -84,6 +85,8 @@ def _well_typed(key: str, value) -> bool:
         return value is None or _is_natural(value)
     if key in _NATURAL_LIST_FIELDS:
         return isinstance(value, list) and all(_is_natural(v) for v in value)
+    if key in _STRING_FIELDS:
+        return isinstance(value, str)
     return True
 
 
@@ -94,8 +97,9 @@ def _fields(cert: Mapping, *keys: str) -> list:
         raise MalformedCertificate(f"{kind} certificate lacks fields {missing}")
     for key in keys:
         if not _well_typed(key, cert[key]):
+            wanted = "a string" if key in _STRING_FIELDS else "naturals"
             raise MalformedCertificate(
-                f"{kind} field {key!r} must hold naturals, got {cert[key]!r}")
+                f"{kind} field {key!r} must hold {wanted}, got {cert[key]!r}")
     return [cert[k] for k in keys]
 
 

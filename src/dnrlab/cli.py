@@ -27,6 +27,7 @@ from .bushy import (
     intersection_bushiness_check,
     is_n_big,
     level_nodes,
+    region_size,
     union_smallness_sweep,
     witness_tree,
 )
@@ -140,13 +141,20 @@ def _load_input(config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # Commands.
 
+def _full_level(g: OrderFunction, depth: int) -> frozenset:
+    """Every node at the horizon; a region too large to mark is refused
+    (CombinatorialBlowup) before it is listed."""
+    region_size(g, depth)
+    return frozenset(level_nodes(g, depth))
+
+
 def _cmd_bushy_check(config: RunConfig) -> CommandResult:
     data = _load_input(config)
     g = config.g("3")
     depth = int(data.get("depth", 2))
     stem = tuple(data.get("stem", ()))
     B = frozenset(tuple(x) for x in data["set"]) if "set" in data \
-        else frozenset(level_nodes(g, depth))
+        else _full_level(g, depth)
     n = int(data.get("n", g(0)))
     big = is_n_big(B, n, g, stem, depth)
     cert = {
@@ -236,8 +244,7 @@ def _cmd_fusion_check(config: RunConfig) -> CommandResult:
     for i in range(instances):
         k = rng.randint(1, 3)
         g = OrderFunction.constant(6 * k)
-        full = frozenset(level_nodes(g, depth))
-        ambient = witness_tree(full, 6 * k, g, (), depth, exactly=True)
+        ambient = witness_tree(_full_level(g, depth), 6 * k, g, (), depth, exactly=True)
         F = _random_subtree(rng, ambient, 4 * k)
         C = _random_subtree(rng, ambient, 4 * k)
         verdict = intersection_bushiness_check(ambient, F, C, k, g)
@@ -257,8 +264,7 @@ def _cmd_fusion_check(config: RunConfig) -> CommandResult:
     # always leaves one class 2k-big
     k = 1
     g = OrderFunction.constant(6 * k)
-    ambient = witness_tree(frozenset(level_nodes(g, depth)), 6 * k, g, (),
-                           depth, exactly=True)
+    ambient = witness_tree(_full_level(g, depth), 6 * k, g, (), depth, exactly=True)
     leaves = sorted(ambient.leaves())
     colors = [[list(leaf), rng.randint(0, 2)] for leaf in leaves]
     classes = {c: frozenset(tuple(n) for n, cc in colors if cc == c)

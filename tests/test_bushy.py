@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnrlab import bushy
 from dnrlab.bushy import (
     BIG_CAP,
+    REGION_NODE_LIMIT,
     CounterexampleWitness,
     LemmaHolds,
     MalformedTree,
@@ -24,6 +26,7 @@ from dnrlab.bushy import (
     PreconditionViolated,
     TreeWitness,
     brute_force_is_n_big,
+    brute_force_union_sweep,
     bushiness_numbers,
     closure,
     closure_check,
@@ -32,11 +35,14 @@ from dnrlab.bushy import (
     is_n_small,
     level_nodes,
     region_nodes,
+    region_size,
     union_smallness_check,
+    union_smallness_sweep,
     verify_bushy,
     verify_tree_shape,
     witness_tree,
 )
+from dnrlab.errors import CombinatorialBlowup
 
 G2 = OrderFunction.constant(2)
 G3 = OrderFunction.constant(3)
@@ -290,6 +296,99 @@ def test_union_smallness_precondition():
 def test_union_smallness_never_refuted(B1, B2, m, n):
     v = union_smallness_check(B1, m, B2, n, G3, (), 3)
     assert not isinstance(v, CounterexampleWitness)
+
+
+# The sweep's level counts against the 2^N/3^N enumerator on every region of
+# fewer than 16 nodes.
+ALL_PAIRS = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
+SMALL_REGIONS = [
+    ("2", 1, [()]), ("2", 2, [(), (1,)]), ("2", 3, [()]),
+    ("3", 1, [()]), ("3", 2, [(), (0,), (2,)]),
+    ("2,3", 2, [()]), ("2,4", 2, [()]),
+]
+
+
+@pytest.mark.parametrize("spec, depth, stems", SMALL_REGIONS)
+def test_sweep_matches_brute_force(spec, depth, stems):
+    g = OrderFunction.from_spec(spec)
+    got = union_smallness_sweep(g, depth, ALL_PAIRS, stems)
+    assert got == brute_force_union_sweep(g, depth, ALL_PAIRS, stems)
+    assert got["counterexamples"] == []
+
+
+@pytest.mark.parametrize("spec, depth, stems", [
+    ("2", 2, [(), (1,)]), ("3", 1, [()]), ("3", 2, [(2,)]), ("2,3", 2, [()])])
+def test_sweep_counts_lowered_targets(spec, depth, stems):
+    # below n+m-1 the lemma fails, so the bad-split counts are nonzero
+    g = OrderFunction.from_spec(spec)
+    checks = [(n, m, n + m - 1 - lower) for n, m in ALL_PAIRS for lower in (1, 2)
+              if n + m - 1 - lower >= 1]
+    for stem in stems:
+        widths = [g.value(d) for d in range(len(stem), depth)]
+        for check in checks:
+            naive = bushy._brute_force_sweep(g, depth, [check], [stem])
+            assert bushy._big_unions(widths, check[2]) == naive["instances"]
+            assert bushy._bad_splits(widths, *check) == len(naive["counterexamples"])
+    got = bushy._sweep(g, depth, checks, stems)
+    assert got["counterexamples"]
+    assert got == bushy._brute_force_sweep(g, depth, checks, stems)
+
+
+def test_sweep_golden_nineteen_nodes():
+    # recorded from brute_force_union_sweep, which needs minutes per pair here
+    g = OrderFunction.from_spec("2,2,3")
+    assert region_size(g, 3) == 19
+    for pair in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        assert union_smallness_sweep(g, 3, [pair]) == {
+            "instances": 262144, "counterexamples": []}
+
+
+def test_sweep_targets_past_every_width():
+    # only unions holding the stem reach the target: 2^12 of the 13-node region
+    out = union_smallness_sweep(G3, 2, [(100000, 100000)])
+    assert out == {"instances": 4096, "counterexamples": []}
+    # a member's BIG_CAP reaches a target of BIG_CAP, not one above it
+    pairs = [(BIG_CAP, 1), (BIG_CAP, 2)]
+    out = union_smallness_sweep(G3, 1, pairs)
+    assert out == brute_force_union_sweep(G3, 1, pairs) == {
+        "instances": 8, "counterexamples": []}
+
+
+def test_sweep_input_checks():
+    with pytest.raises(ValueError, match=">= 1"):
+        union_smallness_sweep(G3, 2, [(0, 2)])
+    with pytest.raises(ValueError, match="not a valid string"):
+        union_smallness_sweep(G3, 2, [(2, 2)], [(3,)])
+    # a stem past the horizon has an empty region, valid or not
+    assert union_smallness_sweep(G3, 1, [(2, 2)], [(5, 5)])["instances"] == 0
+    with pytest.raises(CombinatorialBlowup):
+        union_smallness_sweep(G3, 10**9, [(2, 2)])
+    with pytest.raises(CombinatorialBlowup):  # within the node limit, not the work limit
+        union_smallness_sweep(OrderFunction.constant(8191), 1, [(2, 2), (2, 3), (3, 2), (3, 3)])
+    with pytest.raises(CombinatorialBlowup):
+        brute_force_union_sweep(G3, 3, [(2, 2)])
+
+
+# ---------------------------------------------------------------------------
+# The region-size precheck.
+
+@pytest.mark.parametrize("spec, depth, stem", [
+    ("3", 2, ()), ("2", 3, (1,)), ("2,3,4", 3, ()), ("2,4", 2, (0, 1)), ("3", 1, (0, 0))])
+def test_region_size_counts_region_nodes(spec, depth, stem):
+    g = OrderFunction.from_spec(spec)
+    assert region_size(g, depth, stem) == len(list(region_nodes(g, depth, stem)))
+
+
+def test_region_limit_refuses_before_marking():
+    g9 = OrderFunction.constant(9)
+    assert region_size(OrderFunction.constant(18), 3) <= REGION_NODE_LIMIT
+    with pytest.raises(CombinatorialBlowup, match=str(REGION_NODE_LIMIT)):
+        region_size(g9, 10**9)
+    with pytest.raises(CombinatorialBlowup):
+        bushiness_numbers({(0,)}, g9, 12)
+    with pytest.raises(CombinatorialBlowup):
+        closure({(0,)}, 2, g9, 14)
+    assert region_size(g9, 12, (0,) * 10) == 1 + 9 + 81
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 import copy
 import json
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dnrlab import cli
 from dnrlab.asm import DIVERGE_INDEX, ZERO_INDEX, const_index
-from dnrlab.bushy import OrderFunction
+from dnrlab.bushy import OrderFunction, closure, region_nodes, \
+    union_smallness_sweep, witness_tree
 from dnrlab.certs import REPLAYERS, replay_certificate
 from dnrlab.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INPUT, EXIT_OK, \
     TRACE_SCHEMA, InputError, main, parse_args
@@ -382,3 +386,110 @@ class TestTypedReplayFields:
         assert nulls
         for cert in nulls:
             assert replay_certificate(cert) == "dnr_value"
+
+
+def _bushy_seed_certs() -> list[dict]:
+    """One certificate of each bushy kind whose replay re-marks a region,
+    shaped as the acceptance battery emits them.  The battery finds no
+    union counterexample, so that one is the forged certificate above."""
+    g3, g4 = OrderFunction.constant(3), OrderFunction.constant(4)
+    pairs, stems = [[2, 2], [2, 3], [3, 2], [3, 3]], [[], [0], [1], [2]]
+    sweep = union_smallness_sweep(g3, 2, pairs, stems)
+    B = frozenset(x for x in region_nodes(g3, 3) if sum(x) % 2 == 0)
+    base = frozenset({(0,), (1, 0), (2, 1, 3), (3, 3, 3)})
+    return [
+        {"kind": "sweep_summary", "g": "3", "depth": 2, "pairs": pairs,
+         "stems": stems, "instances": sweep["instances"], "counterexamples": 0},
+        {"kind": "union_counterexample", "g": "3", "depth": 1, "stem": [],
+         "n": 2, "m": 2, "union": [[0], [1], [2]],
+         "part_small_m": [[0], [1]], "part_small_n": [[2]]},
+        {"kind": "bushiness_verdict", "g": "3", "stem": [], "depth": 3, "n": 2,
+         "set": sorted(list(x) for x in B), "big": True,
+         "witness": witness_tree(B, 2, g3, (), 3).to_jsonable()},
+        {"kind": "closure_result", "g": "4", "n": 4, "depth": 3,
+         "set": sorted(list(x) for x in base),
+         "closure": sorted(list(x) for x in closure(base, 4, g4, 3))},
+    ]
+
+
+_BUSHY_SEEDS = _bushy_seed_certs()
+_BIG = st.one_of(st.integers(0, 40), st.integers(0, 10**6))
+_HOSTILE_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**6), st.floats(),
+    st.text(max_size=4), st.lists(st.integers(-1, 4), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def _hostile_certs(draw):
+    cert = copy.deepcopy(draw(st.sampled_from(_BUSHY_SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        fields = sorted(k for k in cert if k != "kind")
+        if not fields:
+            break
+        key = draw(st.sampled_from(fields))
+        action = draw(st.sampled_from(["inflate", "retype", "drop"]))
+        if action == "drop":
+            del cert[key]
+        elif action == "retype":
+            cert[key] = draw(_HOSTILE_VALUES)
+        elif key == "depth":
+            cert[key] = draw(_BIG)
+        elif key == "g":
+            widths = draw(st.lists(_BIG.map(lambda v: v + 2), min_size=1, max_size=3))
+            cert[key] = ",".join(str(v) for v in sorted(widths))
+        elif key == "pairs":
+            cert[key] = draw(st.lists(
+                st.lists(_BIG.map(lambda v: v + 1), min_size=2, max_size=2),
+                min_size=1, max_size=4))
+    return cert
+
+
+def _replay_one(cert: dict, directory) -> int:
+    path = directory / "hostile.jsonl"
+    path.write_text(json.dumps({"schema": TRACE_SCHEMA}) + "\n" + json.dumps(cert) + "\n")
+    return main(["--command", "replay", "--in", str(path)])
+
+
+class TestHostileReplay:
+    def test_seed_certificates_replay(self, tmp_path):
+        codes = [_replay_one(cert, tmp_path) for cert in _BUSHY_SEEDS]
+        assert codes == [EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_OK]
+
+    # an inflated field can still describe a claim that holds, so exit 0 is
+    # allowed; what is not allowed is an exception or an unbounded run
+    @settings(max_examples=150, deadline=timedelta(seconds=20),
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cert=_hostile_certs())
+    def test_mutated_certificates_exit_cleanly(self, cert, tmp_path_factory):
+        code = _replay_one(cert, tmp_path_factory.mktemp("hostile"))
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET, EXIT_COUNTEREXAMPLE)
+
+    def test_deep_bushiness_verdict_is_refused(self, tmp_path, capsys):
+        cert = {"kind": "bushiness_verdict", "g": "9", "stem": [], "depth": 12,
+                "n": 2, "set": [[0]], "big": False}
+        assert _replay_one(cert, tmp_path) == EXIT_BUDGET
+        assert "8192 nodes" in capsys.readouterr().err
+
+    def test_deep_closure_is_refused(self, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"depth": 14}))
+        assert main(["--command", "closure", "--g", "9", "--in", str(path)]) == EXIT_BUDGET
+
+    @pytest.mark.parametrize("command", ["bushy-check", "closure", "lemma-sweep"])
+    def test_any_depth_returns_at_once(self, command, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"depth": 10**9}))
+        assert main(["--command", command, "--in", str(path)]) == EXIT_BUDGET
+
+    @pytest.mark.parametrize("instances", [0, 1])
+    def test_deep_fusion_ambient_is_refused(self, instances):
+        assert main(["--command", "fusion-check", f"--budget.instances={instances}",
+                     "--budget.depth=20"]) == EXIT_BUDGET
+
+    def test_huge_pairs_replay_fast(self, tmp_path, capsys):
+        cert = {"kind": "sweep_summary", "g": "3", "depth": 2,
+                "pairs": [[100000, 100000]], "stems": [[]], "instances": 1,
+                "counterexamples": 0}
+        assert _replay_one(cert, tmp_path) == EXIT_COUNTEREXAMPLE
+        assert "instance count is now 4096" in capsys.readouterr().out
