@@ -29,6 +29,7 @@ from .machine import (
     ProgramIndex,
     ToyProgram,
     encode,
+    gamma_inverse,
     program,
 )
 
@@ -178,9 +179,7 @@ def residue_index(k: int, r: int) -> ProgramIndex:
 @lru_cache(maxsize=1024)
 def finite_set_index(members: frozenset[int]) -> ProgramIndex:
     """Index whose domain is exactly the given finite set (bit-probe loop)."""
-    code = 0
-    for x in members:
-        code |= 1 << x
+    code = gamma_inverse(members)
     # shift the code right x times, test the low bit
     return assemble_index(f"""
         load r1, {code}

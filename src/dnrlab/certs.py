@@ -28,22 +28,25 @@ from .errors import MalformedCertificate, ReplayMismatch
 from .forcing import (
     FiniteFunctional,
     ForcingCondition,
-    SearchLimits,
     _c_m_minimal,
     _diagonal_pair,
-    _packed_masks,
     c_m_set,
 )
-from .machine import Halted, domain_window, eval_program, gamma, re_enumeration_growth
+from .machine import (
+    Halted,
+    domain_window,
+    eval_program,
+    gamma,
+    re_enumeration_growth,
+)
 from .numbering import (
-    CanonicalNumbering,
     lowness_bound_check,
     snr_from_immune_oracle,
     union_cylinder_measure,
 )
 from .dyadic import DyadicRational
 from .oracle import first_members, oracle_from_spec
-from .reductions import diagonal_set_index, first_slice_index
+from .reductions import _side_codes, diagonal_set_index, first_slice_index
 from .stages import ei_not_coei, interval_slice_index
 
 REPLAYERS: dict[str, Callable[[Mapping], None]] = {}
@@ -57,25 +60,32 @@ def _replayer(kind: str):
 
 
 # Fields that hold a natural (an int, not a bool), whatever the kind; the
-# optional ones may also be null, and the lists hold naturals only.
+# optional ones may also be null, the lists hold naturals only (a node is
+# such a list), and the node lists hold such lists.  CLI input files are
+# read through the same rules.
 _NATURAL_FIELDS = frozenset({
-    "a", "base", "budget", "c", "candidate", "cap", "cardinality",
-    "chosen_color", "claimed_bound", "count", "counterexamples", "depth", "e",
-    "e0", "e1", "e_max", "e_prime", "eval_budget", "f", "f_value",
-    "fixpoint_budget", "h", "h_e", "h_value", "horizon", "instances",
-    "interval_count", "intersection_size", "k", "m", "membership", "n", "p",
-    "position_horizon", "probes", "q", "record_count", "scan_cap",
+    "a", "base", "budget", "c", "candidate", "cap", "chosen_color",
+    "claimed_bound", "count", "counterexamples", "depth", "e", "e0", "e1",
+    "e_max", "e_prime", "eval_budget", "f", "f_value", "fixpoint_budget", "h",
+    "h_e", "horizon", "instances", "interval_count", "intersection_size", "k",
+    "m", "n", "p", "position_horizon", "probes", "q", "record_count",
     "smallness_bound", "stages", "tail_exponent", "term_cap",
     "tree_bushiness", "value", "value_cap", "winner",
 })
 _OPTIONAL_NATURAL_FIELDS = frozenset({"side_code", "complement_code"})
 _NATURAL_LIST_FIELDS = frozenset({
-    "members", "ones", "order_prefix", "q_values", "sigma", "w_winner"})
+    "members", "ones", "order_prefix", "prefix", "q_values", "sigma", "stem",
+    "w_winner"})
+_NODE_LIST_FIELDS = frozenset({"pairs", "set", "sets", "stems"})
 _STRING_FIELDS = frozenset({"g"})  # an order function spec
 
 
 def _is_natural(value) -> bool:
     return type(value) is int and value >= 0
+
+
+def _is_natural_list(value) -> bool:
+    return isinstance(value, list) and all(_is_natural(v) for v in value)
 
 
 def _well_typed(key: str, value) -> bool:
@@ -84,10 +94,22 @@ def _well_typed(key: str, value) -> bool:
     if key in _OPTIONAL_NATURAL_FIELDS:
         return value is None or _is_natural(value)
     if key in _NATURAL_LIST_FIELDS:
-        return isinstance(value, list) and all(_is_natural(v) for v in value)
+        return _is_natural_list(value)
+    if key in _NODE_LIST_FIELDS:
+        return isinstance(value, list) and all(_is_natural_list(v) for v in value)
     if key in _STRING_FIELDS:
         return isinstance(value, str)
     return True
+
+
+def typed_field(owner: str, key: str, value):
+    """`value` if it obeys the type rule for fields named `key`, else
+    MalformedCertificate (a ValueError) naming `owner`."""
+    if not _well_typed(key, value):
+        wanted = ("a string" if key in _STRING_FIELDS
+                  else "lists of naturals" if key in _NODE_LIST_FIELDS else "naturals")
+        raise MalformedCertificate(f"{owner} field {key!r} must hold {wanted}, got {value!r}")
+    return value
 
 
 def _fields(cert: Mapping, *keys: str) -> list:
@@ -95,12 +117,7 @@ def _fields(cert: Mapping, *keys: str) -> list:
     missing = [k for k in keys if k not in cert]
     if missing:
         raise MalformedCertificate(f"{kind} certificate lacks fields {missing}")
-    for key in keys:
-        if not _well_typed(key, cert[key]):
-            wanted = "a string" if key in _STRING_FIELDS else "naturals"
-            raise MalformedCertificate(
-                f"{kind} field {key!r} must hold {wanted}, got {cert[key]!r}")
-    return [cert[k] for k in keys]
+    return [typed_field(kind, k, cert[k]) for k in keys]
 
 
 def _check(ok: bool, kind: str, detail: str) -> None:
@@ -147,7 +164,7 @@ def _replay_non_total(cert: Mapping) -> None:
     cm = c_m_set(func, g, stem, m)
     _check(not is_n_big(cm, bound, g, stem, func.depth), cert["kind"],
            f"C_{m} is {bound}-big above {stem}: the non-totality claim fails")
-    want_minimal = sorted(list(n) for n in _c_m_minimal(func, g, stem, m))
+    want_minimal = sorted(list(n) for n in _c_m_minimal(cm, stem))
     _check(want_minimal == minimal, cert["kind"],
            "recorded minimal deciding set disagrees with recomputation")
     bad = frozenset(tuple(b) for b in badset) | frozenset(tuple(n) for n in minimal)
@@ -202,10 +219,8 @@ def _replay_diagonal(cert: Mapping) -> None:
            "recorded winner set disagrees with the fused pairs")
     _check(len(w_win) > m_val, kind, "winner set does not exceed m")
     e_win = (e0, e1)[winner]
-    for x in range(horizon):
-        halted = isinstance(eval_program(e_win, x, eval_budget), Halted)
-        _check(halted == (x in w_win), kind,
-               f"membership of {x} in W_{{{e_win}}} disagrees with the winner set")
+    _check(domain_window(e_win, horizon, eval_budget) == w_win, kind,
+           f"W_{{{e_win}}} below {horizon} disagrees with the winner set")
     if case == "case2":
         _check(all(i == 0 for _, i in fused), kind,
                "case2 certificate carries a fused one-bit")
@@ -213,11 +228,7 @@ def _replay_diagonal(cert: Mapping) -> None:
            "new stem is not the least leaf of the tree")
     if c == cap:
         # masks are derived from the full fused list only when it was kept whole
-        a0, a1, big_k = _packed_masks(fused, horizon)
-        limits = SearchLimits(eval_budget=eval_budget,
-                              fixpoint_budget=fixpoint_budget)
-        r0, r1, _ = _diagonal_pair(q, a0, a1, big_k, cap, limits)
-        _check((r0, r1) == (e0, e1), kind,
+        _check(_diagonal_pair(q, fused, horizon, fixpoint_budget) == (e0, e1), kind,
                "recursion-theorem indices fail to reconstruct")
 
 
@@ -258,13 +269,8 @@ def _replay_dnr_value(cert: Mapping) -> None:
            f"diagonal value at {e} is no longer {value}")
     _check(_halted_value(f, h_e, budget) == f_value, kind,
            f"f({h_e}) is no longer {f_value}")
-    oracle = oracle_from_spec(oracle_js)
-    k = f_value + 1
-    for want, bit, name in ((side_code, 1, "side_code"),
-                            (co_code, 0, "complement_code")):
-        got = first_members(oracle, k, value=bit)
-        code = sum(1 << x for x in got) if len(got) == k else None
-        _check(code == want, kind, f"{name} disagrees with the oracle slice")
+    _check(_side_codes(oracle_from_spec(oracle_js), f_value + 1) == (side_code, co_code),
+           kind, "side codes disagree with the oracle slices")
     defined = [x for x in (side_code, co_code) if x is not None]
     _check(bool(defined) and cand == min(defined), kind,
            "candidate is not the least defined side code")
@@ -366,23 +372,6 @@ def _replay_stage_summary(cert: Mapping) -> None:
 
 # ---------------------------------------------------------------------------
 # Numberings and measures.
-
-@_replayer("immunity_violation")
-def _replay_immunity_violation(cert: Mapping) -> None:
-    kind = cert["kind"]
-    e, members, h_value, oracle_js, h, membership, cardinality, budget, scan_cap = \
-        _fields(cert, "e", "members", "h_value", "oracle", "h",
-                "membership", "cardinality", "budget", "scan_cap")
-    numbering = CanonicalNumbering(membership, cardinality, budget, scan_cap)
-    _check(sorted(numbering.finite_set(e)) == list(members), kind,
-           f"D_{e} decodes differently now")
-    _check(_halted_value(h, e, budget) == h_value, kind,
-           f"h({e}) is no longer {h_value}")
-    _check(len(members) > h_value, kind, "member count does not exceed h")
-    oracle = oracle_from_spec(oracle_js)
-    _check(all(oracle.bit(x) == 1 for x in members), kind,
-           "some member falls outside the oracle")
-
 
 @_replayer("snr_slice")
 def _replay_snr_slice(cert: Mapping) -> None:

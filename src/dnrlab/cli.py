@@ -31,7 +31,7 @@ from .bushy import (
     union_smallness_sweep,
     witness_tree,
 )
-from .certs import replay_certificate
+from .certs import replay_certificate, typed_field
 from .dyadic import DyadicRational
 from .errors import (
     CombinatorialBlowup,
@@ -49,12 +49,13 @@ from .forcing import (
     SearchLimits,
     density_search,
 )
-from .machine import Halted, eval_program
+from .machine import FixedPointBudgetExceeded
 from .numbering import (
     TableNumbering,
     lowness_bound_check,
     snr_collision_audit,
     snr_from_immune_oracle,
+    tail_constraints,
     union_cylinder_measure,
 )
 from .oracle import PeriodicOracle, oracle_from_spec, oracle_to_spec
@@ -124,6 +125,7 @@ class CommandResult:
 
 
 def _load_input(config: RunConfig) -> dict:
+    """The --in object, each field checked by the certificate field rules."""
     if config.in_path is None:
         return {}
     try:
@@ -135,6 +137,8 @@ def _load_input(config: RunConfig) -> dict:
         raise InputError(f"input file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise InputError("input file must hold a JSON object")
+    for key, value in data.items():
+        typed_field("input file", key, value)
     return data
 
 
@@ -151,11 +155,11 @@ def _full_level(g: OrderFunction, depth: int) -> frozenset:
 def _cmd_bushy_check(config: RunConfig) -> CommandResult:
     data = _load_input(config)
     g = config.g("3")
-    depth = int(data.get("depth", 2))
+    depth = data.get("depth", 2)
     stem = tuple(data.get("stem", ()))
     B = frozenset(tuple(x) for x in data["set"]) if "set" in data \
         else _full_level(g, depth)
-    n = int(data.get("n", g(0)))
+    n = data.get("n", g(0))
     big = is_n_big(B, n, g, stem, depth)
     cert = {
         "kind": "bushiness_verdict",
@@ -177,10 +181,10 @@ def _cmd_bushy_check(config: RunConfig) -> CommandResult:
 def _cmd_closure(config: RunConfig) -> CommandResult:
     data = _load_input(config)
     g = config.g("3")
-    depth = int(data.get("depth", 2))
+    depth = data.get("depth", 2)
     B = frozenset(tuple(x) for x in data["set"]) if "set" in data \
         else frozenset({(0,), (1, 0)})
-    n = int(data.get("n", 2))
+    n = data.get("n", 2)
     closed = closure(B, n, g, depth)
     cert = {
         "kind": "closure_result",
@@ -198,17 +202,17 @@ def _cmd_closure(config: RunConfig) -> CommandResult:
 def _cmd_lemma_sweep(config: RunConfig) -> CommandResult:
     data = _load_input(config)
     g = config.g("3")
-    depth = int(data.get("depth", 2))
-    pairs = [tuple(p) for p in data.get("pairs", [[2, 2], [2, 3], [3, 2], [3, 3]])]
-    stems = [tuple(s) for s in data.get("stems", [[]])]
+    depth = data.get("depth", 2)
+    pairs = data.get("pairs", [[2, 2], [2, 3], [3, 2], [3, 3]])
+    stems = data.get("stems", [[]])
     out = union_smallness_sweep(g, depth, pairs, stems)
     certs = list(out["counterexamples"])
     certs.append({
         "kind": "sweep_summary",
         "g": g.to_spec(),
         "depth": depth,
-        "pairs": [list(p) for p in pairs],
-        "stems": [list(s) for s in stems],
+        "pairs": pairs,
+        "stems": stems,
         "instances": out["instances"],
         "counterexamples": len(out["counterexamples"]),
     })
@@ -314,7 +318,7 @@ def _cmd_density_search(config: RunConfig) -> CommandResult:
     )
     if "functional" in data:
         battery = [("input", FiniteFunctional.from_jsonable(data["functional"]),
-                    int(data.get("q", const_index(0))))]
+                    data.get("q", const_index(0)))]
     else:
         battery = _builtin_functionals()
     cond = ForcingCondition((), frozenset(), g)
@@ -335,7 +339,7 @@ def _cmd_dnr_audit(config: RunConfig) -> CommandResult:
     data = _load_input(config)
     oracle = oracle_from_spec(data["oracle"]) if "oracle" in data \
         else PeriodicOracle((1, 0))
-    f = int(data.get("f", ZERO_INDEX))
+    f = data.get("f", ZERO_INDEX)
     e_max = config.budget("audit", 700)
     budget = config.budget("eval", 10_000)
     certs = dnr_reduction_audit(oracle, f, e_max, budget)
@@ -389,11 +393,7 @@ def _cmd_schnorr_measure(config: RunConfig) -> CommandResult:
         numbering = TableNumbering(tuple(frozenset(s) for s in data["sets"]))
     else:
         numbering = TableNumbering(tuple(frozenset(s) for s in _DEMO_SETS))
-    constraints = []
-    for e in range(c + 1, e_max + 1):
-        members = numbering.finite_set(e)
-        if len(members) >= 2 * e:
-            constraints.append(members)
+    constraints = tail_constraints(numbering, c, e_max)
     measure = union_cylinder_measure(constraints, term_cap)
     bound = DyadicRational.half_power(c)
     if measure > bound:
@@ -413,9 +413,9 @@ def _cmd_schnorr_measure(config: RunConfig) -> CommandResult:
 
 def _cmd_lowness_check(config: RunConfig) -> CommandResult:
     data = _load_input(config)
-    h = int(data.get("h", const_index(1)))
-    p = int(data.get("p", IDENTITY_INDEX))
-    f = int(data.get("f", IDENTITY_INDEX))
+    h = data.get("h", const_index(1))
+    p = data.get("p", IDENTITY_INDEX)
+    f = data.get("f", IDENTITY_INDEX)
     c = config.budget("c", 0)
     e_max = config.budget("e_max", 20)
     budget = config.budget("eval", 10_000)
@@ -438,7 +438,7 @@ def _cmd_snr_demo(config: RunConfig) -> CommandResult:
     data = _load_input(config)
     oracle = oracle_from_spec(data["oracle"]) if "oracle" in data \
         else PeriodicOracle((1, 0))
-    h = int(data.get("h", const_index(1)))
+    h = data.get("h", const_index(1))
     e_max = config.budget("audit", 10)
     budget = config.budget("eval", 10_000)
     certs = []
@@ -459,12 +459,9 @@ def _cmd_snr_demo(config: RunConfig) -> CommandResult:
 
 def _cmd_blocking_prefix(config: RunConfig) -> CommandResult:
     data = _load_input(config)
-    if "e" in data:
-        e = int(data["e"])
-    else:
-        e = assemble_index(_EVEN_HALT_SRC)
-    f = int(data.get("f", const_index(2)))
-    prefix = tuple(data.get("prefix", [1]))
+    e = data["e"] if "e" in data else assemble_index(_EVEN_HALT_SRC)
+    f = data.get("f", const_index(2))
+    prefix = data.get("prefix", [1])
     budget = config.budget("eval", 100_000)
     sigma, cert = blocking_prefix(prefix, e, f, budget)
     return CommandResult(
@@ -592,12 +589,11 @@ def run(config: RunConfig) -> int:
         raise
     except (PreconditionViolated, InsufficientOracle, ValueError) as exc:
         raise InputError(str(exc))
-    except WitnessBudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except CombinatorialBlowup as exc:
-        note = f"; union bound fallback {exc.upper_bound}" if exc.upper_bound else ""
-        print(f"budget exhausted: {exc}{note}", file=sys.stderr)
+    except (WitnessBudgetExceeded, CombinatorialBlowup, FixedPointBudgetExceeded) as exc:
+        report = {"error": f"budget exhausted: {exc}"}
+        if isinstance(exc, CombinatorialBlowup) and exc.upper_bound is not None:
+            report["union_bound"] = exc.upper_bound.to_jsonable()
+        print(_dump(report), file=sys.stderr)
         return EXIT_BUDGET
 
     if config.command == "replay":

@@ -45,6 +45,7 @@ from .bushy import (
     closure,
     is_n_big,
     region_nodes,
+    region_size,
     tree_from_marking,
     verify_bushy,
     witness_tree,
@@ -52,8 +53,10 @@ from .bushy import (
 from .machine import (
     Halted,
     ProgramIndex,
+    domain_window,
     eval_program,
-    fixed_point,
+    gamma_inverse,
+    self_reference,
     smn_fill,
 )
 from .oracle import BitOracle
@@ -176,8 +179,17 @@ class FiniteFunctional:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "FiniteFunctional":
-        return cls.from_entries(int(data["depth"]),
-                                [(tuple(n), tuple(o)) for n, o in data["entries"]])
+        """Inverse of to_jsonable; a badly shaped spec raises ValueError."""
+        try:
+            depth = data["depth"]
+            entries = [(tuple(node), tuple(out)) for node, out in data["entries"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"a functional is {{depth, entries: [[node, bits], ...]}}: {exc}") from None
+        if type(depth) is not int or any(
+                type(v) is not int or v < 0 for node, out in entries for v in node + out):
+            raise ValueError("functional depth, nodes and bits must be naturals")
+        return cls.from_entries(depth, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -230,30 +242,28 @@ def delta_set(gamma_table: FiniteFunctional, tree: TreeWitness, m: int,
         raise ValueError("bit must be 0 or 1")
     if m >= gamma_table.max_output_length():
         raise ValueError(f"position {m} is beyond every tabled output")
-    return frozenset(
-        node for node in tree.nodes
-        if len(out := gamma_table.output(node)) > m and out[m] == i)
+    return _constraint_set(gamma_table, tree.nodes, [(m, i)])
 
 
 def c_m_set(gamma_table: FiniteFunctional, g: OrderFunction, stem: Node,
             m: int) -> frozenset[Node]:
-    """All nodes above stem (within the table depth) deciding position m."""
+    """All nodes above stem (within the table depth) deciding position m.
+
+    A region too large to list is refused (CombinatorialBlowup) first."""
+    stem = tuple(stem)
+    region_size(g, gamma_table.depth, stem)
     return frozenset(
-        node for node in region_nodes(g, gamma_table.depth, tuple(stem))
+        node for node in region_nodes(g, gamma_table.depth, stem)
         if gamma_table.decided_length(node) > m)
 
 
-def _c_m_minimal(gamma_table: FiniteFunctional, g: OrderFunction, stem: Node,
-                 m: int) -> frozenset[Node]:
-    """Minimal nodes above stem deciding position m (their extensions all do)."""
-    out = []
-    for node in region_nodes(g, gamma_table.depth, stem):
-        if gamma_table.decided_length(node) <= m:
-            continue
-        if len(node) > len(stem) and gamma_table.decided_length(node[:-1]) > m:
-            continue
-        out.append(node)
-    return frozenset(out)
+def _c_m_minimal(cm: frozenset[Node], stem: Node) -> frozenset[Node]:
+    """Minimal members of C_m above stem: those whose parent lies outside it.
+
+    Domains are initial segments, so every extension of a member decides
+    position m too."""
+    return frozenset(node for node in cm
+                     if len(node) == len(stem) or node[:-1] not in cm)
 
 
 # ---------------------------------------------------------------------------
@@ -568,39 +578,22 @@ def _master_driver_index(q: ProgramIndex, a0: int, a1: int, big_k: int, cap: int
     """)
 
 
-def _diagonal_pair(q: ProgramIndex, a0: int, a1: int, big_k: int, cap: int,
-                   limits: SearchLimits) -> tuple[ProgramIndex, ProgramIndex, ProgramIndex]:
-    driver = _master_driver_index(q, a0, a1, big_k, cap)
-    transform = assemble_index(f"""
-        load r1, {driver}
-        smn r2, r1, r0
-        halt r2
-    """)
-    e_star = fixed_point(transform, limits.fixpoint_budget)
-    return smn_fill(e_star, 0), smn_fill(e_star, 1), e_star
+def _diagonal_pair(q: ProgramIndex, fused: Sequence[tuple[int, int]], horizon: int,
+                   fixpoint_budget: int) -> tuple[ProgramIndex, ProgramIndex]:
+    """The recursion-theorem pair e_0, e_1 that diagonalizes q against the
+    fused list, with cap = len(fused).
 
-
-def _packed_masks(fused: Sequence[tuple[int, int]], horizon: int) -> tuple[int, int, int]:
-    """A_0, A_1 packing per-count masks of the fused prefix, and the base K."""
+    A_i packs, for each count c, the mask of the side-i positions among the
+    first c fused pairs as the c-th base-K digit, K = 2^horizon.
+    """
     big_k = 1 << horizon
     a = [0, 0]
     for c in range(len(fused) + 1):
         for side in (0, 1):
-            mask = 0
-            for m, i in fused[:c]:
-                if i == side:
-                    mask |= 1 << m
-            a[side] += mask * big_k ** c
-    return a[0], a[1], big_k
-
-
-def _audit_membership(e: ProgramIndex, members: frozenset[int], horizon: int,
-                      budget: int) -> bool:
-    for n in range(horizon):
-        out = eval_program(e, n, budget)
-        if (n in members) != isinstance(out, Halted):
-            return False
-    return True
+            a[side] += gamma_inverse(m for m, i in fused[:c] if i == side) * big_k ** c
+    e_star = self_reference(_master_driver_index(q, a[0], a[1], big_k, len(fused)),
+                            fixpoint_budget)
+    return smn_fill(e_star, 0), smn_fill(e_star, 1)
 
 
 def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
@@ -634,8 +627,9 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
     target_len = max(gamma_table.max_output_length(), 1)
 
     def non_total(position: int, node: Node) -> NonTotalExt:
-        cm_min = _c_m_minimal(gamma_table, g, node, position)
-        assert not is_n_big(c_m_set(gamma_table, g, node, position), 7 * k, g, node, depth)
+        cm = c_m_set(gamma_table, g, node, position)
+        assert not is_n_big(cm, 7 * k, g, node, depth)
+        cm_min = _c_m_minimal(cm, node)
         new_cond = ForcingCondition(node, cond.badset | cm_min, g)
         cert = {
             "kind": "non_total_extension",
@@ -680,7 +674,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
             trace.append({"step": "fail", "reason": "pigeonhole shortfall after q evaluation"})
             return BudgetExceeded("diagonal sets too small after q evaluation", tuple(trace))
         e_win = (e0, e1)[winner]
-        if not _audit_membership(e_win, w_win, target_len, limits.eval_budget):
+        if domain_window(e_win, target_len, limits.eval_budget) != w_win:
             trace.append({"step": "fail", "reason": "enumeration audit failed at this budget"})
             return BudgetExceeded("enumeration audit failed at this budget", tuple(trace))
         leaf = min(tree.leaves())
@@ -714,6 +708,16 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
                       "winner": winner, "stem": list(leaf)})
         return DiagonalExt(new_cond, cert, tuple(trace))
 
+    def diagonal_indices(fused: Sequence[tuple[int, int]]):
+        """(e0, e1, q(e0), q(e1)) for the fused list, or BudgetExceeded."""
+        e0, e1 = _diagonal_pair(q, fused, target_len, limits.fixpoint_budget)
+        out0 = eval_program(q, e0, limits.eval_budget)
+        out1 = eval_program(q, e1, limits.eval_budget)
+        if not (isinstance(out0, Halted) and isinstance(out1, Halted)):
+            trace.append({"step": "fail", "reason": "q not total on the diagonal indices"})
+            return BudgetExceeded("q not total on the diagonal indices", tuple(trace))
+        return e0, e1, out0.value, out1.value
+
     if big_inputs:
         fusion_tree, fused = fusion_step(
             gamma_table, tau0, k, big_inputs, g,
@@ -721,14 +725,11 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         cap = len(fused)
         trace.append({"step": "fusion", "achieved": cap,
                       "fused": [list(p) for p in fused]})
-        a0, a1, big_k = _packed_masks(fused, target_len)
-        e0, e1, _ = _diagonal_pair(q, a0, a1, big_k, cap, limits)
-        out0 = eval_program(q, e0, limits.eval_budget)
-        out1 = eval_program(q, e1, limits.eval_budget)
-        if not (isinstance(out0, Halted) and isinstance(out1, Halted)):
-            trace.append({"step": "fail", "reason": "q not total on the diagonal indices"})
-            return BudgetExceeded("q not total on the diagonal indices", tuple(trace))
-        m_val = max(out0.value, out1.value)
+        found = diagonal_indices(fused)
+        if isinstance(found, BudgetExceeded):
+            return found
+        e0, e1, v0, v1 = found
+        m_val = max(v0, v1)
         if 2 * m_val + 1 <= cap:
             c = 2 * m_val + 1
             if c == cap:
@@ -739,7 +740,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
                     badset=cond.badset, within=totality, require_count=c)
             label = "case2" if all(i == 0 for _, i in fused_c) and \
                 sum(1 for _, i in fused_c if i == 0) > m_val else "case1"
-            return finish(tree_c, 2 * k, fused_c, e0, e1, out0.value, out1.value, cap, label)
+            return finish(tree_c, 2 * k, fused_c, e0, e1, v0, v1, cap, label)
         trace.append({"step": "fusion_short", "achieved": cap, "needed": 2 * m_val + 1})
 
     # Case 2: force zeros with a k-bushy tree
@@ -760,14 +761,11 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
     trace.append({"step": "zero_tree", "zeros": zeros})
     fused = [(n, 0) for n in zeros]
     cap = len(fused)
-    a0, a1, big_k = _packed_masks(fused, target_len)
-    e0, e1, _ = _diagonal_pair(q, a0, a1, big_k, cap, limits)
-    out0 = eval_program(q, e0, limits.eval_budget)
-    out1 = eval_program(q, e1, limits.eval_budget)
-    if not (isinstance(out0, Halted) and isinstance(out1, Halted)):
-        trace.append({"step": "fail", "reason": "q not total on the diagonal indices"})
-        return BudgetExceeded("q not total on the diagonal indices", tuple(trace))
-    m_val = max(out0.value, out1.value)
+    found = diagonal_indices(fused)
+    if isinstance(found, BudgetExceeded):
+        return found
+    e0, e1, v0, v1 = found
+    m_val = max(v0, v1)
     if cap < m_val + 1:
         trace.append({"step": "fail", "reason": "zero capacity below the q bound",
                       "capacity": cap, "needed": m_val + 1})
@@ -777,7 +775,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         zeros_tree, zeros = case2_zero_tree(
             gamma_table, tau0, k, c, cond.badset, {}, g)
         fused = [(n, 0) for n in zeros]
-    return finish(zeros_tree, k, fused, e0, e1, out0.value, out1.value, cap, "case2")
+    return finish(zeros_tree, k, fused, e0, e1, v0, v1, cap, "case2")
 
 
 # ---------------------------------------------------------------------------
@@ -806,16 +804,8 @@ def generic_prefix(g: OrderFunction, oracle: Optional[BitOracle],
                       "certificate": verdict.certificate})
         cond = verdict.condition
     # one final good step so even an empty run commits to a nonempty stem
-    stem = cond.stem
-    horizon = max(_badset_horizon(stem, cond.badset), len(stem) + 1)
-    blocked = closure(cond.badset, g(len(stem)), g, horizon) if cond.badset else frozenset()
-    for c in range(g(len(stem))):
-        child = stem + (c,)
-        if child not in blocked:
-            stem = child
-            break
-    else:
-        raise AssertionError("no good child below a valid condition")
+    blocked = _badset_closure(cond.badset, g(len(cond.stem)), g, len(cond.stem) + 1)
+    stem = _lengthen_stem(cond.stem, len(cond.stem) + 1, blocked, g)
     trace.append({"step": "good_step", "stem": list(stem)})
     assert all(v < g(i) for i, v in enumerate(stem))
     assert not any(stem[:len(b)] == b for b in cond.badset)

@@ -479,13 +479,7 @@ def eval_steps(e: ProgramIndex, x: int, budget: int, oracle: Optional[Oracle] = 
 
 def enumerate_re(e: ProgramIndex, budget: int, oracle: Optional[Oracle] = None) -> frozenset[int]:
     """W_{e,budget} = {x <= budget : eval(e, x, budget) halts}."""
-    prog = decode(e)
-    if not prog.instructions or not _halt_reachable(prog.instructions)[0]:
-        return frozenset()
-    return frozenset(
-        x for x in range(budget + 1)
-        if isinstance(_run(prog, x, budget, oracle)[0], Halted)
-    )
+    return domain_window(e, budget + 1, budget, oracle)
 
 
 def domain_window(e: ProgramIndex, horizon: int, budget: int,
@@ -606,3 +600,18 @@ def fixed_point(transform: ProgramIndex, budget: int = 10_000) -> ProgramIndex:
         raise FixedPointBudgetExceeded(
             f"transform {transform} did not halt on the diagonal index within {budget} steps")
     return e_star
+
+
+def self_reference(driver: ProgramIndex, budget: int = 10_000) -> ProgramIndex:
+    """An index e with phi_e(x) = phi_driver(pair(e, x)): a program that knows itself.
+
+    The fixed point of u |-> smn_fill(driver, u), so `driver` reads the
+    index it runs as from the left half of its input.  `budget` backs
+    fixed_point's audit of the three-step transform.
+    """
+    transform = encode(ToyProgram((
+        (OP_LOAD, 1, driver),
+        (OP_SMN, 2, 1, 0),
+        (OP_HALT, 2),
+    )))
+    return fixed_point(transform, budget)

@@ -30,7 +30,7 @@ from .errors import (
     PreconditionViolated,
     WitnessBudgetExceeded,
 )
-from .machine import Halted, ProgramIndex, eval_program, pair
+from .machine import Halted, ProgramIndex, eval_program, gamma_inverse, pair
 from .oracle import BitOracle, first_members
 
 DEFAULT_SCAN_CAP = 4096
@@ -228,10 +228,7 @@ def snr_from_immune_oracle(R: BitOracle, h: ProgramIndex, e: int, budget: int) -
     members = first_members(R, k)
     if len(members) < k:
         raise InsufficientOracle(f"oracle holds only {len(members)} members, need {k}")
-    code = 0
-    for m in members:
-        code |= 1 << m
-    return code
+    return gamma_inverse(members)
 
 
 def snr_collision_audit(g: ProgramIndex, R: BitOracle, h: ProgramIndex,
@@ -300,30 +297,30 @@ def brute_force_union_measure(sets: Iterable[frozenset[int]]) -> DyadicRational:
     if any(not s for s in family):
         return DyadicRational(1)
     hits = 0
-    masks = [sum(1 << x for x in s) for s in family]
+    masks = [gamma_inverse(s) for s in family]
     for prefix in range(1 << width):
         if any(prefix & m == m for m in masks):
             hits += 1
     return DyadicRational(hits, width)
 
 
+def tail_constraints(numbering, c: int, e_max: int) -> list[frozenset[int]]:
+    """The level-c test tail: each D_e with c < e <= e_max and |D_e| >= 2e."""
+    return [members for e in range(c + 1, e_max + 1)
+            if len(members := frozenset(numbering.finite_set(e))) >= 2 * e]
+
+
 def schnorr_measure(numbering, c: int, e_max: int,
                     term_cap: int = 1 << 20) -> DyadicRational:
     """Exact measure of the level-c test tail induced by a numbering.
 
-    Constraints are the D_e with c < e <= e_max and |D_e| >= 2e; each
-    contributes the cylinder of reals containing it.  The filter forces
-    per-term measure 2^-2e, so the union always fits under 2^-c; that
-    inequality is asserted, not assumed.
+    Each tail set contributes the cylinder of reals containing it.  The
+    filter forces per-term measure 2^-2e, so the union always fits under
+    2^-c; that inequality is asserted, not assumed.
     """
     if c < 0 or e_max < c:
         raise ValueError("need 0 <= c <= e_max")
-    constraints = []
-    for e in range(c + 1, e_max + 1):
-        members = numbering.finite_set(e)
-        if len(members) >= 2 * e:
-            constraints.append(frozenset(members))
-    measure = union_cylinder_measure(constraints, term_cap)
+    measure = union_cylinder_measure(tail_constraints(numbering, c, e_max), term_cap)
     assert not measure.is_negative
     assert measure <= DyadicRational.half_power(c), "tail bound violated"
     return measure

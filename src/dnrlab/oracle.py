@@ -133,16 +133,32 @@ def oracle_to_spec(oracle: BitOracle) -> dict:
     raise TypeError(f"not a serializable oracle: {oracle!r}")
 
 
+def _naturals(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or any(type(v) is not int or v < 0 for v in value):
+        raise ValueError(f"{what} must be a list of naturals, got {value!r}")
+    return tuple(value)
+
+
 def oracle_from_spec(spec: Mapping) -> BitOracle:
+    """Inverse of oracle_to_spec; a badly shaped spec raises ValueError."""
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"an oracle spec is an object, got {spec!r}")
     kind = spec.get("kind")
-    if kind == "prefix":
-        return PrefixOracle(tuple(spec["bits"]), spec.get("tail", 0))
-    if kind == "periodic":
-        return PeriodicOracle(tuple(spec["pattern"]))
-    if kind == "set":
-        return SetOracle(frozenset(spec["members"]))
-    if kind == "patched":
-        return PatchedOracle(
-            oracle_from_spec(spec["base"]),
-            tuple((p, b) for p, b in spec["patches"]))
+    try:
+        if kind == "prefix":
+            tail = spec.get("tail", 0)
+            if type(tail) is not int:
+                raise ValueError(f"prefix tail must be 0 or 1, got {tail!r}")
+            return PrefixOracle(_naturals(spec["bits"], "prefix bits"), tail)
+        if kind == "periodic":
+            return PeriodicOracle(_naturals(spec["pattern"], "periodic pattern"))
+        if kind == "set":
+            return SetOracle(frozenset(_naturals(spec["members"], "set members")))
+        if kind == "patched":
+            patches = tuple(_naturals(p, "a patch") for p in spec["patches"])
+            if any(len(p) != 2 for p in patches):
+                raise ValueError("a patch is a [position, bit] pair")
+            return PatchedOracle(oracle_from_spec(spec["base"]), patches)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{kind} oracle spec lacks or misshapes a field: {exc!r}") from None
     raise ValueError(f"unknown oracle kind {kind!r}")

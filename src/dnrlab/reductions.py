@@ -22,10 +22,10 @@ from .machine import (
     Halted,
     ProgramIndex,
     eval_program,
-    fixed_point,
     gamma,
     gamma_inverse,
     re_enumeration_growth,
+    self_reference,
     smn_fill,
 )
 from .oracle import BitOracle, PatchedOracle, first_members, oracle_to_spec
@@ -237,17 +237,14 @@ stuck:
 """
 
 
-def first_slice_index(source: ProgramIndex, f: ProgramIndex,
-                      fixpoint_budget: int = 10_000) -> ProgramIndex:
+def first_slice_index(source: ProgramIndex, f: ProgramIndex) -> ProgramIndex:
     """An index e' enumerating the first f(e') + 1 elements of W_source.
 
     Self-referential: the returned index computes its own claimed bound by
     running f on itself, then releases exactly that many elements of the
     source's domain in canonical enumeration order.
     """
-    driver = assemble_index(_FIRST_SLICE_DRIVER.format(f=f, source=source))
-    transform = assemble_index(f"load r1, {driver}\nsmn r2, r1, r0\nhalt r2")
-    return fixed_point(transform, fixpoint_budget)
+    return self_reference(assemble_index(_FIRST_SLICE_DRIVER.format(f=f, source=source)))
 
 
 def blocking_prefix(A_prefix: tuple[int, ...], e: ProgramIndex, f: ProgramIndex,

@@ -29,7 +29,7 @@ from .machine import (
     ProgramIndex,
     domain_window,
     eval_program,
-    fixed_point,
+    self_reference,
 )
 
 # phi(pair(u, x)): n = phi_e(u) + 1; halt iff base <= x < base + n.
@@ -54,12 +54,9 @@ stuck:
 """
 
 
-def interval_slice_index(e: ProgramIndex, base: int,
-                         fixpoint_budget: int = 10_000) -> ProgramIndex:
+def interval_slice_index(e: ProgramIndex, base: int) -> ProgramIndex:
     """An index a with W_a = [base, base + phi_e(a) + 1), by self-reference."""
-    driver = assemble_index(_INTERVAL_DRIVER.format(e=e, base=base))
-    transform = assemble_index(f"load r1, {driver}\nsmn r2, r1, r0\nhalt r2")
-    return fixed_point(transform, fixpoint_budget)
+    return self_reference(assemble_index(_INTERVAL_DRIVER.format(e=e, base=base)))
 
 
 @dataclass(frozen=True)
@@ -136,8 +133,8 @@ def ei_not_coei(stages: int, budget: int,
                 else:
                     events.append({"event": "bound_exceeded_no_fresh", "e": e,
                                    "count": len(window)})
-            half = domain_window(e, horizon // 2, budget)
-            if len(window) > len(half):
+            # W_e looks infinite when the window holds more than its lower half
+            if window and window[-1] >= horizon // 2:
                 inside = [x for x in window if x not in g]
                 if inside:
                     g[inside[0]] = 1

@@ -1,6 +1,9 @@
 """Certificate replay registry and the command-line front door."""
 
+import contextlib
 import copy
+import functools
+import io
 import json
 from datetime import timedelta
 
@@ -9,18 +12,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dnrlab import cli
-from dnrlab.asm import DIVERGE_INDEX, ZERO_INDEX, const_index
+from dnrlab.asm import DIVERGE_INDEX, IDENTITY_INDEX, ZERO_INDEX, const_index
 from dnrlab.bushy import OrderFunction, closure, region_nodes, \
     union_smallness_sweep, witness_tree
 from dnrlab.certs import REPLAYERS, replay_certificate
 from dnrlab.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INPUT, EXIT_OK, \
     TRACE_SCHEMA, InputError, main, parse_args
+from dnrlab.dyadic import DyadicRational
 from dnrlab.errors import MalformedCertificate, ReplayMismatch
 from dnrlab.forcing import FiniteFunctional, ForcingCondition, SearchLimits, \
     density_search
-from dnrlab.oracle import PeriodicOracle
+from dnrlab.oracle import PeriodicOracle, oracle_from_spec
 from dnrlab.reductions import blocking_prefix, diagonal_set_index, \
     dnr_reduction_audit
+from dnrlab.stages import ei_not_coei
 
 EVENS = PeriodicOracle((1, 0))
 G8 = OrderFunction.constant(8)
@@ -130,7 +135,7 @@ class TestReplayRegistry:
             "non_total_extension", "diagonal_extension", "ebi_violation",
             "dnr_value", "diagonal_diverges", "f_unconverged",
             "blocking_finite", "blocking_infinite", "interval_slice",
-            "stage_summary", "immunity_violation", "snr_slice",
+            "stage_summary", "snr_slice",
             "cylinder_measure", "lowness_bound", "bushiness_verdict",
             "closure_result", "pigeonhole_witness", "fusion_intersection",
             "union_counterexample", "sweep_summary",
@@ -388,6 +393,77 @@ class TestTypedReplayFields:
             assert replay_certificate(cert) == "dnr_value"
 
 
+class TestTypedInputFiles:
+    @pytest.mark.parametrize("command, spec", [
+        ("lemma-sweep", {"stems": [["a"]]}),
+        ("bushy-check", {"set": [5]}),
+        ("bushy-check", {"stem": "0"}),
+        ("blocking-prefix", {"prefix": 3}),
+        ("dnr-audit", {"oracle": "x"}),
+        ("snr-demo", {"oracle": {"kind": "patched", "base": {"kind": "periodic",
+                                                            "pattern": [1, 0]},
+                                 "patches": [[1.5, 1]]}}),
+        ("density-search", {"functional": [1]}),
+        ("density-search", {"functional": {"depth": 2, "entries": [[[0], "1"]]}}),
+        ("closure", {"depth": "2"}),
+        ("closure", {"depth": 2.9}),
+        ("lowness-check", {"h": True}),
+        ("schnorr-measure", {"sets": [[0], 1]}),
+    ])
+    def test_ill_typed_field_exits_1_with_one_json_line(self, command, spec, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(spec))
+        assert main(["--command", command, "--in", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
+    def test_union_bound_fallback_is_a_dyadic_field(self, capsys):
+        assert main(["--command", "schnorr-measure", "--budget.terms=1"]) == EXIT_BUDGET
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        report = json.loads(line)
+        assert "exceed the cap 1" in report["error"]
+        assert DyadicRational.from_jsonable(report["union_bound"]) > DyadicRational(0)
+
+    def test_fixpoint_budget_exhaustion_exits_2(self, capsys):
+        # the self-reference transform takes three steps
+        assert main(["--command", "density-search", "--budget.fixpoint=2"]) == EXIT_BUDGET
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "within 2 steps" in json.loads(line)["error"]
+
+
+class TestSpecShapes:
+    @pytest.mark.parametrize("spec", [
+        "x", None, [1], {"kind": "prefix"}, {"kind": "prefix", "bits": 5},
+        {"kind": "prefix", "bits": [1], "tail": 0.0},
+        {"kind": "periodic", "pattern": "10"}, {"kind": "set", "members": [-1]},
+        {"kind": "patched", "base": "x", "patches": []},
+        {"kind": "patched", "base": {"kind": "periodic", "pattern": [1]},
+         "patches": [[1, 0, 1]]},
+        {"kind": "patched", "base": {"kind": "periodic", "pattern": [1]}, "patches": 3},
+    ])
+    def test_badly_shaped_oracle_is_value_error(self, spec):
+        with pytest.raises(ValueError):
+            oracle_from_spec(spec)
+
+    @pytest.mark.parametrize("spec", [
+        "x", None, [1], {"depth": 2}, {"depth": "2", "entries": []},
+        {"depth": 2, "entries": 5}, {"depth": 2, "entries": [[[0]]]},
+        {"depth": 2, "entries": [[[0.5], [1]]]}, {"depth": True, "entries": []},
+    ])
+    def test_badly_shaped_functional_is_value_error(self, spec):
+        with pytest.raises(ValueError):
+            FiniteFunctional.from_jsonable(spec)
+
+    def test_misshapen_oracle_replays_as_malformed(self, tmp_path, capsys):
+        cert = {"kind": "snr_slice", "oracle": "x", "h": const_index(1), "e": 0,
+                "budget": 100, "value": 3}
+        with pytest.raises(MalformedCertificate):
+            replay_certificate(cert)
+        assert _replay_one(cert, tmp_path) == EXIT_INPUT
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "oracle" in json.loads(line)["error"]
+
+
 def _bushy_seed_certs() -> list[dict]:
     """One certificate of each bushy kind whose replay re-marks a region,
     shaped as the acceptance battery emits them.  The battery finds no
@@ -451,6 +527,87 @@ def _replay_one(cert: dict, directory) -> int:
     return main(["--command", "replay", "--in", str(path)])
 
 
+def _command_certs(command: str, *flags: str) -> list[dict]:
+    return cli.COMMANDS[command][0](parse_args(["--command", command, *flags])).certificates
+
+
+@functools.cache
+def _every_kind_seeds() -> tuple[dict, ...]:
+    """The first certificate of each replayable kind, from small runs of the
+    commands and audits that emit them."""
+    certs = list(_BUSHY_SEEDS)
+    certs += _command_certs("fusion-check", "--budget.instances=1")
+    certs += _command_certs("density-search")
+    certs += dnr_reduction_audit(EVENS, ZERO_INDEX, 600, 10_000)
+    certs += dnr_reduction_audit(EVENS, DIVERGE_INDEX, 24, 100)
+    certs += _command_certs("ei-construct")
+    certs.append(blocking_prefix((1, 0, 1), diagonal_set_index(const_index(5)),
+                                 ZERO_INDEX, 1_000)[1])
+    certs += _command_certs("blocking-prefix", "--budget.eval=300")
+    certs += _command_certs("schnorr-measure")
+    certs += _command_certs("lowness-check")
+    certs += _command_certs("snr-demo", "--budget.audit=0")
+    first: dict[str, dict] = {}
+    for cert in certs:
+        first.setdefault(cert["kind"], cert)
+    return tuple(first.values())
+
+
+# Every field each command reads from --in, at small sizes, with the flags
+# that keep the dropped-field defaults small too.
+_INPUT_SEEDS = {
+    "bushy-check": ({"set": [[0], [1]], "n": 2, "stem": [], "depth": 1}, []),
+    "closure": ({"set": [[0], [1, 0]], "n": 2, "depth": 2}, []),
+    "lemma-sweep": ({"pairs": [[2, 2]], "stems": [[], [1]], "depth": 2}, []),
+    "density-search": ({"functional": FiniteFunctional.constant(3, (0, 0, 0)).to_jsonable(),
+                        "q": const_index(0)}, []),
+    "dnr-audit": ({"oracle": {"kind": "periodic", "pattern": [1, 0]}, "f": ZERO_INDEX},
+                  ["--budget.audit=12", "--budget.eval=2000"]),
+    "schnorr-measure": ({"sets": [[0], [1], [0, 1, 2, 3, 4, 5]]}, []),
+    "lowness-check": ({"h": const_index(1), "p": IDENTITY_INDEX, "f": IDENTITY_INDEX}, []),
+    "snr-demo": ({"oracle": {"kind": "prefix", "bits": [1, 1, 0], "tail": 1},
+                  "h": const_index(1)}, ["--budget.audit=2"]),
+    "blocking-prefix": ({"prefix": [1, 0, 1], "e": diagonal_set_index(const_index(5)),
+                         "f": ZERO_INDEX}, ["--budget.eval=1000"]),
+}
+
+# Type confusion: every JSON type but a bare integer, so no size grows.
+_CONFUSED_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-1, 4), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 4), max_size=2))
+
+
+def _confuse(draw, obj: dict) -> dict:
+    """Retype or drop one to three of the fields (never the kind)."""
+    obj = copy.deepcopy(obj)
+    for _ in range(draw(st.integers(1, 3))):
+        fields = sorted(k for k in obj if k != "kind")
+        if not fields:
+            break
+        key = draw(st.sampled_from(fields))
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(_CONFUSED_VALUES)
+    return obj
+
+
+def _quiet_main(args: list[str]) -> tuple[int, list[str]]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, err.getvalue().splitlines()
+
+
+def _assert_clean_exit(code: int, err: list[str]) -> None:
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET, EXIT_COUNTEREXAMPLE)
+    if code in (EXIT_INPUT, EXIT_BUDGET):
+        assert len(err) <= 1 and all("error" in json.loads(line) for line in err)
+    if code == EXIT_INPUT:
+        assert len(err) == 1
+
+
 class TestHostileReplay:
     def test_seed_certificates_replay(self, tmp_path):
         codes = [_replay_one(cert, tmp_path) for cert in _BUSHY_SEEDS]
@@ -471,10 +628,12 @@ class TestHostileReplay:
         assert _replay_one(cert, tmp_path) == EXIT_BUDGET
         assert "8192 nodes" in capsys.readouterr().err
 
-    def test_deep_closure_is_refused(self, tmp_path):
+    def test_deep_closure_is_refused(self, tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(json.dumps({"depth": 14}))
         assert main(["--command", "closure", "--g", "9", "--in", str(path)]) == EXIT_BUDGET
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "8192 nodes" in json.loads(line)["error"]
 
     @pytest.mark.parametrize("command", ["bushy-check", "closure", "lemma-sweep"])
     def test_any_depth_returns_at_once(self, command, tmp_path):
@@ -493,3 +652,39 @@ class TestHostileReplay:
                 "counterexamples": 0}
         assert _replay_one(cert, tmp_path) == EXIT_COUNTEREXAMPLE
         assert "instance count is now 4096" in capsys.readouterr().out
+
+    def test_seeds_cover_every_kind_and_replay(self, tmp_path):
+        seeds = _every_kind_seeds()
+        assert {c["kind"] for c in seeds} == set(REPLAYERS)
+        for cert in seeds:
+            want = EXIT_COUNTEREXAMPLE if cert["kind"] == "union_counterexample" else EXIT_OK
+            assert _replay_one(cert, tmp_path) == want, cert["kind"]
+
+    @pytest.mark.parametrize("command", sorted(_INPUT_SEEDS))
+    def test_input_seeds_run(self, command, tmp_path):
+        spec, flags = _INPUT_SEEDS[command]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(spec))
+        assert main(["--command", command, "--in", str(path),
+                     "--out", str(tmp_path / "out.jsonl"), *flags]) == EXIT_OK
+
+    @settings(max_examples=200, deadline=timedelta(seconds=20),
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_confused_certificates_exit_cleanly(self, data, tmp_path_factory):
+        cert = _confuse(data.draw, data.draw(st.sampled_from(_every_kind_seeds())))
+        path = tmp_path_factory.mktemp("confused") / "trace.jsonl"
+        path.write_text(json.dumps({"schema": TRACE_SCHEMA}) + "\n" + json.dumps(cert) + "\n")
+        _assert_clean_exit(*_quiet_main(["--command", "replay", "--in", str(path)]))
+
+    @settings(max_examples=150, deadline=timedelta(seconds=20),
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_confused_input_files_exit_cleanly(self, data, tmp_path_factory):
+        command = data.draw(st.sampled_from(sorted(_INPUT_SEEDS)))
+        seed, flags = _INPUT_SEEDS[command]
+        directory = tmp_path_factory.mktemp("confused")
+        path = directory / "in.json"
+        path.write_text(json.dumps(_confuse(data.draw, seed)))
+        _assert_clean_exit(*_quiet_main(["--command", command, "--in", str(path),
+                                         "--out", str(directory / "out.jsonl"), *flags]))

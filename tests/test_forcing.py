@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnrlab.asm import DIVERGE_INDEX, const_index
-from dnrlab.bushy import MalformedTree, OrderFunction, verify_bushy
+from dnrlab.bushy import MalformedTree, OrderFunction, region_nodes, verify_bushy
 from dnrlab.forcing import (
     BignessUnavailable,
     BudgetExceeded,
@@ -17,6 +17,7 @@ from dnrlab.forcing import (
     NonTotalExt,
     PigeonholeExhausted,
     SearchLimits,
+    _c_m_minimal,
     build_totality_tree,
     c_m_set,
     case2_zero_tree,
@@ -438,6 +439,31 @@ def monotone_tables(draw):
     bits = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=8, max_size=8))
     entries = {(a,): (b,) for a, b in enumerate(bits) if b is not None}
     return FiniteFunctional.from_entries(2, entries)
+
+
+@st.composite
+def deep_tables(draw):
+    """Coherent tables over width 3 to depth 3: each node either stays
+    untabled or extends its parent's output by up to two bits."""
+    g = OrderFunction.constant(3)
+    entries, outputs = {}, {}
+    for node in region_nodes(g, 3):
+        out = outputs.get(node[:-1], ())
+        if draw(st.booleans()):
+            out = entries[node] = out + tuple(draw(st.lists(st.integers(0, 1), max_size=2)))
+        outputs[node] = out
+    return FiniteFunctional.from_entries(3, entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(deep_tables(), st.sampled_from([(), (0,), (2, 1)]), st.integers(0, 4))
+def test_c_m_minimal_matches_a_per_node_scan(table, stem, m):
+    g = OrderFunction.constant(3)
+    naive = frozenset(
+        node for node in region_nodes(g, table.depth, stem)
+        if table.decided_length(node) > m
+        and not (len(node) > len(stem) and table.decided_length(node[:-1]) > m))
+    assert _c_m_minimal(c_m_set(table, g, stem, m), stem) == naive
 
 
 class TestDensityTotality:

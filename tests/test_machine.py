@@ -50,6 +50,7 @@ from dnrlab.machine import (
     program,
     re_enumeration_growth,
     re_enumeration_order,
+    self_reference,
     smn_fill,
     unpair,
 )
@@ -428,6 +429,20 @@ def test_recursion_theorem_general_transform():
     # phi_{e_star} must agree with phi_{F(e_star)}: constant e_star + 1
     for x in (0, 2, 17):
         assert eval_program(e_star, x, 10**4) == Halted(e_star + 1)
+
+
+@pytest.mark.parametrize("driver", [
+    LEFT_PROG,  # phi_e(x) = e: a quine
+    program([(OP_LEFT, 1, 0), (OP_RIGHT, 2, 0), (OP_ADD, 3, 1, 2), (OP_HALT, 3)]),
+])
+def test_self_reference_reads_its_own_index(driver):
+    d = encode(driver)
+    e = self_reference(d)
+    for x in (0, 1, 9):
+        want = eval_program(d, pair(e, x), 10**4)
+        assert isinstance(want, Halted)
+        assert eval_program(e, x, 10**4) == want
+        assert want.value == (e if driver == LEFT_PROG else e + x)
 
 
 def test_fixed_point_budget_guard():
