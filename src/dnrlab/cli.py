@@ -122,6 +122,7 @@ class CommandResult:
     exit_code: int = EXIT_OK
     summary: list[str] = field(default_factory=list)
     certificates: list[dict] = field(default_factory=list)
+    error: str | None = None  # replaces the summary with one JSON line on stderr
 
 
 def _load_input(config: RunConfig) -> dict:
@@ -326,9 +327,8 @@ def _cmd_density_search(config: RunConfig) -> CommandResult:
     for name, table, q in battery:
         verdict = density_search(table, q, cond, limits)
         if isinstance(verdict, BudgetExceeded):
-            summary.append(f"{name}: budget exhausted ({verdict.reason})")
-            return CommandResult(exit_code=EXIT_BUDGET, summary=summary,
-                                 certificates=certs)
+            return CommandResult(exit_code=EXIT_BUDGET, certificates=certs,
+                                 error=f"budget exhausted: {name}: {verdict.reason}")
         certs.append(verdict.certificate)
         label = "non-total" if isinstance(verdict, NonTotalExt) else "diagonal"
         summary.append(f"{name}: {label} extension, stem {list(verdict.condition.stem)}")
@@ -610,12 +610,15 @@ def run(config: RunConfig) -> int:
                 fh.write(text)
         except OSError as exc:
             raise InputError(f"cannot write trace: {exc}")
-        for line in result.summary:
-            print(line)
+        channel = sys.stdout
     else:
         sys.stdout.write(text)
+        channel = sys.stderr
+    if result.error is not None:
+        print(_dump({"error": result.error}), file=sys.stderr)
+    else:
         for line in result.summary:
-            print(line, file=sys.stderr)
+            print(line, file=channel)
     return result.exit_code
 
 

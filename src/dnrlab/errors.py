@@ -20,10 +20,12 @@ class PreconditionViolated(Exception):
 
 
 class CombinatorialBlowup(Exception):
-    """Exact computation would exceed the term cap.
+    """Exact computation would exceed a size limit (terms, nodes, stages,
+    scanned positions).
 
-    Carries the union-bound fallback so callers can still report a value,
-    clearly flagged as an upper bound rather than an exact measure.
+    Where a union-bound fallback exists it is carried along, so callers can
+    still report a value, clearly flagged as an upper bound rather than an
+    exact measure.
     """
 
     def __init__(self, message: str, upper_bound=None) -> None:

@@ -347,72 +347,61 @@ def _halt_reachable(instructions: tuple[tuple[int, ...], ...]) -> tuple[bool, ..
 # ---------------------------------------------------------------------------
 # The interpreter.
 
-class _Frame:
-    __slots__ = ("instructions", "live", "pc", "regs", "dest", "jump_trail")
-
-    def __init__(self, prog: ToyProgram, arg: int, dest: Optional[int]) -> None:
-        self.instructions = prog.instructions
-        self.live = _halt_reachable(prog.instructions)
-        self.pc = 0
-        regs = [0] * N_REGISTERS
-        regs[0] = arg
-        self.regs = regs
-        self.dest = dest
-        self.jump_trail: Optional[set[int]] = None
-
-
 def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tuple[EvalOutcome, int]:
     """Run phi_prog(x) for at most `budget` steps.
 
     Returns (outcome, steps-consumed); a Running outcome always reports the
-    whole budget consumed (a diverging run would use any allowance).
+    whole budget consumed (a diverging run would use any allowance).  Each
+    taken jump checks for a loop (Brent's cycle finding): landing on the
+    saved configuration, that is the same register list (so the same frame),
+    pc and register values, repeats forever, because the frames below cannot
+    change while this one runs and a `budv` that would answer differently
+    the second time can only withhold.  The saved configuration is renewed
+    at the first jump once `used` reaches a mark that doubles each time.
     """
-    frames = [_Frame(prog, x, None)]
+    code = prog.instructions
+    live = _halt_reachable(code)
+    n = len(code)
+    pc = 0
+    regs = [0] * N_REGISTERS
+    regs[0] = x
+    dest = 0
+    callers: list[tuple] = []
     used = 0
+    saved_regs: Optional[list[int]] = None
+    saved_pc = 0
+    saved_values: list[int] = []
+    next_mark = 1
+    paired: Optional[int] = None
+    paired_left = paired_right = 0
     while True:
-        frame = frames[-1]
-        pc = frame.pc
-        if pc >= len(frame.instructions) or not frame.live[pc]:
+        if pc >= n or not live[pc] or used >= budget:
             return RUNNING, budget
-        if used >= budget:
-            return RUNNING, budget
-        ins = frame.instructions[pc]
+        ins = code[pc]
         op = ins[0]
-        regs = frame.regs
         used += 1
         if op == OP_LOAD:
             regs[ins[1]] = ins[2]
         elif op == OP_HALT:
             value = regs[ins[1]]
-            dest = frame.dest
-            frames.pop()
-            if not frames:
+            if not callers:
                 return Halted(value), used
-            caller = frames[-1]
-            caller.regs[dest] = value
-            caller.pc += 1
-            caller.jump_trail = None
-            continue
-        elif op == OP_JZ:
-            trail = frame.jump_trail
-            if trail is None:
-                trail = frame.jump_trail = set()
-            elif pc in trail:
-                return RUNNING, budget  # pure-jump cycle: diverges
-            trail.add(pc)
-            if regs[ins[1]] == 0:
-                frame.pc = ins[2]
+            into = dest
+            code, live, n, pc, regs, dest = callers.pop()
+            regs[into] = value
+        elif op == OP_JZ or op == OP_JMP:
+            if op == OP_JMP:
+                pc = ins[1]
+            elif regs[ins[1]]:
+                pc += 1
+                continue
             else:
-                frame.pc = pc + 1
-            continue
-        elif op == OP_JMP:
-            trail = frame.jump_trail
-            if trail is None:
-                trail = frame.jump_trail = set()
-            elif pc in trail:
+                pc = ins[2]
+            if regs is saved_regs and pc == saved_pc and regs == saved_values:
                 return RUNNING, budget
-            trail.add(pc)
-            frame.pc = ins[1]
+            if used >= next_mark:
+                saved_regs, saved_pc, saved_values = regs, pc, regs[:]
+                next_mark *= 2
             continue
         elif op == OP_ADD:
             regs[ins[1]] = regs[ins[2]] + regs[ins[3]]
@@ -422,17 +411,28 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
         elif op == OP_MOV:
             regs[ins[1]] = regs[ins[2]]
         elif op == OP_UNIV:
-            frame.jump_trail = None
-            frames.append(_Frame(decode(regs[ins[2]]), regs[ins[3]], ins[1]))
+            callers.append((code, live, n, pc, regs, dest))
+            code = decode(regs[ins[2]]).instructions
+            arg = regs[ins[3]]
+            live = _halt_reachable(code)
+            n = len(code)
+            pc = 0
+            regs = [0] * N_REGISTERS
+            regs[0] = arg
+            dest = ins[1]
             continue
         elif op == OP_SMN:
             regs[ins[1]] = smn_fill(regs[ins[2]], regs[ins[3]])
-        elif op == OP_PAIR:
-            regs[ins[1]] = pair(regs[ins[2]], regs[ins[3]])
+        elif op == OP_PAIR:  # left/right of this value reuse its halves
+            paired_left = regs[ins[2]]
+            paired_right = regs[ins[3]]
+            regs[ins[1]] = paired = pair(paired_left, paired_right)
         elif op == OP_LEFT:
-            regs[ins[1]] = unpair(regs[ins[2]])[0]
+            z = regs[ins[2]]
+            regs[ins[1]] = paired_left if z is paired else unpair(z)[0]
         elif op == OP_RIGHT:
-            regs[ins[1]] = unpair(regs[ins[2]])[1]
+            z = regs[ins[2]]
+            regs[ins[1]] = paired_right if z is paired else unpair(z)[1]
         elif op == OP_MUL:
             regs[ins[1]] = regs[ins[2]] * regs[ins[3]]
         elif op == OP_DIV:
@@ -459,8 +459,7 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
                 return RUNNING, budget
         else:  # pragma: no cover - opcodes are exhaustive
             raise AssertionError(op)
-        frame.pc = pc + 1
-        frame.jump_trail = None
+        pc += 1
 
 
 def eval_program(e: ProgramIndex, x: int, budget: int, oracle: Optional[Oracle] = None) -> EvalOutcome:

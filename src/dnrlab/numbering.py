@@ -260,22 +260,29 @@ def canonical_immunity_audit(R: BitOracle, h: ProgramIndex, numbering,
 # ---------------------------------------------------------------------------
 # Exact measures of cylinder unions.
 
+# Most inclusion-exclusion terms a measure takes on, whatever cap the caller
+# gives: 2^20 terms (20 sets) take a few seconds.
+TERM_LIMIT = 1 << 20
+
+
 def union_cylinder_measure(sets: Iterable[frozenset[int]],
-                           term_cap: int = 1 << 20) -> DyadicRational:
+                           term_cap: int = TERM_LIMIT) -> DyadicRational:
     """mu of the union of {X : S subset X} over the given finite S, exactly.
 
     Inclusion-exclusion over nonempty subfamilies; the cylinder for a union
     of constraint sets has measure 2^-|union|.  Raises CombinatorialBlowup
-    carrying the union bound when the subfamily count exceeds the cap.
+    carrying the union bound when the subfamily count exceeds the cap or
+    TERM_LIMIT.
     """
     family = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
     n = len(family)
     if n == 0:
         return ZERO
-    if (1 << n) - 1 > term_cap:
+    cap = min(term_cap, TERM_LIMIT)
+    if (1 << n) - 1 > cap:
         bound = dyadic_sum(DyadicRational.half_power(len(s)) for s in family)
         raise CombinatorialBlowup(
-            f"{(1 << n) - 1} inclusion-exclusion terms exceed the cap {term_cap}",
+            f"{(1 << n) - 1} inclusion-exclusion terms exceed the cap {cap}",
             upper_bound=bound)
     total = ZERO
     for r in range(1, n + 1):

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from .errors import CombinatorialBlowup
+
 
 @dataclass(frozen=True)
 class PrefixOracle:
@@ -96,6 +98,12 @@ def structural_span(oracle: BitOracle) -> int:
     raise TypeError(f"not a structured oracle: {oracle!r}")
 
 
+# Most positions first_members scans.  The members it returns lie below it,
+# so the set code of a scan has at most this many bits; the built-in
+# constructions scan fewer than 100 positions.
+SCAN_LIMIT = 1 << 16
+
+
 def first_members(oracle: BitOracle, k: int, value: int = 1) -> tuple[int, ...]:
     """The k least positions where the oracle reads `value`, if they exist.
 
@@ -103,11 +111,15 @@ def first_members(oracle: BitOracle, k: int, value: int = 1) -> tuple[int, ...]:
     bits repeat a pattern, so a side that fails to produce k members within
     span * (k + 1) + 2k + 2 positions has fewer than k members outright.
     Returns a short tuple in that case; callers treat it as "this side of
-    the oracle is too thin".
+    the oracle is too thin".  A bound past SCAN_LIMIT is refused
+    (CombinatorialBlowup) before the scan starts.
     """
     if k < 0:
         raise ValueError("k is a natural")
     bound = structural_span(oracle) * (k + 1) + 2 * k + 2
+    if bound > SCAN_LIMIT:
+        raise CombinatorialBlowup(
+            f"scanning {bound} oracle positions exceeds the limit {SCAN_LIMIT}")
     out = []
     for i in range(bound):
         if oracle.bit(i) == value:

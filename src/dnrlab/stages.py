@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .asm import assemble_index
+from .errors import CombinatorialBlowup
 from .machine import (
     Halted,
     ProgramIndex,
@@ -88,6 +89,12 @@ class StageTrace:
         }
 
 
+# Most stages a construction takes on.  Odd stage 2e+1 reads a window of
+# 4e+8 inputs, so the work grows about quadratically: the benchmark's 1000
+# stages take a fraction of a second, 4096 a few seconds.
+STAGE_LIMIT = 1 << 12
+
+
 def _window_horizon(e: int) -> int:
     # wide enough that exceeding the bound 2e+1 is visible with room to spare
     return 4 * e + 8
@@ -99,10 +106,13 @@ def ei_not_coei(stages: int, budget: int,
 
     Returns the trace and the partial characteristic function.  The set
     built is A = {x : g(x) = 1}; everything pinned to 0 stays outside A
-    forever, and undetermined positions count as outside.
+    forever, and undetermined positions count as outside.  More than
+    STAGE_LIMIT stages are refused (CombinatorialBlowup) before any runs.
     """
     if stages < 0:
         raise ValueError("stages is a natural")
+    if stages > STAGE_LIMIT:
+        raise CombinatorialBlowup(f"{stages} stages exceed the limit {STAGE_LIMIT}")
     g: dict[int, int] = {}
     records: list[dict] = []
 

@@ -430,6 +430,30 @@ class TestTypedInputFiles:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert "within 2 steps" in json.loads(line)["error"]
 
+    def test_search_budget_exhaustion_is_one_json_line_after_the_partial_trace(
+            self, tmp_path, capsys):
+        # the empty table needs no evaluation, the constant one runs q at once
+        assert main(["--command", "density-search", "--budget.eval=0"]) == EXIT_BUDGET
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            '{"error":"budget exhausted: constant: q not total on the diagonal indices"}']
+        trace = tmp_path / "partial.jsonl"
+        trace.write_text(out)
+        assert len(out.splitlines()) == 2  # the header and the empty table's certificate
+        assert main(["--command", "replay", "--in", str(trace)]) == EXIT_OK
+        capsys.readouterr()
+        # the diverging q on a constant table, with the trace in a file
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({
+            "functional": FiniteFunctional.constant(3, (0, 0, 0)).to_jsonable(), "q": 0}))
+        assert main(["--command", "density-search", "--budget.eval=50", "--in", str(path),
+                     "--out", str(tmp_path / "out.jsonl")]) == EXIT_BUDGET
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            '{"error":"budget exhausted: input: q not total on the diagonal indices"}']
+        assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 1
+
 
 class TestSpecShapes:
     @pytest.mark.parametrize("spec", [
@@ -553,6 +577,9 @@ def _every_kind_seeds() -> tuple[dict, ...]:
     return tuple(first.values())
 
 
+# One member far out: its structural span makes any first-members scan huge.
+_FAR_MEMBER_ORACLE = {"kind": "set", "members": [10**12]}
+
 # Every field each command reads from --in, at small sizes, with the flags
 # that keep the dropped-field defaults small too.
 _INPUT_SEEDS = {
@@ -645,6 +672,35 @@ class TestHostileReplay:
     def test_deep_fusion_ambient_is_refused(self, instances):
         assert main(["--command", "fusion-check", f"--budget.instances={instances}",
                      "--budget.depth=20"]) == EXIT_BUDGET
+
+    @pytest.mark.parametrize("kind", [
+        "stage_summary", "cylinder_measure", "snr_slice", "dnr_value", "ebi_violation"])
+    def test_oversized_replay_is_refused(self, kind, tmp_path, capsys):
+        cert = dict(next(c for c in _every_kind_seeds() if c["kind"] == kind))
+        if kind == "stage_summary":
+            cert["stages"] = 10**8
+        elif kind == "cylinder_measure":
+            cert.update(sets=[[x] for x in range(26)], term_cap=10**11)
+        else:
+            cert["oracle"] = _FAR_MEMBER_ORACLE
+        assert _replay_one(cert, tmp_path) == EXIT_BUDGET
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        report = json.loads(line)
+        assert "exceed" in report["error"]
+        assert ("union_bound" in report) == (kind == "cylinder_measure")
+
+    @pytest.mark.parametrize("command, spec, flags", [
+        ("snr-demo", {"oracle": _FAR_MEMBER_ORACLE, "h": ZERO_INDEX}, []),
+        ("dnr-audit", {"oracle": _FAR_MEMBER_ORACLE}, ["--budget.audit=30"]),
+        ("ei-construct", {}, [f"--budget.stages={10**8}"]),
+    ])
+    def test_oversized_command_is_refused(self, command, spec, flags, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(spec))
+        args = ["--command", command, *flags] + (["--in", str(path)] if spec else [])
+        assert main(args) == EXIT_BUDGET
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "exceed" in json.loads(line)["error"]
 
     def test_huge_pairs_replay_fast(self, tmp_path, capsys):
         cert = {"kind": "sweep_summary", "g": "3", "depth": 2,

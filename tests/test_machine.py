@@ -1,12 +1,17 @@
 """Register-machine substrate tests.
 
-The interpreter under test carries two divergence fast paths (dead-code
-liveness and pure-jump cycle detection).  `naive_eval` below is a separate
-bare-bones interpreter with neither, written directly from the instruction
-semantics; a sweep cross-checks the two on a few thousand indices.
+The interpreter under test carries three fast paths: dead-code liveness,
+an exact loop check (a taken jump that lands on a saved configuration of
+the same frame diverges) and free left/right of the value the last pair
+produced.  `naive_eval` below is a separate bare-bones interpreter with
+none of them, written directly from the instruction semantics; a sweep
+cross-checks the two on a few thousand indices, and random looping
+programs cross-check them at budgets long enough for loops to repeat.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -303,6 +308,118 @@ def test_matches_naive_interpreter_on_crafted_programs():
 def test_matches_naive_interpreter_random(p, x):
     e = encode(p)
     assert eval_steps(e, x, 48) == naive_eval(e, x, 48)
+
+
+# Looping programs: few registers, small constants and in-range jump
+# targets, so configurations repeat well inside the budget.  No mul, pair
+# or smn (values would grow without bound) and no univ or budv (the naive
+# mirror recurses once per nested call).
+_LOOP_OPS = (OP_LOAD, OP_HALT, OP_JZ, OP_JMP, OP_ADD, OP_SUB, OP_MOV,
+             OP_LEFT, OP_RIGHT, OP_DIV, OP_MOD, OP_ORACLE)
+
+
+def _loop_instruction(length):
+    return st.sampled_from(_LOOP_OPS).flatmap(
+        lambda op: st.tuples(
+            st.just(op),
+            *(st.integers(0, 3) if kind == "r"
+              else st.integers(0, length) if op in (OP_JZ, OP_JMP)
+              else st.integers(0, 5)
+              for kind in OP_SIGNATURE[op]),
+        ))
+
+
+looping_program_st = st.integers(1, 7).flatmap(
+    lambda length: st.lists(_loop_instruction(length), min_size=length,
+                            max_size=length)).map(program)
+
+
+@given(looping_program_st, st.integers(0, 6), st.integers(0, 2000))
+@settings(max_examples=200, deadline=None)
+def test_matches_naive_interpreter_on_looping_programs(p, x, budget):
+    e = encode(p)
+    assert eval_steps(e, x, budget) == naive_eval(e, x, budget)
+    assert eval_steps(e, x, budget, EVENS) == naive_eval(e, x, budget, EVENS)
+
+
+LOOP3 = program([(OP_LOAD, 0, 0), (OP_JZ, 0, 0), (OP_HALT, 0)])
+
+
+@pytest.mark.parametrize("looper", [
+    LOOP3,  # the load resets the register the jump tests
+    program([(OP_LOAD, 1, encode(LOOP3)), (OP_UNIV, 2, 1, 0), (OP_HALT, 2)]),
+    # budv answers the same each time round: a 50-step bound, covered
+    program([(OP_LOAD, 2, encode(LOOP3)), (OP_LOAD, 4, 50),
+             (OP_BUDV, 1, 2, 3, 4), (OP_JMP, 2)]),
+    # a bound the ambient budget cannot cover: the inner run must still end
+    program([(OP_LOAD, 2, encode(LOOP3)), (OP_LOAD, 4, 10**12),
+             (OP_BUDV, 1, 2, 3, 4), (OP_JMP, 2)]),
+    # pure jumps, two to a round, with a halt the liveness pass cannot rule out
+    program([(OP_JZ, 1, 2), (OP_HALT, 0), (OP_JMP, 0)]),
+])
+def test_configuration_loops_end_at_once(looper):
+    start = time.perf_counter()
+    assert eval_steps(encode(looper), 3, 10**9) == (RUNNING, 10**9)
+    assert time.perf_counter() - start < 0.5
+
+
+COUNTDOWN = program([
+    (OP_LOAD, 1, 1),
+    (OP_JZ, 0, 4),
+    (OP_SUB, 0, 0, 1),
+    (OP_JMP, 1),
+    (OP_HALT, 0),
+])
+# the countdown with univ and budv in its body: frames come and go
+COUNTDOWN_CALLS = program([
+    (OP_LOAD, 1, 1),
+    (OP_LOAD, 2, 23),
+    (OP_LOAD, 3, 5),
+    (OP_JZ, 0, 8),
+    (OP_SUB, 0, 0, 1),
+    (OP_UNIV, 4, 2, 0),
+    (OP_BUDV, 5, 2, 4, 3),
+    (OP_JMP, 3),
+    (OP_HALT, 5),
+])
+# the callee's first jump lands on the caller's saved pc and register
+# values, in another frame
+SAME_LANDING = program([
+    (OP_JMP, 1),
+    (OP_LOAD, 1, encode(program([(OP_JMP, 1), (OP_HALT, 0)]))),
+    (OP_UNIV, 2, 1, 0),
+    (OP_HALT, 2),
+])
+# left/right of a register no longer holding the last pair
+PAIR_OVERWRITTEN = program([
+    (OP_PAIR, 1, 0, 0),
+    (OP_MOV, 2, 1),
+    (OP_LOAD, 3, 7),
+    (OP_PAIR, 1, 0, 3),
+    (OP_LOAD, 1, 9),
+    (OP_LEFT, 4, 1),
+    (OP_RIGHT, 5, 1),
+    (OP_LEFT, 6, 2),
+    (OP_RIGHT, 7, 2),
+    (OP_PAIR, 8, 4, 5),
+    (OP_PAIR, 9, 6, 7),
+    (OP_PAIR, 10, 8, 9),
+    (OP_HALT, 10),
+])
+
+
+@pytest.mark.parametrize("p, at_40", [
+    (COUNTDOWN, 0),
+    (COUNTDOWN_CALLS, 1),
+    (SAME_LANDING, 40),
+    (PAIR_OVERWRITTEN, pair(9, pair(40, 40))),  # pair(left(9), right(9)) = 9
+])
+def test_near_loops_match_naive_interpreter(p, at_40):
+    e = encode(p)
+    for x in (0, 1, 2, 7, 40, 10**30):
+        for budget in (0, 1, 5, 17, 64, 300, 2000):
+            assert eval_steps(e, x, budget) == naive_eval(e, x, budget), (x, budget)
+    assert eval_program(e, 40, 10**6) == Halted(at_40)
 
 
 # ---------------------------------------------------------------------------
