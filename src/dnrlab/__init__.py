@@ -11,8 +11,8 @@ The subpackages split along the objects they manipulate:
   extension certificates.
 - reductions, stages: diagonal set indices, DNR candidate extraction and
   audits, blocking prefixes, and the stagewise EI-not-co-EI construction.
-- numbering, dyadic: canonical numberings, exact dyadic measure of
-  cylinder unions, Schnorr tail bounds, and the lowness sum check.
+- numbering, dyadic: table numberings, slice codes, exact dyadic measure
+  of cylinder unions, Schnorr tail bounds, and the lowness sum check.
 - certs, cli: the certificate replay registry and the `dnrlab` command
   line that emits and re-verifies trace files.
 

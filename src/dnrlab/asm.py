@@ -22,14 +22,10 @@ from functools import lru_cache
 
 from .machine import (
     OP_BY_NAME,
-    OP_JMP,
-    OP_JZ,
-    OP_NAMES,
     OP_SIGNATURE,
     ProgramIndex,
     ToyProgram,
     encode,
-    gamma_inverse,
     program,
 )
 
@@ -107,18 +103,6 @@ def assemble_index(source: str) -> ProgramIndex:
     return encode(assemble(source))
 
 
-def disassemble(prog: ToyProgram) -> str:
-    """Numeric-target source text; assemble(disassemble(p)) == p."""
-    lines = []
-    for ins in prog.instructions:
-        sig = OP_SIGNATURE[ins[0]]
-        ops = ", ".join(
-            f"r{val}" if kind == "r" else str(val)
-            for kind, val in zip(sig, ins[1:]))
-        lines.append(f"{OP_NAMES[ins[0]]} {ops}".rstrip())
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Stock programs.
 
@@ -155,45 +139,3 @@ def const_index(c: int) -> ProgramIndex:
     if c == 0:
         return ZERO_INDEX
     return assemble_index(f"load r1, {c}\nhalt r1")
-
-
-@lru_cache(maxsize=1024)
-def residue_index(k: int, r: int) -> ProgramIndex:
-    """Index whose domain is exactly the residue class r mod k (k >= 1)."""
-    if k < 1 or not 0 <= r < k:
-        raise ValueError("need k >= 1 and 0 <= r < k")
-    return assemble_index(f"""
-        load r1, {k}
-        mod r2, r0, r1
-        load r3, {r}
-        sub r4, r2, r3
-        sub r5, r3, r2
-        add r4, r4, r5
-        jz r4, ok
-        jmp stuck
-    ok: halt r0
-    stuck:
-    """)
-
-
-@lru_cache(maxsize=1024)
-def finite_set_index(members: frozenset[int]) -> ProgramIndex:
-    """Index whose domain is exactly the given finite set (bit-probe loop)."""
-    code = gamma_inverse(members)
-    # shift the code right x times, test the low bit
-    return assemble_index(f"""
-        load r1, {code}
-        load r2, 2
-        mov r3, r0
-    loop:
-        jz r3, test
-        div r1, r1, r2
-        load r4, 1
-        sub r3, r3, r4
-        jmp loop
-    test:
-        mod r5, r1, r2
-        jz r5, stuck
-        halt r0
-    stuck:
-    """)

@@ -116,19 +116,15 @@ class OrderFunction:
     def validate_node(self, node: Node) -> bool:
         return all(0 <= v < self.value(i) for i, v in enumerate(node))
 
-    def first_level_with(self, width: int, search_limit: int = 10**6) -> Optional[int]:
+    def first_level_with(self, width: int) -> Optional[int]:
         """Least level n with value(n) >= width, or None if there is none."""
         for n, v in enumerate(self.table):
             if v >= width:
                 return n
         if self.tail_period == 0:
             return None
-        n = len(self.table)
-        while self.value(n) < width:
-            n += 1
-            if n > search_limit:
-                return None
-        return n
+        # past the table, value(n) >= width iff (n - len) // period >= width - base
+        return len(self.table) + max(0, width - self.tail_base) * self.tail_period
 
 
 def level_nodes(g: OrderFunction, depth: int, stem: Node = ()) -> Iterator[Node]:
@@ -231,11 +227,6 @@ def is_n_big(B: Iterable[Node], n: int, g: OrderFunction, stem: Node = (),
         raise ValueError("bigness is defined for n >= 1")
     beta = bushiness_numbers(B, g, depth, stem)
     return beta[stem] >= n
-
-
-def is_n_small(B: Iterable[Node], n: int, g: OrderFunction, stem: Node = (),
-               depth: int = 0) -> bool:
-    return not is_n_big(B, n, g, stem, depth)
 
 
 def closure(B: Iterable[Node], n: int, g: OrderFunction, depth: int) -> frozenset[Node]:
@@ -397,28 +388,6 @@ class CounterexampleWitness:
 
 
 LemmaVerdict = PreconditionViolated | LemmaHolds | CounterexampleWitness
-
-
-def union_smallness_check(B1: Iterable[Node], m: int, B2: Iterable[Node], n: int,
-                          g: OrderFunction, stem: Node, depth: int) -> LemmaVerdict:
-    """Check: B1 m-small and B2 n-small above stem => union (m+n-1)-small.
-
-    A CounterexampleWitness carries an (m+n-1)-bushy tree through the union,
-    which would refute the lemma; sweeps count those (always zero).
-    """
-    B1, B2 = _string_set(B1), _string_set(B2)
-    stem = tuple(stem)
-    # both sets are marked (and so validated) before either verdict
-    big1, big2 = is_n_big(B1, m, g, stem, depth), is_n_big(B2, n, g, stem, depth)
-    if big1:
-        return PreconditionViolated(f"first set is {m}-big above {stem}")
-    if big2:
-        return PreconditionViolated(f"second set is {n}-big above {stem}")
-    union = B1 | B2
-    if is_n_big(union, m + n - 1, g, stem, depth):
-        tree = witness_tree(union, m + n - 1, g, stem, depth)
-        return CounterexampleWitness(f"union is {m + n - 1}-big above {stem}", tree)
-    return LemmaHolds(f"union is {m + n - 1}-small above {stem}")
 
 
 def closure_check(B: Iterable[Node], n: int, g: OrderFunction, depth: int) -> LemmaVerdict:

@@ -38,10 +38,6 @@ class DyadicRational:
         object.__setattr__(self, "exponent", exp)
 
     @classmethod
-    def from_int(cls, n: int) -> "DyadicRational":
-        return cls(n, 0)
-
-    @classmethod
     def half_power(cls, c: int) -> "DyadicRational":
         """2**-c for c >= 0, and 2**-c == 2**|c| for negative c."""
         if c >= 0:
@@ -75,10 +71,6 @@ class DyadicRational:
         return (self.numerator << (e - self.exponent)) < (other.numerator << (e - other.exponent))
 
     @property
-    def is_zero(self) -> bool:
-        return self.numerator == 0
-
-    @property
     def is_negative(self) -> bool:
         return self.numerator < 0
 
@@ -88,10 +80,6 @@ class DyadicRational:
         if self.exponent == 0:
             return str(self.numerator)
         return f"{self.numerator}/2^{self.exponent}"
-
-    def as_float(self) -> float:
-        """Lossy convenience for display only; never used in comparisons."""
-        return self.numerator / (1 << self.exponent)
 
     def to_jsonable(self) -> dict:
         return {"num": str(self.numerator), "exp": str(self.exponent)}

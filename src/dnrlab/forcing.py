@@ -225,13 +225,6 @@ class ForcingCondition:
         return beta[self.stem] + 1
 
 
-def condition_extends(c1: ForcingCondition, c2: ForcingCondition) -> bool:
-    """Whether c1 extends c2: longer stem, larger badset, same order function."""
-    return (c1.g == c2.g
-            and c1.stem[:len(c2.stem)] == c2.stem
-            and c2.badset <= c1.badset)
-
-
 # ---------------------------------------------------------------------------
 # Delta sets and C_m.
 

@@ -62,15 +62,15 @@ class PatchedOracle:
     patches: tuple[tuple[int, int], ...]  # sorted (position, bit) pairs
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "patches", tuple(sorted(dict(self.patches).items())))
+        by_pos = dict(self.patches)
+        object.__setattr__(self, "patches", tuple(sorted(by_pos.items())))
         if any(b not in (0, 1) for _, b in self.patches):
             raise ValueError("patch bits must be 0 or 1")
+        object.__setattr__(self, "_by_pos", by_pos)
 
     def bit(self, i: int) -> int:
-        for pos, b in self.patches:
-            if pos == i:
-                return b
-        return self.base.bit(i)
+        b = self._by_pos.get(i)
+        return self.base.bit(i) if b is None else b
 
     def with_patch(self, i: int, b: int) -> "PatchedOracle":
         return PatchedOracle(self.base, self.patches + ((i, b),))
@@ -80,7 +80,6 @@ BitOracle = PrefixOracle | PeriodicOracle | SetOracle | PatchedOracle
 
 EVENS = PeriodicOracle((1, 0))
 ODDS = PeriodicOracle((0, 1))
-ALL_ONES = PrefixOracle((), 1)
 ALL_ZEROS = PrefixOracle((), 0)
 
 

@@ -162,8 +162,12 @@ def dnr_reduction_audit(X: BitOracle, f: ProgramIndex, e_max: int, budget: int) 
     return certs
 
 
+# Most audit-and-flip rounds patch_oracle_dnr_only takes before giving up.
+PATCH_ROUNDS = 64
+
+
 def patch_oracle_dnr_only(f: ProgramIndex, e_max: int, budget: int,
-                          start: BitOracle, max_rounds: int = 64) -> tuple[BitOracle, list[dict]]:
+                          start: BitOracle) -> tuple[BitOracle, list[dict]]:
     """Greedily patch an oracle until its audit emits no immunity violations.
 
     Each round flips the least member of the first violating slice, which
@@ -171,7 +175,7 @@ def patch_oracle_dnr_only(f: ProgramIndex, e_max: int, budget: int,
     and its clean audit; RuntimeError if the rounds run out.
     """
     oracle = start
-    for _ in range(max_rounds):
+    for _ in range(PATCH_ROUNDS):
         certs = dnr_reduction_audit(oracle, f, e_max, budget)
         violations = [c for c in certs if c["kind"] == "ebi_violation"]
         if not violations:
@@ -183,7 +187,7 @@ def patch_oracle_dnr_only(f: ProgramIndex, e_max: int, budget: int,
             oracle = oracle.with_patch(pos, flipped)
         else:
             oracle = PatchedOracle(oracle, ((pos, flipped),))
-    raise RuntimeError(f"no violation-free patch within {max_rounds} rounds")
+    raise RuntimeError(f"no violation-free patch within {PATCH_ROUNDS} rounds")
 
 
 # ---------------------------------------------------------------------------

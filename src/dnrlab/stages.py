@@ -75,18 +75,8 @@ class StageTrace:
             if rec["stage"] != s:
                 raise ValueError(f"record {rec} out of order at stage {s}")
 
-    def ones_added(self) -> list[int]:
-        return [x for rec in self.records for x, b in rec["added"] if b == 1]
-
     def interval_records(self) -> list[dict]:
         return [rec["interval"] for rec in self.records if rec.get("interval")]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "stages": self.stages,
-            "budget": self.budget,
-            "records": list(self.records),
-        }
 
 
 # Most stages a construction takes on.  Odd stage 2e+1 reads a window of

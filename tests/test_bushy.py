@@ -19,7 +19,6 @@ from dnrlab import bushy
 from dnrlab.bushy import (
     BIG_CAP,
     REGION_NODE_LIMIT,
-    CounterexampleWitness,
     LemmaHolds,
     MalformedTree,
     OrderFunction,
@@ -32,11 +31,9 @@ from dnrlab.bushy import (
     closure_check,
     intersection_bushiness_check,
     is_n_big,
-    is_n_small,
     level_nodes,
     region_nodes,
     region_size,
-    union_smallness_check,
     union_smallness_sweep,
     verify_bushy,
     verify_tree_shape,
@@ -91,6 +88,16 @@ def test_order_function_first_level_with():
     assert OrderFunction.constant(3).first_level_with(4) is None
 
 
+@given(st.lists(st.integers(2, 6), min_size=1, max_size=4).map(sorted),
+       st.integers(0, 10), st.integers(0, 5), st.integers(1, 20))
+@settings(max_examples=300, deadline=None)
+def test_first_level_with_matches_a_scan(table, tail_base, tail_period, width):
+    g = OrderFunction(tuple(table), tail_base, tail_period)
+    # every answer lies below len(table) + width * tail_period <= 104
+    scan = next((n for n in range(200) if g.value(n) >= width), None)
+    assert g.first_level_with(width) == scan
+
+
 def test_node_validation():
     g = OrderFunction((2, 4))
     assert g.validate_node(())
@@ -126,7 +133,7 @@ def test_hand_vector_two_big_three_small():
     assert beta[(2,)] == BIG_CAP
     assert beta[()] == 2
     assert is_n_big(B, 2, G3, (), 2)
-    assert is_n_small(B, 3, G3, (), 2)
+    assert not is_n_big(B, 3, G3, (), 2)
 
 
 def test_full_level_is_maximally_wide():
@@ -281,21 +288,16 @@ def test_closure_check_random(B, n):
 # Union smallness lemma.
 
 def test_union_smallness_hand_instance():
-    v = union_smallness_check({(0,)}, 2, {(1,)}, 2, G3, (), 2)
-    assert isinstance(v, LemmaHolds)
-
-
-def test_union_smallness_precondition():
-    big = set(level_nodes(G3, 1))  # 3-big, so certainly 2-big
-    v = union_smallness_check(big, 2, set(), 2, G3, (), 2)
-    assert isinstance(v, PreconditionViolated)
+    # {(0,)} and {(1,)} are each 2-small; their union stays (2+2-1)-small
+    assert not is_n_big({(0,)}, 2, G3, (), 2)
+    assert not is_n_big({(0,), (1,)}, 3, G3, (), 2)
 
 
 @given(set_st, set_st, st.integers(1, 2), st.integers(1, 2))
 @settings(max_examples=150, deadline=None)
 def test_union_smallness_never_refuted(B1, B2, m, n):
-    v = union_smallness_check(B1, m, B2, n, G3, (), 3)
-    assert not isinstance(v, CounterexampleWitness)
+    if not is_n_big(B1, m, G3, (), 3) and not is_n_big(B2, n, G3, (), 3):
+        assert not is_n_big(B1 | B2, m + n - 1, G3, (), 3)
 
 
 # The sweep's level counts against the 2^N/3^N enumerator on every region of

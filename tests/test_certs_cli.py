@@ -5,6 +5,7 @@ import copy
 import functools
 import io
 import json
+import time
 from datetime import timedelta
 
 import pytest
@@ -708,6 +709,20 @@ class TestHostileReplay:
                 "counterexamples": 0}
         assert _replay_one(cert, tmp_path) == EXIT_COUNTEREXAMPLE
         assert "instance count is now 4096" in capsys.readouterr().out
+
+    def test_many_patch_snr_slice_replays_fast(self, tmp_path):
+        # 20000 patches over an all-zero base; the scan reads 60006 positions
+        oracle = {"kind": "patched", "base": {"kind": "periodic", "pattern": [0]},
+                  "patches": [[x, 0] for x in range(20_000)]}
+        cert = {"kind": "snr_slice", "oracle": oracle, "h": const_index(1), "e": 0,
+                "budget": 1000, "value": 0}
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps({"schema": TRACE_SCHEMA}) + "\n" + json.dumps(cert) + "\n")
+        start = time.perf_counter()
+        code, err = _quiet_main(["--command", "replay", "--in", str(path)])
+        assert time.perf_counter() - start < 1.0
+        _assert_clean_exit(code, err)
+        assert len(err) <= 1
 
     def test_seeds_cover_every_kind_and_replay(self, tmp_path):
         seeds = _every_kind_seeds()

@@ -33,7 +33,7 @@ class TestNormalization:
     def test_half_power(self):
         assert DyadicRational.half_power(3) == DyadicRational(1, 3)
         assert DyadicRational.half_power(0) == ONE
-        assert DyadicRational.half_power(-2) == DyadicRational.from_int(4)
+        assert DyadicRational.half_power(-2) == DyadicRational(4)
 
 
 class TestArithmetic:

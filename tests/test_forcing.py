@@ -21,7 +21,6 @@ from dnrlab.forcing import (
     build_totality_tree,
     c_m_set,
     case2_zero_tree,
-    condition_extends,
     delta_set,
     density_search,
     dnr_bad_strings,
@@ -52,6 +51,12 @@ PARITY3 = parity_table(8, 3, 4)
 CONST3 = FiniteFunctional.constant(3, (0, 0, 0))
 EMPTY3 = FiniteFunctional(3, ())
 EMPTY_COND = ForcingCondition((), frozenset(), G8)
+
+
+def extends(c1: ForcingCondition, c2: ForcingCondition) -> bool:
+    """c1 extends c2: same order function, longer stem, larger badset."""
+    return (c1.g == c2.g and c1.stem[:len(c2.stem)] == c2.stem
+            and c2.badset <= c1.badset)
 
 
 # ---------------------------------------------------------------------------
@@ -94,21 +99,6 @@ class TestFiniteFunctional:
 # Conditions.
 
 class TestConditions:
-    def test_extends_reflexive(self):
-        c = ForcingCondition((0,), frozenset({(1,)}), G8)
-        assert condition_extends(c, c)
-
-    def test_extends_with_same_badset(self):
-        c1 = ForcingCondition((0,), frozenset({(1,)}), G8)
-        c2 = ForcingCondition((), frozenset({(1,)}), G8)
-        assert condition_extends(c1, c2)
-        assert not condition_extends(c2, c1)
-
-    def test_shrunk_badset_does_not_extend(self):
-        c1 = ForcingCondition((0,), frozenset(), G8)
-        c2 = ForcingCondition((), frozenset({(1,)}), G8)
-        assert not condition_extends(c1, c2)
-
     def test_big_badset_rejected(self):
         # every child of the stem is bad, so the badset is 8-big above it
         badset = frozenset({(c,) for c in range(8)})
@@ -313,7 +303,7 @@ class TestDensitySearch:
         verdict = density_search(EMPTY3, Q0, EMPTY_COND, LIMITS)
         assert isinstance(verdict, NonTotalExt)
         assert verdict.m == 0
-        assert condition_extends(verdict.condition, EMPTY_COND)
+        assert extends(verdict.condition, EMPTY_COND)
         assert verdict.certificate["kind"] == "non_total_extension"
         assert verdict.certificate["c_m_minimal"] == []
 
@@ -382,7 +372,7 @@ class TestDensitySearch:
         table = parity_table(16, 1, 2)
         verdict = density_search(table, Q0, cond, LIMITS)
         assert isinstance(verdict, DiagonalExt)
-        assert condition_extends(verdict.condition, cond)
+        assert extends(verdict.condition, cond)
         assert (7,) not in {tuple(n) for n in verdict.certificate["tree"]["nodes"]}
 
     def test_deterministic(self):
@@ -473,7 +463,7 @@ class TestDensityTotality:
         verdict = density_search(table, Q0, EMPTY_COND, LIMITS)
         assert isinstance(verdict, (NonTotalExt, DiagonalExt, BudgetExceeded))
         if isinstance(verdict, (NonTotalExt, DiagonalExt)):
-            assert condition_extends(verdict.condition, EMPTY_COND)
+            assert extends(verdict.condition, EMPTY_COND)
 
     @settings(max_examples=15, deadline=None)
     @given(monotone_tables())

@@ -1,24 +1,16 @@
-"""Numberings, immunity audits, and exact cylinder measures."""
+"""Slice codes, exact cylinder measures over table numberings, and lowness sums."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
-from dnrlab.asm import DIVERGE_INDEX, IDENTITY_INDEX, ZERO_INDEX, assemble_index, const_index
+from dnrlab.asm import DIVERGE_INDEX, IDENTITY_INDEX, ZERO_INDEX, const_index
 from dnrlab.dyadic import ZERO, DyadicRational
-from dnrlab.errors import (
-    CombinatorialBlowup,
-    InsufficientOracle,
-    PreconditionViolated,
-    WitnessBudgetExceeded,
-)
+from dnrlab.errors import CombinatorialBlowup, InsufficientOracle, WitnessBudgetExceeded
 from dnrlab.machine import gamma
 from dnrlab.numbering import (
     TableNumbering,
-    adversarial_numbering,
     brute_force_union_measure,
-    canonical_immunity_audit,
     lowness_bound_check,
     schnorr_measure,
     snr_collision_audit,
@@ -27,66 +19,7 @@ from dnrlab.numbering import (
 )
 from dnrlab.oracle import EVENS, ODDS, SetOracle
 
-# total characteristic function of the even numbers
-CHAR_EVENS = assemble_index("""
-    load r1, 2
-    mod r2, r0, r1
-    jz r2, one
-    load r3, 0
-    halt r3
-one:
-    load r3, 1
-    halt r3
-""")
-
 H_ONE = const_index(1)
-
-
-@pytest.fixture(scope="module")
-def evens_numbering():
-    return adversarial_numbering(CHAR_EVENS, H_ONE)
-
-
-class TestAdversarialNumbering:
-    def test_even_index_slices_the_support(self, evens_numbering):
-        assert evens_numbering.finite_set(0) == frozenset({0, 2})
-        assert evens_numbering.finite_set(4) == frozenset({0, 2})
-
-    def test_even_index_exceeds_the_bound(self, evens_numbering):
-        assert len(evens_numbering.finite_set(0)) == 2 > 1
-
-    def test_odd_index_is_the_bit_sum_set(self, evens_numbering):
-        assert evens_numbering.finite_set(1) == frozenset()
-        assert evens_numbering.finite_set(5) == gamma(2)
-        assert evens_numbering.finite_set(7) == gamma(3)
-        assert evens_numbering.finite_set(9) == gamma(4)
-
-    def test_membership_bits(self, evens_numbering):
-        assert evens_numbering.member_bit(0, 2) == 1
-        assert evens_numbering.member_bit(0, 1) == 0
-        assert evens_numbering.member_bit(0, 4) == 0  # rank 3 > h+1
-
-    def test_agreement_audit_clean(self, evens_numbering):
-        assert evens_numbering.audit_agreement(range(10)) == []
-
-    def test_declared_sizes(self, evens_numbering):
-        assert evens_numbering.declared_size(6) == 2
-        assert evens_numbering.declared_size(7) == 2  # popcount(3)
-
-    def test_scan_cap_trips(self, evens_numbering):
-        tight = replace(evens_numbering, scan_cap=2)
-        with pytest.raises(InsufficientOracle):
-            tight.finite_set(0)
-
-    def test_preconditions(self):
-        with pytest.raises(PreconditionViolated):
-            adversarial_numbering(DIVERGE_INDEX, H_ONE)
-        with pytest.raises(PreconditionViolated):
-            adversarial_numbering(const_index(5), H_ONE)
-        with pytest.raises(PreconditionViolated):
-            adversarial_numbering(ZERO_INDEX, H_ONE)  # empty support
-        with pytest.raises(PreconditionViolated):
-            adversarial_numbering(CHAR_EVENS, DIVERGE_INDEX)
 
 
 class TestSnrValue:
@@ -111,21 +44,6 @@ class TestSnrValue:
 
     def test_zero_function_never_collides(self):
         assert snr_collision_audit(ZERO_INDEX, EVENS, H_ONE, 20, 10_000) == []
-
-
-class TestImmunityAudit:
-    def test_adversarial_violates_at_even_indices(self, evens_numbering):
-        violations = canonical_immunity_audit(EVENS, H_ONE, evens_numbering, 10, 10_000)
-        assert [v["e"] for v in violations] == [0, 2, 4, 6, 8, 10]
-        for v in violations:
-            assert len(v["members"]) == v["h_value"] + 1
-
-    def test_disjoint_target_is_clean(self, evens_numbering):
-        assert canonical_immunity_audit(ODDS, H_ONE, evens_numbering, 10, 10_000) == []
-
-    def test_generous_bound_is_clean(self, evens_numbering):
-        assert canonical_immunity_audit(
-            EVENS, const_index(5), evens_numbering, 10, 10_000) == []
 
 
 class TestUnionMeasure:
@@ -181,7 +99,8 @@ class TestSchnorrMeasure:
         assert schnorr_measure(numbering, 0, 2) == want
 
     def test_toy_backed_numbering(self):
-        numbering = adversarial_numbering(CHAR_EVENS, const_index(4))
+        first_five_evens = frozenset({0, 2, 4, 6, 8})
+        numbering = TableNumbering((first_five_evens, frozenset(), first_five_evens))
         # only e = 2 qualifies: 5 members >= 4; the set is the first 5 evens
         assert schnorr_measure(numbering, 1, 2) == DyadicRational(1, 5)
 

@@ -1,15 +1,16 @@
 """Index transforms, DNR candidates, audits, and blocking prefixes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnrlab.asm import (
     DIVERGE_INDEX,
     EVEN_HALT_INDEX,
     IDENTITY_INDEX,
     ZERO_INDEX,
+    assemble_index,
     const_index,
-    finite_set_index,
-    residue_index,
 )
 from dnrlab.certs import replay_certificate
 from dnrlab.errors import PreconditionViolated, WitnessBudgetExceeded
@@ -42,6 +43,38 @@ from dnrlab.reductions import (
 
 BUDGET = 10_000
 
+# W = {0, 2}: shift the set code 5 = 2^0 + 2^2 right x times, halt on a 1 bit
+SET_0_2_INDEX = assemble_index("""
+    load r1, 5
+    load r2, 2
+    mov r3, r0
+loop:
+    jz r3, test
+    div r1, r1, r2
+    load r4, 1
+    sub r3, r3, r4
+    jmp loop
+test:
+    mod r5, r1, r2
+    jz r5, stuck
+    halt r0
+stuck:
+""")
+
+# W = {x : x mod 3 = 1}
+RESIDUE_1_MOD_3_INDEX = assemble_index("""
+    load r1, 3
+    mod r2, r0, r1
+    load r3, 1
+    sub r4, r2, r3
+    sub r5, r3, r2
+    add r4, r4, r5
+    jz r4, ok
+    jmp stuck
+ok: halt r0
+stuck:
+""")
+
 
 class TestFirstMembers:
     def test_evens(self):
@@ -56,6 +89,17 @@ class TestFirstMembers:
     def test_sparse_periodic(self):
         x = PeriodicOracle((0, 0, 0, 1))
         assert first_members(x, 3) == (3, 7, 11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1)), max_size=30),
+       st.sampled_from([EVENS, ODDS, ALL_ZEROS, PrefixOracle((1, 0, 1), 1)]))
+def test_patched_bit_matches_a_walk_over_the_patches(patches, base):
+    oracle = PatchedOracle(base, tuple(patches))
+    last = dict(patches)  # a later patch of a position overrides an earlier one
+    for i in range(50):
+        want = next((b for pos, b in oracle.patches if pos == i), base.bit(i))
+        assert oracle.bit(i) == want == last.get(i, base.bit(i))
 
 
 class TestDiagonalSetIndex:
@@ -171,7 +215,7 @@ class TestPatchedOracleAudit:
 class TestBlockingPrefixFinite:
     # enumeration budgets double as scan horizons, so these stay modest
     def test_covered_set_returns_the_prefix(self):
-        e = finite_set_index(frozenset({0, 2}))
+        e = SET_0_2_INDEX
         sigma, cert = blocking_prefix((1, 0, 1), e, const_index(1), 1_000)
         assert sigma == (1, 0, 1)
         assert cert["kind"] == "blocking_finite"
@@ -179,17 +223,17 @@ class TestBlockingPrefixFinite:
         assert cert["f_value"] == 1
 
     def test_member_on_a_zero_is_rejected(self):
-        e = finite_set_index(frozenset({0, 2}))
+        e = SET_0_2_INDEX
         with pytest.raises(PreconditionViolated):
             blocking_prefix((1, 1, 0), e, const_index(1), 1_000)
 
     def test_bound_not_exceeded_is_rejected(self):
-        e = finite_set_index(frozenset({0, 2}))
+        e = SET_0_2_INDEX
         with pytest.raises(PreconditionViolated):
             blocking_prefix((1, 0, 1), e, const_index(5), 1_000)
 
     def test_f_budget(self):
-        e = finite_set_index(frozenset({0, 2}))
+        e = SET_0_2_INDEX
         with pytest.raises(WitnessBudgetExceeded):
             blocking_prefix((1, 0, 1), e, DIVERGE_INDEX, BUDGET)
 
@@ -221,7 +265,7 @@ class TestBlockingPrefixInfinite:
 
 class TestFirstSliceIndex:
     def test_slice_of_a_residue_class(self):
-        e = residue_index(3, 1)
+        e = RESIDUE_1_MOD_3_INDEX
         idx = first_slice_index(e, const_index(3))
         want = set(re_enumeration_order(e, 50_000)[:4])
         horizon = max(want) + 2
