@@ -25,6 +25,7 @@ its mirror.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,6 +45,7 @@ BRUTE_FORCE_NODE_LIMIT = 20  # the naive sweep walks 3^N splits
 # Child-count states the sweep may step through, summed over levels and
 # pairs (see _non_member_states): a few seconds of counting at most.
 SWEEP_WORK_LIMIT = 2 * 10**6
+_SPEC = re.compile(r"([0-9]+(?:,[0-9]+)*)(?:;tail=([0-9]+),([0-9]+))?")
 
 
 class MalformedTree(ValueError):
@@ -80,21 +82,13 @@ class OrderFunction:
 
     @classmethod
     def from_spec(cls, spec: str) -> "OrderFunction":
-        """Parse "v0,v1,...[;tail=base,period]" (a bare "v" is constant v)."""
-        spec = spec.strip()
-        if ";" in spec:
-            head, _, tail = spec.partition(";")
-            tail = tail.strip()
-            if not tail.startswith("tail="):
-                raise ValueError(f"bad order function spec {spec!r}")
-            parts = tail[len("tail="):].split(",")
-            if len(parts) != 2:
-                raise ValueError(f"bad tail in order function spec {spec!r}")
-            base, period = (int(p) for p in parts)
-        else:
-            head, base, period = spec, 0, 0
-        table = tuple(int(v) for v in head.split(","))
-        return cls(table, base, period)
+        """Parse "v0,v1,...[;tail=base,period]" (a bare "v" is constant v);
+        every number is written in ASCII decimal digits."""
+        match = _SPEC.fullmatch(spec) if isinstance(spec, str) else None
+        if match is None:
+            raise ValueError(f"bad order function spec {spec!r}")
+        head, base, period = match.groups()
+        return cls(tuple(int(v) for v in head.split(",")), int(base or 0), int(period or 0))
 
     def to_spec(self) -> str:
         head = ",".join(str(v) for v in self.table)
@@ -267,10 +261,6 @@ class TreeWitness:
     def to_jsonable(self) -> dict:
         return {"stem": list(self.stem), "nodes": sorted(list(n) for n in self.nodes)}
 
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "TreeWitness":
-        return cls(tuple(data["stem"]), frozenset(tuple(n) for n in data["nodes"]))
-
 
 def verify_tree_shape(witness: TreeWitness, g: OrderFunction) -> None:
     """Check the node set is a tree above its stem: raise MalformedTree if not."""
@@ -427,8 +417,8 @@ def intersection_bushiness_check(ambient: TreeWitness, F: Iterable[Node],
     The verdict confirms F intersect C is 2k-bushy (witness included), or
     reports the node where the count argument fails.
     """
-    F = frozenset(tuple(n) for n in F)
-    C = frozenset(tuple(n) for n in C)
+    F = _string_set(F)
+    C = _string_set(C)
     try:
         verify_bushy(ambient, 6 * k, g, exactly=True)
     except MalformedTree as exc:
@@ -451,10 +441,10 @@ def intersection_bushiness_check(ambient: TreeWitness, F: Iterable[Node],
 
 
 def _pair_list(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    pair_list = sorted({(int(n), int(m)) for n, m in pairs})
-    if any(n < 1 or m < 1 for n, m in pair_list):
-        raise ValueError("bigness parameters must be >= 1")
-    return pair_list
+    pair_list = [(n, m) for n, m in pairs]
+    if any(type(v) is not int or v < 1 for pair in pair_list for v in pair):
+        raise ValueError("bigness parameters must be integers >= 1")
+    return sorted(set(pair_list))
 
 
 def _at_least(width: int, k: int, hit: int, total: int) -> int:

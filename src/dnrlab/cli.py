@@ -31,7 +31,7 @@ from .bushy import (
     union_smallness_sweep,
     witness_tree,
 )
-from .certs import replay_certificate, typed_field
+from .certs import decode_field, replay_certificate
 from .dyadic import DyadicRational
 from .errors import (
     CombinatorialBlowup,
@@ -58,7 +58,7 @@ from .numbering import (
     tail_constraints,
     union_cylinder_measure,
 )
-from .oracle import PeriodicOracle, oracle_from_spec, oracle_to_spec
+from .oracle import PeriodicOracle, oracle_to_spec
 from .reductions import blocking_prefix, dnr_reduction_audit
 from .stages import audit_effective_immunity, ei_not_coei
 
@@ -126,7 +126,8 @@ class CommandResult:
 
 
 def _load_input(config: RunConfig) -> dict:
-    """The --in object, each field checked by the certificate field rules."""
+    """The --in object, each field decoded by the rule for its name; a field
+    the command does not read is an input error."""
     if config.in_path is None:
         return {}
     try:
@@ -138,9 +139,12 @@ def _load_input(config: RunConfig) -> dict:
         raise InputError(f"input file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise InputError("input file must hold a JSON object")
-    for key, value in data.items():
-        typed_field("input file", key, value)
-    return data
+    fields = COMMANDS[config.command][2]
+    unknown = sorted(data.keys() - fields)
+    if unknown:
+        raise InputError(f"{config.command} reads no input field named {unknown[0]!r}; "
+                         f"it reads {list(fields)}")
+    return {key: decode_field("input file", key, value) for key, value in data.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +161,8 @@ def _cmd_bushy_check(config: RunConfig) -> CommandResult:
     data = _load_input(config)
     g = config.g("3")
     depth = data.get("depth", 2)
-    stem = tuple(data.get("stem", ()))
-    B = frozenset(tuple(x) for x in data["set"]) if "set" in data \
-        else _full_level(g, depth)
+    stem = data.get("stem", ())
+    B = data["set"] if "set" in data else _full_level(g, depth)
     n = data.get("n", g(0))
     big = is_n_big(B, n, g, stem, depth)
     cert = {
@@ -183,8 +186,7 @@ def _cmd_closure(config: RunConfig) -> CommandResult:
     data = _load_input(config)
     g = config.g("3")
     depth = data.get("depth", 2)
-    B = frozenset(tuple(x) for x in data["set"]) if "set" in data \
-        else frozenset({(0,), (1, 0)})
+    B = data.get("set", frozenset({(0,), (1, 0)}))
     n = data.get("n", 2)
     closed = closure(B, n, g, depth)
     cert = {
@@ -241,6 +243,7 @@ def _random_subtree(rng: random.Random, ambient: TreeWitness, width: int) -> fro
 
 
 def _cmd_fusion_check(config: RunConfig) -> CommandResult:
+    _load_input(config)  # reads no field, so any field is an input error
     instances = config.budget("instances", 10)
     depth = config.budget("depth", 2)
     rng = random.Random(config.seed)
@@ -318,8 +321,7 @@ def _cmd_density_search(config: RunConfig) -> CommandResult:
         bad_string_len=config.budget("bad_len", SearchLimits().bad_string_len),
     )
     if "functional" in data:
-        battery = [("input", FiniteFunctional.from_jsonable(data["functional"]),
-                    data.get("q", const_index(0)))]
+        battery = [("input", data["functional"], data.get("q", const_index(0)))]
     else:
         battery = _builtin_functionals()
     cond = ForcingCondition((), frozenset(), g)
@@ -337,8 +339,7 @@ def _cmd_density_search(config: RunConfig) -> CommandResult:
 
 def _cmd_dnr_audit(config: RunConfig) -> CommandResult:
     data = _load_input(config)
-    oracle = oracle_from_spec(data["oracle"]) if "oracle" in data \
-        else PeriodicOracle((1, 0))
+    oracle = data.get("oracle", PeriodicOracle((1, 0)))
     f = data.get("f", ZERO_INDEX)
     e_max = config.budget("audit", 700)
     budget = config.budget("eval", 10_000)
@@ -352,6 +353,7 @@ def _cmd_dnr_audit(config: RunConfig) -> CommandResult:
 
 
 def _cmd_ei_construct(config: RunConfig) -> CommandResult:
+    _load_input(config)  # reads no field, so any field is an input error
     stages = config.budget("stages", 200)
     budget = config.budget("eval", 100_000)
     value_cap = config.budget("value_cap", 512)
@@ -378,10 +380,10 @@ def _cmd_ei_construct(config: RunConfig) -> CommandResult:
     return CommandResult(exit_code=code, summary=summary, certificates=certs)
 
 
-_DEMO_SETS = (
+_DEMO_SETS = tuple(map(frozenset, (
     (0,), (1,), (0, 1), (0, 1, 2, 3, 4, 5), (0, 2, 4, 6, 8, 10, 12, 14),
     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), (2, 3), (0, 2, 4), (1, 3, 5),
-)
+)))
 
 
 def _cmd_schnorr_measure(config: RunConfig) -> CommandResult:
@@ -389,10 +391,7 @@ def _cmd_schnorr_measure(config: RunConfig) -> CommandResult:
     c = config.budget("c", 2)
     e_max = config.budget("e_max", 32)
     term_cap = config.budget("terms", 1 << 20)
-    if "sets" in data:
-        numbering = TableNumbering(tuple(frozenset(s) for s in data["sets"]))
-    else:
-        numbering = TableNumbering(tuple(frozenset(s) for s in _DEMO_SETS))
+    numbering = TableNumbering(data.get("sets", _DEMO_SETS))
     constraints = tail_constraints(numbering, c, e_max)
     measure = union_cylinder_measure(constraints, term_cap)
     bound = DyadicRational.half_power(c)
@@ -436,8 +435,7 @@ def _cmd_lowness_check(config: RunConfig) -> CommandResult:
 
 def _cmd_snr_demo(config: RunConfig) -> CommandResult:
     data = _load_input(config)
-    oracle = oracle_from_spec(data["oracle"]) if "oracle" in data \
-        else PeriodicOracle((1, 0))
+    oracle = data.get("oracle", PeriodicOracle((1, 0)))
     h = data.get("h", const_index(1))
     e_max = config.budget("audit", 10)
     budget = config.budget("eval", 10_000)
@@ -509,21 +507,22 @@ def _cmd_replay(config: RunConfig) -> CommandResult:
     return CommandResult(exit_code=code, summary=summary, certificates=[])
 
 
-# Each command with the --budget.<name> knobs it reads; any other name is
-# an input error.
+# Each command with the --budget.<name> knobs and the --in fields it reads;
+# any other name is an input error.  Replay's --in is the trace itself.
 COMMANDS = {
-    "bushy-check": (_cmd_bushy_check, ()),
-    "closure": (_cmd_closure, ()),
-    "lemma-sweep": (_cmd_lemma_sweep, ()),
-    "fusion-check": (_cmd_fusion_check, ("instances", "depth")),
-    "density-search": (_cmd_density_search, ("eval", "fixpoint", "bad_len")),
-    "dnr-audit": (_cmd_dnr_audit, ("audit", "eval")),
-    "ei-construct": (_cmd_ei_construct, ("stages", "eval", "value_cap", "probes")),
-    "schnorr-measure": (_cmd_schnorr_measure, ("c", "e_max", "terms")),
-    "lowness-check": (_cmd_lowness_check, ("c", "e_max", "eval")),
-    "snr-demo": (_cmd_snr_demo, ("audit", "eval")),
-    "blocking-prefix": (_cmd_blocking_prefix, ("eval",)),
-    "replay": (_cmd_replay, ()),
+    "bushy-check": (_cmd_bushy_check, (), ("set", "n", "stem", "depth")),
+    "closure": (_cmd_closure, (), ("set", "n", "depth")),
+    "lemma-sweep": (_cmd_lemma_sweep, (), ("pairs", "stems", "depth")),
+    "fusion-check": (_cmd_fusion_check, ("instances", "depth"), ()),
+    "density-search": (_cmd_density_search, ("eval", "fixpoint", "bad_len"),
+                       ("functional", "q")),
+    "dnr-audit": (_cmd_dnr_audit, ("audit", "eval"), ("oracle", "f")),
+    "ei-construct": (_cmd_ei_construct, ("stages", "eval", "value_cap", "probes"), ()),
+    "schnorr-measure": (_cmd_schnorr_measure, ("c", "e_max", "terms"), ("sets",)),
+    "lowness-check": (_cmd_lowness_check, ("c", "e_max", "eval"), ("h", "p", "f")),
+    "snr-demo": (_cmd_snr_demo, ("audit", "eval"), ("oracle", "h")),
+    "blocking-prefix": (_cmd_blocking_prefix, ("eval",), ("prefix", "e", "f")),
+    "replay": (_cmd_replay, (), ()),
 }
 
 
@@ -578,7 +577,7 @@ def _dump(obj: dict) -> str:
 
 
 def run(config: RunConfig) -> int:
-    command, budget_names = COMMANDS[config.command]
+    command, budget_names, _ = COMMANDS[config.command]
     unknown = sorted({name for name, _ in config.budgets} - set(budget_names))
     if unknown:
         raise InputError(f"{config.command} reads no budget named {unknown[0]!r}; "

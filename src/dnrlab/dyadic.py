@@ -11,9 +11,12 @@ large numerators survive JSON round-trips without precision loss.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Mapping
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 @total_ordering
@@ -86,7 +89,11 @@ class DyadicRational:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "DyadicRational":
-        return cls(int(data["num"]), int(data["exp"]))
+        """Inverse of to_jsonable; fields that are not decimal strings raise ValueError."""
+        num, exp = data["num"], data["exp"]
+        if not all(isinstance(x, str) and _DECIMAL.fullmatch(x) for x in (num, exp)):
+            raise ValueError(f"a dyadic rational is {{num, exp}} in decimal strings, got {data!r}")
+        return cls(int(num), int(exp))
 
 
 ZERO = DyadicRational(0)

@@ -39,6 +39,7 @@ from dnrlab.bushy import (
     verify_tree_shape,
     witness_tree,
 )
+from dnrlab.certs import decode_field
 from dnrlab.errors import CombinatorialBlowup
 
 G2 = OrderFunction.constant(2)
@@ -73,7 +74,9 @@ def test_order_function_spec_roundtrip(spec):
     assert g.to_spec() == OrderFunction.from_spec(g.to_spec()).to_spec()
 
 
-@pytest.mark.parametrize("bad", ["", "1", "3,2", "2;tail=x", "2;tails=1,1", "2;tail=1"])
+# widths are ASCII digits: int() alone would read "1_0" as 10 and "\uff13" as 3
+@pytest.mark.parametrize("bad", ["", "1", "3,2", "2;tail=x", "2;tails=1,1", "2;tail=1",
+                                 "1_0", "+3", " 3", "3 ", "\uff13", "3, 4", "2;tail=+1,1", 3])
 def test_order_function_bad_specs(bad):
     with pytest.raises(ValueError):
         OrderFunction.from_spec(bad)
@@ -357,8 +360,12 @@ def test_sweep_targets_past_every_width():
 
 
 def test_sweep_input_checks():
-    with pytest.raises(ValueError, match=">= 1"):
-        union_smallness_sweep(G3, 2, [(0, 2)])
+    # pair members are integers: int() would read (2.9, 2.2) as (2, 2), True as 1
+    for pair in [(0, 2), (2.9, 2.2), (2.0, 2), (True, 2), (2, "2")]:
+        with pytest.raises(ValueError, match="integers >= 1"):
+            union_smallness_sweep(G3, 2, [pair])
+    with pytest.raises(ValueError, match="integers >= 1"):
+        brute_force_union_sweep(G3, 1, [(2, 2), (True, 2)])
     with pytest.raises(ValueError, match="not a valid string"):
         union_smallness_sweep(G3, 2, [(2, 2)], [(3,)])
     # a stem past the horizon has an empty region, valid or not
@@ -503,4 +510,4 @@ def test_tree_index_matches_scans(B, n):
         assert w.children_of(tau) == scan
     parents = {x[:-1] for x in w.nodes if x}
     assert w.leaves() == frozenset(x for x in w.nodes if x not in parents)
-    assert TreeWitness.from_jsonable(w.to_jsonable()) == w
+    assert decode_field("certificate", "witness", w.to_jsonable()) == w

@@ -5,18 +5,20 @@ import copy
 import functools
 import io
 import json
+import re
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dnrlab import cli
+from dnrlab import certs, cli
 from dnrlab.asm import DIVERGE_INDEX, IDENTITY_INDEX, ZERO_INDEX, const_index
 from dnrlab.bushy import OrderFunction, closure, region_nodes, \
     union_smallness_sweep, witness_tree
-from dnrlab.certs import REPLAYERS, replay_certificate
+from dnrlab.certs import _FIELDS, REPLAYERS, replay_certificate
 from dnrlab.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INPUT, EXIT_OK, \
     TRACE_SCHEMA, InputError, main, parse_args
 from dnrlab.dyadic import DyadicRational
@@ -343,8 +345,8 @@ class TestInputErrors:
     def test_assertion_error_is_not_mapped(self, monkeypatch):
         def broken(config):
             raise AssertionError("internal invariant")
-        _, names = cli.COMMANDS["closure"]
-        monkeypatch.setitem(cli.COMMANDS, "closure", (broken, names))
+        _, budgets, fields = cli.COMMANDS["closure"]
+        monkeypatch.setitem(cli.COMMANDS, "closure", (broken, budgets, fields))
         with pytest.raises(AssertionError):
             main(["--command", "closure"])
 
@@ -357,8 +359,27 @@ class TestInputErrors:
     def test_declared_budget_names_cover_the_documented_ones(self):
         documented = {"eval", "fixpoint", "bad_len", "audit", "stages", "value_cap",
                       "probes", "instances", "depth", "c", "e_max", "terms"}
-        declared = {name for _, names in cli.COMMANDS.values() for name in names}
+        declared = {name for _, names, _ in cli.COMMANDS.values() for name in names}
         assert declared == documented
+
+    def test_declared_input_fields_are_the_documented_ones(self):
+        text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+        listing = text.split("Recognized fields by command:")[1].lstrip().split("\n\n")[0]
+        documented = {}
+        for line in listing.splitlines():
+            commands, _, fields = line.removeprefix("- ").partition(": ")
+            for command in re.findall(r"`([a-z-]+)`", commands):
+                documented[command] = set(re.findall(r"`([a-z_]+)`", fields))
+        declared = {command: set(fields) for command, (_, _, fields) in cli.COMMANDS.items()}
+        assert declared == documented
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_unknown_input_field_rejected(self, command, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"sett": [[0]], "dpeth": 1}))
+        assert main(["--command", command, "--in", str(path)]) == EXIT_INPUT
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "dpeth" in json.loads(line)["error"]
 
 
 class TestTypedReplayFields:
@@ -496,7 +517,8 @@ def _bushy_seed_certs() -> list[dict]:
     g3, g4 = OrderFunction.constant(3), OrderFunction.constant(4)
     pairs, stems = [[2, 2], [2, 3], [3, 2], [3, 3]], [[], [0], [1], [2]]
     sweep = union_smallness_sweep(g3, 2, pairs, stems)
-    B = frozenset(x for x in region_nodes(g3, 3) if sum(x) % 2 == 0)
+    # without the root in B, the witness is a tree of more than its stem
+    B = frozenset(x for x in region_nodes(g3, 3) if x and sum(x) % 2 == 0)
     base = frozenset({(0,), (1, 0), (2, 1, 3), (3, 3, 3)})
     return [
         {"kind": "sweep_summary", "g": "3", "depth": 2, "pairs": pairs,
@@ -759,3 +781,108 @@ class TestHostileReplay:
         path.write_text(json.dumps(_confuse(data.draw, seed)))
         _assert_clean_exit(*_quiet_main(["--command", command, "--in", str(path),
                                          "--out", str(directory / "out.jsonl"), *flags]))
+
+
+def _mistype(kind: str, edit) -> dict:
+    cert = copy.deepcopy(next(c for c in _every_kind_seeds() if c["kind"] == kind))
+    edit(cert)
+    return cert
+
+
+def _float_first_node(nodes: list) -> None:
+    """Turn the members of the first nonempty node into equal floats."""
+    node = next(node for node in nodes if node)
+    node[:] = map(float, node)
+
+
+class TestNothingCoerced:
+    """Each field is decoded by the rule for its name, before any claim is
+    checked, wherever a certificate or an --in file is read."""
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("closure_result", lambda c: c.update(closure=[[0.0], [True, 0]])),
+        ("bushiness_verdict", lambda c: _float_first_node(c["witness"]["nodes"])),
+        ("fusion_intersection", lambda c: _float_first_node(c["first"])),
+        ("pigeonhole_witness", lambda c: c["colors"][0].__setitem__(
+            1, float(c["colors"][0][1]))),
+        ("cylinder_measure", lambda c: c["measure"].update(num=float(c["measure"]["num"]))),
+        ("cylinder_measure", lambda c: c["measure"].update(exp=float(c["measure"]["exp"]))),
+        ("ebi_violation", lambda c: c.update(side=["x"])),
+        ("sweep_summary", lambda c: c.update(g="1_0")),
+        ("non_total_extension", lambda c: c.update(g="+8")),
+        ("lowness_bound", lambda c: c["verdict"].update(holds=1)),
+    ])
+    def test_ill_typed_certificate_exits_1(self, kind, edit, tmp_path):
+        cert = _mistype(kind, edit)
+        with pytest.raises(MalformedCertificate):
+            replay_certificate(cert)
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps({"schema": TRACE_SCHEMA}) + "\n" + json.dumps(cert) + "\n")
+        code, err = _quiet_main(["--command", "replay", "--in", str(path)])
+        assert code == EXIT_INPUT
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
+    def test_big_verdict_needs_its_witness(self):
+        cert = _mistype("bushiness_verdict", lambda c: c.pop("witness"))
+        with pytest.raises(MalformedCertificate, match="lacks fields"):
+            replay_certificate(cert)
+
+    def test_every_seed_field_has_a_rule(self):
+        names = {name for cert in _every_kind_seeds() for name in cert if name != "kind"}
+        names |= {name for spec, _ in _INPUT_SEEDS.values() for name in spec}
+        assert names <= set(_FIELDS), names - set(_FIELDS)
+
+    def test_a_field_without_a_rule_is_refused_at_registration(self):
+        with pytest.raises(TypeError, match="no rule"):
+            @certs._replayer("unruled")
+            def _replay_unruled(e, mystery) -> None:
+                pass
+        assert "unruled" not in REPLAYERS
+
+    @settings(max_examples=200, deadline=timedelta(seconds=20),
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_an_equal_float_or_bool_anywhere_exits_1(self, data, tmp_path_factory):
+        # replay reads the seed certificates; the commands read the seed files
+        runs = [("replay", cert, []) for cert in _every_kind_seeds()]
+        runs += [(command, spec, flags) for command, (spec, flags) in _INPUT_SEEDS.items()]
+        command, value, flags = data.draw(st.sampled_from(runs))
+        path = data.draw(st.sampled_from(list(_integer_paths(value))))
+        old = _at(value, path)
+        new = data.draw(st.sampled_from([float(old), bool(old)] if old in (0, 1)
+                                        else [float(old)]))
+        value = copy.deepcopy(value)
+        parent = _at(value, path[:-1])
+        parent[path[-1]] = new
+        directory = tmp_path_factory.mktemp("retyped")
+        if command == "replay":
+            trace = directory / "trace.jsonl"
+            trace.write_text(json.dumps({"schema": TRACE_SCHEMA}) + "\n"
+                             + json.dumps(value) + "\n")
+            args = ["--command", "replay", "--in", str(trace)]
+        else:
+            (directory / "in.json").write_text(json.dumps(value))
+            args = ["--command", command, "--in", str(directory / "in.json"),
+                    "--out", str(directory / "out.jsonl"), *flags]
+        code, err = _quiet_main(args)
+        assert code == EXIT_INPUT, (command, path, new)
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
+
+def _integer_paths(value, path=()):
+    """Paths to every integer inside a JSON value that a float can equal."""
+    if type(value) is int:
+        if abs(value) <= 2**53:
+            yield path
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _integer_paths(item, path + (i,))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _integer_paths(item, path + (key,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
