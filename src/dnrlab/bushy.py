@@ -7,15 +7,21 @@ or at least n immediate children of sigma have B n-big above them; n-small
 means not n-big.  Members of B certify only nodes they weakly extend: a
 strict prefix of sigma in B never makes B big above sigma.
 
-The workhorse is `bushiness_numbers`, a single bottom-up pass computing for
-every node tau of the region the largest n such that B is n-big above tau
-(BIG_CAP for members), optionally with a set of forbidden nodes.  It is
-also where string sets are validated.  Bigness queries, closures, and
-greedy witness extraction (`tree_from_marking`) all read off that table.
+The workhorse is the marking.  A region, the valid nodes above a stem up
+to the depth horizon, is indexed once per (g, depth, stem): its levels of
+node tuples, in lexicographic order, so that the children of the j-th node
+of a level are the j-th slice of the level below.  A marking is then one
+bottom-up pass over rows of ints, giving every node tau the largest n such
+that B is n-big above tau (BIG_CAP for members), optionally with a set of
+forbidden nodes.  The pass is also where string sets and stems are
+validated.  `bushiness` reads the stem's value, `bushiness_numbers` the
+whole table as a dict keyed by the index's tuples; bigness queries,
+closures, `closure_check` and greedy witness extraction
+(`tree_from_marking`) all read off the rows or that table.
 `brute_force_is_n_big` is the deliberately naive mirror: a top-down
-existential search over n-subsets of children, kept free of the production
-shortcuts so the two can be played against each other in tests.  Every
-marking first checks the region's node count (`region_size`).
+existential search over n-subsets of children, kept free of the index and
+the production shortcuts so the two can be played against each other in
+tests.  Every region first has its node count checked (`region_size`).
 
 The union-smallness sweep counts instead of enumerating: it works up the
 levels of a region once, counting subsets and splits by the bigness they
@@ -28,14 +34,16 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, product
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, compress, product
 from math import comb, prod
+from operator import lt
 from typing import Iterable, Iterator, Optional
 
 from .errors import CombinatorialBlowup
 
 Node = tuple[int, ...]
+Levels = tuple[tuple[Node, ...], ...]  # a region's nodes, level by level from the stem
 
 BIG_CAP = 2**30  # bushiness number assigned to members of B
 # Largest region (nodes above a stem within the horizon) that marking and
@@ -167,51 +175,106 @@ def validate_string_set(B: Iterable[Node], g: OrderFunction, depth: int) -> froz
     return B
 
 
-def bushiness_numbers(B: Iterable[Node], g: OrderFunction, depth: int,
-                      stem: Node = (), avoid: frozenset[Node] = frozenset()) -> dict[Node, int]:
-    """beta(tau) for every tau in the region above stem.
+# Callers revisit few regions (the library workloads of bench/ touch 10 to
+# 13), and a cached region holds up to REGION_NODE_LIMIT node tuples, about
+# a megabyte, so the cache stays small.
+@lru_cache(maxsize=16)
+def _region_index(g: OrderFunction, depth: int, stem: Node) -> tuple[Levels, tuple[int, ...]]:
+    """The region above stem, indexed once per (g, depth, stem).
 
-    beta(tau) is the largest n such that B is n-big above tau within the
-    horizon (BIG_CAP when tau is a member).  Computed in one bottom-up pass:
-    for a non-member with children betas sorted descending, beta(tau) is the
-    largest n with at least n children of beta >= n.  Nodes in `avoid` are
-    forbidden outright (beta 0, members included), so the table then
-    measures bigness by trees that avoid them.
-
-    This pass is where a string set is validated: above a valid stem, every
-    member it meets in the region is a valid string within the horizon by
-    construction, so only the members it does not meet are checked.  A
-    region above REGION_NODE_LIMIT nodes raises CombinatorialBlowup first.
+    Returns the levels from the stem down, each level's nodes in
+    lexicographic order, and each level's branching width w, so the
+    children of the j-th node of a level are the slice [j*w, (j+1)*w) of
+    the level below.  Raises CombinatorialBlowup for a region above
+    REGION_NODE_LIMIT nodes, and ValueError for a stem longer than the depth
+    or not a valid string for g.
     """
     region_size(g, depth, stem)
-    B = _string_set(B)
-    beta: dict[Node, int] = {}
+    if len(stem) > depth:
+        raise ValueError(f"stem {stem} exceeds depth horizon {depth}")
+    if not g.validate_node(stem):
+        raise ValueError(f"stem {stem} is not a valid string for g")
+    widths = tuple(g.value(d) for d in range(len(stem), depth))
+    levels = [(stem,)]
+    for w in widths:
+        levels.append(tuple(tau + (c,) for tau in levels[-1] for c in range(w)))
+    return tuple(levels), widths
+
+
+def _mark(B: frozenset[Node], g: OrderFunction, depth: int, stem: Node,
+          avoid: frozenset[Node]) -> tuple[Levels, list[list[int]]]:
+    """The region's levels and one row of beta values per level, stem first.
+
+    Members get BIG_CAP, nodes at the horizon and nodes in `avoid` 0, and
+    any other node the h-index of its child slice: the largest n with at
+    least n children of beta >= n.  Members the pass does not meet are
+    validated, so a set is checked once, here.
+    """
+    stem = tuple(stem)
+    levels, widths = _region_index(g, depth, stem)
+    rows: list[list[int]] = []  # from the horizon up
     met = 0
-    for d in range(depth, len(stem) - 1, -1):
-        for tau in level_nodes(g, d, stem):
-            if tau in avoid:
-                beta[tau] = 0
-            elif tau in B:
-                beta[tau] = BIG_CAP
-                met += 1
-            elif d == depth:
-                beta[tau] = 0
-            else:
-                kids = sorted(
-                    (beta[tau + (c,)] for c in range(g.value(d))), reverse=True)
-                best = 0
-                for i, v in enumerate(kids):
-                    n = i + 1
-                    if v >= n:
-                        best = n
-                    else:
+    for i in range(len(levels) - 1, -1, -1):
+        row = [BIG_CAP if tau in B else 0 for tau in levels[i]]
+        met += row.count(BIG_CAP)
+        if rows:  # above the horizon: h-indices of the child slices
+            below, w = rows[-1], widths[i]
+            for j, v in enumerate(row):
+                if v:
+                    continue
+                kids = below[j * w:(j + 1) * w]
+                top = max(kids)
+                if top <= 1:
+                    row[j] = top  # the h-index of 0s and 1s is their maximum
+                    continue
+                kids.sort(reverse=True)
+                h = 0
+                for x in kids:
+                    if x <= h:
                         break
-                beta[tau] = best
-    region_valid = g.validate_node(stem)
-    if met < len(B) or not region_valid:
+                    h += 1
+                row[j] = h
+        if avoid:
+            row = [0 if tau in avoid else v for tau, v in zip(levels[i], row)]
+        rows.append(row)
+    rows.reverse()
+    if met < len(B):
+        k = len(stem)
         validate_string_set(
-            [node for node in B if not region_valid or node not in beta], g, depth)
-    return beta
+            [node for node in B if node[:k] != stem or len(node) > depth
+             or not g.validate_node(node)], g, depth)
+    return levels, rows
+
+
+def bushiness(B: Iterable[Node], g: OrderFunction, depth: int, stem: Node = (),
+              avoid: frozenset[Node] = frozenset()) -> int:
+    """beta(stem): the largest n such that B is n-big above stem (see
+    `bushiness_numbers`)."""
+    return _mark(_string_set(B), g, depth, stem, avoid)[1][0][0]
+
+
+def bushiness_numbers(B: Iterable[Node], g: OrderFunction, depth: int,
+                      stem: Node = (), avoid: frozenset[Node] = frozenset()) -> dict[Node, int]:
+    """beta(tau) for every tau in the region above stem, deepest level first.
+
+    beta(tau) is the largest n such that B is n-big above tau within the
+    horizon (BIG_CAP when tau is a member).  The region is indexed once per
+    (g, depth, stem), level by level, so a marking is one bottom-up pass
+    over rows of ints: a non-member's beta is the h-index of its children's,
+    read from a slice of the row below.  Nodes in `avoid` are forbidden
+    outright (beta 0, members included), so the table then measures
+    bigness by trees that avoid them.  The keys are the index's own node
+    tuples, lexicographic within a level.
+
+    This pass is where a string set is validated: every member it meets is
+    a valid string within the horizon, so only the members it does not
+    meet are checked.  A stem longer than the depth or not valid for g is a
+    ValueError, and a region above REGION_NODE_LIMIT nodes raises
+    CombinatorialBlowup first.
+    """
+    levels, rows = _mark(_string_set(B), g, depth, stem, avoid)
+    return dict(zip(chain.from_iterable(reversed(levels)),
+                    chain.from_iterable(reversed(rows))))
 
 
 def is_n_big(B: Iterable[Node], n: int, g: OrderFunction, stem: Node = (),
@@ -219,8 +282,7 @@ def is_n_big(B: Iterable[Node], n: int, g: OrderFunction, stem: Node = (),
     """Whether B is n-big above stem within the depth horizon (n >= 1)."""
     if n < 1:
         raise ValueError("bigness is defined for n >= 1")
-    beta = bushiness_numbers(B, g, depth, stem)
-    return beta[stem] >= n
+    return bushiness(B, g, depth, stem) >= n
 
 
 def closure(B: Iterable[Node], n: int, g: OrderFunction, depth: int) -> frozenset[Node]:
@@ -231,8 +293,10 @@ def closure(B: Iterable[Node], n: int, g: OrderFunction, depth: int) -> frozense
     """
     if n < 1:
         raise ValueError("bigness is defined for n >= 1")
-    beta = bushiness_numbers(B, g, depth, ())
-    return frozenset(tau for tau, v in beta.items() if v >= n)
+    levels, rows = _mark(_string_set(B), g, depth, (), frozenset())
+    # deepest level first, as bushiness_numbers lists them
+    return frozenset(compress(chain.from_iterable(levels[::-1]),
+                              [v >= n for v in chain.from_iterable(rows[::-1])]))
 
 
 @dataclass(frozen=True)
@@ -264,14 +328,17 @@ class TreeWitness:
 
 def verify_tree_shape(witness: TreeWitness, g: OrderFunction) -> None:
     """Check the node set is a tree above its stem: raise MalformedTree if not."""
-    if witness.stem not in witness.nodes:
+    stem, nodes = witness.stem, witness.nodes
+    if stem not in nodes:
         raise MalformedTree("stem missing from node set")
-    for node in witness.nodes:
-        if node[:len(witness.stem)] != witness.stem:
+    k = len(stem)
+    widths = [g.value(i) for i in range(max(map(len, nodes)))]
+    for node in nodes:
+        if node[:k] != stem:
             raise MalformedTree(f"node {node} does not extend the stem")
-        if not g.validate_node(node):
+        if min(node, default=0) < 0 or not all(map(lt, node, widths)):
             raise MalformedTree(f"node {node} is not a valid string for g")
-        if len(node) > len(witness.stem) and node[:-1] not in witness.nodes:
+        if len(node) > k and node[:-1] not in nodes:
             raise MalformedTree(f"node {node} has no parent in the tree")
 
 
@@ -305,21 +372,22 @@ def tree_from_marking(beta: dict[Node, int], B: frozenset[Node], n: int,
     Members of B become leaves (descent stops), so the tree is as shallow as
     the marking allows.  With `exactly`, internal nodes keep exactly n
     children.  Nodes the marking forbids have beta 0 and are never picked.
+    The tree's nodes are the region index's own tuples.
     """
-    nodes = {stem}
-    frontier = [stem]
+    levels, widths = _region_index(g, max(map(len, beta)), tuple(stem))
+    nodes = {levels[0][0]}
+    frontier = [(0, 0)]  # (level, position) in the index
     while frontier:
-        tau = frontier.pop()
-        if tau in B:
+        i, j = frontier.pop()
+        if levels[i][j] in B:
             continue
-        picked = [c for c in range(g.value(len(tau))) if beta[tau + (c,)] >= n]
+        w, below = widths[i], levels[i + 1]
+        picked = [p for p in range(j * w, (j + 1) * w) if beta[below[p]] >= n]
         if exactly:
             picked = picked[:n]
-        for c in picked:
-            child = tau + (c,)
-            nodes.add(child)
-            frontier.append(child)
-    return TreeWitness(stem, frozenset(nodes))
+        nodes.update(below[p] for p in picked)
+        frontier.extend((i + 1, p) for p in picked)
+    return TreeWitness(levels[0][0], frozenset(nodes))
 
 
 def witness_tree(B: Iterable[Node], n: int, g: OrderFunction, stem: Node,
@@ -389,22 +457,26 @@ def closure_check(B: Iterable[Node], n: int, g: OrderFunction, depth: int) -> Le
     thinned to bushy trees avoiding the complement of B*.
     """
     B = _string_set(B)
-    beta = bushiness_numbers(B, g, depth, ())
-    missing = [tau for tau in B if beta[tau] < n]
+    levels, rows = _mark(B, g, depth, (), frozenset())
+    inside = [[v >= n for v in row] for row in rows]
+    missing = [tau for level, row in zip(levels, inside)
+               for tau, big in zip(level, row) if not big and tau in B]
     if missing:
         return CounterexampleWitness(f"members escaped the closure: {sorted(missing)[:3]}")
-    for tau, v in beta.items():
-        if len(tau) == depth:
-            continue
-        inside = sum(1 for c in range(g.value(len(tau))) if beta[tau + (c,)] >= n)
-        if v < n and inside > n - 1:
-            return CounterexampleWitness(
-                f"node {tau} outside the closure has {inside} children inside")
-        if v >= n and tau not in B and inside < n:
-            return CounterexampleWitness(
-                f"closure node {tau} not in the base has only {inside} children inside")
-    size = sum(1 for v in beta.values() if v >= n)
-    return LemmaHolds(f"closure of size {size} verified over {len(beta)} nodes")
+    # deepest level first, in bushiness_numbers' order, which fixes the
+    # counterexample reported first
+    for i in range(len(levels) - 2, -1, -1):
+        w, below = g.value(i), inside[i + 1]
+        for j, (tau, big) in enumerate(zip(levels[i], inside[i])):
+            count = sum(below[j * w:(j + 1) * w])
+            if not big and count > n - 1:
+                return CounterexampleWitness(
+                    f"node {tau} outside the closure has {count} children inside")
+            if big and count < n and tau not in B:
+                return CounterexampleWitness(
+                    f"closure node {tau} not in the base has only {count} children inside")
+    size = sum(map(sum, inside))
+    return LemmaHolds(f"closure of size {size} verified over {sum(map(len, levels))} nodes")
 
 
 def intersection_bushiness_check(ambient: TreeWitness, F: Iterable[Node],
@@ -590,7 +662,7 @@ def _brute_force_sweep(g: OrderFunction, depth: int,
         beta = [0] * (1 << size)
         for mask in range(1, 1 << size):
             members = [region[i] for i in range(size) if mask >> i & 1]
-            beta[mask] = bushiness_numbers(members, g, depth, stem)[stem]
+            beta[mask] = bushiness(members, g, depth, stem)
         for n, m, target in checks:
             for mask in range(1 << size):
                 if beta[mask] < target:

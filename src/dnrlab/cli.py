@@ -135,7 +135,7 @@ def _load_input(config: RunConfig) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read input file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"input file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise InputError("input file must hold a JSON object")
@@ -480,7 +480,7 @@ def _cmd_replay(config: RunConfig) -> CommandResult:
         raise InputError("trace file is empty")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"trace header is not valid JSON: {exc}")
     if not isinstance(header, dict) or header.get("schema") != TRACE_SCHEMA:
         raise InputError(f"trace header lacks schema {TRACE_SCHEMA!r}")
@@ -489,7 +489,7 @@ def _cmd_replay(config: RunConfig) -> CommandResult:
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             cert = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"line {lineno} is not valid JSON: {exc}")
         try:
             kind = replay_certificate(cert)

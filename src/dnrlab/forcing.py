@@ -41,6 +41,7 @@ from .bushy import (
     Node,
     OrderFunction,
     TreeWitness,
+    bushiness,
     bushiness_numbers,
     closure,
     is_n_big,
@@ -221,8 +222,7 @@ class ForcingCondition:
     def smallness_degree(self) -> int:
         """Least k with the badset k-small above the stem."""
         horizon = _badset_horizon(self.stem, self.badset)
-        beta = bushiness_numbers(self.badset, self.g, horizon, self.stem)
-        return beta[self.stem] + 1
+        return bushiness(self.badset, self.g, horizon, self.stem) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,7 @@ def fusion_step(gamma_table: FiniteFunctional, tau: Node, k: int,
     for m, i in big_inputs:
         candidate = fused + [(m, i)]
         cand_set = _constraint_set(gamma_table, source, candidate)
-        if bushiness_numbers(cand_set, g, depth, tau, avoid)[tau] >= 2 * k:
+        if bushiness(cand_set, g, depth, tau, avoid) >= 2 * k:
             fused = candidate
             kept = cand_set
     if len(fused) < require_count:

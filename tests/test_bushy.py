@@ -9,7 +9,7 @@ small domains.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +237,38 @@ def test_verify_tree_shape_rejections():
         verify_tree_shape(TreeWitness((1,), frozenset({(1,), (0,)})), G3)  # off-stem
     with pytest.raises(MalformedTree):
         verify_tree_shape(TreeWitness((), frozenset({(), (4,)})), G3)  # invalid string
+
+
+def _reference_tree_shape(witness, g):
+    """The per-node reference: every node validated by g.validate_node."""
+    if witness.stem not in witness.nodes:
+        raise MalformedTree("stem missing from node set")
+    for node in witness.nodes:
+        if node[:len(witness.stem)] != witness.stem:
+            raise MalformedTree(f"node {node} does not extend the stem")
+        if not g.validate_node(node):
+            raise MalformedTree(f"node {node} is not a valid string for g")
+        if len(node) > len(witness.stem) and node[:-1] not in witness.nodes:
+            raise MalformedTree(f"node {node} has no parent in the tree")
+
+
+def _shape_verdict(check, witness, g):
+    try:
+        check(witness, g)
+    except MalformedTree as exc:
+        return str(exc)
+    return None
+
+
+@given(st.sampled_from([(), (0,), (2, 1)]),
+       st.frozensets(st.lists(st.integers(-1, 4), max_size=4).map(tuple), max_size=12),
+       st.sampled_from(["2,3,4", "3", "2;tail=3,1"]))
+@settings(max_examples=200, deadline=None)
+def test_tree_shape_matches_per_node_validation(stem, nodes, spec):
+    g = OrderFunction.from_spec(spec)
+    for witness in (TreeWitness(stem, nodes), TreeWitness(stem, nodes | {stem})):
+        assert _shape_verdict(verify_tree_shape, witness, g) == \
+            _shape_verdict(_reference_tree_shape, witness, g)
 
 
 def test_verify_bushy_counts():
@@ -494,6 +526,71 @@ def test_unmet_members_are_still_validated():
     # above an invalid stem the region itself is invalid, so nothing is met
     with pytest.raises(ValueError, match="not a valid string"):
         bushiness_numbers({(5, 0)}, G3, 2, (5,))
+
+
+def test_marking_checks_its_stem():
+    # a stem past the horizon has no region to mark, and an invalid stem
+    # heads a region of invalid strings: neither is a verdict
+    with pytest.raises(ValueError, match="exceeds depth horizon 1"):
+        is_n_big({(0,)}, 1, G3, (0, 0), 1)
+    with pytest.raises(ValueError, match=r"stem \(7,\) is not a valid string"):
+        is_n_big({(0,)}, 3, G3, (7,), 2)
+    with pytest.raises(ValueError, match="not a valid string"):
+        witness_tree({(7, 0)}, 1, G3, (7,), 2)
+    # the sweeps still skip a stem past the horizon, valid or not
+    assert brute_force_union_sweep(G3, 1, [(2, 2)], [(5, 5)])["instances"] == 0
+
+
+def _reference_numbers(B, g, depth, stem, avoid):
+    """The per-node reference kernel: enumerate each level with product and
+    look every child up by its tuple."""
+    beta = {}
+    for d in range(depth, len(stem) - 1, -1):
+        for suffix in product(*(range(g.value(i)) for i in range(len(stem), d))):
+            tau = stem + suffix
+            if tau in avoid:
+                beta[tau] = 0
+            elif tau in B:
+                beta[tau] = BIG_CAP
+            elif d == depth:
+                beta[tau] = 0
+            else:
+                kids = sorted((beta[tau + (c,)] for c in range(g.value(d))), reverse=True)
+                beta[tau] = max([i + 1 for i, v in enumerate(kids) if v >= i + 1], default=0)
+    return beta
+
+
+@st.composite
+def _marking_instances(draw):
+    """An order function whose widths change with the level, a valid stem,
+    and random B and avoid inside the full region."""
+    table = tuple(sorted(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))))
+    tail_period = draw(st.integers(0, 2))
+    tail_base = draw(st.integers(0, 4)) if tail_period else 0
+    g = OrderFunction(table, tail_base, tail_period)
+    depth = draw(st.integers(0, 3))
+    stem = tuple(draw(st.integers(0, g.value(i) - 1))
+                 for i in range(draw(st.integers(0, min(2, depth)))))
+    region = list(region_nodes(g, depth))
+    B = frozenset(draw(st.sets(st.sampled_from(region), max_size=24)))
+    avoid = frozenset(draw(st.sets(st.sampled_from(region), max_size=6)))
+    return g, depth, stem, B, avoid, draw(st.integers(1, 4))
+
+
+@given(_marking_instances())
+@settings(max_examples=150, deadline=None)
+def test_marking_matches_reference_over_varying_widths(instance):
+    g, depth, stem, B, avoid, n = instance
+    beta = bushiness_numbers(B, g, depth, stem, avoid)
+    expected = _reference_numbers(B, g, depth, stem, avoid)
+    assert beta == expected and list(beta) == list(expected)
+    assert closure(B, n, g, depth) == {
+        tau for tau in region_nodes(g, depth) if brute_force_is_n_big(B, n, g, tau, depth)}
+    assert is_n_big(B, n, g, stem, depth) == brute_force_is_n_big(B, n, g, stem, depth)
+    twin = OrderFunction(g.table, g.tail_base, g.tail_period)
+    assert twin == g and twin is not g
+    assert bushiness_numbers(B, twin, depth, stem, avoid) == beta
+    assert closure(B, n, twin, depth) == closure(B, n, g, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -746,6 +746,42 @@ class TestHostileReplay:
         _assert_clean_exit(code, err)
         assert len(err) <= 1
 
+    @pytest.mark.parametrize("where", ["trace line", "trace header", "input file"])
+    def test_deeply_nested_json_is_one_line_exit_1(self, where, tmp_path):
+        deep = "[" * 100_000 + "]" * 100_000
+        header = json.dumps({"schema": TRACE_SCHEMA})
+        path = tmp_path / "deep.json"
+        if where == "input file":
+            path.write_text('{"set": ' + deep + "}")
+            args = ["--command", "closure", "--in", str(path)]
+        else:
+            lines = [header, deep] if where == "trace line" else [deep]
+            path.write_text("\n".join(lines) + "\n")
+            args = ["--command", "replay", "--in", str(path)]
+        code, err = _quiet_main(args)
+        assert code == EXIT_INPUT
+        (line,) = err
+        assert "is not valid JSON: maximum recursion depth" in json.loads(line)["error"]
+
+    @pytest.mark.parametrize("stem, depth, message", [
+        ([0, 0], 1, "stem (0, 0) exceeds depth horizon 1"),
+        ([7], 2, "stem (7,) is not a valid string for g")])
+    def test_bad_stem_is_an_input_error(self, stem, depth, message, tmp_path):
+        # one stem longer than the depth, one not a string for g = 3
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"stem": stem, "depth": depth, "set": [[0]]}))
+        code, err = _quiet_main(["--command", "bushy-check", "--g", "3", "--in", str(path)])
+        assert code == EXIT_INPUT
+        assert [json.loads(line) for line in err] == [{"error": message}]
+        cert = {"kind": "bushiness_verdict", "g": "3", "stem": stem, "depth": depth,
+                "n": 3, "set": [[0]], "big": False}
+        with pytest.raises(MalformedCertificate, match=re.escape(message)):
+            replay_certificate(cert)
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps({"schema": TRACE_SCHEMA}) + "\n" + json.dumps(cert) + "\n")
+        code, err = _quiet_main(["--command", "replay", "--in", str(path)])
+        assert code == EXIT_INPUT and len(err) == 1 and message in json.loads(err[0])["error"]
+
     def test_seeds_cover_every_kind_and_replay(self, tmp_path):
         seeds = _every_kind_seeds()
         assert {c["kind"] for c in seeds} == set(REPLAYERS)
