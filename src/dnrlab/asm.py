@@ -114,12 +114,6 @@ IDENTITY_INDEX = encode(IDENTITY)  # == 23
 ZERO = assemble("halt r1")  # r1 is never written, so the value is 0
 ZERO_INDEX = encode(ZERO)
 
-PROJ_LEFT = assemble("left r1, r0\nhalt r1")
-PROJ_LEFT_INDEX = encode(PROJ_LEFT)
-
-PROJ_RIGHT = assemble("right r1, r0\nhalt r1")
-PROJ_RIGHT_INDEX = encode(PROJ_RIGHT)
-
 # Halts exactly on even inputs; the odd branch hits a jump with no path to
 # halt, which the interpreter classifies as divergence immediately.
 EVEN_HALT = assemble("""

@@ -17,7 +17,8 @@ forbidden nodes.  The pass is also where string sets and stems are
 validated.  `bushiness` reads the stem's value, `bushiness_numbers` the
 whole table as a dict keyed by the index's tuples; bigness queries,
 closures, `closure_check` and greedy witness extraction
-(`tree_from_marking`) all read off the rows or that table.
+(`tree_from_marking`) all read off the rows or that table, and regions are
+listed from the index too (`level_nodes`, `region_nodes`).
 `brute_force_is_n_big` is the deliberately naive mirror: a top-down
 existential search over n-subsets of children, kept free of the index and
 the production shortcuts so the two can be played against each other in
@@ -35,7 +36,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, compress, product
+from itertools import chain, combinations, compress
 from math import comb, prod
 from operator import lt
 from typing import Iterable, Iterator, Optional
@@ -129,21 +130,6 @@ class OrderFunction:
         return len(self.table) + max(0, width - self.tail_base) * self.tail_period
 
 
-def level_nodes(g: OrderFunction, depth: int, stem: Node = ()) -> Iterator[Node]:
-    """All valid nodes of length exactly depth weakly extending stem."""
-    if depth < len(stem):
-        return
-    widths = [range(g.value(i)) for i in range(len(stem), depth)]
-    for suffix in product(*widths):
-        yield stem + suffix
-
-
-def region_nodes(g: OrderFunction, depth: int, stem: Node = ()) -> Iterator[Node]:
-    """All valid nodes of length in [len(stem), depth] weakly extending stem."""
-    for d in range(len(stem), depth + 1):
-        yield from level_nodes(g, d, stem)
-
-
 def region_size(g: OrderFunction, depth: int, stem: Node = (),
                 limit: int = REGION_NODE_LIMIT) -> int:
     """Number of nodes region_nodes(g, depth, stem) yields, counted level by
@@ -199,6 +185,24 @@ def _region_index(g: OrderFunction, depth: int, stem: Node) -> tuple[Levels, tup
     for w in widths:
         levels.append(tuple(tau + (c,) for tau in levels[-1] for c in range(w)))
     return tuple(levels), widths
+
+
+def level_nodes(g: OrderFunction, depth: int, stem: Node = ()) -> tuple[Node, ...]:
+    """All valid nodes of length exactly depth weakly extending stem, in
+    lexicographic order: the horizon level of the region index."""
+    stem = tuple(stem)
+    if depth < len(stem):
+        return ()
+    return _region_index(g, depth, stem)[0][-1]
+
+
+def region_nodes(g: OrderFunction, depth: int, stem: Node = ()) -> Iterator[Node]:
+    """All valid nodes of length in [len(stem), depth] weakly extending stem,
+    level by level: the region index's levels chained."""
+    stem = tuple(stem)
+    if depth < len(stem):
+        return iter(())
+    return chain.from_iterable(_region_index(g, depth, stem)[0])
 
 
 def _mark(B: frozenset[Node], g: OrderFunction, depth: int, stem: Node,
@@ -465,8 +469,9 @@ def closure_check(B: Iterable[Node], n: int, g: OrderFunction, depth: int) -> Le
         return CounterexampleWitness(f"members escaped the closure: {sorted(missing)[:3]}")
     # deepest level first, in bushiness_numbers' order, which fixes the
     # counterexample reported first
+    widths = _region_index(g, depth, ())[1]
     for i in range(len(levels) - 2, -1, -1):
-        w, below = g.value(i), inside[i + 1]
+        w, below = widths[i], inside[i + 1]
         for j, (tau, big) in enumerate(zip(levels[i], inside[i])):
             count = sum(below[j * w:(j + 1) * w])
             if not big and count > n - 1:

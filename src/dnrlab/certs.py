@@ -101,7 +101,8 @@ def _coloring(value) -> dict[int, frozenset[Node]]:
 
 
 def _lowness_verdict(value) -> LownessVerdict:
-    if type(value) is not dict:
+    # only the verdict's own fields: a nested "verdict" key would recurse
+    if type(value) is not dict or not value.keys() <= LownessVerdict.__dataclass_fields__.keys():
         raise ValueError
     return LownessVerdict(**{name: decode_field("verdict", name, part)
                              for name, part in value.items()})

@@ -27,7 +27,6 @@ from .bushy import (
     intersection_bushiness_check,
     is_n_big,
     level_nodes,
-    region_size,
     union_smallness_sweep,
     witness_tree,
 )
@@ -150,19 +149,12 @@ def _load_input(config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # Commands.
 
-def _full_level(g: OrderFunction, depth: int) -> frozenset:
-    """Every node at the horizon; a region too large to mark is refused
-    (CombinatorialBlowup) before it is listed."""
-    region_size(g, depth)
-    return frozenset(level_nodes(g, depth))
-
-
 def _cmd_bushy_check(config: RunConfig) -> CommandResult:
     data = _load_input(config)
     g = config.g("3")
     depth = data.get("depth", 2)
     stem = data.get("stem", ())
-    B = data["set"] if "set" in data else _full_level(g, depth)
+    B = data["set"] if "set" in data else frozenset(level_nodes(g, depth))
     n = data.get("n", g(0))
     big = is_n_big(B, n, g, stem, depth)
     cert = {
@@ -252,7 +244,7 @@ def _cmd_fusion_check(config: RunConfig) -> CommandResult:
     for i in range(instances):
         k = rng.randint(1, 3)
         g = OrderFunction.constant(6 * k)
-        ambient = witness_tree(_full_level(g, depth), 6 * k, g, (), depth, exactly=True)
+        ambient = witness_tree(frozenset(level_nodes(g, depth)), 6 * k, g, (), depth, exactly=True)
         F = _random_subtree(rng, ambient, 4 * k)
         C = _random_subtree(rng, ambient, 4 * k)
         verdict = intersection_bushiness_check(ambient, F, C, k, g)
@@ -272,7 +264,7 @@ def _cmd_fusion_check(config: RunConfig) -> CommandResult:
     # always leaves one class 2k-big
     k = 1
     g = OrderFunction.constant(6 * k)
-    ambient = witness_tree(_full_level(g, depth), 6 * k, g, (), depth, exactly=True)
+    ambient = witness_tree(frozenset(level_nodes(g, depth)), 6 * k, g, (), depth, exactly=True)
     leaves = sorted(ambient.leaves())
     colors = [[list(leaf), rng.randint(0, 2)] for leaf in leaves]
     classes = {c: frozenset(tuple(n) for n, cc in colors if cc == c)
@@ -318,7 +310,6 @@ def _cmd_density_search(config: RunConfig) -> CommandResult:
     limits = SearchLimits(
         eval_budget=config.budget("eval", SearchLimits().eval_budget),
         fixpoint_budget=config.budget("fixpoint", SearchLimits().fixpoint_budget),
-        bad_string_len=config.budget("bad_len", SearchLimits().bad_string_len),
     )
     if "functional" in data:
         battery = [("input", data["functional"], data.get("q", const_index(0)))]
@@ -514,7 +505,7 @@ COMMANDS = {
     "closure": (_cmd_closure, (), ("set", "n", "depth")),
     "lemma-sweep": (_cmd_lemma_sweep, (), ("pairs", "stems", "depth")),
     "fusion-check": (_cmd_fusion_check, ("instances", "depth"), ()),
-    "density-search": (_cmd_density_search, ("eval", "fixpoint", "bad_len"),
+    "density-search": (_cmd_density_search, ("eval", "fixpoint"),
                        ("functional", "q")),
     "dnr-audit": (_cmd_dnr_audit, ("audit", "eval"), ("oracle", "f")),
     "ei-construct": (_cmd_ei_construct, ("stages", "eval", "value_cap", "probes"), ()),

@@ -70,8 +70,17 @@ class DyadicRational:
     # -- order --------------------------------------------------------------
 
     def __lt__(self, other: "DyadicRational") -> bool:
+        a, b = self.numerator, other.numerator
+        if (a > 0) != (b > 0) or a == 0 or b == 0:
+            return a < b  # the signs decide
+        # |x| lies in [2^(L-1), 2^L) for L = bit_length - exponent, so unequal
+        # L decide too; a tie bounds the exponent gap by the bit lengths
+        la = abs(a).bit_length() - self.exponent
+        lb = abs(b).bit_length() - other.exponent
+        if la != lb:
+            return (la < lb) == (a > 0)
         e = max(self.exponent, other.exponent)
-        return (self.numerator << (e - self.exponent)) < (other.numerator << (e - other.exponent))
+        return (a << (e - self.exponent)) < (b << (e - other.exponent))
 
     @property
     def is_negative(self) -> bool:

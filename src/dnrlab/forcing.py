@@ -46,7 +46,6 @@ from .bushy import (
     closure,
     is_n_big,
     region_nodes,
-    region_size,
     tree_from_marking,
     verify_bushy,
     witness_tree,
@@ -240,11 +239,8 @@ def delta_set(gamma_table: FiniteFunctional, tree: TreeWitness, m: int,
 
 def c_m_set(gamma_table: FiniteFunctional, g: OrderFunction, stem: Node,
             m: int) -> frozenset[Node]:
-    """All nodes above stem (within the table depth) deciding position m.
-
-    A region too large to list is refused (CombinatorialBlowup) first."""
-    stem = tuple(stem)
-    region_size(g, gamma_table.depth, stem)
+    """All nodes above stem (within the table depth) deciding position m; a
+    region too large to index is refused (CombinatorialBlowup) first."""
     return frozenset(
         node for node in region_nodes(g, gamma_table.depth, stem)
         if gamma_table.decided_length(node) > m)
@@ -263,30 +259,29 @@ def _c_m_minimal(cm: frozenset[Node], stem: Node) -> frozenset[Node]:
 # Totality trees.
 
 def _badset_closure(badset: frozenset[Node], k: int, g: OrderFunction, depth: int) -> frozenset[Node]:
+    """The badset's k-closure to the deeper of depth and its own horizon,
+    badset included: the nodes every tree built for the condition avoids."""
     if not badset:
         return frozenset()
-    horizon = max(depth, max(len(b) for b in badset))
-    closed = closure(badset, k, g, horizon)
-    return frozenset(node for node in closed if len(node) <= depth) | badset
+    return closure(badset, k, g, max(depth, *map(len, badset)))
 
 
 def build_totality_tree(gamma_table: FiniteFunctional, tau: Node, k: int,
-                        target_len: int, badset: Iterable[Node],
+                        target_len: int, avoid: frozenset[Node],
                         g: OrderFunction) -> TreeWitness:
     """Exactly-6k-bushy tree above tau whose leaves decide positions < target_len.
 
     Stages m = 0, 1, ... extend every leaf not yet deciding position m by an
-    exactly-6k graft with leaves in C_m, all nodes avoiding the k-closure of
-    the badset.  Raises BignessUnavailable(m, rho) when C_m fails to be
-    7k-big above a leaf rho, which is exactly when the non-totality
-    extension (rho, badset plus C_m) is available.
+    exactly-6k graft with leaves in C_m, all nodes outside `avoid` (the
+    badset's k-closure, closed once by `density_search`).  Raises
+    BignessUnavailable(m, rho) when C_m fails to be 7k-big above a leaf rho,
+    which is exactly when the non-totality extension (rho, badset plus C_m)
+    is available.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     tau = tuple(tau)
-    badset = frozenset(tuple(b) for b in badset)
     depth = gamma_table.depth
-    avoid = _badset_closure(badset, k, g, depth)
     if tau in avoid:
         raise ValueError(f"stem {tau} lies in the badset closure")
     nodes: set[Node] = {tau}
@@ -328,21 +323,20 @@ def _constraint_set(gamma_table: FiniteFunctional, source: Iterable[Node],
 
 def fusion_step(gamma_table: FiniteFunctional, tau: Node, k: int,
                 big_inputs: Sequence[tuple[int, int]], g: OrderFunction,
-                badset: Iterable[Node] = (), within: Optional[TreeWitness] = None,
+                avoid: frozenset[Node] = frozenset(), within: Optional[TreeWitness] = None,
                 require_count: int = 1) -> tuple[TreeWitness, list[tuple[int, int]]]:
     """Fuse (position, bit) constraints onto one 2k-bushy tree above tau.
 
     Each listed (m, i) must come with Delta_{tau,m,i} 4k-big above tau
     (checked).  Constraints are accepted greedily in the given order as long
     as the nodes satisfying all accepted constraints stay 2k-big above tau
-    by trees avoiding the k-closure of the badset; the returned tree's
-    leaves decide every accepted position with its fused bit.  Raises
+    by trees outside `avoid` (as in `build_totality_tree`); the returned
+    tree's leaves decide every accepted position with its fused bit.  Raises
     PigeonholeExhausted when fewer than require_count constraints survive.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     tau = tuple(tau)
-    badset = frozenset(tuple(b) for b in badset)
     depth = gamma_table.depth
     source = tuple(sorted(within.nodes)) if within is not None \
         else tuple(region_nodes(g, depth, tau))
@@ -351,7 +345,6 @@ def fusion_step(gamma_table: FiniteFunctional, tau: Node, k: int,
         if not is_n_big(delta, 4 * k, g, tau, depth):
             raise ValueError(
                 f"precondition failed: Delta at ({m}, {i}) is not {4 * k}-big above {tau}")
-    avoid = _badset_closure(badset, k, g, depth)
     if tau in avoid:
         raise ValueError(f"stem {tau} lies in the badset closure")
     fused: list[tuple[int, int]] = []
@@ -376,24 +369,21 @@ def fusion_step(gamma_table: FiniteFunctional, tau: Node, k: int,
 # Case 2: zero forcing.
 
 def case2_zero_tree(gamma_table: FiniteFunctional, sigma: Node, k: int, count: int,
-                    badset: Iterable[Node], m_map: Mapping[Node, int],
-                    g: OrderFunction) -> tuple[TreeWitness, list[int]]:
+                    avoid: frozenset[Node], g: OrderFunction) -> tuple[TreeWitness, list[int]]:
     """k-bushy tree above sigma forcing `count` output positions to 0.
 
-    Stage j picks the least admissible position n_j (at least one past the
-    previous, and at least m_map's bound for every current leaf), builds an
-    exactly-6k totality tree above each leaf (BignessUnavailable with
-    what="totality" propagates when C at the position fails its 7k-bigness
-    there), checks the tree's zero-side Delta set is 2k-big above the leaf
-    (what="zero_delta" when no admissible position sustains it), and grafts
-    k-bushy trees with leaves in the zero side avoiding the badset closure.
+    Stage j picks the least admissible position n_j (one past the previous),
+    builds an exactly-6k totality tree above each leaf (BignessUnavailable
+    with what="totality" propagates when C at the position fails its
+    7k-bigness there), checks the tree's zero-side Delta set is 2k-big above
+    the leaf (what="zero_delta" when no admissible position sustains it), and
+    grafts k-bushy trees with leaves in the zero side, all nodes outside
+    `avoid` (as in `build_totality_tree`).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     sigma = tuple(sigma)
-    badset = frozenset(tuple(b) for b in badset)
     depth = gamma_table.depth
-    avoid = _badset_closure(badset, k, g, depth)
     if sigma in avoid:
         raise ValueError(f"stem {sigma} lies in the badset closure")
     capacity = gamma_table.max_output_length()
@@ -401,8 +391,7 @@ def case2_zero_tree(gamma_table: FiniteFunctional, sigma: Node, k: int, count: i
     leaves: list[Node] = [sigma]
     zeros: list[int] = []
     for _ in range(count):
-        floor = max([zeros[-1] + 1 if zeros else 0]
-                    + [m_map.get(rho, 0) for rho in leaves])
+        floor = zeros[-1] + 1 if zeros else 0
         chosen = None
         last_failure: Optional[tuple[int, Node]] = None
         for position in range(floor, capacity):
@@ -411,7 +400,7 @@ def case2_zero_tree(gamma_table: FiniteFunctional, sigma: Node, k: int, count: i
             for rho in sorted(leaves):
                 # totality must persist above every leaf before zeros are forced
                 tree_rho = build_totality_tree(
-                    gamma_table, rho, k, position + 1, badset, g)
+                    gamma_table, rho, k, position + 1, avoid, g)
                 zero_delta = delta_set(gamma_table, tree_rho, position, 0)
                 if not is_n_big(zero_delta, 2 * k, g, rho, depth):
                     ok = False
@@ -440,7 +429,7 @@ def case2_zero_tree(gamma_table: FiniteFunctional, sigma: Node, k: int, count: i
     for leaf in tree.leaves():
         bits = gamma_table.output(leaf)
         assert all(n < len(bits) and bits[n] == 0 for n in zeros), "zero forcing lost"
-        assert leaf not in badset
+        assert leaf not in avoid
     return tree, zeros
 
 
@@ -614,7 +603,8 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         trace.append({"step": "fail",
                       "reason": f"needed stem length {target_length} exceeds table depth {depth}"})
         return BudgetExceeded("table too shallow for the required stem length", tuple(trace))
-    avoid = _badset_closure(cond.badset, k, g, max(depth, _badset_horizon(cond.stem, cond.badset)))
+    # the one closure of the badset: every tree below avoids it
+    avoid = _badset_closure(cond.badset, k, g, depth)
     tau0 = _lengthen_stem(cond.stem, target_length, avoid, g)
     trace.append({"step": "lengthen_stem", "stem": list(tau0), "width_bound": 8 * k})
     target_len = max(gamma_table.max_output_length(), 1)
@@ -639,7 +629,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         return NonTotalExt(new_cond, position, cert, tuple(trace))
 
     try:
-        totality = build_totality_tree(gamma_table, tau0, k, target_len, cond.badset, g)
+        totality = build_totality_tree(gamma_table, tau0, k, target_len, avoid, g)
         trace.append({"step": "totality_tree", "target_len": target_len,
                       "size": len(totality.nodes)})
     except BignessUnavailable as exc:
@@ -714,7 +704,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
     if big_inputs:
         fusion_tree, fused = fusion_step(
             gamma_table, tau0, k, big_inputs, g,
-            badset=cond.badset, within=totality, require_count=1)
+            avoid=avoid, within=totality, require_count=1)
         cap = len(fused)
         trace.append({"step": "fusion", "achieved": cap,
                       "fused": [list(p) for p in fused]})
@@ -730,7 +720,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
             else:
                 tree_c, fused_c = fusion_step(
                     gamma_table, tau0, k, fused[:c], g,
-                    badset=cond.badset, within=totality, require_count=c)
+                    avoid=avoid, within=totality, require_count=c)
             label = "case2" if all(i == 0 for _, i in fused_c) and \
                 sum(1 for _, i in fused_c if i == 0) > m_val else "case1"
             return finish(tree_c, 2 * k, fused_c, e0, e1, v0, v1, cap, label)
@@ -741,8 +731,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
     zeros: list[int] = []
     for count in range(target_len, 0, -1):
         try:
-            zeros_tree, zeros = case2_zero_tree(
-                gamma_table, tau0, k, count, cond.badset, {}, g)
+            zeros_tree, zeros = case2_zero_tree(gamma_table, tau0, k, count, avoid, g)
             break
         except BignessUnavailable as exc:
             if exc.what == "totality":
@@ -765,8 +754,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         return BudgetExceeded("zero capacity below the q bound", tuple(trace))
     c = min(2 * m_val + 1, cap)
     if c < len(zeros):
-        zeros_tree, zeros = case2_zero_tree(
-            gamma_table, tau0, k, c, cond.badset, {}, g)
+        zeros_tree, zeros = case2_zero_tree(gamma_table, tau0, k, c, avoid, g)
         fused = [(n, 0) for n in zeros]
     return finish(zeros_tree, k, fused, e0, e1, v0, v1, cap, "case2")
 

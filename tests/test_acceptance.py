@@ -19,7 +19,6 @@ import time
 
 from dnrlab.asm import (
     IDENTITY_INDEX,
-    PROJ_LEFT_INDEX,
     ZERO_INDEX,
     const_index,
 )
@@ -247,7 +246,7 @@ def test_criterion_05_recursion_theorem_and_diagonal_sets():
     # twenty indices with halting diagonals: the derived set index must
     # enumerate exactly the bit positions of the diagonal value
     picks = [583, 599, 2439, 2455, 2471, 2487,
-             ZERO_INDEX, IDENTITY_INDEX, PROJ_LEFT_INDEX]
+             ZERO_INDEX, IDENTITY_INDEX, left]
     picks += [const_index(v) for v in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)]
     assert len(picks) == 20
     for n in picks:

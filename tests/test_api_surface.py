@@ -7,7 +7,11 @@ own definition.  A reference is a `Name`, an `Attribute` or a string that
 is an identifier: the benchmark's tracer names the functions it wraps as
 strings.  Tests are not callers, so a name only they use fails the audit.
 
-A second audit keeps the imports honest: no module of the package imports
+A constants audit is looser: every public module-level constant must be
+referenced outside its own assignment somewhere in the package, the
+benchmark or the tests, so nothing is computed at import for no reader.
+
+A last audit keeps the imports honest: no module of the package imports
 a name it does not use.
 """
 
@@ -19,6 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dnrlab"
 BENCH = ROOT / "bench"
+TESTS = ROOT / "tests"
 
 # Public names kept without a caller in the package or the benchmark.  The
 # other kept names need no entry: the remaining brute_force_* mirrors,
@@ -87,6 +92,27 @@ def unreferenced_names(package_modules: list[Path], other_modules: list[Path]) -
     return missing
 
 
+def _assigned_names(stmt: ast.stmt) -> list[str]:
+    """Public names a module-level assignment binds."""
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("_")]
+
+
+def unreferenced_constants(package_modules: list[Path], other_modules: list[Path]) -> list[str]:
+    """Public module-level constants of the package that no statement but
+    their own assignment references."""
+    bodies = {p: ast.parse(p.read_text(), str(p)).body for p in package_modules + other_modules}
+    referrers: dict[str, set[tuple[Path, int]]] = {}
+    for path, body in bodies.items():
+        for i, stmt in enumerate(body):
+            for name, _ in _references(stmt):
+                referrers.setdefault(name, set()).add((path, i))
+    return [f"{path.stem}.{name}" for path in package_modules
+            for i, stmt in enumerate(bodies[path]) for name in _assigned_names(stmt)
+            if not referrers.get(name, set()) - {(path, i)}]
+
+
 def unused_imports(package_modules: list[Path]) -> list[str]:
     """`module: name` for every imported name its module never mentions."""
     unused = []
@@ -114,6 +140,20 @@ def test_allow_list_names_exist_and_lack_callers():
     missing = {name.rsplit(".", 1)[-1] for name in
                unreferenced_names(_package_modules(), _bench_modules())}
     assert set(ALLOWED) <= missing, f"stale allow-list entries: {set(ALLOWED) - missing}"
+
+
+def test_every_public_constant_has_a_reader():
+    others = _bench_modules() + sorted(TESTS.glob("*.py"))
+    assert unreferenced_constants(_package_modules(), others) == []
+
+
+def test_constants_audit_finds_an_unread_constant(tmp_path):
+    module = tmp_path / "stock.py"
+    module.write_text("READ = 1\nDERIVED = READ + 1\nUNREAD = 3\n_PRIVATE = 4\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from stock import DERIVED\nprint(DERIVED)\n")
+    assert unreferenced_constants([module], [reader]) == ["stock.UNREAD"]
+    assert unreferenced_constants([module], []) == ["stock.DERIVED", "stock.UNREAD"]
 
 
 def test_no_module_imports_a_name_it_does_not_use():

@@ -9,8 +9,6 @@ from dnrlab.asm import (
     DIVERGE_INDEX,
     EVEN_HALT_INDEX,
     IDENTITY_INDEX,
-    PROJ_LEFT_INDEX,
-    PROJ_RIGHT_INDEX,
     ZERO_INDEX,
     assemble,
     assemble_index,
@@ -93,10 +91,12 @@ def test_stock_diverger():
 
 
 def test_stock_projections():
+    left = assemble_index("left r1, r0\nhalt r1")
+    right = assemble_index("right r1, r0\nhalt r1")
     for a, b in ((0, 0), (2, 7), (31, 4)):
         z = pair(a, b)
-        assert eval_program(PROJ_LEFT_INDEX, z, 50) == Halted(a)
-        assert eval_program(PROJ_RIGHT_INDEX, z, 50) == Halted(b)
+        assert eval_program(left, z, 50) == Halted(a)
+        assert eval_program(right, z, 50) == Halted(b)
 
 
 def test_zero_and_const():

@@ -115,6 +115,45 @@ def test_region_enumeration():
     assert list(region_nodes(G2, 2, (1,))) == [(1,), (1, 0), (1, 1)]
 
 
+@st.composite
+def _listing_instances(draw):
+    """Nondecreasing widths from 2 to 4, a depth up to 3 and a valid stem of
+    up to two letters, which may reach past the depth."""
+    g = OrderFunction(tuple(sorted(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))))
+    stem = tuple(draw(st.integers(0, g.value(i) - 1)) for i in range(draw(st.integers(0, 2))))
+    return g, draw(st.integers(0, 3)), stem
+
+
+@given(_listing_instances())
+@settings(max_examples=200, deadline=None)
+def test_listing_matches_a_product_enumeration(instance):
+    g, depth, stem = instance
+
+    def level(d):
+        if d < len(stem):
+            return []
+        return [stem + suffix
+                for suffix in product(*(range(g.value(i)) for i in range(len(stem), d)))]
+
+    assert list(level_nodes(g, depth, stem)) == level(depth)
+    assert list(region_nodes(g, depth, stem)) == [
+        tau for d in range(len(stem), depth + 1) for tau in level(d)]
+
+
+def test_listing_reads_the_region_index():
+    with pytest.raises(CombinatorialBlowup):
+        region_nodes(G3, 10**9)
+    with pytest.raises(CombinatorialBlowup):
+        level_nodes(G3, 10**9)
+    with pytest.raises(ValueError, match="not a valid string"):
+        region_nodes(G3, 2, (3,))
+    levels, _ = bushy._region_index(G3, 2, ())
+    assert level_nodes(G3, 2) is levels[-1]
+    listed = list(region_nodes(G3, 2))
+    assert len(listed) == 13
+    assert all(a is b for a, b in zip(listed, chain.from_iterable(levels)))
+
+
 # ---------------------------------------------------------------------------
 # Bigness marking: hand-derived vectors.
 

@@ -356,11 +356,15 @@ class TestInputErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert "bogus" in err["error"]
 
-    def test_declared_budget_names_cover_the_documented_ones(self):
-        documented = {"eval", "fixpoint", "bad_len", "audit", "stages", "value_cap",
+    def test_declared_budget_names_cover_the_documented_ones(self, capsys):
+        documented = {"eval", "fixpoint", "audit", "stages", "value_cap",
                       "probes", "instances", "depth", "c", "e_max", "terms"}
         declared = {name for _, names, _ in cli.COMMANDS.values() for name in names}
         assert declared == documented
+        # density_search never reads the bad-string length; generic_prefix does
+        assert main(["--command", "density-search", "--budget.bad_len=3"]) == EXIT_INPUT
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "bad_len" in json.loads(line)["error"]
 
     def test_declared_input_fields_are_the_documented_ones(self):
         text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
@@ -677,6 +681,17 @@ class TestHostileReplay:
                 "n": 2, "set": [[0]], "big": False}
         assert _replay_one(cert, tmp_path) == EXIT_BUDGET
         assert "8192 nodes" in capsys.readouterr().err
+
+    def test_nested_lowness_verdict_is_malformed(self, tmp_path, capsys):
+        # a verdict reads only its own four fields, so a nested "verdict"
+        # key is refused instead of decoded again, level after level
+        cert = copy.deepcopy(next(c for c in _every_kind_seeds()
+                                  if c["kind"] == "lowness_bound"))
+        for _ in range(400):
+            cert["verdict"] = {"verdict": cert["verdict"]}
+        assert _replay_one(cert, tmp_path) == EXIT_INPUT
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "verdict" in json.loads(line)["error"]
 
     def test_deep_closure_is_refused(self, tmp_path, capsys):
         path = tmp_path / "in.json"

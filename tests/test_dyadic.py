@@ -1,5 +1,8 @@
 """Exact arithmetic on dyadic rationals."""
 
+import tracemalloc
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +14,13 @@ dyadics = st.builds(
     DyadicRational,
     st.integers(min_value=-(10**12), max_value=10**12),
     st.integers(min_value=0, max_value=64),
+)
+# small parts make equal values and ties of magnitude common; large ones
+# put the exponents far apart
+comparable = st.builds(
+    DyadicRational,
+    st.integers(-16, 16) | st.integers(-(2**80), 2**80),
+    st.integers(0, 6) | st.integers(0, 200),
 )
 
 
@@ -67,6 +77,25 @@ class TestArithmetic:
         assert a * (b + c) == a * b + a * c
         assert a - a == ZERO
         assert a * ONE == a
+
+    @given(comparable, comparable)
+    def test_order_matches_fractions(self, a, b):
+        fa = Fraction(a.numerator, 2**a.exponent)
+        fb = Fraction(b.numerator, 2**b.exponent)
+        assert (a < b) == (fa < fb)
+        assert (a <= b) == (fa <= fb)
+        assert (a == b) == (fa == fb)
+
+    def test_order_does_not_shift_across_the_exponent_gap(self):
+        # aligning 1/2 with 2^-(10^9) would build a 10^9-bit numerator
+        far = DyadicRational.half_power(10**9)
+        tracemalloc.start()
+        try:
+            assert not DyadicRational(1, 1) <= far
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(dyadics, dyadics)
     def test_order_respects_addition(self, a, b):

@@ -17,6 +17,7 @@ from dnrlab.forcing import (
     NonTotalExt,
     PigeonholeExhausted,
     SearchLimits,
+    _badset_closure,
     _c_m_minimal,
     build_totality_tree,
     c_m_set,
@@ -167,14 +168,16 @@ class TestTotalityTree:
 
     def test_badset_avoided(self):
         table = parity_table(16, 1, 2)
-        badset = frozenset({(7,)})
-        tree = build_totality_tree(table, (), 2, 1, badset, G16)
+        avoid = _badset_closure(frozenset({(7,)}), 2, G16, table.depth)
+        tree = build_totality_tree(table, (), 2, 1, avoid, G16)
         verify_bushy(tree, 12, G16, exactly=True)
         assert (7,) not in tree.nodes
 
     def test_stem_inside_closure_rejected(self):
+        # one bad child makes the root 1-big: the 1-closure holds the stem
+        avoid = _badset_closure(frozenset({(0,)}), 1, G8, PARITY1.depth)
         with pytest.raises(ValueError, match="closure"):
-            build_totality_tree(PARITY1, (), 1, 1, frozenset({(0,)}), G8)
+            build_totality_tree(PARITY1, (), 1, 1, avoid, G8)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +222,7 @@ class TestFusion:
 
 class TestCase2ZeroTree:
     def test_constant_table(self):
-        tree, zeros = case2_zero_tree(CONST3, (), 1, 2, frozenset(), {}, G8)
+        tree, zeros = case2_zero_tree(CONST3, (), 1, 2, frozenset(), G8)
         assert zeros == [0, 1]
         verify_bushy(tree, 1, G8)
         for leaf in tree.leaves():
@@ -228,7 +231,7 @@ class TestCase2ZeroTree:
 
     def test_parity_depth3(self):
         table = parity_table(8, 2, 3)
-        tree, zeros = case2_zero_tree(table, (), 1, 2, frozenset(), {}, G8)
+        tree, zeros = case2_zero_tree(table, (), 1, 2, frozenset(), G8)
         assert zeros == [0, 1]
         verify_bushy(tree, 1, G8)
         for leaf in tree.leaves():
@@ -238,22 +241,19 @@ class TestCase2ZeroTree:
     def test_badset_leaves_disjoint(self):
         table = parity_table(16, 2, 2)
         badset = frozenset({(7,), (3, 0)})
-        tree, zeros = case2_zero_tree(table, (), 2, 1, badset, {}, G16)
+        avoid = _badset_closure(badset, 2, G16, table.depth)
+        tree, zeros = case2_zero_tree(table, (), 2, 1, avoid, G16)
         assert zeros == [0]
         assert not tree.leaves() & badset
         assert not tree.nodes & badset
 
-    def test_m_map_floors_first_zero(self):
-        tree, zeros = case2_zero_tree(PARITY3, (), 1, 1, frozenset(), {(): 2}, G8)
-        assert zeros == [2]
-
     def test_zeros_strictly_increasing(self):
-        _, zeros = case2_zero_tree(PARITY3, (), 1, 3, frozenset(), {}, G8)
+        _, zeros = case2_zero_tree(PARITY3, (), 1, 3, frozenset(), G8)
         assert zeros == sorted(set(zeros))
 
     def test_capacity_exhaustion(self):
         with pytest.raises(BignessUnavailable) as exc:
-            case2_zero_tree(PARITY1, (), 1, 2, frozenset(), {}, G8)
+            case2_zero_tree(PARITY1, (), 1, 2, frozenset(), G8)
         assert exc.value.what == "zero_delta"
 
     def test_totality_loss_reported(self):
@@ -262,7 +262,7 @@ class TestCase2ZeroTree:
         entries.update({(0, b): (0, b % 2) for b in range(3)})
         table = FiniteFunctional.from_entries(2, entries)
         with pytest.raises(BignessUnavailable) as exc:
-            case2_zero_tree(table, (), 1, 2, frozenset(), {}, G8)
+            case2_zero_tree(table, (), 1, 2, frozenset(), G8)
         assert exc.value.what == "totality"
         assert exc.value.position == 1
         assert exc.value.node == (0,)
