@@ -18,7 +18,9 @@ validated.  `bushiness` reads the stem's value, `bushiness_numbers` the
 whole table as a dict keyed by the index's tuples; bigness queries,
 closures, `closure_check` and greedy witness extraction
 (`tree_from_marking`) all read off the rows or that table, and regions are
-listed from the index too (`level_nodes`, `region_nodes`).
+listed from the index too (`level_nodes`, `region_nodes`).  The last few
+markings are kept, so a set asked for its closure, its closure check and
+its bigness is marked once.
 `brute_force_is_n_big` is the deliberately naive mirror: a top-down
 existential search over n-subsets of children, kept free of the index and
 the production shortcuts so the two can be played against each other in
@@ -205,18 +207,20 @@ def region_nodes(g: OrderFunction, depth: int, stem: Node = ()) -> Iterator[Node
     return chain.from_iterable(_region_index(g, depth, stem)[0])
 
 
+# Exceptions are not cached: a set with an invalid member raises on every call.
+@lru_cache(maxsize=8)
 def _mark(B: frozenset[Node], g: OrderFunction, depth: int, stem: Node,
-          avoid: frozenset[Node]) -> tuple[Levels, list[list[int]]]:
+          avoid: frozenset[Node]) -> tuple[Levels, tuple[tuple[int, ...], ...]]:
     """The region's levels and one row of beta values per level, stem first.
 
     Members get BIG_CAP, nodes at the horizon and nodes in `avoid` 0, and
     any other node the h-index of its child slice: the largest n with at
     least n children of beta >= n.  Members the pass does not meet are
-    validated, so a set is checked once, here.
+    validated, so a set is checked once, here.  The rows are tuples, so a
+    cached marking cannot be changed by a caller.
     """
-    stem = tuple(stem)
     levels, widths = _region_index(g, depth, stem)
-    rows: list[list[int]] = []  # from the horizon up
+    rows: list[tuple[int, ...]] = []  # from the horizon up
     met = 0
     for i in range(len(levels) - 1, -1, -1):
         row = [BIG_CAP if tau in B else 0 for tau in levels[i]]
@@ -231,30 +235,29 @@ def _mark(B: frozenset[Node], g: OrderFunction, depth: int, stem: Node,
                 if top <= 1:
                     row[j] = top  # the h-index of 0s and 1s is their maximum
                     continue
-                kids.sort(reverse=True)
                 h = 0
-                for x in kids:
+                for x in sorted(kids, reverse=True):
                     if x <= h:
                         break
                     h += 1
                 row[j] = h
         if avoid:
             row = [0 if tau in avoid else v for tau, v in zip(levels[i], row)]
-        rows.append(row)
+        rows.append(tuple(row))
     rows.reverse()
     if met < len(B):
         k = len(stem)
         validate_string_set(
             [node for node in B if node[:k] != stem or len(node) > depth
              or not g.validate_node(node)], g, depth)
-    return levels, rows
+    return levels, tuple(rows)
 
 
 def bushiness(B: Iterable[Node], g: OrderFunction, depth: int, stem: Node = (),
               avoid: frozenset[Node] = frozenset()) -> int:
     """beta(stem): the largest n such that B is n-big above stem (see
     `bushiness_numbers`)."""
-    return _mark(_string_set(B), g, depth, stem, avoid)[1][0][0]
+    return _mark(_string_set(B), g, depth, tuple(stem), frozenset(avoid))[1][0][0]
 
 
 def bushiness_numbers(B: Iterable[Node], g: OrderFunction, depth: int,
@@ -276,7 +279,7 @@ def bushiness_numbers(B: Iterable[Node], g: OrderFunction, depth: int,
     ValueError, and a region above REGION_NODE_LIMIT nodes raises
     CombinatorialBlowup first.
     """
-    levels, rows = _mark(_string_set(B), g, depth, stem, avoid)
+    levels, rows = _mark(_string_set(B), g, depth, tuple(stem), frozenset(avoid))
     return dict(zip(chain.from_iterable(reversed(levels)),
                     chain.from_iterable(reversed(rows))))
 

@@ -14,8 +14,9 @@ refuted claim.
 from __future__ import annotations
 
 import inspect
+from collections.abc import Mapping
 from itertools import chain
-from typing import Callable, Mapping
+from typing import Callable
 
 from . import bushy
 from .bushy import (

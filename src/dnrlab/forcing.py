@@ -9,7 +9,9 @@ decides every earlier position.
 The module builds the finite combinatorial objects of the density argument:
 
 * C_m, the set of nodes deciding output position m, and its 7k/6k staging
-  into exactly-6k-bushy totality trees avoiding the k-closure of the badset;
+  into exactly-6k-bushy totality trees avoiding the k-closure of the badset.
+  C_m is read off output rows over the region index: each node's output,
+  level by level, a tabled node's own and any other its parent's;
 * Delta sets (nodes deciding position m with a given bit) and the fusion of
   many (position, bit) constraints onto one 2k-bushy tree;
 * the k-bushy zero-forcing tree of the no-fusion case;
@@ -33,14 +35,17 @@ honor the whole fused list, not just the newest pair.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain, compress
+from typing import Iterable, Optional, Sequence
 
 from .asm import assemble_index
 from .bushy import (
     Node,
     OrderFunction,
     TreeWitness,
+    _region_index,
     bushiness,
     bushiness_numbers,
     closure,
@@ -239,11 +244,28 @@ def delta_set(gamma_table: FiniteFunctional, tree: TreeWitness, m: int,
 
 def c_m_set(gamma_table: FiniteFunctional, g: OrderFunction, stem: Node,
             m: int) -> frozenset[Node]:
-    """All nodes above stem (within the table depth) deciding position m; a
-    region too large to index is refused (CombinatorialBlowup) first."""
-    return frozenset(
-        node for node in region_nodes(g, gamma_table.depth, stem)
-        if gamma_table.decided_length(node) > m)
+    """All nodes above stem (within the table depth) deciding position m.
+
+    Read off output rows over the region index, in region order: level by
+    level, a tabled node's row entry is its own table value and any other
+    node's is its parent's, which for the p-th node of a level of width w
+    is the (p // w)-th entry of the row above.  Nothing is kept between
+    calls.  A stem past the table depth gives the empty set, a stem not
+    valid for g is a ValueError, and a region too large to index is
+    refused (CombinatorialBlowup).
+    """
+    stem = tuple(stem)
+    if len(stem) > gamma_table.depth:
+        return frozenset()
+    levels, widths = _region_index(g, gamma_table.depth, stem)
+    by_node = gamma_table._by_node
+    row = (gamma_table.output(stem),)
+    rows = [row]
+    for level, w in zip(levels[1:], widths):
+        row = tuple(map(by_node.get, level, [out for out in row for _ in range(w)]))
+        rows.append(row)
+    return frozenset(compress(chain.from_iterable(levels),
+                              [len(out) > m for out in chain.from_iterable(rows)]))
 
 
 def _c_m_minimal(cm: frozenset[Node], stem: Node) -> frozenset[Node]:

@@ -9,8 +9,8 @@ so certificates can embed the oracle they were checked against.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import CombinatorialBlowup
 

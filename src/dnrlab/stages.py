@@ -105,29 +105,33 @@ def ei_not_coei(stages: int, budget: int,
         raise CombinatorialBlowup(f"{stages} stages exceed the limit {STAGE_LIMIT}")
     g: dict[int, int] = {}
     records: list[dict] = []
+    # g only gains keys and never overwrites one, so the least fresh
+    # element, the largest key and the count of ones are kept as we go
+    least_fresh, top, ones = 0, -1, 0
+    added: list[tuple[int, int]] = []
 
-    def fresh() -> int:
-        x = 0
-        while x in g:
-            x += 1
-        return x
+    def put(x: int, b: int) -> None:
+        nonlocal top, ones
+        g[x] = b
+        added.append((x, b))
+        top = max(top, x)
+        ones += b
 
     for s in range(1, stages + 1):
-        added: list[tuple[int, int]] = []
+        added = []
         events: list[dict] = []
         interval_record: dict | None = None
         if s % 2 == 1:
             e = (s - 1) // 2
-            m = fresh()
-            g[m] = 1
-            added.append((m, 1))
+            while least_fresh in g:
+                least_fresh += 1
+            put(least_fresh, 1)
             horizon = _window_horizon(e)
             window = sorted(domain_window(e, horizon, budget))
             if len(window) > 2 * e + 1:
                 outside = [x for x in window if x not in g]
                 if outside:
-                    g[outside[0]] = 0
-                    added.append((outside[0], 0))
+                    put(outside[0], 0)
                     events.append({"event": "bound_exceeded", "e": e,
                                    "count": len(window), "pinned_out": outside[0]})
                 else:
@@ -137,8 +141,7 @@ def ei_not_coei(stages: int, budget: int,
             if window and window[-1] >= horizon // 2:
                 inside = [x for x in window if x not in g]
                 if inside:
-                    g[inside[0]] = 1
-                    added.append((inside[0], 1))
+                    put(inside[0], 1)
                     events.append({"event": "looks_infinite", "e": e,
                                    "pulled_in": inside[0]})
         else:
@@ -148,7 +151,7 @@ def ei_not_coei(stages: int, budget: int,
             if not probe_ok:
                 events.append({"event": "skipped_not_total", "e": e})
             else:
-                base = max(g, default=-1) + 1
+                base = top + 1
                 a = interval_slice_index(e, base)
                 out = eval_program(e, a, budget)
                 if not isinstance(out, Halted):
@@ -159,14 +162,12 @@ def ei_not_coei(stages: int, budget: int,
                 else:
                     n = out.value + 1
                     for x in range(base, base + n):
-                        g[x] = 0
-                        added.append((x, 0))
+                        put(x, 0)
                     interval_record = {
                         "e": e, "a": a, "base": base, "count": n,
                         "claimed_bound": out.value, "budget": budget,
                     }
                     events.append({"event": "interval_pinned", "e": e, "count": n})
-        ones = sum(1 for b in g.values() if b == 1)
         assert ones <= 2 * s, f"stage {s}: {ones} ones exceeds 2s"
         records.append({
             "stage": s,

@@ -632,6 +632,45 @@ def test_marking_matches_reference_over_varying_widths(instance):
     assert closure(B, n, twin, depth) == closure(B, n, g, depth)
 
 
+@given(_marking_instances())
+@settings(max_examples=100, deadline=None)
+def test_kept_markings_answer_as_cold_ones(instance):
+    # every reader alone from an empty cache, then all in a row, twice:
+    # keys that differ only in avoid or the stem must not share an entry
+    g, depth, stem, B, avoid, n = instance
+    readers = [
+        lambda: bushiness_numbers(B, g, depth, stem, avoid),
+        lambda: bushiness_numbers(B, g, depth, stem),
+        lambda: bushiness_numbers(B, g, depth, (), avoid),
+        lambda: is_n_big(B, n, g, stem, depth),
+        lambda: closure(B, n, g, depth),
+        lambda: closure_check(B, n, g, depth),
+    ]
+    alone = []
+    for read in readers:
+        bushy._mark.cache_clear()
+        alone.append(read())
+    assert [read() for read in readers] == alone
+    assert [read() for read in readers] == alone
+
+
+def test_kept_markings_are_immutable():
+    B = frozenset({(0, 0), (0, 1)})
+    levels, rows = bushy._mark(B, G3, 2, (), frozenset())
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert bushy._mark(B, G3, 2, (), frozenset())[1] is rows
+    assert bushiness_numbers(B, G3, 2)[(0,)] == 2
+
+
+def test_invalid_members_raise_on_every_call():
+    bushy._mark.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a valid string"):
+            bushiness_numbers({(1, 0), (0, 5)}, G3, 2, (1,))
+        with pytest.raises(ValueError, match="exceeds depth"):
+            closure({(0, 0, 0)}, 1, G3, 2)
+
+
 # ---------------------------------------------------------------------------
 # The tree's children index and JSON form, against naive scans.
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dnrlab.asm import DIVERGE_INDEX, const_index
 from dnrlab.bushy import MalformedTree, OrderFunction, region_nodes, verify_bushy
+from dnrlab.errors import CombinatorialBlowup
 from dnrlab.forcing import (
     BignessUnavailable,
     BudgetExceeded,
@@ -454,6 +455,42 @@ def test_c_m_minimal_matches_a_per_node_scan(table, stem, m):
         if table.decided_length(node) > m
         and not (len(node) > len(stem) and table.decided_length(node[:-1]) > m))
     assert _c_m_minimal(c_m_set(table, g, stem, m), stem) == naive
+
+
+@st.composite
+def coherent_tables(draw):
+    """A coherent table over one to three widths from 2 to 4, to depth 0..3,
+    and valid stems no longer than the depth."""
+    g = OrderFunction(tuple(sorted(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))))
+    depth = draw(st.integers(0, 3))
+    entries, outputs = {}, {}
+    for node in region_nodes(g, depth):
+        out = outputs.get(node[:-1], ())
+        if draw(st.booleans()):
+            out = entries[node] = out + tuple(draw(st.lists(st.integers(0, 1), max_size=2)))
+        outputs[node] = out
+    stems = draw(st.lists(st.sampled_from(list(region_nodes(g, depth))), min_size=1, max_size=3))
+    return g, FiniteFunctional.from_entries(depth, entries), stems
+
+
+@settings(max_examples=100, deadline=None)
+@given(coherent_tables())
+def test_c_m_set_matches_a_per_node_scan(instance):
+    g, table, stems = instance
+    for stem in stems:  # one table, several stems
+        for m in range(table.max_output_length() + 2):
+            naive = frozenset(n for n in region_nodes(g, table.depth, stem)
+                              if len(table.output(n)) > m)
+            got = c_m_set(table, g, stem, m)
+            assert got == naive and list(got) == list(naive)
+
+
+def test_c_m_set_edge_cases():
+    assert c_m_set(PARITY3, G8, (0,) * 5, 0) == frozenset()
+    with pytest.raises(ValueError, match="not a valid string"):
+        c_m_set(PARITY3, G8, (8,), 0)
+    with pytest.raises(CombinatorialBlowup):
+        c_m_set(FiniteFunctional(6, ()), G16, (), 0)
 
 
 class TestDensityTotality:
