@@ -87,6 +87,15 @@ class OrderFunction:
         if self.tail_period < 0 or self.tail_base < 0:
             raise ValueError("tail parameters are naturals")
 
+    @cached_property
+    def _hash(self) -> int:
+        """The field tuple's hash, kept: every region and marking cache
+        lookup hashes its order function."""
+        return hash((self.table, self.tail_base, self.tail_period))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @classmethod
     def constant(cls, width: int) -> "OrderFunction":
         return cls((width,))
@@ -189,13 +198,12 @@ def _region_index(g: OrderFunction, depth: int, stem: Node) -> tuple[Levels, tup
     return tuple(levels), widths
 
 
-def level_nodes(g: OrderFunction, depth: int, stem: Node = ()) -> tuple[Node, ...]:
-    """All valid nodes of length exactly depth weakly extending stem, in
-    lexicographic order: the horizon level of the region index."""
-    stem = tuple(stem)
-    if depth < len(stem):
+def level_nodes(g: OrderFunction, depth: int) -> tuple[Node, ...]:
+    """All valid nodes of length exactly depth, in lexicographic order: the
+    horizon level of the region index."""
+    if depth < 0:
         return ()
-    return _region_index(g, depth, stem)[0][-1]
+    return _region_index(g, depth, ())[0][-1]
 
 
 def region_nodes(g: OrderFunction, depth: int, stem: Node = ()) -> Iterator[Node]:

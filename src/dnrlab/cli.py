@@ -291,12 +291,7 @@ def _cmd_fusion_check(config: RunConfig) -> CommandResult:
 
 
 def _builtin_functionals() -> list[tuple[str, FiniteFunctional, int]]:
-    parity = {}
-    frontier = [()]
-    for _ in range(1):
-        frontier = [node + (c,) for node in frontier for c in range(8)]
-        for node in frontier:
-            parity[node] = tuple(c % 2 for c in node)
+    parity = {(c,): (c % 2,) for c in range(8)}
     return [
         ("empty", FiniteFunctional(3, ()), const_index(0)),
         ("constant", FiniteFunctional.constant(3, (0, 0, 0)), const_index(0)),

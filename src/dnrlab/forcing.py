@@ -12,9 +12,9 @@ The module builds the finite combinatorial objects of the density argument:
   into exactly-6k-bushy totality trees avoiding the k-closure of the badset.
   C_m is read off output rows over the region index: each node's output,
   level by level, a tabled node's own and any other its parent's;
-* Delta sets (nodes deciding position m with a given bit) and the fusion of
-  many (position, bit) constraints onto one 2k-bushy tree;
-* the k-bushy zero-forcing tree of the no-fusion case;
+* Delta sets (nodes deciding position m with a given bit) and the greedy
+  fusion of many (position, bit) constraints;
+* the k-bushy zero-forcing tree of the no-fusion case, forced in one pass;
 * density_search, which turns a functional, a toy program index q, and a
   condition into a verdict: a non-totality extension, a diagonalizing
   extension with a replayable certificate built through the recursion
@@ -26,11 +26,11 @@ Searches are deterministic: ties break lexicographically, traces are plain
 data, and every certificate embeds what a replay needs.
 
 One point deserves a note because the staging is delicate: when fusing many
-constraints, each stage's tree searches are restricted to nodes whose
-outputs agree with all previously fused (position, bit) pairs wherever
-decided.  Since domains are initial segments, any node deciding a later
-position has decided all fused earlier ones, so leaves of every stage tree
-honor the whole fused list, not just the newest pair.
+constraints, each candidate is judged on the nodes whose outputs agree with
+all previously fused (position, bit) pairs.  Since domains are initial
+segments, any node deciding a later position has decided all fused earlier
+ones, so every prefix of the fused list was accepted in its turn, and
+density_search reads its one 2k-bushy tree off the prefix it needs.
 """
 
 from __future__ import annotations
@@ -68,27 +68,15 @@ from .oracle import BitOracle
 
 
 class BignessUnavailable(Exception):
-    """A bigness hypothesis failed during a staged construction.
+    """C_m failed to be 7k-big above `node` at output position m = `position`.
 
-    `what` is "totality" when C_m failed to be 7k-big above `node` (the
-    non-totality extension is then available there), and "zero_delta" when a
-    zero-side Delta set failed its 2k-bigness check in the no-fusion case.
+    The non-totality extension is then available there.
     """
 
-    def __init__(self, position: int, node: Node, what: str = "totality") -> None:
-        super().__init__(f"bigness unavailable at position {position} above {node} ({what})")
+    def __init__(self, position: int, node: Node) -> None:
+        super().__init__(f"C_{position} is not 7k-big above {node}")
         self.position = position
         self.node = node
-        self.what = what
-
-
-class PigeonholeExhausted(Exception):
-    """The table's finite depth cannot sustain the requested fusion count."""
-
-    def __init__(self, achieved: int, requested: int) -> None:
-        super().__init__(f"fused {achieved} of the requested {requested} inputs")
-        self.achieved = achieved
-        self.requested = requested
 
 
 class BudgetExceededError(Exception):
@@ -288,6 +276,16 @@ def _badset_closure(badset: frozenset[Node], k: int, g: OrderFunction, depth: in
     return closure(badset, k, g, max(depth, *map(len, badset)))
 
 
+def _graft(B: frozenset[Node], n: int, g: OrderFunction, depth: int, rho: Node,
+           avoid: frozenset[Node]) -> TreeWitness:
+    """Exactly-n-bushy tree above rho with leaves in B, all nodes outside
+    `avoid`, read off one marking.  The caller has checked B (n + k)-big
+    above rho and `avoid` is k-small there, so the pruning lemma leaves n."""
+    beta = bushiness_numbers(B, g, depth, rho, avoid)
+    assert beta[rho] >= n, "pruning lemma violated"
+    return tree_from_marking(beta, B, n, g, rho)
+
+
 def build_totality_tree(gamma_table: FiniteFunctional, tau: Node, k: int,
                         target_len: int, avoid: frozenset[Node],
                         g: OrderFunction) -> TreeWitness:
@@ -316,11 +314,8 @@ def build_totality_tree(gamma_table: FiniteFunctional, tau: Node, k: int,
                 continue
             cm = c_m_set(gamma_table, g, rho, m)
             if not is_n_big(cm, 7 * k, g, rho, depth):
-                raise BignessUnavailable(m, rho, "totality")
-            beta = bushiness_numbers(cm, g, depth, rho, avoid)
-            # 7k-big minus a k-small closure leaves 6k; failure here is a bug
-            assert beta[rho] >= 6 * k, "pruning lemma violated"
-            graft = tree_from_marking(beta, cm, 6 * k, g, rho)
+                raise BignessUnavailable(m, rho)
+            graft = _graft(cm, 6 * k, g, depth, rho, avoid)
             nodes.update(graft.nodes)
             new_leaves.extend(graft.leaves())
         leaves = new_leaves
@@ -345,23 +340,21 @@ def _constraint_set(gamma_table: FiniteFunctional, source: Iterable[Node],
 
 def fusion_step(gamma_table: FiniteFunctional, tau: Node, k: int,
                 big_inputs: Sequence[tuple[int, int]], g: OrderFunction,
-                avoid: frozenset[Node] = frozenset(), within: Optional[TreeWitness] = None,
-                require_count: int = 1) -> tuple[TreeWitness, list[tuple[int, int]]]:
-    """Fuse (position, bit) constraints onto one 2k-bushy tree above tau.
+                avoid: frozenset[Node], within: TreeWitness) -> list[tuple[int, int]]:
+    """Greedily fuse (position, bit) constraints above tau within a tree.
 
-    Each listed (m, i) must come with Delta_{tau,m,i} 4k-big above tau
-    (checked).  Constraints are accepted greedily in the given order as long
-    as the nodes satisfying all accepted constraints stay 2k-big above tau
-    by trees outside `avoid` (as in `build_totality_tree`); the returned
-    tree's leaves decide every accepted position with its fused bit.  Raises
-    PigeonholeExhausted when fewer than require_count constraints survive.
+    Each listed (m, i) must come with Delta_{tau,m,i} 4k-big above tau among
+    the nodes of `within` (checked).  Constraints are accepted in the given
+    order as long as the nodes satisfying all accepted constraints stay
+    2k-big above tau by trees outside `avoid` (as in `build_totality_tree`).
+    Returns the accepted pairs; every prefix of them was accepted in its
+    turn, so its constraint set is 2k-big for `witness_tree` to read off.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     tau = tuple(tau)
     depth = gamma_table.depth
-    source = tuple(sorted(within.nodes)) if within is not None \
-        else tuple(region_nodes(g, depth, tau))
+    source = tuple(sorted(within.nodes))
     for m, i in big_inputs:
         delta = _constraint_set(gamma_table, source, [(m, i)])
         if not is_n_big(delta, 4 * k, g, tau, depth):
@@ -370,21 +363,14 @@ def fusion_step(gamma_table: FiniteFunctional, tau: Node, k: int,
     if tau in avoid:
         raise ValueError(f"stem {tau} lies in the badset closure")
     fused: list[tuple[int, int]] = []
-    kept = _constraint_set(gamma_table, source, [])
     for m, i in big_inputs:
         candidate = fused + [(m, i)]
-        cand_set = _constraint_set(gamma_table, source, candidate)
-        if bushiness(cand_set, g, depth, tau, avoid) >= 2 * k:
+        if bushiness(_constraint_set(gamma_table, source, candidate),
+                     g, depth, tau, avoid) >= 2 * k:
             fused = candidate
-            kept = cand_set
-    if len(fused) < require_count:
-        raise PigeonholeExhausted(len(fused), require_count)
-    tree = witness_tree(kept, 2 * k, g, tau, depth, avoid=avoid)
-    for m, i in fused:
-        for leaf in tree.leaves():
-            bits = gamma_table.output(leaf)
-            assert m < len(bits) and bits[m] == i, "fused constancy lost"
-    return tree, fused
+    # the first input is 4k-big and the closure k-small: 3k >= 2k remain
+    assert fused or not big_inputs, "pruning lemma violated"
+    return fused
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +378,17 @@ def fusion_step(gamma_table: FiniteFunctional, tau: Node, k: int,
 
 def case2_zero_tree(gamma_table: FiniteFunctional, sigma: Node, k: int, count: int,
                     avoid: frozenset[Node], g: OrderFunction) -> tuple[TreeWitness, list[int]]:
-    """k-bushy tree above sigma forcing `count` output positions to 0.
+    """k-bushy tree above sigma forcing up to `count` output positions to 0.
 
-    Stage j picks the least admissible position n_j (one past the previous),
-    builds an exactly-6k totality tree above each leaf (BignessUnavailable
-    with what="totality" propagates when C at the position fails its
-    7k-bigness there), checks the tree's zero-side Delta set is 2k-big above
-    the leaf (what="zero_delta" when no admissible position sustains it), and
-    grafts k-bushy trees with leaves in the zero side, all nodes outside
-    `avoid` (as in `build_totality_tree`).
+    Stage j picks the least admissible position n_j (one past the previous):
+    above every current leaf it builds an exactly-6k totality tree
+    (BignessUnavailable propagates when C at the position fails its
+    7k-bigness there), whose zero-side Delta set must be 2k-big above the
+    leaf, and grafts a k-bushy tree with leaves in that zero side, all nodes
+    outside `avoid` (as in `build_totality_tree`).  The pass stops at the
+    first stage with no admissible position and returns the tree with the
+    zeros forced so far, which may be none.  Stages are deterministic, so
+    the first j stages of any run are those of a run asked for j.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -414,38 +402,24 @@ def case2_zero_tree(gamma_table: FiniteFunctional, sigma: Node, k: int, count: i
     zeros: list[int] = []
     for _ in range(count):
         floor = zeros[-1] + 1 if zeros else 0
-        chosen = None
-        last_failure: Optional[tuple[int, Node]] = None
         for position in range(floor, capacity):
-            ok = True
-            grafts: dict[Node, TreeWitness] = {}
+            grafts: list[TreeWitness] = []
             for rho in sorted(leaves):
                 # totality must persist above every leaf before zeros are forced
                 tree_rho = build_totality_tree(
                     gamma_table, rho, k, position + 1, avoid, g)
                 zero_delta = delta_set(gamma_table, tree_rho, position, 0)
                 if not is_n_big(zero_delta, 2 * k, g, rho, depth):
-                    ok = False
-                    last_failure = (position, rho)
                     break
-                beta = bushiness_numbers(zero_delta, g, depth, rho, avoid)
-                # 2k-big minus a k-small closure leaves k; failure is a bug
-                assert beta[rho] >= k, "pruning lemma violated"
-                grafts[rho] = tree_from_marking(beta, zero_delta, k, g, rho)
-            if ok:
-                chosen = position
-                break
-        if chosen is None:
-            if last_failure is not None:
-                raise BignessUnavailable(last_failure[0], last_failure[1], "zero_delta")
-            raise BignessUnavailable(floor, min(leaves), "zero_delta")
-        new_leaves: list[Node] = []
-        for rho in sorted(leaves):
-            graft = grafts[rho]
+                grafts.append(_graft(zero_delta, k, g, depth, rho, avoid))
+            if len(grafts) == len(leaves):
+                break  # every leaf took a graft: the position is admissible
+        else:
+            break  # no admissible position: stop with the zeros forced so far
+        for graft in grafts:
             nodes.update(graft.nodes)
-            new_leaves.extend(graft.leaves())
-        zeros.append(chosen)
-        leaves = new_leaves
+        leaves = [leaf for graft in grafts for leaf in graft.leaves()]
+        zeros.append(position)
     tree = TreeWitness(sigma, frozenset(nodes))
     verify_bushy(tree, k, g)
     for leaf in tree.leaves():
@@ -724,9 +698,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         return e0, e1, out0.value, out1.value
 
     if big_inputs:
-        fusion_tree, fused = fusion_step(
-            gamma_table, tau0, k, big_inputs, g,
-            avoid=avoid, within=totality, require_count=1)
+        fused = fusion_step(gamma_table, tau0, k, big_inputs, g, avoid, totality)
         cap = len(fused)
         trace.append({"step": "fusion", "achieved": cap,
                       "fused": [list(p) for p in fused]})
@@ -734,32 +706,22 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         if isinstance(found, BudgetExceeded):
             return found
         e0, e1, v0, v1 = found
-        m_val = max(v0, v1)
-        if 2 * m_val + 1 <= cap:
-            c = 2 * m_val + 1
-            if c == cap:
-                tree_c, fused_c = fusion_tree, fused
-            else:
-                tree_c, fused_c = fusion_step(
-                    gamma_table, tau0, k, fused[:c], g,
-                    avoid=avoid, within=totality, require_count=c)
-            label = "case2" if all(i == 0 for _, i in fused_c) and \
-                sum(1 for _, i in fused_c if i == 0) > m_val else "case1"
-            return finish(tree_c, 2 * k, fused_c, e0, e1, v0, v1, cap, label)
-        trace.append({"step": "fusion_short", "achieved": cap, "needed": 2 * m_val + 1})
+        c = 2 * max(v0, v1) + 1
+        if c <= cap:
+            fused_c = fused[:c]  # accepted in its turn, so 2k-big
+            kept = _constraint_set(gamma_table, sorted(totality.nodes), fused_c)
+            tree = witness_tree(kept, 2 * k, g, tau0, depth, avoid=avoid)
+            # an all-zero prefix of 2m + 1 pairs holds more than m zeros
+            label = "case2" if all(i == 0 for _, i in fused_c) else "case1"
+            return finish(tree, 2 * k, fused_c, e0, e1, v0, v1, cap, label)
+        trace.append({"step": "fusion_short", "achieved": cap, "needed": c})
 
-    # Case 2: force zeros with a k-bushy tree
-    zeros_tree = None
-    zeros: list[int] = []
-    for count in range(target_len, 0, -1):
-        try:
-            zeros_tree, zeros = case2_zero_tree(gamma_table, tau0, k, count, avoid, g)
-            break
-        except BignessUnavailable as exc:
-            if exc.what == "totality":
-                return non_total(exc.position, exc.node)
-            continue
-    if zeros_tree is None:
+    # Case 2: force zeros with a k-bushy tree, as many as the stages sustain
+    try:
+        zeros_tree, zeros = case2_zero_tree(gamma_table, tau0, k, target_len, avoid, g)
+    except BignessUnavailable as exc:
+        return non_total(exc.position, exc.node)
+    if not zeros:
         trace.append({"step": "fail", "reason": "no zero-forcing tree at any count"})
         return BudgetExceeded("no zero-forcing tree at any count", tuple(trace))
     trace.append({"step": "zero_tree", "zeros": zeros})

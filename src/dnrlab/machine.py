@@ -476,35 +476,33 @@ def eval_steps(e: ProgramIndex, x: int, budget: int, oracle: Optional[Oracle] = 
     return _run(decode(e), x, budget, oracle)
 
 
-def enumerate_re(e: ProgramIndex, budget: int, oracle: Optional[Oracle] = None) -> frozenset[int]:
+def enumerate_re(e: ProgramIndex, budget: int) -> frozenset[int]:
     """W_{e,budget} = {x <= budget : eval(e, x, budget) halts}."""
-    return domain_window(e, budget + 1, budget, oracle)
+    return domain_window(e, budget + 1, budget)
 
 
-def domain_window(e: ProgramIndex, horizon: int, budget: int,
-                  oracle: Optional[Oracle] = None) -> frozenset[int]:
+def domain_window(e: ProgramIndex, horizon: int, budget: int) -> frozenset[int]:
     """{x < horizon : eval(e, x, budget) halts}: a bounded domain snapshot."""
     prog = decode(e)
     if not prog.instructions or not _halt_reachable(prog.instructions)[0]:
         return frozenset()
     return frozenset(
         x for x in range(horizon)
-        if isinstance(_run(prog, x, budget, oracle)[0], Halted)
+        if isinstance(_run(prog, x, budget, None)[0], Halted)
     )
 
 
-def re_enumeration_order(e: ProgramIndex, budget: int, oracle: Optional[Oracle] = None) -> tuple[int, ...]:
+def re_enumeration_order(e: ProgramIndex, budget: int) -> tuple[int, ...]:
     """W_{e,budget} in canonical enumeration order.
 
     Elements are ordered by (max(halting steps, value), value).  This order
     is stable as the budget grows, so "the first k elements of W_e" is well
     defined independent of the budget that first exposed them.
     """
-    return re_enumeration_growth(e, budget, oracle)[0]
+    return re_enumeration_growth(e, budget)[0]
 
 
-def re_enumeration_growth(e: ProgramIndex, budget: int,
-                          oracle: Optional[Oracle] = None) -> tuple[tuple[int, ...], int]:
+def re_enumeration_growth(e: ProgramIndex, budget: int) -> tuple[tuple[int, ...], int]:
     """re_enumeration_order(e, budget) and |W_{e,budget//2}| from one pass.
 
     The second value is the growth checkpoint: W_e looks infinite at this
@@ -519,7 +517,7 @@ def re_enumeration_growth(e: ProgramIndex, budget: int,
     entries = []
     at_half = 0
     for x in range(budget + 1):
-        out, steps = _run(prog, x, budget, oracle)
+        out, steps = _run(prog, x, budget, None)
         if isinstance(out, Halted):
             entries.append((max(steps, x), x))
             if x <= half and steps <= half:

@@ -119,8 +119,7 @@ def tail_constraints(numbering, c: int, e_max: int) -> list[frozenset[int]]:
             if len(members := frozenset(numbering.finite_set(e))) >= 2 * e]
 
 
-def schnorr_measure(numbering, c: int, e_max: int,
-                    term_cap: int = 1 << 20) -> DyadicRational:
+def schnorr_measure(numbering, c: int, e_max: int) -> DyadicRational:
     """Exact measure of the level-c test tail induced by a numbering.
 
     Each tail set contributes the cylinder of reals containing it.  The
@@ -129,7 +128,7 @@ def schnorr_measure(numbering, c: int, e_max: int,
     """
     if c < 0 or e_max < c:
         raise ValueError("need 0 <= c <= e_max")
-    measure = union_cylinder_measure(tail_constraints(numbering, c, e_max), term_cap)
+    measure = union_cylinder_measure(tail_constraints(numbering, c, e_max))
     assert not measure.is_negative
     assert measure <= DyadicRational.half_power(c), "tail bound violated"
     return measure

@@ -7,6 +7,12 @@ own definition.  A reference is a `Name`, an `Attribute` or a string that
 is an identifier: the benchmark's tracer names the functions it wraps as
 strings.  Tests are not callers, so a name only they use fails the audit.
 
+A parameter audit applies the same rule one level down: every defaulted
+parameter of a public function or method must be passed by some call in
+`src/` or `bench/`, by position or by keyword.  A call is matched by the
+name it calls, and one that unpacks `*args` or `**kwargs` counts as passing
+every parameter.  A default no caller overrides is a constant in disguise.
+
 A constants audit is looser: every public module-level constant must be
 referenced outside its own assignment somewhere in the package, the
 benchmark or the tests, so nothing is computed at import for no reader.
@@ -43,16 +49,17 @@ def _bench_modules() -> list[Path]:
     return sorted(BENCH.glob("*.py"))
 
 
-def _definitions(tree: ast.Module) -> list[tuple[str, ...]]:
-    """Paths of the public top-level functions and classes and their public methods."""
+def _definitions(tree: ast.Module) -> list[tuple[tuple[str, ...], ast.stmt]]:
+    """(path, node) for the public top-level functions and classes and their
+    public methods."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
                 and not node.name.startswith("_"):
-            found.append((node.name,))
+            found.append(((node.name,), node))
             if isinstance(node, ast.ClassDef):
                 found.extend(
-                    (node.name, item.name) for item in node.body
+                    ((node.name, item.name), item) for item in node.body
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not item.name.startswith("_"))
     return found
@@ -83,13 +90,58 @@ def unreferenced_names(package_modules: list[Path], other_modules: list[Path]) -
             refs.setdefault(name, []).append((path, scope))
     missing = []
     for path in package_modules:
-        for definition in _definitions(trees[path]):
+        for definition, _ in _definitions(trees[path]):
             name = definition[-1]
             if any(where != path or scope[:len(definition)] != definition
                    for where, scope in refs.get(name, ())):
                 continue
             missing.append(f"{path.stem}.{'.'.join(definition)}")
     return missing
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(definition path, parameter, position among a call's arguments or None
+    when keyword-only) for every defaulted parameter of a public function or
+    method."""
+    for path, func in _definitions(tree):
+        if isinstance(func, ast.ClassDef):
+            continue
+        # a method call's arguments start after self or cls
+        skipped = 0 if len(path) == 1 or any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list) else 1
+        positional = func.args.posonlyargs + func.args.args
+        first_default = len(positional) - len(func.args.defaults)
+        for index in range(first_default, len(positional)):
+            yield path, positional[index].arg, index - skipped
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+            if default is not None:
+                yield path, arg.arg, None
+
+
+def unpassed_parameters(package_modules: list[Path], other_modules: list[Path]) -> list[str]:
+    """`module.function(parameter)` for every defaulted parameter of a public
+    package function that no call in the given modules passes."""
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in package_modules + other_modules}
+    calls: dict[str, list[tuple[int, set[str], bool]]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else \
+                node.func.attr if isinstance(node.func, ast.Attribute) else None
+            unpacks = any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(kw.arg is None for kw in node.keywords)
+            calls.setdefault(name, []).append(
+                (len(node.args), {kw.arg for kw in node.keywords}, unpacks))
+    unpassed = []
+    for path in package_modules:
+        for definition, param, position in _defaulted_parameters(trees[path]):
+            if definition[-1] in ALLOWED or any(
+                    unpacks or param in keywords or (position is not None and count > position)
+                    for count, keywords, unpacks in calls.get(definition[-1], ())):
+                continue
+            unpassed.append(f"{path.stem}.{'.'.join(definition)}({param})")
+    return unpassed
 
 
 def _assigned_names(stmt: ast.stmt) -> list[str]:
@@ -140,6 +192,32 @@ def test_allow_list_names_exist_and_lack_callers():
     missing = {name.rsplit(".", 1)[-1] for name in
                unreferenced_names(_package_modules(), _bench_modules())}
     assert set(ALLOWED) <= missing, f"stale allow-list entries: {set(ALLOWED) - missing}"
+
+
+def test_every_defaulted_parameter_has_a_caller_that_passes_it():
+    assert unpassed_parameters(_package_modules(), _bench_modules()) == []
+
+
+def test_parameter_audit_finds_an_unpassed_default(tmp_path):
+    module = tmp_path / "stock.py"
+    module.write_text(
+        "def used(a, b=1, *, c=2): pass\n"
+        "def spread(a, b=1): pass\n"
+        "def unpassed(a, b=1, *, c=2): pass\n"
+        "def _private(a=1): pass\n"
+        "def generic_prefix(a=1): pass\n"
+        "class K:\n"
+        "    def method(self, x=1): pass\n"
+        "    @staticmethod\n"
+        "    def fixed(x=1): pass\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "from stock import K, spread, unpassed, used\n"
+        "used(0, 5)\nused(0, c=3)\nspread(*[0, 1])\nunpassed(0)\n"
+        "K().method(2)\nK.fixed()\n")
+    assert unpassed_parameters([module], [caller]) == [
+        "stock.unpassed(b)", "stock.unpassed(c)", "stock.K.fixed(x)"]
+    assert "stock.used(b)" in unpassed_parameters([module], [])
 
 
 def test_every_public_constant_has_a_reader():

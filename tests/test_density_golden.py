@@ -6,7 +6,11 @@ every condition has a nonempty badset, several of whose k-closures hold
 nodes outside the badset, and the searches between them reach the
 totality tree, fusion, the zero tree and the non-totality extension.  Each
 digest is the sha256 of the verdict's kind, certificate and trace as sorted
-JSON, recorded before the searches shared one closure of the badset.
+JSON.  The first fourteen were recorded before the searches shared one
+closure of the badset; the digit-set entries before the zero tree was
+forced in one pass and the fusion returned its pairs, and they reach a
+fused prefix shorter than the fusion, a zero tree that stops early, and
+no zero tree at all.
 """
 
 import hashlib
@@ -38,6 +42,12 @@ def _parity(width: int, levels: int, depth: int) -> FiniteFunctional:
 
 def _zeros(width: int, levels: int, depth: int) -> FiniteFunctional:
     return _levels_table(width, levels, depth, lambda node: (0,) * len(node))
+
+
+def _digits(*zero_sets) -> FiniteFunctional:
+    """Width 16, depth 2: bit j is 0 iff the node's j-th digit lies in zero_sets[j]."""
+    return _levels_table(16, 2, 2, lambda node: tuple(
+        int(c not in zero_sets[j]) for j, c in enumerate(node)))
 
 
 _ONES = {(a,): (1,) for a in range(16)}
@@ -75,6 +85,12 @@ BATTERY = {
         "a549f8c2d7923c1117704f85b422bac95694501ebfb51a471d0d173f251a8009"),
     "k3-zeros": (_zeros(32, 2, 2), 0, G32, (), [(0,), (4, 5), (4, 6), (4, 7)],
         "cc317668c29c999c71f81d16d2e744ef2869be34b56d21a840209602a1bb5586"),
+    "digits-short-prefix": (_digits({6}, {12}), 0, G16, (), [(13, 11)],
+        "2ef863b1a90daff574bb5b07170f0a889ea6dd24672f4171d60b2f68aebe5bc9"),
+    "digits-zero-capacity": (_digits(set(range(16)) - {13, 15}, {1, 10}), 2, G16, (), [(1, 9)],
+        "69ce621278e12eec9dbff22069fa5d665a1c8512801cd1d07fa04285558ba357"),
+    "digits-no-zero-tree": (_digits({0, 1}, {3, 11}), 2, G16, (), [(7, 12)],
+        "8425071b1985e03be45379a195bb4dc40c53ac756004d5dc7dc7676d0127566d"),
 }
 
 

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnrlab.asm import DIVERGE_INDEX, const_index
-from dnrlab.bushy import MalformedTree, OrderFunction, region_nodes, verify_bushy
+from dnrlab.bushy import (
+    MalformedTree,
+    OrderFunction,
+    TreeWitness,
+    region_nodes,
+    verify_bushy,
+    witness_tree,
+)
 from dnrlab.errors import CombinatorialBlowup
 from dnrlab.forcing import (
     BignessUnavailable,
@@ -16,9 +23,9 @@ from dnrlab.forcing import (
     FiniteFunctional,
     ForcingCondition,
     NonTotalExt,
-    PigeonholeExhausted,
     SearchLimits,
     _badset_closure,
+    _constraint_set,
     _c_m_minimal,
     build_totality_tree,
     c_m_set,
@@ -159,7 +166,6 @@ class TestTotalityTree:
             build_totality_tree(EMPTY3, (), 1, 1, frozenset(), G8)
         assert exc.value.position == 0
         assert exc.value.node == ()
-        assert exc.value.what == "totality"
 
     def test_staged_to_depth(self):
         tree = build_totality_tree(PARITY3, (), 1, 3, frozenset(), G8)
@@ -184,16 +190,25 @@ class TestTotalityTree:
 # ---------------------------------------------------------------------------
 # Fusion.
 
+def fuse(table: FiniteFunctional, inputs) -> tuple[TreeWitness, list[tuple[int, int]]]:
+    """fusion_step above the root within the full region, with the 2-bushy
+    tree density_search reads off the fused pairs' constraint set."""
+    region = TreeWitness((), frozenset(region_nodes(G8, table.depth)))
+    fused = fusion_step(table, (), 1, inputs, G8, frozenset(), region)
+    kept = _constraint_set(table, region.nodes, fused)
+    return witness_tree(kept, 2, G8, (), table.depth), fused
+
+
 class TestFusion:
     def test_constant_table_retains_all(self):
         inputs = [(0, 0), (1, 0), (2, 0)]
-        tree, fused = fusion_step(CONST3, (), 1, inputs, G8)
+        tree, fused = fuse(CONST3, inputs)
         assert fused == inputs
         verify_bushy(tree, 2, G8)
 
     def test_parity_fuses_at_least_two(self):
         table = parity_table(8, 2, 3)
-        tree, fused = fusion_step(table, (), 1, [(0, 0), (1, 0)], G8)
+        tree, fused = fuse(table, [(0, 0), (1, 0)])
         assert len(fused) >= 2
         verify_bushy(tree, 2, G8)
         for leaf in tree.leaves():
@@ -201,21 +216,14 @@ class TestFusion:
             assert bits[0] == 0 and bits[1] == 0
 
     def test_constancy_audit(self):
-        tree, fused = fusion_step(PARITY3, (), 1, [(0, 0), (1, 1), (2, 0)], G8)
+        tree, fused = fuse(PARITY3, [(0, 0), (1, 1), (2, 0)])
         for m, i in fused:
             for leaf in tree.leaves():
                 assert PARITY3.output(leaf)[m] == i
 
     def test_precondition_checked(self):
         with pytest.raises(ValueError, match="precondition"):
-            fusion_step(CONST3, (), 1, [(0, 1)], G8)
-
-    def test_pigeonhole_exhausted(self):
-        with pytest.raises(PigeonholeExhausted) as exc:
-            fusion_step(CONST3, (), 1, [(0, 0), (1, 0), (2, 0)], G8,
-                        require_count=4)
-        assert exc.value.achieved == 3
-        assert exc.value.requested == 4
+            fuse(CONST3, [(0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +261,10 @@ class TestCase2ZeroTree:
         assert zeros == sorted(set(zeros))
 
     def test_capacity_exhaustion(self):
-        with pytest.raises(BignessUnavailable) as exc:
-            case2_zero_tree(PARITY1, (), 1, 2, frozenset(), G8)
-        assert exc.value.what == "zero_delta"
+        # PARITY1 decides one position, so the pass stops after forcing it
+        tree, zeros = case2_zero_tree(PARITY1, (), 1, 2, frozenset(), G8)
+        assert zeros == [0]
+        verify_bushy(tree, 1, G8)
 
     def test_totality_loss_reported(self):
         # only three children above (0,) ever decide position 1
@@ -264,7 +273,6 @@ class TestCase2ZeroTree:
         table = FiniteFunctional.from_entries(2, entries)
         with pytest.raises(BignessUnavailable) as exc:
             case2_zero_tree(table, (), 1, 2, frozenset(), G8)
-        assert exc.value.what == "totality"
         assert exc.value.position == 1
         assert exc.value.node == (0,)
 
