@@ -1,12 +1,15 @@
 """Toy computability substrate: a tiny register machine with an acceptable numbering.
 
 Programs are finite sequences of instructions over 16 natural-valued
-registers.  Every natural number decodes to a program (invalid or truncated
-codes decode to the empty program, which diverges), and decode(encode(p)) == p
-for every canonical program p.  Evaluation is deterministic and budgeted: a
-run either halts with a value within the step budget or reports Running.
-Halting is absorbing in the budget: once eval(e, x, s) halts, every larger
-budget halts with the same value.
+registers.  The bits of an index e, binary(e+1) without its leading 1, are
+Elias-gamma naturals: opcodes (mod 17), then operands (registers mod 16);
+an incomplete tail is padding (docs/formats.md).  So decode is total but not
+injective (decode(0) == decode(1) is empty); encode(p) is the canonical
+index, decode(encode(p)) == p and encode(decode(e)) <= e.  Evaluation on a
+natural input is deterministic and budgeted: a run either halts with a value
+within the step budget or reports Running.  Halting is absorbing in the
+budget: once eval(e, x, s) halts, every larger budget halts with the same
+value.
 
 The instruction set is deliberately small: arithmetic on naturals (monus
 subtraction, floor division), conditional and unconditional jumps, an oracle
@@ -232,13 +235,9 @@ def gamma_inverse(members: Iterable[int]) -> int:
 # ---------------------------------------------------------------------------
 # Program codes: Elias-gamma instruction streams packed into one natural.
 
-def _bits_of_nat(n: int) -> str:
-    # bijection naturals <-> bit strings: n maps to binary(n+1) minus the
-    # leading 1, so 0 <-> "", 1 <-> "0", 2 <-> "1", 3 <-> "00", ...
-    return bin(n + 1)[3:]
-
-
 def _nat_of_bits(bits: str) -> int:
+    # bijection bit strings <-> naturals: the bits of n are binary(n+1)
+    # minus the leading 1, so "" <-> 0, "0" <-> 1, "1" <-> 2, "00" <-> 3, ...
     return int("1" + bits, 2) - 1
 
 
@@ -247,64 +246,59 @@ def _gamma_bits(k: int) -> str:
     return "1" * len(body) + "0" + body
 
 
-class _BitReader:
-    def __init__(self, bits: str) -> None:
-        self.bits = bits
-        self.pos = 0
-
-    def read_nat(self) -> Optional[int]:
-        bits, pos, n = self.bits, self.pos, len(self.bits)
-        ones = 0
-        while pos < n and bits[pos] == "1":
-            ones += 1
-            pos += 1
-        if pos >= n:
-            return None  # unterminated unary prefix: padding
-        pos += 1  # the 0 separator
-        if pos + ones > n:
-            return None  # truncated body: padding
-        body = bits[pos:pos + ones]
-        self.pos = pos + ones
-        return int("1" + body, 2) - 1 if ones else 0
+def _code_bits(instructions: Iterable[Sequence[int]]) -> str:
+    return "".join(_gamma_bits(val) for ins in instructions for val in ins)
 
 
 def encode(prog: ToyProgram | Sequence[Sequence[int]]) -> ProgramIndex:
     """Index of a canonical program.  Inverse of decode on canonical programs."""
     if not isinstance(prog, ToyProgram):
         prog = program(prog)
-    pieces = []
-    for ins in prog.instructions:
-        pieces.append(_gamma_bits(ins[0]))
-        for val in ins[1:]:
-            pieces.append(_gamma_bits(val))
-    return _nat_of_bits("".join(pieces))
+    return _nat_of_bits(_code_bits(prog.instructions))
+
+
+# For each opcode, whether each operand is a register (taken mod 16).
+_REGISTER_OPERANDS = tuple(tuple(kind == "r" for kind in OP_SIGNATURE[op])
+                           for op in range(N_OPCODES))
 
 
 @lru_cache(maxsize=8192)
 def decode(e: ProgramIndex) -> ToyProgram:
-    """Program coded by e.  Total: truncated instructions become padding."""
+    """Program coded by e.  Canonical by construction, so not re-validated.
+
+    A token `1^k 0 b` (b: binary(v+1) after its leading 1) codes
+    v = int("0" + b, 2) + 2^k - 1.
+    """
     if e < 0:
         raise ValueError("indices are naturals")
-    reader = _BitReader(_bits_of_nat(e))
+    bits = bin(e + 1)[3:]
+    n = len(bits)
+    find = bits.find
     instructions = []
-    while True:
-        raw_op = reader.read_nat()
-        if raw_op is None:
-            break
-        op = raw_op % N_OPCODES
-        sig = OP_SIGNATURE[op]
-        operands = []
-        ok = True
-        for kind in sig:
-            val = reader.read_nat()
-            if val is None:
-                ok = False
+    ins: list[int] = []
+    pos = 0
+    while (zero := find("0", pos)) >= 0:
+        if zero == pos:  # k = 0: the token "0" codes 0
+            val = 0
+            pos += 1
+        else:
+            end = 2 * zero + 1 - pos
+            if end > n:
                 break
-            operands.append(val % N_REGISTERS if kind == "r" else val)
-        if not ok:
-            break
-        instructions.append((op, *operands))
-    return ToyProgram(tuple(instructions))
+            val = int(bits[zero:end], 2) + (1 << (zero - pos)) - 1
+            pos = end
+        if not ins:
+            op = val % N_OPCODES
+            registers = _REGISTER_OPERANDS[op]
+            ins = [op]
+        else:
+            ins.append(val % N_REGISTERS if registers[len(ins) - 1] else val)
+            if len(ins) > len(registers):
+                instructions.append(tuple(ins))
+                ins = []
+    prog = object.__new__(ToyProgram)
+    object.__setattr__(prog, "instructions", tuple(instructions))
+    return prog
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +458,15 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
 
 def eval_program(e: ProgramIndex, x: int, budget: int, oracle: Optional[Oracle] = None) -> EvalOutcome:
     """phi_e(x) within `budget` steps, relative to `oracle` (default all-zeros)."""
-    if budget < 0:
-        raise ValueError("budget is a natural")
-    return _run(decode(e), x, budget, oracle)[0]
+    return eval_steps(e, x, budget, oracle)[0]
 
 
 def eval_steps(e: ProgramIndex, x: int, budget: int, oracle: Optional[Oracle] = None) -> tuple[EvalOutcome, int]:
     """Like eval_program but also reports steps consumed (== budget when Running)."""
     if budget < 0:
         raise ValueError("budget is a natural")
+    if x < 0:
+        raise ValueError("inputs are naturals")
     return _run(decode(e), x, budget, oracle)
 
 
@@ -529,16 +523,22 @@ def re_enumeration_growth(e: ProgramIndex, budget: int) -> tuple[tuple[int, ...]
 # ---------------------------------------------------------------------------
 # s-m-n and the recursion theorem.
 
-def _shift_jumps(instructions: tuple[tuple[int, ...], ...], offset: int) -> list[tuple[int, ...]]:
-    out = []
-    for ins in instructions:
+# smn_fill's prefix `load r1, a; pair r0, r1, r0; load r1, 0`, coded around a.
+_SMN_HEAD = _code_bits([(OP_LOAD, 1)])
+_SMN_MIDDLE = _code_bits([(OP_PAIR, 0, 1, 0), (OP_LOAD, 1, 0)])
+
+
+@lru_cache(maxsize=256)
+def _shifted_body(e: ProgramIndex) -> str:
+    """Code bits of decode(e) with its jump targets moved past smn_fill's prefix."""
+    body = []
+    for ins in decode(e).instructions:
         if ins[0] == OP_JMP:
-            out.append((OP_JMP, ins[1] + offset))
+            ins = (OP_JMP, ins[1] + SMN_STEP_OVERHEAD)
         elif ins[0] == OP_JZ:
-            out.append((OP_JZ, ins[1], ins[2] + offset))
-        else:
-            out.append(ins)
-    return out
+            ins = (OP_JZ, ins[1], ins[2] + SMN_STEP_OVERHEAD)
+        body.append(ins)
+    return _code_bits(body)
 
 
 @lru_cache(maxsize=8192)
@@ -550,13 +550,9 @@ def smn_fill(e: ProgramIndex, a: int) -> ProgramIndex:
     body of e with jump targets shifted.  Step cost of e' exceeds e's by
     exactly SMN_STEP_OVERHEAD.
     """
-    body = decode(e).instructions
-    prefix = [
-        (OP_LOAD, 1, a),
-        (OP_PAIR, 0, 1, 0),
-        (OP_LOAD, 1, 0),
-    ]
-    return encode(ToyProgram(tuple(prefix + _shift_jumps(body, len(prefix)))))
+    if a < 0:
+        raise ValueError("s-m-n parameters are naturals")
+    return _nat_of_bits(_SMN_HEAD + _gamma_bits(a) + _SMN_MIDDLE + _shifted_body(e))
 
 
 # phi_UNIV2(pair(u, x)) = phi_{phi_u(u)}(x): the engine of the recursion

@@ -7,6 +7,11 @@ produced.  `naive_eval` below is a separate bare-bones interpreter with
 none of them, written directly from the instruction semantics; a sweep
 cross-checks the two on a few thousand indices, and random looping
 programs cross-check them at budgets long enough for loops to repeat.
+
+The program codec has fast paths too: `decode` scans its bit string with
+`str.find` and skips ToyProgram's validation, and `smn_fill` splices a
+cached body.  `naive_decode` (a bit-at-a-time reader) and `naive_smn_fill`
+(decode, shift, re-encode) mirror them.
 """
 
 from __future__ import annotations
@@ -141,6 +146,63 @@ def _naive_run(instructions, arg, allot, oracle):
         pc += 1
 
 
+class _BitReader:
+    def __init__(self, bits: str) -> None:
+        self.bits = bits
+        self.pos = 0
+
+    def read_nat(self):
+        bits, pos, n = self.bits, self.pos, len(self.bits)
+        ones = 0
+        while pos < n and bits[pos] == "1":
+            ones += 1
+            pos += 1
+        if pos >= n:
+            return None  # unterminated unary prefix: padding
+        pos += 1  # the 0 separator
+        if pos + ones > n:
+            return None  # truncated body: padding
+        body = bits[pos:pos + ones]
+        self.pos = pos + ones
+        return int("1" + body, 2) - 1 if ones else 0
+
+
+def naive_decode(e):
+    """Instruction tuple coded by e, read one bit at a time."""
+    reader = _BitReader(bin(e + 1)[3:])
+    instructions = []
+    while True:
+        raw_op = reader.read_nat()
+        if raw_op is None:
+            break
+        op = raw_op % 17
+        sig = OP_SIGNATURE[op]
+        operands = []
+        ok = True
+        for kind in sig:
+            val = reader.read_nat()
+            if val is None:
+                ok = False
+                break
+            operands.append(val % 16 if kind == "r" else val)
+        if not ok:
+            break
+        instructions.append((op, *operands))
+    return tuple(instructions)
+
+
+def naive_smn_fill(e, a):
+    """smn_fill by re-encoding: the prefix, then e's body with jumps shifted."""
+    body = []
+    for ins in naive_decode(e):
+        if ins[0] == OP_JMP:
+            ins = (OP_JMP, ins[1] + SMN_STEP_OVERHEAD)
+        elif ins[0] == OP_JZ:
+            ins = (OP_JZ, ins[1], ins[2] + SMN_STEP_OVERHEAD)
+        body.append(ins)
+    return encode([(OP_LOAD, 1, a), (OP_PAIR, 0, 1, 0), (OP_LOAD, 1, 0), *body])
+
+
 def naive_eval(e, x, budget, oracle=None):
     h, v, c = _naive_run(decode(e).instructions, x, budget, oracle)
     return (Halted(v) if h else RUNNING), (c if h else budget)
@@ -181,6 +243,45 @@ def test_encode_decode_roundtrip(p):
 @given(st.integers(0, 10**9))
 def test_decode_encode_contracts(e):
     assert encode(decode(e)) <= e
+
+
+def test_decode_matches_naive_mirror_exhaustively():
+    for e in range(1 << 16):
+        prog = decode(e)
+        assert prog.instructions == naive_decode(e), e
+        # decode skips validation; validation must accept what it yields
+        assert ToyProgram(prog.instructions) == prog, e
+
+
+@given(st.integers(0, 1 << 400))
+@settings(max_examples=300)
+def test_decode_matches_naive_mirror_on_long_codes(e):
+    # long random codes end in every kind of truncated tail
+    prog = decode(e)
+    assert prog.instructions == naive_decode(e)
+    assert ToyProgram(prog.instructions) == prog
+
+
+@given(st.one_of(program_st.map(encode), st.integers(0, 1 << 200)),
+       st.integers(0, 1 << 70))
+@settings(max_examples=300)
+def test_smn_fill_matches_reencoding(e, a):
+    assert smn_fill(e, a) == naive_smn_fill(e, a)
+
+
+def test_smn_fill_rejects_negative_arguments():
+    with pytest.raises(ValueError, match="s-m-n parameters are naturals"):
+        smn_fill(encode(IDENTITY), -1)
+    with pytest.raises(ValueError, match="indices are naturals"):
+        smn_fill(-5, 1)
+
+
+@pytest.mark.parametrize("run", [eval_program, eval_steps])
+def test_eval_rejects_negative_input(run):
+    with pytest.raises(ValueError, match="inputs are naturals"):
+        run(encode(IDENTITY), -3, 10)
+    with pytest.raises(ValueError, match="budget is a natural"):
+        run(encode(IDENTITY), 3, -1)
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
