@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Mapping
 
+from .errors import CombinatorialBlowup
+
 _DECIMAL = re.compile(r"-?[0-9]+")
+
+# Widest numerator, in bits, a sum may align its terms to: aligning shifts by
+# the exponent gap.  Measures and lowness sums stay within a few dozen bits,
+# and 2^13 bits still print as a decimal JSON string.
+WIDTH_LIMIT = 1 << 13
 
 
 @total_ordering
@@ -31,12 +38,9 @@ class DyadicRational:
         if self.exponent < 0:
             raise ValueError("exponent is a natural")
         num, exp = self.numerator, self.exponent
-        if num == 0:
-            exp = 0
-        else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
+        # drop the numerator's trailing zero bits, at most exp of them
+        shift = min((num & -num).bit_length() - 1, exp) if num else exp
+        num, exp = num >> shift, exp - shift
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "exponent", exp)
 
@@ -50,9 +54,15 @@ class DyadicRational:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "DyadicRational") -> "DyadicRational":
+        """Exact sum; CombinatorialBlowup, before any shift, past WIDTH_LIMIT."""
+        a, b = self.numerator, other.numerator
         e = max(self.exponent, other.exponent)
-        num = (self.numerator << (e - self.exponent)) + (other.numerator << (e - other.exponent))
-        return DyadicRational(num, e)
+        width = max(a and a.bit_length() + e - self.exponent,
+                    b and b.bit_length() + e - other.exponent)
+        if width > WIDTH_LIMIT:
+            raise CombinatorialBlowup(
+                f"a dyadic sum needs a {width}-bit numerator, over the {WIDTH_LIMIT}-bit limit")
+        return DyadicRational((a << (e - self.exponent)) + (b << (e - other.exponent)), e)
 
     def __sub__(self, other: "DyadicRational") -> "DyadicRational":
         return self + (-other)
@@ -63,9 +73,6 @@ class DyadicRational:
     def __mul__(self, other: "DyadicRational") -> "DyadicRational":
         return DyadicRational(self.numerator * other.numerator,
                               self.exponent + other.exponent)
-
-    def scaled(self, k: int) -> "DyadicRational":
-        return DyadicRational(self.numerator * k, self.exponent)
 
     # -- order --------------------------------------------------------------
 

@@ -30,7 +30,10 @@ constraints, each candidate is judged on the nodes whose outputs agree with
 all previously fused (position, bit) pairs.  Since domains are initial
 segments, any node deciding a later position has decided all fused earlier
 ones, so every prefix of the fused list was accepted in its turn, and
-density_search reads its one 2k-bushy tree off the prefix it needs.
+density_search reads its one 2k-bushy tree off the prefix it needs.  The
+zero tree reads its Delta sets off the search's one totality tree by the
+same fact: each zero-tree leaf decides the last forced position, so it is
+a stage leaf of that tree (see case2_zero_tree).
 """
 
 from __future__ import annotations
@@ -376,42 +379,45 @@ def fusion_step(gamma_table: FiniteFunctional, tau: Node, k: int,
 # ---------------------------------------------------------------------------
 # Case 2: zero forcing.
 
-def case2_zero_tree(gamma_table: FiniteFunctional, sigma: Node, k: int, count: int,
+def case2_zero_tree(gamma_table: FiniteFunctional, totality: TreeWitness, k: int, count: int,
                     avoid: frozenset[Node], g: OrderFunction) -> tuple[TreeWitness, list[int]]:
-    """k-bushy tree above sigma forcing up to `count` output positions to 0.
+    """k-bushy tree above totality.stem forcing up to `count` output positions to 0.
 
-    Stage j picks the least admissible position n_j (one past the previous):
-    above every current leaf it builds an exactly-6k totality tree
-    (BignessUnavailable propagates when C at the position fails its
-    7k-bigness there), whose zero-side Delta set must be 2k-big above the
-    leaf, and grafts a k-bushy tree with leaves in that zero side, all nodes
-    outside `avoid` (as in `build_totality_tree`).  The pass stops at the
-    first stage with no admissible position and returns the tree with the
-    zeros forced so far, which may be none.  Stages are deterministic, so
-    the first j stages of any run are those of a run asked for j.
+    `totality` is `build_totality_tree`'s tree above the stem through every
+    tabled position, with this k and `avoid`.  Stage j picks the least
+    admissible position n_j (one past the previous): above every current
+    leaf, the zero side of `totality` (its Delta set at (n_j, 0), cut to the
+    leaf's own nodes so the marking validates no others) is 2k-big, and the
+    leaf takes a k-bushy graft with leaves in it, all nodes outside `avoid`.
+    The pass stops at the first stage with no admissible position and
+    returns the tree with the zeros forced so far, which may be none.
+    Stages are deterministic, so the first j stages of any run are those of
+    a run asked for j.
+
+    The zero side equals that of a totality tree grown afresh above each
+    leaf.  Every leaf decides the last forced position, so it lies in no
+    earlier stage's graft: it is a stage leaf of `totality`, which above it
+    repeats a fresh tree's stages (same C_m, graft and `avoid`).  The nodes
+    added after stage n descend from leaves already deciding n, so they
+    change no marking value the 2k test or the graft reads.  Hence C never
+    fails its 7k-bigness here: BignessUnavailable cannot arise.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    sigma = tuple(sigma)
     depth = gamma_table.depth
-    if sigma in avoid:
-        raise ValueError(f"stem {sigma} lies in the badset closure")
-    capacity = gamma_table.max_output_length()
-    nodes: set[Node] = {sigma}
-    leaves: list[Node] = [sigma]
+    nodes: set[Node] = {totality.stem}
+    leaves: list[Node] = [totality.stem]
     zeros: list[int] = []
     for _ in range(count):
         floor = zeros[-1] + 1 if zeros else 0
-        for position in range(floor, capacity):
+        for position in range(floor, gamma_table.max_output_length()):
+            zero_delta = delta_set(gamma_table, totality, position, 0)
             grafts: list[TreeWitness] = []
             for rho in sorted(leaves):
-                # totality must persist above every leaf before zeros are forced
-                tree_rho = build_totality_tree(
-                    gamma_table, rho, k, position + 1, avoid, g)
-                zero_delta = delta_set(gamma_table, tree_rho, position, 0)
-                if not is_n_big(zero_delta, 2 * k, g, rho, depth):
+                above = frozenset(n for n in zero_delta if n[:len(rho)] == rho)
+                if not is_n_big(above, 2 * k, g, rho, depth):
                     break
-                grafts.append(_graft(zero_delta, k, g, depth, rho, avoid))
+                grafts.append(_graft(above, k, g, depth, rho, avoid))
             if len(grafts) == len(leaves):
                 break  # every leaf took a graft: the position is admissible
         else:
@@ -420,7 +426,7 @@ def case2_zero_tree(gamma_table: FiniteFunctional, sigma: Node, k: int, count: i
             nodes.update(graft.nodes)
         leaves = [leaf for graft in grafts for leaf in graft.leaves()]
         zeros.append(position)
-    tree = TreeWitness(sigma, frozenset(nodes))
+    tree = TreeWitness(totality.stem, frozenset(nodes))
     verify_bushy(tree, k, g)
     for leaf in tree.leaves():
         bits = gamma_table.output(leaf)
@@ -587,49 +593,48 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
     """
     g = cond.g
     trace: list = []
+
+    def fail(reason: str, step_reason: Optional[str] = None, **extra) -> BudgetExceeded:
+        trace.append({"step": "fail", "reason": step_reason or reason, **extra})
+        return BudgetExceeded(reason, tuple(trace))
+
     k = cond.smallness_degree()
     trace.append({"step": "close_badset", "k": k})
     depth = gamma_table.depth
     level = g.first_level_with(8 * k)
     if level is None:
-        trace.append({"step": "fail", "reason": f"order function never reaches {8 * k}"})
-        return BudgetExceeded(f"order function never reaches {8 * k}", tuple(trace))
+        return fail(f"order function never reaches {8 * k}")
     target_length = max(level, len(cond.stem))
     if target_length > depth:
-        trace.append({"step": "fail",
-                      "reason": f"needed stem length {target_length} exceeds table depth {depth}"})
-        return BudgetExceeded("table too shallow for the required stem length", tuple(trace))
+        return fail("table too shallow for the required stem length",
+                    f"needed stem length {target_length} exceeds table depth {depth}")
     # the one closure of the badset: every tree below avoids it
     avoid = _badset_closure(cond.badset, k, g, depth)
     tau0 = _lengthen_stem(cond.stem, target_length, avoid, g)
     trace.append({"step": "lengthen_stem", "stem": list(tau0), "width_bound": 8 * k})
     target_len = max(gamma_table.max_output_length(), 1)
 
-    def non_total(position: int, node: Node) -> NonTotalExt:
-        cm = c_m_set(gamma_table, g, node, position)
-        assert not is_n_big(cm, 7 * k, g, node, depth)
-        cm_min = _c_m_minimal(cm, node)
-        new_cond = ForcingCondition(node, cond.badset | cm_min, g)
+    try:
+        totality = build_totality_tree(gamma_table, tau0, k, target_len, avoid, g)
+    except BignessUnavailable as exc:
+        m, node = exc.position, exc.node
+        cm_min = _c_m_minimal(c_m_set(gamma_table, g, node, m), node)
         cert = {
             "kind": "non_total_extension",
             "g": g.to_spec(),
             "functional": gamma_table.to_jsonable(),
             "k": k,
             "stem": list(node),
-            "m": position,
+            "m": m,
             "smallness_bound": 7 * k,
             "c_m_minimal": sorted(list(n) for n in cm_min),
             "badset_before": sorted(list(b) for b in cond.badset),
         }
-        trace.append({"step": "non_total_extension", "m": position, "stem": list(node)})
-        return NonTotalExt(new_cond, position, cert, tuple(trace))
-
-    try:
-        totality = build_totality_tree(gamma_table, tau0, k, target_len, avoid, g)
-        trace.append({"step": "totality_tree", "target_len": target_len,
-                      "size": len(totality.nodes)})
-    except BignessUnavailable as exc:
-        return non_total(exc.position, exc.node)
+        trace.append({"step": "non_total_extension", "m": m, "stem": list(node)})
+        return NonTotalExt(ForcingCondition(node, cond.badset | cm_min, g), m, cert,
+                           tuple(trace))
+    trace.append({"step": "totality_tree", "target_len": target_len,
+                  "size": len(totality.nodes)})
 
     # Delta sets are judged within the constructed tree: the case split is
     # whether the deciding level carries a >= 4k majority for one bit
@@ -643,21 +648,17 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
 
     def finish(tree: TreeWitness, bushiness: int, fused: Sequence[tuple[int, int]],
                e0: int, e1: int, v0: int, v1: int, cap: int, label: str) -> DensityVerdict:
+        """The diagonal extension on `fused`, already cut to its c pairs."""
         m_val = max(v0, v1)
-        c = min(2 * m_val + 1, cap)
-        w0 = frozenset(m for m, i in fused[:c] if i == 0)
-        w1 = frozenset(m for m, i in fused[:c] if i == 1)
-        winner = 0 if len(w0) > m_val else 1
-        w_win = (w0, w1)[winner]
-        if len(w_win) <= m_val:
-            trace.append({"step": "fail", "reason": "pigeonhole shortfall after q evaluation"})
-            return BudgetExceeded("diagonal sets too small after q evaluation", tuple(trace))
+        sides = [frozenset(m for m, i in fused if i == bit) for bit in (0, 1)]
+        winner = 0 if len(sides[0]) > m_val else 1
+        w_win = sides[winner]
+        # fusion hands over 2m + 1 pairs at distinct positions, the zero tree m + 1 zeros
+        assert len(w_win) > m_val, "pigeonhole violated"
         e_win = (e0, e1)[winner]
         if domain_window(e_win, target_len, limits.eval_budget) != w_win:
-            trace.append({"step": "fail", "reason": "enumeration audit failed at this budget"})
-            return BudgetExceeded("enumeration audit failed at this budget", tuple(trace))
+            return fail("enumeration audit failed at this budget")
         leaf = min(tree.leaves())
-        new_cond = ForcingCondition(leaf, cond.badset, g)
         cert = {
             "kind": "diagonal_extension",
             "case": label,
@@ -667,13 +668,13 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
             "tau": list(tau0),
             "tree": tree.to_jsonable(),
             "tree_bushiness": bushiness,
-            "fused": [list(p) for p in fused[:c]],
+            "fused": [list(p) for p in fused],
             "e0": e0,
             "e1": e1,
             "q": q,
             "q_values": [v0, v1],
             "m": m_val,
-            "c": c,
+            "c": len(fused),
             "cap": cap,
             "winner": winner,
             "w_winner": sorted(w_win),
@@ -683,9 +684,9 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
             "badset": sorted(list(b) for b in cond.badset),
             "new_stem": list(leaf),
         }
-        trace.append({"step": "diagonal_extension", "case": label, "c": c,
+        trace.append({"step": "diagonal_extension", "case": label, "c": len(fused),
                       "winner": winner, "stem": list(leaf)})
-        return DiagonalExt(new_cond, cert, tuple(trace))
+        return DiagonalExt(ForcingCondition(leaf, cond.badset, g), cert, tuple(trace))
 
     def diagonal_indices(fused: Sequence[tuple[int, int]]):
         """(e0, e1, q(e0), q(e1)) for the fused list, or BudgetExceeded."""
@@ -693,8 +694,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         out0 = eval_program(q, e0, limits.eval_budget)
         out1 = eval_program(q, e1, limits.eval_budget)
         if not (isinstance(out0, Halted) and isinstance(out1, Halted)):
-            trace.append({"step": "fail", "reason": "q not total on the diagonal indices"})
-            return BudgetExceeded("q not total on the diagonal indices", tuple(trace))
+            return fail("q not total on the diagonal indices")
         return e0, e1, out0.value, out1.value
 
     if big_inputs:
@@ -708,39 +708,31 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         e0, e1, v0, v1 = found
         c = 2 * max(v0, v1) + 1
         if c <= cap:
-            fused_c = fused[:c]  # accepted in its turn, so 2k-big
-            kept = _constraint_set(gamma_table, sorted(totality.nodes), fused_c)
+            fused = fused[:c]  # accepted in its turn, so 2k-big
+            kept = _constraint_set(gamma_table, sorted(totality.nodes), fused)
             tree = witness_tree(kept, 2 * k, g, tau0, depth, avoid=avoid)
             # an all-zero prefix of 2m + 1 pairs holds more than m zeros
-            label = "case2" if all(i == 0 for _, i in fused_c) else "case1"
-            return finish(tree, 2 * k, fused_c, e0, e1, v0, v1, cap, label)
+            label = "case2" if all(i == 0 for _, i in fused) else "case1"
+            return finish(tree, 2 * k, fused, e0, e1, v0, v1, cap, label)
         trace.append({"step": "fusion_short", "achieved": cap, "needed": c})
 
     # Case 2: force zeros with a k-bushy tree, as many as the stages sustain
-    try:
-        zeros_tree, zeros = case2_zero_tree(gamma_table, tau0, k, target_len, avoid, g)
-    except BignessUnavailable as exc:
-        return non_total(exc.position, exc.node)
+    zeros_tree, zeros = case2_zero_tree(gamma_table, totality, k, target_len, avoid, g)
     if not zeros:
-        trace.append({"step": "fail", "reason": "no zero-forcing tree at any count"})
-        return BudgetExceeded("no zero-forcing tree at any count", tuple(trace))
+        return fail("no zero-forcing tree at any count")
     trace.append({"step": "zero_tree", "zeros": zeros})
-    fused = [(n, 0) for n in zeros]
-    cap = len(fused)
-    found = diagonal_indices(fused)
+    found = diagonal_indices([(n, 0) for n in zeros])
     if isinstance(found, BudgetExceeded):
         return found
     e0, e1, v0, v1 = found
     m_val = max(v0, v1)
+    cap = len(zeros)
     if cap < m_val + 1:
-        trace.append({"step": "fail", "reason": "zero capacity below the q bound",
-                      "capacity": cap, "needed": m_val + 1})
-        return BudgetExceeded("zero capacity below the q bound", tuple(trace))
+        return fail("zero capacity below the q bound", capacity=cap, needed=m_val + 1)
     c = min(2 * m_val + 1, cap)
-    if c < len(zeros):
-        zeros_tree, zeros = case2_zero_tree(gamma_table, tau0, k, c, avoid, g)
-        fused = [(n, 0) for n in zeros]
-    return finish(zeros_tree, k, fused, e0, e1, v0, v1, cap, "case2")
+    if c < cap:
+        zeros_tree, zeros = case2_zero_tree(gamma_table, totality, k, c, avoid, g)
+    return finish(zeros_tree, k, [(n, 0) for n in zeros], e0, e1, v0, v1, cap, "case2")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ and is left out) and `bench/*.py`.  Every public top-level function or
 class, and every public method, must be referenced somewhere outside its
 own definition.  A reference is a `Name`, an `Attribute` or a string that
 is an identifier: the benchmark's tracer names the functions it wraps as
-strings.  Tests are not callers, so a name only they use fails the audit.
+strings.  A method is reached only through an attribute or a string, so a
+bare name, such as a local variable that happens to share its name, does
+not keep it alive.  Tests are not callers, so a name only they use fails
+the audit.
 
 A parameter audit applies the same rule one level down: every defaulted
 parameter of a public function or method must be passed by some call in
@@ -66,34 +69,36 @@ def _definitions(tree: ast.Module) -> list[tuple[tuple[str, ...], ast.stmt]]:
 
 
 def _references(tree: ast.AST, scope: tuple[str, ...] = ()):
-    """(identifier, enclosing definition path) for every reference in the tree."""
+    """(identifier, enclosing definition path, whether it is a bare name) for
+    every reference in the tree."""
     for child in ast.iter_child_nodes(tree):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield from _references(child, scope + (child.name,))
             continue
         if isinstance(child, ast.Name):
-            yield child.id, scope
+            yield child.id, scope, True
         elif isinstance(child, ast.Attribute):
-            yield child.attr, scope
+            yield child.attr, scope, False
         elif isinstance(child, ast.Constant) and isinstance(child.value, str) \
                 and child.value.isidentifier():
-            yield child.value, scope
+            yield child.value, scope, False
         yield from _references(child, scope)
 
 
 def unreferenced_names(package_modules: list[Path], other_modules: list[Path]) -> list[str]:
     """Public package names that nothing outside their own definition references."""
     trees = {p: ast.parse(p.read_text(), str(p)) for p in package_modules + other_modules}
-    refs: dict[str, list[tuple[Path, tuple[str, ...]]]] = {}
+    refs: dict[str, list[tuple[Path, tuple[str, ...], bool]]] = {}
     for path, tree in trees.items():
-        for name, scope in _references(tree):
-            refs.setdefault(name, []).append((path, scope))
+        for name, scope, bare in _references(tree):
+            refs.setdefault(name, []).append((path, scope, bare))
     missing = []
     for path in package_modules:
         for definition, _ in _definitions(trees[path]):
-            name = definition[-1]
-            if any(where != path or scope[:len(definition)] != definition
-                   for where, scope in refs.get(name, ())):
+            name, method = definition[-1], len(definition) == 2
+            if any((where != path or scope[:len(definition)] != definition)
+                   and not (method and bare)
+                   for where, scope, bare in refs.get(name, ())):
                 continue
             missing.append(f"{path.stem}.{'.'.join(definition)}")
     return missing
@@ -158,7 +163,7 @@ def unreferenced_constants(package_modules: list[Path], other_modules: list[Path
     referrers: dict[str, set[tuple[Path, int]]] = {}
     for path, body in bodies.items():
         for i, stmt in enumerate(body):
-            for name, _ in _references(stmt):
+            for name, _, _ in _references(stmt):
                 referrers.setdefault(name, set()).add((path, i))
     return [f"{path.stem}.{name}" for path in package_modules
             for i, stmt in enumerate(bodies[path]) for name in _assigned_names(stmt)
@@ -192,6 +197,25 @@ def test_allow_list_names_exist_and_lack_callers():
     missing = {name.rsplit(".", 1)[-1] for name in
                unreferenced_names(_package_modules(), _bench_modules())}
     assert set(ALLOWED) <= missing, f"stale allow-list entries: {set(ALLOWED) - missing}"
+
+
+def test_name_audit_reaches_methods_only_through_attributes(tmp_path):
+    module = tmp_path / "stock.py"
+    module.write_text(
+        "def helper(): pass\n"
+        "class K:\n"
+        "    def called(self): pass\n"
+        "    def named(self): pass\n"
+        "    def shadowed(self): pass\n"
+        "    def _private(self): pass\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "from stock import K, helper\n"
+        "helper()\nK().called()\nTRACED = ['named']\n"
+        "shadowed = [s for s in range(3)]\n")
+    assert unreferenced_names([module], [caller]) == ["stock.K.shadowed"]
+    assert unreferenced_names([module], []) == [
+        "stock.helper", "stock.K", "stock.K.called", "stock.K.named", "stock.K.shadowed"]
 
 
 def test_every_defaulted_parameter_has_a_caller_that_passes_it():

@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dnrlab import certs, cli
-from dnrlab.asm import DIVERGE_INDEX, IDENTITY_INDEX, ZERO_INDEX, const_index
+from dnrlab.asm import DIVERGE_INDEX, IDENTITY_INDEX, ZERO_INDEX, assemble_index, \
+    const_index
 from dnrlab.bushy import OrderFunction, closure, region_nodes, \
     union_smallness_sweep, witness_tree
 from dnrlab.certs import _FIELDS, REPLAYERS, replay_certificate
@@ -760,6 +761,39 @@ class TestHostileReplay:
         assert time.perf_counter() - start < 1.0
         _assert_clean_exit(code, err)
         assert len(err) <= 1
+
+    @pytest.mark.parametrize("how", ["lowness-check", "schnorr-measure", "lowness replay"])
+    def test_far_apart_dyadic_terms_are_refused(self, how, tmp_path):
+        # f is 10^9 on odd inputs and 0 on even ones, so the lowness sum's
+        # terms lie 10^9 binary places apart; a 30000-element set puts the
+        # terms of a measure 30000 places apart
+        f = assemble_index("""
+            load r1, 2
+            mod r2, r0, r1
+            jz r2, even
+            load r3, 1000000000
+            halt r3
+        even:
+            halt r2
+        """)
+        path = tmp_path / "in.json"
+        if how == "schnorr-measure":
+            path.write_text(json.dumps({"sets": [[], [0, 1], list(range(2, 30002))]}))
+            args = ["--command", how, "--budget.c=0", "--in", str(path)]
+        elif how == "lowness-check":
+            path.write_text(json.dumps({"f": f}))
+            args = ["--command", how, "--budget.c=0", "--budget.e_max=2", "--in", str(path)]
+        else:
+            cert = dict(next(c for c in _every_kind_seeds() if c["kind"] == "lowness_bound"))
+            cert.update(f=f, c=0, e_max=2)
+            path.write_text(json.dumps({"schema": TRACE_SCHEMA}) + "\n" + json.dumps(cert) + "\n")
+            args = ["--command", "replay", "--in", str(path)]
+        start = time.perf_counter()
+        code, err = _quiet_main(args)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BUDGET
+        (line,) = err
+        assert "-bit numerator, over the 8192-bit limit" in json.loads(line)["error"]
 
     @pytest.mark.parametrize("where", ["trace line", "trace header", "input file"])
     def test_deeply_nested_json_is_one_line_exit_1(self, where, tmp_path):

@@ -10,7 +10,9 @@ JSON.  The first fourteen were recorded before the searches shared one
 closure of the badset; the digit-set entries before the zero tree was
 forced in one pass and the fusion returned its pairs, and they reach a
 fused prefix shorter than the fusion, a zero tree that stops early, and
-no zero tree at all.
+no zero tree at all.  EXITS adds the failure exits the battery never
+reaches, each with its own program index and limits; their digests were
+recorded before the zero tree read its Delta sets off the totality tree.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ from dnrlab.asm import const_index
 from dnrlab.bushy import OrderFunction
 from dnrlab.forcing import FiniteFunctional, ForcingCondition, SearchLimits, density_search
 
+G8 = OrderFunction.constant(8)
 G16 = OrderFunction.constant(16)
 G32 = OrderFunction.constant(32)
 
@@ -93,10 +96,24 @@ BATTERY = {
         "8425071b1985e03be45379a195bb4dc40c53ac756004d5dc7dc7676d0127566d"),
 }
 
+# name: (table, q's index, g, stem, badset, limits, digest); index 0 diverges
+EXITS = {
+    "never-reaches": (FiniteFunctional.constant(2, (0, 0)), const_index(0), G8, (), [(7,)],
+        SearchLimits(), "630c4f69918d8a06414493e36b8a05939e5b9a317d7557e024a7c1e055aa322b"),
+    "too-shallow": (FiniteFunctional.constant(0, (0,)), const_index(0), OrderFunction((2, 16)),
+        (), [(1,)], SearchLimits(),
+        "1c6b7b52ad0519735cc4ffd805e6e9266050fb941a2277ec0f808b1e04462efe"),
+    "zero-q-not-total": (_digits({0, 7, 8, 10, 11, 12, 13, 15}, {1, 2, 3, 5, 7, 14, 15}), 0,
+        G16, (), [(12, 3)], SearchLimits(),
+        "8ba93a173f7b4fa5da5983f5bac7e7068e681291258d5e91b669dea575723187"),
+    "audit-failed": (FiniteFunctional.constant(2, (0, 0)), const_index(0), G16, (),
+        [(7,), (3, 0)], SearchLimits(eval_budget=20),
+        "e5dd08823a50a19d184282febd8d374ecfc002dacc7951408f8466e005cfd39a"),
+}
 
-def search_digest(table, q, g, stem, badset) -> str:
-    verdict = density_search(table, const_index(q), ForcingCondition(stem, frozenset(badset), g),
-                             SearchLimits())
+
+def search_digest(table, q, g, stem, badset, limits) -> str:
+    verdict = density_search(table, q, ForcingCondition(stem, frozenset(badset), g), limits)
     doc = {"verdict": type(verdict).__name__,
            "certificate": getattr(verdict, "certificate", None),
            "trace": list(verdict.trace)}
@@ -105,5 +122,11 @@ def search_digest(table, q, g, stem, badset) -> str:
 
 @pytest.mark.parametrize("name", sorted(BATTERY))
 def test_density_search_golden(name):
-    *search, digest = BATTERY[name]
+    table, q, *search, digest = BATTERY[name]
+    assert search_digest(table, const_index(q), *search, SearchLimits()) == digest
+
+
+@pytest.mark.parametrize("name", sorted(EXITS))
+def test_density_search_exit_golden(name):
+    *search, digest = EXITS[name]
     assert search_digest(*search) == digest

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dnrlab.dyadic import ONE, ZERO, DyadicRational, dyadic_sum
+from dnrlab.dyadic import ONE, WIDTH_LIMIT, ZERO, DyadicRational, dyadic_sum
+from dnrlab.errors import CombinatorialBlowup
 
 
 dyadics = st.builds(
@@ -59,8 +60,22 @@ class TestArithmetic:
     def test_mul(self):
         assert DyadicRational(3, 1) * DyadicRational(5, 2) == DyadicRational(15, 3)
 
-    def test_scaled(self):
-        assert DyadicRational(1, 3).scaled(4) == DyadicRational(1, 1)
+    def test_wide_sum_refused_before_shifting(self):
+        # aligning 1 with 2^-(10^9) would build a 10^9-bit numerator
+        far = DyadicRational.half_power(10**9)
+        assert ZERO + far == far  # a zero term aligns nothing
+        tracemalloc.start()
+        try:
+            with pytest.raises(CombinatorialBlowup, match="bit"):
+                ONE + far
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        edge = ONE + DyadicRational.half_power(WIDTH_LIMIT - 1)
+        assert edge.numerator.bit_length() == WIDTH_LIMIT
+        with pytest.raises(CombinatorialBlowup):
+            DyadicRational.half_power(WIDTH_LIMIT) - ONE
 
     def test_sum_helper(self):
         assert dyadic_sum(DyadicRational(1, k) for k in range(1, 5)) == DyadicRational(15, 4)

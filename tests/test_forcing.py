@@ -10,6 +10,7 @@ from dnrlab.bushy import (
     MalformedTree,
     OrderFunction,
     TreeWitness,
+    is_n_big,
     region_nodes,
     verify_bushy,
     witness_tree,
@@ -27,6 +28,8 @@ from dnrlab.forcing import (
     _badset_closure,
     _constraint_set,
     _c_m_minimal,
+    _graft,
+    _lengthen_stem,
     build_totality_tree,
     c_m_set,
     case2_zero_tree,
@@ -37,6 +40,7 @@ from dnrlab.forcing import (
     generic_prefix,
 )
 from dnrlab.machine import Halted, eval_program
+from test_density_golden import BATTERY as GOLDEN
 
 G8 = OrderFunction.constant(8)
 G16 = OrderFunction.constant(16)
@@ -229,9 +233,49 @@ class TestFusion:
 # ---------------------------------------------------------------------------
 # Zero forcing.
 
+def naive_case2_zero_tree(gamma_table, sigma, k, count, avoid, g):
+    """The zero tree with a totality tree grown afresh above every leaf for
+    every candidate position: the mirror of case2_zero_tree."""
+    depth = gamma_table.depth
+    capacity = gamma_table.max_output_length()
+    nodes, leaves, zeros = {sigma}, [sigma], []
+    for _ in range(count):
+        floor = zeros[-1] + 1 if zeros else 0
+        for position in range(floor, capacity):
+            grafts = []
+            for rho in sorted(leaves):
+                tree_rho = build_totality_tree(gamma_table, rho, k, position + 1, avoid, g)
+                zero_delta = delta_set(gamma_table, tree_rho, position, 0)
+                if not is_n_big(zero_delta, 2 * k, g, rho, depth):
+                    break
+                grafts.append(_graft(zero_delta, k, g, depth, rho, avoid))
+            if len(grafts) == len(leaves):
+                break
+        else:
+            break
+        for graft in grafts:
+            nodes.update(graft.nodes)
+        leaves = [leaf for graft in grafts for leaf in graft.leaves()]
+        zeros.append(position)
+    return TreeWitness(sigma, frozenset(nodes)), zeros
+
+
+def zero_tree(table, k, count, avoid, g, stem=()):
+    """case2_zero_tree over the totality tree density_search builds above stem."""
+    totality = build_totality_tree(table, stem, k, max(table.max_output_length(), 1), avoid, g)
+    return case2_zero_tree(table, totality, k, count, avoid, g)
+
+
+def assert_zero_tree_matches_mirror(table, k, avoid, g, stem):
+    """Every count up to the table's positions gives the mirror's tree and zeros."""
+    for count in range(table.max_output_length() + 1):
+        assert zero_tree(table, k, count, avoid, g, stem) == \
+            naive_case2_zero_tree(table, stem, k, count, avoid, g)
+
+
 class TestCase2ZeroTree:
     def test_constant_table(self):
-        tree, zeros = case2_zero_tree(CONST3, (), 1, 2, frozenset(), G8)
+        tree, zeros = zero_tree(CONST3, 1, 2, frozenset(), G8)
         assert zeros == [0, 1]
         verify_bushy(tree, 1, G8)
         for leaf in tree.leaves():
@@ -240,7 +284,7 @@ class TestCase2ZeroTree:
 
     def test_parity_depth3(self):
         table = parity_table(8, 2, 3)
-        tree, zeros = case2_zero_tree(table, (), 1, 2, frozenset(), G8)
+        tree, zeros = zero_tree(table, 1, 2, frozenset(), G8)
         assert zeros == [0, 1]
         verify_bushy(tree, 1, G8)
         for leaf in tree.leaves():
@@ -251,30 +295,55 @@ class TestCase2ZeroTree:
         table = parity_table(16, 2, 2)
         badset = frozenset({(7,), (3, 0)})
         avoid = _badset_closure(badset, 2, G16, table.depth)
-        tree, zeros = case2_zero_tree(table, (), 2, 1, avoid, G16)
+        tree, zeros = zero_tree(table, 2, 1, avoid, G16)
         assert zeros == [0]
         assert not tree.leaves() & badset
         assert not tree.nodes & badset
 
     def test_zeros_strictly_increasing(self):
-        _, zeros = case2_zero_tree(PARITY3, (), 1, 3, frozenset(), G8)
+        _, zeros = zero_tree(PARITY3, 1, 3, frozenset(), G8)
         assert zeros == sorted(set(zeros))
 
     def test_capacity_exhaustion(self):
         # PARITY1 decides one position, so the pass stops after forcing it
-        tree, zeros = case2_zero_tree(PARITY1, (), 1, 2, frozenset(), G8)
+        tree, zeros = zero_tree(PARITY1, 1, 2, frozenset(), G8)
         assert zeros == [0]
         verify_bushy(tree, 1, G8)
 
     def test_totality_loss_reported(self):
-        # only three children above (0,) ever decide position 1
+        # only three children above (0,) ever decide position 1, so the
+        # totality tree the zero tree reads fails there first
         entries = {(a,): (a % 2,) for a in range(8)}
         entries.update({(0, b): (0, b % 2) for b in range(3)})
         table = FiniteFunctional.from_entries(2, entries)
         with pytest.raises(BignessUnavailable) as exc:
-            case2_zero_tree(table, (), 1, 2, frozenset(), G8)
+            build_totality_tree(table, (), 1, 2, frozenset(), G8)
         assert exc.value.position == 1
         assert exc.value.node == (0,)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_matches_mirror_on_golden_tables(self, name):
+        table, _, g, stem, badset, _ = GOLDEN[name]
+        cond = ForcingCondition(stem, frozenset(badset), g)
+        k = cond.smallness_degree()
+        avoid = _badset_closure(cond.badset, k, g, table.depth)
+        tau0 = _lengthen_stem(stem, max(g.first_level_with(8 * k), len(stem)), avoid, g)
+        try:
+            assert_zero_tree_matches_mirror(table, k, avoid, g, tau0)
+        except BignessUnavailable:
+            # the search takes its non-totality exit before any zero tree
+            assert isinstance(density_search(table, Q0, cond, LIMITS), NonTotalExt)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_mirror_on_total_tables(self, data):
+        depth = data.draw(st.integers(1, 2))
+        entries, outputs = {}, {(): ()}
+        for node in region_nodes(G8, depth):
+            if node:
+                outputs[node] = entries[node] = outputs[node[:-1]] + (data.draw(st.integers(0, 1)),)
+        table = FiniteFunctional.from_entries(depth, entries)
+        assert_zero_tree_matches_mirror(table, 1, frozenset(), G8, ())
 
 
 # ---------------------------------------------------------------------------
