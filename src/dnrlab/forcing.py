@@ -138,6 +138,8 @@ class FiniteFunctional:
                     break
         object.__setattr__(self, "table", tuple(sorted(seen.items())))
         object.__setattr__(self, "_by_node", seen)
+        object.__setattr__(self, "_max_output_length",
+                           max(map(len, seen.values()), default=0))
 
     @classmethod
     def from_entries(cls, depth: int, entries: Mapping[Node, Sequence[int]] |
@@ -167,7 +169,7 @@ class FiniteFunctional:
         return len(self.output(node))
 
     def max_output_length(self) -> int:
-        return max((len(out) for _, out in self.table), default=0)
+        return self._max_output_length
 
     def to_jsonable(self) -> dict:
         return {"depth": self.depth,

@@ -41,7 +41,7 @@ format implemented in dnrlab.asm and documented in docs/formats.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Optional, Protocol, Sequence
@@ -158,16 +158,56 @@ class Oracle(Protocol):
     def bit(self, i: int) -> int: ...
 
 
+# ---------------------------------------------------------------------------
+# Static divergence analysis.
+
+@lru_cache(maxsize=8192)
+def _halt_reachable(instructions: tuple[tuple[int, ...], ...]) -> tuple[bool, ...]:
+    """For each pc, whether some HALT instruction is control-flow reachable.
+
+    Over-approximates reachability (both JZ branches taken), so False is a
+    sound guarantee of divergence from that pc.
+    """
+    n = len(instructions)
+    succs: list[list[int]] = []
+    for pc, ins in enumerate(instructions):
+        op = ins[0]
+        if op == OP_HALT:
+            succs.append([])
+        elif op == OP_JMP:
+            succs.append([ins[1]])
+        elif op == OP_JZ:
+            succs.append([pc + 1, ins[2]])
+        else:
+            succs.append([pc + 1])
+    reach = [ins[0] == OP_HALT for ins in instructions]
+    changed = True
+    while changed:
+        changed = False
+        for pc in range(n):
+            if reach[pc]:
+                continue
+            for s in succs[pc]:
+                if 0 <= s < n and reach[s]:
+                    reach[pc] = True
+                    changed = True
+                    break
+    return tuple(reach)
+
+
 @dataclass(frozen=True)
 class ToyProgram:
     """A canonical instruction sequence.
 
     Instructions are tuples (opcode, operand, ...) matching OP_SIGNATURE;
     register operands must already be in range 0..15.  Construct via
-    `program(...)`, the assembler, or `decode`.
+    `program(...)`, the assembler, or `decode`.  `live` is the program's
+    `_halt_reachable` table, set once at construction; it is derived from
+    the instructions, so equality, hashing and repr leave it out.
     """
 
     instructions: tuple[tuple[int, ...], ...]
+    live: tuple[bool, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for ins in self.instructions:
@@ -182,6 +222,7 @@ class ToyProgram:
                     raise ValueError(f"negative operand in {ins}")
                 if kind == "r" and val >= N_REGISTERS:
                     raise ValueError(f"register out of range in {ins}")
+        object.__setattr__(self, "live", _halt_reachable(self.instructions))
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -197,10 +238,18 @@ EMPTY_PROGRAM = ToyProgram(())
 # ---------------------------------------------------------------------------
 # Cantor pairing and finite-set coding.
 
+@lru_cache(maxsize=64)
+def _triangle(a: int) -> int:
+    return a * (a + 1) // 2
+
+
 def pair(a: int, b: int) -> int:
-    """Cantor pairing; left/right project back onto a and b."""
-    s = a + b
-    return s * (s + 1) // 2 + b
+    """Cantor pairing (a+b)(a+b+1)/2 + b; left/right project back onto a and b.
+
+    Expanded as T(a) + a*b + T(b) + b with T cached: an s-m-n-filled index
+    pairs one fixed, possibly huge, parameter with each input it runs on.
+    """
+    return _triangle(a) + a * b + _triangle(b) + b
 
 
 def unpair(z: int) -> tuple[int, int]:
@@ -296,56 +345,23 @@ def decode(e: ProgramIndex) -> ToyProgram:
             if len(ins) > len(registers):
                 instructions.append(tuple(ins))
                 ins = []
+    code = tuple(instructions)
     prog = object.__new__(ToyProgram)
-    object.__setattr__(prog, "instructions", tuple(instructions))
+    object.__setattr__(prog, "instructions", code)
+    object.__setattr__(prog, "live", _halt_reachable(code))
     return prog
-
-
-# ---------------------------------------------------------------------------
-# Static divergence analysis.
-
-@lru_cache(maxsize=8192)
-def _halt_reachable(instructions: tuple[tuple[int, ...], ...]) -> tuple[bool, ...]:
-    """For each pc, whether some HALT instruction is control-flow reachable.
-
-    Over-approximates reachability (both JZ branches taken), so False is a
-    sound guarantee of divergence from that pc.
-    """
-    n = len(instructions)
-    succs: list[list[int]] = []
-    for pc, ins in enumerate(instructions):
-        op = ins[0]
-        if op == OP_HALT:
-            succs.append([])
-        elif op == OP_JMP:
-            succs.append([ins[1]])
-        elif op == OP_JZ:
-            succs.append([pc + 1, ins[2]])
-        else:
-            succs.append([pc + 1])
-    reach = [ins[0] == OP_HALT for ins in instructions]
-    changed = True
-    while changed:
-        changed = False
-        for pc in range(n):
-            if reach[pc]:
-                continue
-            for s in succs[pc]:
-                if 0 <= s < n and reach[s]:
-                    reach[pc] = True
-                    changed = True
-                    break
-    return tuple(reach)
 
 
 # ---------------------------------------------------------------------------
 # The interpreter.
 
-def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tuple[EvalOutcome, int]:
+def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tuple[Optional[int], int]:
     """Run phi_prog(x) for at most `budget` steps.
 
-    Returns (outcome, steps-consumed); a Running outcome always reports the
-    whole budget consumed (a diverging run would use any allowance).  Each
+    Returns (value, steps-consumed), value None when the run does not halt
+    within the budget; such a run always reports the whole budget consumed
+    (a diverging run would use any allowance).  Only eval_steps turns this
+    into a Halted/RUNNING outcome, so the window functions build none.  Each
     taken jump checks for a loop (Brent's cycle finding): landing on the
     saved configuration, that is the same register list (so the same frame),
     pc and register values, repeats forever, because the frames below cannot
@@ -354,7 +370,7 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
     at the first jump once `used` reaches a mark that doubles each time.
     """
     code = prog.instructions
-    live = _halt_reachable(code)
+    live = prog.live
     n = len(code)
     pc = 0
     regs = [0] * N_REGISTERS
@@ -370,7 +386,7 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
     paired_left = paired_right = 0
     while True:
         if pc >= n or not live[pc] or used >= budget:
-            return RUNNING, budget
+            return None, budget
         ins = code[pc]
         op = ins[0]
         used += 1
@@ -379,7 +395,7 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
         elif op == OP_HALT:
             value = regs[ins[1]]
             if not callers:
-                return Halted(value), used
+                return value, used
             into = dest
             code, live, n, pc, regs, dest = callers.pop()
             regs[into] = value
@@ -392,7 +408,7 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
             else:
                 pc = ins[2]
             if regs is saved_regs and pc == saved_pc and regs == saved_values:
-                return RUNNING, budget
+                return None, budget
             if used >= next_mark:
                 saved_regs, saved_pc, saved_values = regs, pc, regs[:]
                 next_mark *= 2
@@ -406,9 +422,10 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
             regs[ins[1]] = regs[ins[2]]
         elif op == OP_UNIV:
             callers.append((code, live, n, pc, regs, dest))
-            code = decode(regs[ins[2]]).instructions
+            callee = decode(regs[ins[2]])
+            code = callee.instructions
+            live = callee.live
             arg = regs[ins[3]]
-            live = _halt_reachable(code)
             n = len(code)
             pc = 0
             regs = [0] * N_REGISTERS
@@ -441,16 +458,16 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
             inner_bound = regs[ins[4]]
             avail = budget - used
             bounded = min(inner_bound, avail)
-            out, consumed = _run(decode(regs[ins[2]]), regs[ins[3]], bounded, oracle)
-            if isinstance(out, Halted):
+            value, consumed = _run(decode(regs[ins[2]]), regs[ins[3]], bounded, oracle)
+            if value is not None:
                 used += consumed
-                regs[ins[1]] = 1 + out.value
+                regs[ins[1]] = 1 + value
             elif bounded == inner_bound:
                 used += consumed  # genuine timeout within the declared bound
                 regs[ins[1]] = 0
             else:
                 # ambient budget cannot cover the declared bound: withhold.
-                return RUNNING, budget
+                return None, budget
         else:  # pragma: no cover - opcodes are exhaustive
             raise AssertionError(op)
         pc += 1
@@ -467,7 +484,8 @@ def eval_steps(e: ProgramIndex, x: int, budget: int, oracle: Optional[Oracle] = 
         raise ValueError("budget is a natural")
     if x < 0:
         raise ValueError("inputs are naturals")
-    return _run(decode(e), x, budget, oracle)
+    value, steps = _run(decode(e), x, budget, oracle)
+    return (RUNNING if value is None else Halted(value)), steps
 
 
 def enumerate_re(e: ProgramIndex, budget: int) -> frozenset[int]:
@@ -477,12 +495,16 @@ def enumerate_re(e: ProgramIndex, budget: int) -> frozenset[int]:
 
 def domain_window(e: ProgramIndex, horizon: int, budget: int) -> frozenset[int]:
     """{x < horizon : eval(e, x, budget) halts}: a bounded domain snapshot."""
+    if budget < 0:
+        raise ValueError("budget is a natural")
+    if horizon < 0:
+        raise ValueError("horizon is a natural")
     prog = decode(e)
-    if not prog.instructions or not _halt_reachable(prog.instructions)[0]:
+    if not prog.live or not prog.live[0]:
         return frozenset()
     return frozenset(
         x for x in range(horizon)
-        if isinstance(_run(prog, x, budget, None)[0], Halted)
+        if _run(prog, x, budget, None)[0] is not None
     )
 
 
@@ -504,15 +526,17 @@ def re_enumeration_growth(e: ProgramIndex, budget: int) -> tuple[tuple[int, ...]
     in W_{e,budget//2} exactly when x <= budget//2 and the run at this
     budget halts within budget//2 steps, so no second pass is needed.
     """
+    if budget < 0:
+        raise ValueError("budget is a natural")
     prog = decode(e)
-    if not prog.instructions or not _halt_reachable(prog.instructions)[0]:
+    if not prog.live or not prog.live[0]:
         return (), 0
     half = budget // 2
     entries = []
     at_half = 0
     for x in range(budget + 1):
-        out, steps = _run(prog, x, budget, None)
-        if isinstance(out, Halted):
+        value, steps = _run(prog, x, budget, None)
+        if value is not None:
             entries.append((max(steps, x), x))
             if x <= half and steps <= half:
                 at_half += 1

@@ -1,12 +1,18 @@
 """Register-machine substrate tests.
 
-The interpreter under test carries three fast paths: dead-code liveness,
-an exact loop check (a taken jump that lands on a saved configuration of
-the same frame diverges) and free left/right of the value the last pair
-produced.  `naive_eval` below is a separate bare-bones interpreter with
-none of them, written directly from the instruction semantics; a sweep
-cross-checks the two on a few thousand indices, and random looping
-programs cross-check them at budgets long enough for loops to repeat.
+The interpreter under test carries these fast paths: dead-code liveness,
+computed once per program and kept on it as `ToyProgram.live`; outcomes
+built only at the API (`_run` returns a bare value or None, and the window
+functions never wrap it); an exact loop check (a taken jump that lands on
+a saved configuration of the same frame diverges); free left/right of the
+value the last pair produced; and `pair` through a cached triangle number
+T(a) = a(a+1)/2.  `naive_eval` below is a separate bare-bones interpreter
+with none of them, written directly from the instruction semantics with
+its own pairing formula; a sweep cross-checks the two on a few thousand
+indices, random looping programs cross-check them at budgets long enough
+for loops to repeat, and self-referential interval slices (huge s-m-n
+parameters paired with every input) cross-check the domain windows.
+`naive_live` mirrors the liveness table by a plain search per pc.
 
 The program codec has fast paths too: `decode` scans its bit string with
 `str.find` and skips ToyProgram's validation, and `smn_fill` splices a
@@ -22,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnrlab.asm import IDENTITY_INDEX, ZERO_INDEX, assemble, const_index
 from dnrlab.machine import (
     EMPTY_PROGRAM,
     OP_ADD,
@@ -49,6 +56,7 @@ from dnrlab.machine import (
     ToyProgram,
     decode,
     diagonal_index,
+    domain_window,
     encode,
     enumerate_re,
     eval_program,
@@ -65,6 +73,7 @@ from dnrlab.machine import (
     unpair,
 )
 from dnrlab.oracle import EVENS, PrefixOracle
+from dnrlab.stages import interval_slice_index
 
 IDENTITY = program([(OP_HALT, 0)])
 CONST1 = program([(OP_LOAD, 1, 1), (OP_HALT, 1)])
@@ -72,6 +81,10 @@ CONST1 = program([(OP_LOAD, 1, 1), (OP_HALT, 1)])
 
 # ---------------------------------------------------------------------------
 # Reference interpreter: no caches, no fast paths, straight off the semantics.
+
+def _naive_pair(a, b):
+    return (a + b) * (a + b + 1) // 2 + b
+
 
 def _naive_run(instructions, arg, allot, oracle):
     """Return (halted?, value, consumed); Running consumes the whole allotment."""
@@ -112,7 +125,7 @@ def _naive_run(instructions, arg, allot, oracle):
         elif op == OP_SMN:
             regs[ins[1]] = smn_fill(regs[ins[2]], regs[ins[3]])
         elif op == OP_PAIR:
-            regs[ins[1]] = pair(regs[ins[2]], regs[ins[3]])
+            regs[ins[1]] = _naive_pair(regs[ins[2]], regs[ins[3]])
         elif op == OP_LEFT:
             regs[ins[1]] = unpair(regs[ins[2]])[0]
         elif op == OP_RIGHT:
@@ -208,6 +221,34 @@ def naive_eval(e, x, budget, oracle=None):
     return (Halted(v) if h else RUNNING), (c if h else budget)
 
 
+def naive_live(instructions):
+    """For each pc, whether a search along both jz branches meets a halt."""
+    n = len(instructions)
+
+    def successors(pc):
+        ins = instructions[pc]
+        if ins[0] == OP_HALT:
+            return []
+        if ins[0] == OP_JMP:
+            return [ins[1]]
+        if ins[0] == OP_JZ:
+            return [pc + 1, ins[2]]
+        return [pc + 1]
+
+    live = []
+    for start in range(n):
+        seen, todo, found = {start}, [start], False
+        while todo and not found:
+            pc = todo.pop()
+            found = instructions[pc][0] == OP_HALT
+            for nxt in successors(pc):
+                if nxt < n and nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        live.append(found)
+    return tuple(live)
+
+
 # ---------------------------------------------------------------------------
 # Coding layer.
 
@@ -262,6 +303,53 @@ def test_decode_matches_naive_mirror_on_long_codes(e):
     assert ToyProgram(prog.instructions) == prog
 
 
+def test_liveness_matches_naive_mirror_exhaustively():
+    for e in range(1 << 12):
+        prog = decode(e)
+        assert prog.live == naive_live(prog.instructions), e
+
+
+_ASSEMBLED = assemble("""
+    jz r0, out
+loop:
+    jmp loop
+out:
+    jz r1, never
+    halt r0
+never:
+""")
+
+
+@pytest.mark.parametrize("p", [
+    EMPTY_PROGRAM, IDENTITY, CONST1, _ASSEMBLED,
+    program([(OP_JMP, 99)]),
+    program([(OP_JMP, 0), (OP_HALT, 0)]),
+    program([(OP_JZ, 1, 2), (OP_HALT, 0), (OP_JMP, 0)]),
+    program([(OP_LOAD, 0, 0), (OP_JZ, 0, 0), (OP_HALT, 0)]),
+    program([(OP_JZ, 0, 3), (OP_JMP, 1), (OP_HALT, 0), (OP_JMP, 3)]),
+    decode(ZERO_INDEX), decode(const_index(5)),
+])
+def test_liveness_of_crafted_programs(p):
+    assert p.live == naive_live(p.instructions)
+    assert ToyProgram(p.instructions).live == decode(encode(p)).live == p.live
+
+
+@given(program_st)
+def test_liveness_of_random_programs(p):
+    assert p.live == naive_live(p.instructions) == decode(encode(p)).live
+
+
+def test_liveness_is_not_part_of_the_value():
+    assert decode(0) == decode(1) == EMPTY_PROGRAM
+    p = decode(encode(CONST1))
+    forged = object.__new__(ToyProgram)
+    object.__setattr__(forged, "instructions", p.instructions)
+    object.__setattr__(forged, "live", (False,) * len(p))
+    assert p.live != forged.live
+    assert forged == p == CONST1 and hash(forged) == hash(p) == hash(CONST1)
+    assert repr(forged) == repr(p) == f"ToyProgram(instructions={p.instructions!r})"
+
+
 @given(st.one_of(program_st.map(encode), st.integers(0, 1 << 200)),
        st.integers(0, 1 << 70))
 @settings(max_examples=300)
@@ -287,6 +375,20 @@ def test_eval_rejects_negative_input(run):
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 def test_pairing_bijection(a, b):
     assert unpair(pair(a, b)) == (a, b)
+
+
+_huge = st.one_of(st.integers(0, 300), st.integers(0, 1 << 3000))
+
+
+@given(_huge, st.lists(_huge, min_size=1, max_size=4))
+@settings(max_examples=200)
+def test_pairing_formula_on_huge_operands(a, bs):
+    # one operand against several, as an s-m-n parameter meets its inputs
+    for b in bs:
+        for x, y in ((a, b), (b, a)):
+            z = pair(x, y)
+            assert z == _naive_pair(x, y)
+            assert unpair(z) == (x, y)
 
 
 @given(st.integers(0, 10**9))
@@ -696,6 +798,19 @@ def test_enumerate_re_even_halting():
     assert enumerate_re(0, 50) == frozenset()
 
 
+@pytest.mark.parametrize("e", [0, IDENTITY_INDEX])
+def test_windows_reject_negative_bounds(e):
+    with pytest.raises(ValueError, match="budget is a natural"):
+        domain_window(e, 5, -1)
+    with pytest.raises(ValueError, match="horizon is a natural"):
+        domain_window(e, -1, 5)
+    for window in (enumerate_re, re_enumeration_order, re_enumeration_growth):
+        with pytest.raises(ValueError, match="budget is a natural"):
+            window(e, -2)
+    assert domain_window(e, 0, 0) == frozenset()
+    assert re_enumeration_growth(e, 0) == ((), 0)
+
+
 @given(st.integers(0, 2000), st.integers(0, 40))
 @settings(max_examples=60, deadline=None)
 def test_enumerate_re_monotone(e, budget):
@@ -752,3 +867,19 @@ def test_growth_checkpoint_on_stock_sets():
     assert len(order) > at_half == len(re_enumeration_order(encode(EVEN_HALT), 20))
     zero_only = program([(OP_JZ, 0, 2), (OP_JMP, 1), (OP_HALT, 0)])
     assert re_enumeration_growth(encode(zero_only), 40) == ((0,), 1)
+
+
+# ---------------------------------------------------------------------------
+# Self-referential slices: every run pairs one huge s-m-n parameter with
+# its input, the case the cached triangle is for.
+
+@pytest.mark.parametrize("f, base", [(ZERO_INDEX, 5), (const_index(2), 7), (const_index(1), 0)])
+def test_interval_slice_windows_match_naive_interpreter(f, base):
+    a = interval_slice_index(f, base)
+    horizon = base + 6
+    for budget in (0, 5, 20, 60, 10_000):
+        naive = frozenset(x for x in range(horizon) if naive_eval(a, x, budget)[0] != RUNNING)
+        assert domain_window(a, horizon, budget) == naive, budget
+        for x in range(horizon):
+            assert eval_steps(a, x, budget) == naive_eval(a, x, budget), (x, budget)
+    assert domain_window(a, horizon, 10_000) == frozenset(range(base, base + 1 + eval_program(f, a, 100).value))
