@@ -12,8 +12,9 @@ The module builds the finite combinatorial objects of the density argument:
   into exactly-6k-bushy totality trees avoiding the k-closure of the badset.
   C_m is read off output rows over the region index: each node's output,
   level by level, a tabled node's own and any other its parent's;
-* Delta sets (nodes deciding position m with a given bit) and the greedy
-  fusion of many (position, bit) constraints;
+* Delta sets (nodes deciding position m with a given bit), every
+  position's read off one pass over a tree, and the greedy fusion of many
+  (position, bit) constraints;
 * the k-bushy zero-forcing tree of the no-fusion case, forced in one pass;
 * density_search, which turns a functional, a toy program index q, and a
   condition into a verdict: a non-totality extension, a diagonalizing
@@ -225,14 +226,19 @@ class ForcingCondition:
 # ---------------------------------------------------------------------------
 # Delta sets and C_m.
 
-def delta_set(gamma_table: FiniteFunctional, tree: TreeWitness, m: int,
-              i: int) -> frozenset[Node]:
-    """Nodes of the tree whose output decides position m with bit i."""
-    if i not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    if m >= gamma_table.max_output_length():
-        raise ValueError(f"position {m} is beyond every tabled output")
-    return _constraint_set(gamma_table, tree.nodes, [(m, i)])
+def delta_sets(gamma_table: FiniteFunctional,
+               tree: TreeWitness) -> list[tuple[frozenset[Node], frozenset[Node]]]:
+    """The tree's Delta sets: entry m holds its nodes deciding output
+    position m with bit 0 and with bit 1, one entry per tabled position.
+
+    Each node's output is read once and the node filed under every
+    (position, bit) pair it decides."""
+    sides: list[tuple[list[Node], list[Node]]] = [
+        ([], []) for _ in range(gamma_table.max_output_length())]
+    for node in tree.nodes:
+        for side, bit in zip(sides, gamma_table.output(node)):
+            side[bit].append(node)
+    return [(frozenset(zeros), frozenset(ones)) for zeros, ones in sides]
 
 
 def c_m_set(gamma_table: FiniteFunctional, g: OrderFunction, stem: Node,
@@ -410,10 +416,11 @@ def case2_zero_tree(gamma_table: FiniteFunctional, totality: TreeWitness, k: int
     nodes: set[Node] = {totality.stem}
     leaves: list[Node] = [totality.stem]
     zeros: list[int] = []
+    zero_sides = [zero for zero, _ in delta_sets(gamma_table, totality)]
     for _ in range(count):
         floor = zeros[-1] + 1 if zeros else 0
-        for position in range(floor, gamma_table.max_output_length()):
-            zero_delta = delta_set(gamma_table, totality, position, 0)
+        for position in range(floor, len(zero_sides)):
+            zero_delta = zero_sides[position]
             grafts: list[TreeWitness] = []
             for rho in sorted(leaves):
                 above = frozenset(n for n in zero_delta if n[:len(rho)] == rho)
@@ -641,9 +648,9 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
     # Delta sets are judged within the constructed tree: the case split is
     # whether the deciding level carries a >= 4k majority for one bit
     big_inputs: list[tuple[int, int]] = []
-    for m in range(target_len):
+    for m, sides in enumerate(delta_sets(gamma_table, totality)):
         for i in (0, 1):
-            if is_n_big(delta_set(gamma_table, totality, m, i), 4 * k, g, tau0, depth):
+            if is_n_big(sides[i], 4 * k, g, tau0, depth):
                 big_inputs.append((m, i))
                 break
     trace.append({"step": "big_inputs", "pairs": [list(p) for p in big_inputs]})

@@ -6,7 +6,9 @@ snr_collision_audit lists the e where a program's value hits it.
 
 Measures of the induced cylinder unions are computed exactly over dyadic
 rationals by inclusion-exclusion, with a term cap guarding the subset
-enumeration and a flagged union bound as the fallback.
+enumeration and a flagged union bound as the fallback.  An independent
+mirror counts the covered prefixes of up to 22 coordinates bit-parallel:
+all prefixes are the bits of one integer.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ def snr_collision_audit(g: ProgramIndex, R: BitOracle, h: ProgramIndex,
 # Exact measures of cylinder unions.
 
 # Most inclusion-exclusion terms a measure takes on, whatever cap the caller
-# gives: 2^20 terms (20 sets) take a few seconds.
+# gives: 2^20 - 1 terms (20 random sets over 22 coordinates) take 6.7-6.8 s
+# (CPython 3.11, one core of a 2-core Xeon VM).
 TERM_LIMIT = 1 << 20
 
 
@@ -96,7 +99,14 @@ def union_cylinder_measure(sets: Iterable[frozenset[int]],
 
 
 def brute_force_union_measure(sets: Iterable[frozenset[int]]) -> DyadicRational:
-    """Independent check: enumerate every prefix over the touched coordinates."""
+    """Independent check: count every covered prefix over the touched coordinates.
+
+    The 2^width prefixes are the bits of one integer.  A member's up-set has
+    bit p set exactly when prefix p contains the member; it is built one
+    coordinate at a time (a member coordinate shifts the half without it
+    onto the half with it, any other coordinate keeps both halves), and the
+    covered prefixes are the union of the up-sets.
+    """
     family = [s for s in set(sets)]
     if not family:
         return ZERO
@@ -105,12 +115,13 @@ def brute_force_union_measure(sets: Iterable[frozenset[int]]) -> DyadicRational:
         raise ValueError(f"brute force capped at 22 coordinates, got {width}")
     if any(not s for s in family):
         return DyadicRational(1)
-    hits = 0
-    masks = [gamma_inverse(s) for s in family]
-    for prefix in range(1 << width):
-        if any(prefix & m == m for m in masks):
-            hits += 1
-    return DyadicRational(hits, width)
+    covered = 0
+    for s in family:
+        up = 1
+        for i in range(width):
+            up = up << (1 << i) if i in s else up | (up << (1 << i))
+        covered |= up
+    return DyadicRational(covered.bit_count(), width)
 
 
 def tail_constraints(numbering, c: int, e_max: int) -> list[frozenset[int]]:

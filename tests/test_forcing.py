@@ -33,7 +33,7 @@ from dnrlab.forcing import (
     build_totality_tree,
     c_m_set,
     case2_zero_tree,
-    delta_set,
+    delta_sets,
     density_search,
     dnr_bad_strings,
     fusion_step,
@@ -126,32 +126,72 @@ class TestConditions:
 # ---------------------------------------------------------------------------
 # Delta sets.
 
+def golden_search_start(name):
+    """A golden search's table and condition, with the k, badset closure
+    and lengthened stem density_search derives from them."""
+    table, _, g, stem, badset, _ = GOLDEN[name]
+    cond = ForcingCondition(stem, frozenset(badset), g)
+    k = cond.smallness_degree()
+    avoid = _badset_closure(cond.badset, k, g, table.depth)
+    tau0 = _lengthen_stem(stem, max(g.first_level_with(8 * k), len(stem)), avoid, g)
+    return table, cond, k, avoid, tau0
+
+
+def naive_delta_set(gamma_table, tree, m, i):
+    """The tree's nodes deciding position m with bit i, by one scan of the
+    tree per (position, bit): the mirror of delta_sets."""
+    return frozenset(node for node in tree.nodes
+                     if len(out := gamma_table.output(node)) > m and out[m] == i)
+
+
 class TestDeltaSet:
     def test_constant_zero_table(self):
         tree = build_totality_tree(CONST3, (), 1, 1, frozenset(), G8)
-        assert delta_set(CONST3, tree, 0, 0) == tree.nodes
-        assert delta_set(CONST3, tree, 0, 1) == frozenset()
+        zeros, ones = delta_sets(CONST3, tree)[0]
+        assert zeros == tree.nodes
+        assert ones == frozenset()
 
     def test_depth2_even_split(self):
         tree = build_totality_tree(PARITY1, (), 1, 1, frozenset(), G8)
-        zeros = delta_set(PARITY1, tree, 0, 0)
-        ones = delta_set(PARITY1, tree, 0, 1)
+        zeros, ones = delta_sets(PARITY1, tree)[0]
         assert zeros == {(0,), (2,), (4,)}
         assert ones == {(1,), (3,), (5,)}
 
     def test_partition_of_deciders(self):
         tree = build_totality_tree(PARITY3, (), 1, 3, frozenset(), G8)
-        for m in range(3):
-            zeros = delta_set(PARITY3, tree, m, 0)
-            ones = delta_set(PARITY3, tree, m, 1)
+        for m, (zeros, ones) in enumerate(delta_sets(PARITY3, tree)):
             deciders = {n for n in tree.nodes if PARITY3.decided_length(n) > m}
             assert zeros | ones == deciders
             assert not zeros & ones
 
-    def test_undefined_position_rejected(self):
+    def test_one_entry_per_tabled_position(self):
         tree = build_totality_tree(CONST3, (), 1, 1, frozenset(), G8)
-        with pytest.raises(ValueError, match="beyond"):
-            delta_set(CONST3, tree, 3, 0)
+        assert len(delta_sets(CONST3, tree)) == CONST3.max_output_length()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_matches_mirror_on_golden_tables(self, name):
+        table, cond, k, avoid, tau0 = golden_search_start(name)
+        g = cond.g
+        try:
+            tree = build_totality_tree(table, tau0, k, max(table.max_output_length(), 1),
+                                       avoid, g)
+        except BignessUnavailable:
+            return  # the search takes its non-totality exit: no Delta sets are read
+        assert delta_sets(table, tree) == [
+            (naive_delta_set(table, tree, m, 0), naive_delta_set(table, tree, m, 1))
+            for m in range(table.max_output_length())]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_mirror_on_partial_trees(self, data):
+        """Random coherent tables read over any set of region nodes, so
+        positions are decided by some nodes and not by others."""
+        g, table, _ = data.draw(coherent_tables())
+        nodes = data.draw(st.sets(st.sampled_from(list(region_nodes(g, table.depth)))))
+        tree = TreeWitness((), frozenset(nodes) | {()})
+        assert delta_sets(table, tree) == [
+            (naive_delta_set(table, tree, m, 0), naive_delta_set(table, tree, m, 1))
+            for m in range(table.max_output_length())]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +285,7 @@ def naive_case2_zero_tree(gamma_table, sigma, k, count, avoid, g):
             grafts = []
             for rho in sorted(leaves):
                 tree_rho = build_totality_tree(gamma_table, rho, k, position + 1, avoid, g)
-                zero_delta = delta_set(gamma_table, tree_rho, position, 0)
+                zero_delta = naive_delta_set(gamma_table, tree_rho, position, 0)
                 if not is_n_big(zero_delta, 2 * k, g, rho, depth):
                     break
                 grafts.append(_graft(zero_delta, k, g, depth, rho, avoid))
@@ -323,11 +363,8 @@ class TestCase2ZeroTree:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_matches_mirror_on_golden_tables(self, name):
-        table, _, g, stem, badset, _ = GOLDEN[name]
-        cond = ForcingCondition(stem, frozenset(badset), g)
-        k = cond.smallness_degree()
-        avoid = _badset_closure(cond.badset, k, g, table.depth)
-        tau0 = _lengthen_stem(stem, max(g.first_level_with(8 * k), len(stem)), avoid, g)
+        table, cond, k, avoid, tau0 = golden_search_start(name)
+        g = cond.g
         try:
             assert_zero_tree_matches_mirror(table, k, avoid, g, tau0)
         except BignessUnavailable:

@@ -1,13 +1,14 @@
 """Slice codes, exact cylinder measures over table numberings, and lowness sums."""
 
 import random
+from itertools import chain, combinations
 
 import pytest
 
 from dnrlab.asm import DIVERGE_INDEX, IDENTITY_INDEX, ZERO_INDEX, const_index
 from dnrlab.dyadic import ZERO, DyadicRational
 from dnrlab.errors import CombinatorialBlowup, InsufficientOracle, WitnessBudgetExceeded
-from dnrlab.machine import gamma
+from dnrlab.machine import gamma, gamma_inverse
 from dnrlab.numbering import (
     TableNumbering,
     brute_force_union_measure,
@@ -80,6 +81,69 @@ class TestUnionMeasure:
                 for _ in range(rng.randint(1, 5))
             ]
             assert union_cylinder_measure(family) == brute_force_union_measure(family)
+
+
+    def test_at_the_brute_force_cap(self):
+        rng = random.Random(13)
+        for _ in range(3):
+            family = [frozenset(rng.sample(range(22), rng.randint(1, 6))) | {21}
+                      for _ in range(rng.randint(2, 8))]
+            assert union_cylinder_measure(family) == brute_force_union_measure(family)
+
+
+def naive_union_measure(sets):
+    """The prefix count one prefix at a time: the mirror of
+    brute_force_union_measure, with the same guards."""
+    family = [s for s in set(sets)]
+    if not family:
+        return ZERO
+    width = max(max(s) for s in family if s) + 1 if any(family) else 0
+    if width > 22:
+        raise ValueError(f"brute force capped at 22 coordinates, got {width}")
+    if any(not s for s in family):
+        return DyadicRational(1)
+    masks = [gamma_inverse(s) for s in family]
+    hits = sum(1 for prefix in range(1 << width) if any(prefix & m == m for m in masks))
+    return DyadicRational(hits, width)
+
+
+def _random_family(rng, width):
+    """One to four random nonempty subsets of range(width), one of them
+    holding width - 1 so the family spans exactly width coordinates."""
+    family = [frozenset(rng.sample(range(width), rng.randint(1, min(width, 5))))
+              for _ in range(rng.randint(1, 4))]
+    family[0] |= {width - 1}
+    return family
+
+
+class TestBruteForceMeasure:
+    def test_exhaustive_small_families(self):
+        subsets = [frozenset(c) for c in chain.from_iterable(
+            combinations(range(4), r) for r in range(5))]
+        for r in range(4):
+            for family in combinations(subsets, r):
+                assert brute_force_union_measure(family) == naive_union_measure(family)
+
+    def test_random_families(self):
+        rng = random.Random(5)
+        for width in chain.from_iterable([range(1, 17)] * 8):
+            family = _random_family(rng, width)
+            assert brute_force_union_measure(family) == naive_union_measure(family)
+
+    def test_random_family_at_the_cap(self):
+        family = _random_family(random.Random(22), 22)
+        assert brute_force_union_measure(family) == naive_union_measure(family)
+
+    def test_no_family_is_zero(self):
+        assert brute_force_union_measure([]) == ZERO
+
+    def test_empty_member_is_everything(self):
+        assert brute_force_union_measure([frozenset({5}), frozenset()]) == DyadicRational(1)
+
+    def test_more_than_22_coordinates_refused(self):
+        assert brute_force_union_measure([frozenset({21})]) == DyadicRational(1, 1)
+        with pytest.raises(ValueError, match="22 coordinates"):
+            brute_force_union_measure([frozenset({22})])
 
 
 class TestSchnorrMeasure:
