@@ -37,14 +37,29 @@ outer evaluation reports Running; a larger budget yields the same verdict.
 
 Program source text for hand-written programs is the one-instruction-per-line
 format implemented in dnrlab.asm and documented in docs/formats.md.
+
+Fast paths, each mirrored by a naive version in tests/test_machine.py:
+
+* `_run` keeps each program's liveness table, ends a run on a dead pc or a
+  repeated configuration, and reuses the halves of the last pair;
+* `decode` scans its bit string with `str.find`, and `smn_fill` splices a
+  cached body;
+* windows of many inputs (`domain_window`, `re_enumeration_growth`) run a
+  compiled program: one generated Python function with the registers in
+  locals and one budget check per basic block.  It returns exactly what
+  `_run` returns, because a run that does not halt always reports the whole
+  budget (so any sound loop check gives the same result wherever it fires),
+  a run that cannot pay for a whole block cannot halt inside it, and a
+  nested `univ` or `budv` run at the budget left after its block costs the
+  same steps as `_run`'s pushed frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Callable, Iterable, Optional, Protocol, Sequence
 
 ProgramIndex = int  # type alias: indices into the numbering are plain naturals
 
@@ -473,6 +488,155 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
         pc += 1
 
 
+# ---------------------------------------------------------------------------
+# Compiled windows: one generated Python function per program.
+
+# Windows of at least this many inputs run a compiled program.  Compiling a
+# 5-8 instruction program takes 0.25-0.4 ms and saves 0.5-1 us of a 0.7-1.3
+# us interpreted run, so a program pays back over a few hundred runs, in one
+# window or in the same program windowed again (CPython 3.11, 2-core VM).
+# Compiling every window made the immunity-audits replay slower: its many
+# EBI-violation windows are short, distinct programs.  Thresholds from 16
+# to 1024 measured alike on that workload.
+_COMPILE_MIN_RUNS = 64
+# Longer programs are always interpreted: compile time and the cached code
+# grow with the length, about 50 us an instruction (13 ms at 256), while
+# the hot window programs are under a dozen instructions.
+_COMPILE_MAX_LENGTH = 256
+
+# Straight-line opcodes as source over registers a, b, c; LOAD reads its
+# constant from the closure, never from a source literal.
+_INLINE = {
+    OP_ADD: "{a} = {b} + {c}",
+    OP_SUB: "{a} = {b} - {c} if {b} > {c} else 0",
+    OP_MOV: "{a} = {b}",
+    OP_SMN: "{a} = smn_fill({b}, {c})",
+    OP_PAIR: "pl = {b}; pr = {c}; {a} = paired = pair(pl, pr)",
+    OP_LEFT: "{a} = pl if {b} is paired else unpair({b})[0]",
+    OP_RIGHT: "{a} = pr if {b} is paired else unpair({b})[1]",
+    OP_MUL: "{a} = {b} * {c}",
+    OP_DIV: "{a} = {b} // {c} if {c} else 0",
+    OP_MOD: "{a} = {b} % {c} if {c} else 0",
+    OP_ORACLE: "{a} = oracle.bit({b}) if oracle is not None else 0",
+}
+
+
+@lru_cache(maxsize=256)
+def _compile(code: tuple[tuple[int, ...], ...]) -> Callable[..., tuple[Optional[int], int]]:
+    """`run(x, budget, oracle=None)` returning exactly what `_run` returns.
+
+    Basic blocks start at jump targets and after each jump or halt; the
+    registers are locals, and the dispatch on pc is a bisection over the
+    live block starts, so no program needs a long `elif` chain.  Each block
+    pays its whole length at entry: a run that cannot pay for a block
+    cannot halt inside it, and a run that does not halt reports the whole
+    budget.  `univ` and `budv` are nested `_run` calls, which cost the same
+    steps as `_run`'s pushed frame, at the budget left after the whole
+    block: the rest of the block is paid after the nested run anyway, so a
+    nested run that needs more could not be followed to a halt.  A taken
+    jump checks the registers the program writes against a configuration
+    saved as in `_run` (Brent's cycle finding); the loop check is sound, so
+    wherever it fires the result is the same.
+    """
+    n = len(code)
+    live = _halt_reachable(code)
+    leaders = {0}
+    registers = set()
+    written = set()
+    for pc, ins in enumerate(code):
+        op = ins[0]
+        if op == OP_JMP or op == OP_JZ:
+            leaders.update((ins[-1], pc + 1))
+        elif op == OP_HALT:
+            leaders.add(pc + 1)
+        else:
+            written.add(ins[1])
+        registers.update(r for r, is_reg in zip(ins[1:], _REGISTER_OPERANDS[op]) if is_reg)
+    bounds = sorted(pc for pc in leaders if pc < n) + [n]
+    state = "(" + "".join(f"r{r}, " for r in sorted(written)) + ")"
+    constants: list[int] = []
+    blocks: dict[int, list[str]] = {}
+
+    def goto(pc: int, taken: bool) -> list[str]:
+        if pc >= n or not live[pc]:
+            return ["return None, budget"]
+        if not taken:
+            return [f"pc = {pc}", "continue"]
+        return [f"if spc == {pc} and sv == {state}:", "    return None, budget",
+                "if used >= mark:", f"    spc = {pc}; sv = {state}; mark *= 2",
+                f"pc = {pc}", "continue"]
+
+    for start, end in zip(bounds, bounds[1:]):
+        if not live[start]:
+            continue
+        lines = [f"used += {end - start}", "if used > budget:", "    return None, budget"]
+        for ins in code[start:end]:
+            op = ins[0]
+            regs = [f"r{r}" for r, is_reg in zip(ins[1:], _REGISTER_OPERANDS[op]) if is_reg]
+            if op == OP_LOAD:
+                lines.append(f"{regs[0]} = k{len(constants)}")
+                constants.append(ins[2])
+            elif op == OP_HALT:
+                lines.append(f"return {regs[0]}, used")
+            elif op == OP_JMP:
+                lines += goto(ins[1], True)
+            elif op == OP_JZ:
+                lines.append(f"if not {regs[0]}:")
+                lines += ["    " + line for line in goto(ins[2], True)]
+            elif op == OP_UNIV:
+                lines += [f"value, steps = _run(decode({regs[1]}), {regs[2]}, budget - used, oracle)",
+                          "if value is None:", "    return None, budget",
+                          "used += steps", f"{regs[0]} = value"]
+            elif op == OP_BUDV:
+                lines += [f"bounded = min({regs[3]}, budget - used)",
+                          f"value, steps = _run(decode({regs[1]}), {regs[2]}, bounded, oracle)",
+                          "if value is not None:", f"    used += steps; {regs[0]} = 1 + value",
+                          f"elif bounded == {regs[3]}:", f"    used += steps; {regs[0]} = 0",
+                          "else:", "    return None, budget"]
+            else:
+                lines.append(_INLINE[op].format(a=regs[0], b=regs[1], c=regs[-1]))
+        if code[end - 1][0] != OP_HALT and code[end - 1][0] != OP_JMP:
+            lines += goto(end, False)
+        blocks[start] = lines
+
+    source = [
+        "def build(K):",
+        "    (" + "".join(f"k{i}, " for i in range(len(constants))) + ") = K",
+        "    def run(x, budget, oracle=None):",
+        "        r0 = x",
+        "        " + "".join(f"r{r} = " for r in sorted(registers - {0})) + "used = pc = 0",
+        "        paired = None; pl = pr = 0",
+        "        spc = -1; sv = None; mark = 1",
+    ]
+
+    def dispatch(group: list[int], indent: str) -> None:
+        if len(group) == 1:
+            source.extend(indent + line for line in blocks[group[0]])
+            return
+        mid = len(group) // 2
+        source.append(f"{indent}if pc < {group[mid]}:")
+        dispatch(group[:mid], indent + "    ")
+        source.append(f"{indent}else:")
+        dispatch(group[mid:], indent + "    ")
+
+    if 0 in blocks:
+        source.append("        while True:")
+        dispatch(list(blocks), " " * 12)
+    else:
+        source.append("        return None, budget")
+    source.append("    return run")
+    namespace = {"_run": _run, "decode": decode, "smn_fill": smn_fill, "pair": pair, "unpair": unpair}
+    exec("\n".join(source), namespace)
+    return namespace["build"](tuple(constants))
+
+
+def _window_runner(prog: ToyProgram, runs: int) -> Callable[..., tuple[Optional[int], int]]:
+    """What a window of `runs` inputs calls as run(x, budget, None)."""
+    if runs >= _COMPILE_MIN_RUNS and len(prog) <= _COMPILE_MAX_LENGTH:
+        return _compile(prog.instructions)
+    return partial(_run, prog)
+
+
 def eval_program(e: ProgramIndex, x: int, budget: int, oracle: Optional[Oracle] = None) -> EvalOutcome:
     """phi_e(x) within `budget` steps, relative to `oracle` (default all-zeros)."""
     return eval_steps(e, x, budget, oracle)[0]
@@ -502,10 +666,8 @@ def domain_window(e: ProgramIndex, horizon: int, budget: int) -> frozenset[int]:
     prog = decode(e)
     if not prog.live or not prog.live[0]:
         return frozenset()
-    return frozenset(
-        x for x in range(horizon)
-        if _run(prog, x, budget, None)[0] is not None
-    )
+    run = _window_runner(prog, horizon)
+    return frozenset(x for x in range(horizon) if run(x, budget, None)[0] is not None)
 
 
 def re_enumeration_order(e: ProgramIndex, budget: int) -> tuple[int, ...]:
@@ -534,8 +696,9 @@ def re_enumeration_growth(e: ProgramIndex, budget: int) -> tuple[tuple[int, ...]
     half = budget // 2
     entries = []
     at_half = 0
+    run = _window_runner(prog, budget + 1)
     for x in range(budget + 1):
-        value, steps = _run(prog, x, budget, None)
+        value, steps = run(x, budget, None)
         if value is not None:
             entries.append((max(steps, x), x))
             if x <= half and steps <= half:

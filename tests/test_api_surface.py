@@ -36,8 +36,9 @@ TESTS = ROOT / "tests"
 
 # Public names kept without a caller in the package or the benchmark.  The
 # other kept names need no entry: the remaining brute_force_* mirrors,
-# dnr_bad_strings and BudgetExceededError (used by generic_prefix), and
-# eval_steps, enumerate_re and re_enumeration_order (named by the tracer).
+# dnr_bad_strings and BudgetExceededError (used by generic_prefix),
+# eval_steps (eval_program calls it, and the tracer names it), and
+# enumerate_re and re_enumeration_order (named by the tracer).
 ALLOWED = {
     "brute_force_union_sweep": "naive mirror of union_smallness_sweep; tests compare the two",
     "generic_prefix": "the paper's forcing run from the empty stem, not yet a command",

@@ -14,6 +14,13 @@ for loops to repeat, and self-referential interval slices (huge s-m-n
 parameters paired with every input) cross-check the domain windows.
 `naive_live` mirrors the liveness table by a plain search per pc.
 
+Windows of many inputs run a compiled program: `_compile` turns a decoded
+program into one generated Python function, and `compiled_eval` below runs
+it.  The mirror tests compare it with `eval_steps` (that is, `_run`) and
+`naive_eval`; the window tests straddle the compile threshold, and two
+hostile programs (a load constant too long to print, thousands of blocks)
+check that the compiler copes.
+
 The program codec has fast paths too: `decode` scans its bit string with
 `str.find` and skips ToyProgram's validation, and `smn_fill` splices a
 cached body.  `naive_decode` (a bit-at-a-time reader) and `naive_smn_fill`
@@ -22,7 +29,9 @@ cached body.  `naive_decode` (a bit-at-a-time reader) and `naive_smn_fill`
 
 from __future__ import annotations
 
+import sys
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +63,10 @@ from dnrlab.machine import (
     FixedPointBudgetExceeded,
     Halted,
     ToyProgram,
+    _compile,
+    _COMPILE_MIN_RUNS,
+    _run,
+    _window_runner,
     decode,
     diagonal_index,
     domain_window,
@@ -219,6 +232,12 @@ def naive_smn_fill(e, a):
 def naive_eval(e, x, budget, oracle=None):
     h, v, c = _naive_run(decode(e).instructions, x, budget, oracle)
     return (Halted(v) if h else RUNNING), (c if h else budget)
+
+
+def compiled_eval(e, x, budget, oracle=None):
+    """eval_steps through the compiled function of decode(e)."""
+    value, steps = _compile(decode(e).instructions)(x, budget, oracle)
+    return (RUNNING if value is None else Halted(value)), steps
 
 
 def naive_live(instructions):
@@ -499,18 +518,41 @@ def test_matches_naive_interpreter_on_crafted_programs():
         (OP_MUL, 4, 4, 4),
         (OP_HALT, 4),
     ])
-    for p in (add_loop, nested_univ, budv_probe, pairing):
+    smn_call = program([
+        (OP_LOAD, 1, encode(LEFT_PROG)),
+        (OP_SMN, 2, 1, 0),
+        (OP_UNIV, 3, 2, 0),
+        (OP_ADD, 3, 3, 0),
+        (OP_HALT, 3),
+    ])
+    # counts the even numbers below the input: oracle bit, then a loop
+    oracle_count = program([
+        (OP_LOAD, 1, 1),
+        (OP_JZ, 0, 7),
+        (OP_SUB, 0, 0, 1),
+        (OP_ORACLE, 3, 0),
+        (OP_ADD, 2, 2, 3),
+        (OP_BUDV, 4, 2, 0, 1),
+        (OP_JMP, 1),
+        (OP_HALT, 2),
+    ])
+    for p in (add_loop, nested_univ, budv_probe, pairing, smn_call, oracle_count):
         e = encode(p)
         for x in range(6):
             for budget in (0, 1, 3, 10, 50, 300):
-                assert eval_steps(e, x, budget) == naive_eval(e, x, budget), (p, x, budget)
+                for oracle in (None, EVENS):
+                    want = naive_eval(e, x, budget, oracle)
+                    assert eval_steps(e, x, budget, oracle) == want, (p, x, budget)
+                    assert compiled_eval(e, x, budget, oracle) == want, (p, x, budget)
 
 
 @given(program_st, st.integers(0, 6))
 @settings(max_examples=120, deadline=None)
 def test_matches_naive_interpreter_random(p, x):
     e = encode(p)
-    assert eval_steps(e, x, 48) == naive_eval(e, x, 48)
+    for budget in (0, 5, 48):
+        assert eval_steps(e, x, budget) == naive_eval(e, x, budget) == compiled_eval(e, x, budget)
+    assert compiled_eval(e, x, 48, EVENS) == naive_eval(e, x, 48, EVENS)
 
 
 # Looping programs: few registers, small constants and in-range jump
@@ -541,8 +583,10 @@ looping_program_st = st.integers(1, 7).flatmap(
 @settings(max_examples=200, deadline=None)
 def test_matches_naive_interpreter_on_looping_programs(p, x, budget):
     e = encode(p)
-    assert eval_steps(e, x, budget) == naive_eval(e, x, budget)
-    assert eval_steps(e, x, budget, EVENS) == naive_eval(e, x, budget, EVENS)
+    for oracle in (None, EVENS):
+        want = naive_eval(e, x, budget, oracle)
+        assert eval_steps(e, x, budget, oracle) == want
+        assert compiled_eval(e, x, budget, oracle) == want
 
 
 LOOP3 = program([(OP_LOAD, 0, 0), (OP_JZ, 0, 0), (OP_HALT, 0)])
@@ -561,9 +605,10 @@ LOOP3 = program([(OP_LOAD, 0, 0), (OP_JZ, 0, 0), (OP_HALT, 0)])
     program([(OP_JZ, 1, 2), (OP_HALT, 0), (OP_JMP, 0)]),
 ])
 def test_configuration_loops_end_at_once(looper):
-    start = time.perf_counter()
-    assert eval_steps(encode(looper), 3, 10**9) == (RUNNING, 10**9)
-    assert time.perf_counter() - start < 0.5
+    for run in (eval_steps, compiled_eval):
+        start = time.perf_counter()
+        assert run(encode(looper), 3, 10**9) == (RUNNING, 10**9)
+        assert time.perf_counter() - start < 0.5
 
 
 COUNTDOWN = program([
@@ -621,7 +666,8 @@ def test_near_loops_match_naive_interpreter(p, at_40):
     e = encode(p)
     for x in (0, 1, 2, 7, 40, 10**30):
         for budget in (0, 1, 5, 17, 64, 300, 2000):
-            assert eval_steps(e, x, budget) == naive_eval(e, x, budget), (x, budget)
+            want = naive_eval(e, x, budget)
+            assert eval_steps(e, x, budget) == want == compiled_eval(e, x, budget), (x, budget)
     assert eval_program(e, 40, 10**6) == Halted(at_40)
 
 
@@ -636,11 +682,13 @@ def test_univ_shares_budget():
     assert out == Halted(9)
     assert used == 4  # load + univ + (inner halt) + halt
     assert eval_program(e, 9, 3) is RUNNING
+    assert [compiled_eval(e, 9, b) for b in range(6)] == [eval_steps(e, 9, b) for b in range(6)]
 
 
 def test_univ_of_diverger_diverges():
     outer = program([(OP_LOAD, 1, 0), (OP_UNIV, 2, 1, 0), (OP_HALT, 2)])
     assert eval_program(encode(outer), 0, 10**4) is RUNNING
+    assert compiled_eval(encode(outer), 0, 10**4) == (RUNNING, 10**4)
 
 
 def test_budv_verdict_totality():
@@ -672,6 +720,8 @@ def test_budv_budget_independent():
     ])
     e = encode(div_probe)
     verdicts = [eval_program(e, 0, b) for b in range(0, 40)]
+    # the compiled run pays the halt before the inner run: it must still withhold
+    assert [compiled_eval(e, 0, b) for b in range(40)] == [eval_steps(e, 0, b) for b in range(40)]
     halted = [v for v in verdicts if isinstance(v, Halted)]
     assert all(v == Halted(0) for v in halted)
     # Running up to the resolution point, Halted(0) from there on
@@ -881,5 +931,78 @@ def test_interval_slice_windows_match_naive_interpreter(f, base):
         naive = frozenset(x for x in range(horizon) if naive_eval(a, x, budget)[0] != RUNNING)
         assert domain_window(a, horizon, budget) == naive, budget
         for x in range(horizon):
-            assert eval_steps(a, x, budget) == naive_eval(a, x, budget), (x, budget)
+            want = naive_eval(a, x, budget)
+            assert eval_steps(a, x, budget) == want == compiled_eval(a, x, budget), (x, budget)
     assert domain_window(a, horizon, 10_000) == frozenset(range(base, base + 1 + eval_program(f, a, 100).value))
+
+
+# ---------------------------------------------------------------------------
+# Compiled windows: the generated function against both interpreters.
+
+def test_compiled_matches_interpreters_on_every_small_index():
+    # small budgets: mul loops square their operands
+    for e in range(2**12):
+        p = decode(e)
+        run = _compile(p.instructions)
+        for x in range(12):
+            for budget in (0, 1, 2, 3, 5, 8, 13, 21):
+                want = _run(p, x, budget, None)
+                assert run(x, budget) == want, (e, x, budget)
+                halted, value, steps = _naive_run(p.instructions, x, budget, None)
+                assert want == ((value if halted else None), steps), (e, x, budget)
+
+
+@pytest.mark.parametrize("e", [
+    encode(EVEN_HALT),
+    interval_slice_index(const_index(2), 7),
+    self_reference(encode(LEFT_PROG)),
+    self_reference(encode(program([(OP_LEFT, 1, 0), (OP_RIGHT, 2, 0), (OP_ADD, 3, 1, 2),
+                                   (OP_HALT, 3)]))),
+])
+def test_compiled_matches_interpreters_on_stock_indices(e):
+    for x in (0, 1, 2, 5, 8, 9, 10**20):
+        for budget in (0, 1, 3, 4, 5, 12, 13, 40, 10_000):
+            want = naive_eval(e, x, budget)
+            assert eval_steps(e, x, budget) == want == compiled_eval(e, x, budget), (x, budget)
+
+
+def _naive_growth(e, budget):
+    order = tuple(x for _, x in sorted(
+        (max(steps, x), x) for x in range(budget + 1)
+        for out, steps in [naive_eval(e, x, budget)] if out is not RUNNING))
+    at_half = sum(naive_eval(e, x, budget // 2)[0] is not RUNNING for x in range(budget // 2 + 1))
+    return order, at_half
+
+
+@pytest.mark.parametrize("runs", [_COMPILE_MIN_RUNS - 1, _COMPILE_MIN_RUNS])
+def test_windows_match_naive_loop_across_the_compile_threshold(runs):
+    compiled = not isinstance(_window_runner(decode(encode(EVEN_HALT)), runs), partial)
+    assert compiled == (runs >= _COMPILE_MIN_RUNS)
+    for e in (encode(EVEN_HALT), IDENTITY_INDEX, encode(COUNTDOWN_CALLS),
+              interval_slice_index(const_index(1), 30), self_reference(encode(LEFT_PROG))):
+        for budget in (0, 3, 4, 13, 200):
+            naive = frozenset(x for x in range(runs) if naive_eval(e, x, budget)[0] is not RUNNING)
+            assert domain_window(e, runs, budget) == naive, (e, budget)
+        assert re_enumeration_growth(e, runs - 1) == _naive_growth(e, runs - 1), e
+
+
+def test_compiled_window_over_a_load_constant_too_long_to_print():
+    a = 1 << 20000
+    assert a.bit_length() * 0.30103 > sys.get_int_max_str_digits()
+    e = smn_fill(encode(LEFT_PROG), a)
+    budget = 2 + SMN_STEP_OVERHEAD
+    assert domain_window(e, _COMPILE_MIN_RUNS, budget) == frozenset(range(_COMPILE_MIN_RUNS))
+    assert domain_window(e, _COMPILE_MIN_RUNS, budget - 1) == frozenset()
+    for x in (0, 7):
+        assert compiled_eval(e, x, budget) == naive_eval(e, x, budget) == (Halted(a), budget)
+
+
+def test_compiled_dispatch_over_thousands_of_blocks():
+    # every jz on the zero register r1 is a taken jump to the next pc
+    p = program([(OP_JZ, 1, pc + 1) for pc in range(3000)] + [(OP_HALT, 0)])
+    e = encode(p)
+    assert domain_window(e, _COMPILE_MIN_RUNS, 3001) == frozenset(range(_COMPILE_MIN_RUNS))
+    assert domain_window(e, _COMPILE_MIN_RUNS, 3000) == frozenset()
+    run = _compile(p.instructions)
+    for budget in (0, 1500, 3000, 3001, 10**6):
+        assert run(5, budget) == _run(p, 5, budget, None)
