@@ -30,17 +30,21 @@ The union-smallness sweep counts instead of enumerating: it works up the
 levels of a region once, counting subsets and splits by the bigness they
 give a node, and `brute_force_union_sweep` keeps the 2^N/3^N enumerator as
 its mirror.
+
+Trees (`TreeWitness`) are checked by `verify_bushy` with set operations
+over the whole node set and one count of parents; only a tree that fails
+is walked node by node, to name the offending node.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, compress
+from itertools import chain, combinations, compress, filterfalse, zip_longest
 from math import comb, prod
-from operator import lt
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Optional
 
 from .errors import CombinatorialBlowup
@@ -314,6 +318,9 @@ def closure(B: Iterable[Node], n: int, g: OrderFunction, depth: int) -> frozense
                               [v >= n for v in chain.from_iterable(rows[::-1])]))
 
 
+_parent = itemgetter(slice(None, -1))
+
+
 @dataclass(frozen=True)
 class TreeWitness:
     """A finite tree of strings above a stem, presented as its node set."""
@@ -330,9 +337,18 @@ class TreeWitness:
                 index.setdefault(node[:-1], []).append(node)
         return index
 
+    @cached_property
+    def _parent_counts(self) -> Counter[Node]:
+        """Number of children of every node that has one, counted once: each
+        node longer than the stem is counted under its parent."""
+        k = len(self.stem)
+        longer = compress(self.nodes, map(k.__lt__, map(len, self.nodes)))
+        return Counter(map(_parent, longer))
+
     def leaves(self) -> frozenset[Node]:
-        index = self._children
-        return frozenset(node for node in self.nodes if node not in index)
+        # a filter, not `nodes - counts`: the difference may build a table of
+        # another size, so iterate in another order, and callers iterate leaves
+        return frozenset(filterfalse(self._parent_counts.__contains__, self.nodes))
 
     def children_of(self, tau: Node) -> list[Node]:
         return sorted(self._children.get(tau, ()))
@@ -341,8 +357,17 @@ class TreeWitness:
         return {"stem": list(self.stem), "nodes": sorted(list(n) for n in self.nodes)}
 
 
-def verify_tree_shape(witness: TreeWitness, g: OrderFunction) -> None:
-    """Check the node set is a tree above its stem: raise MalformedTree if not."""
+def _valid_strings(nodes: frozenset[Node], g: OrderFunction) -> bool:
+    """Whether every node is a valid string for g: one minimum and one
+    maximum per position, over the entries of all nodes at once."""
+    return all(min(column) >= 0 and max(column) < g.value(i)
+               for i, column in enumerate(zip_longest(*nodes, fillvalue=0)))
+
+
+def _name_offender(witness: TreeWitness, n: int, g: OrderFunction, exactly: bool,
+                   counts: Counter[Node]) -> None:
+    """Raise MalformedTree naming the first node, in the node set's order,
+    that breaks the tree shape or the child counts."""
     stem, nodes = witness.stem, witness.nodes
     if stem not in nodes:
         raise MalformedTree("stem missing from node set")
@@ -355,6 +380,11 @@ def verify_tree_shape(witness: TreeWitness, g: OrderFunction) -> None:
             raise MalformedTree(f"node {node} is not a valid string for g")
         if len(node) > k and node[:-1] not in nodes:
             raise MalformedTree(f"node {node} has no parent in the tree")
+    for node in nodes:
+        c = counts[node]
+        if c and (c < n or (exactly and c != n)):
+            raise MalformedTree(
+                f"internal node {node} has {c} children, wanted {'exactly' if exactly else 'at least'} {n}")
 
 
 def verify_bushy(witness: TreeWitness, n: int, g: OrderFunction,
@@ -362,20 +392,27 @@ def verify_bushy(witness: TreeWitness, n: int, g: OrderFunction,
                  leaves_in: Optional[frozenset[Node]] = None) -> None:
     """Check the witness is n-bushy above its stem; raise MalformedTree if not.
 
-    Every node with children must have at least n of them (exactly n when
-    `exactly`).  When `leaves_in` is given, every leaf must belong to it.
+    The node set must be a tree above the stem: the stem is a node, every
+    other node is a valid string for g whose parent is a node.  Every node
+    with children must have at least n of them (exactly n when `exactly`).
+    When `leaves_in` is given, every leaf must belong to it.
+
+    The tree is decided by set operations over the whole node set and one
+    count of parents: every node but the stem is longer than it, the
+    parents are nodes, the entries are in range and the counts in bounds.
+    Only a set that fails is walked node by node, to name the first
+    offending node in the set's order.
     """
-    verify_tree_shape(witness, g)
-    index = witness._children
-    for node in witness.nodes:
-        k = len(index.get(node, ()))
-        if k == 0:
-            continue  # a leaf
-        if k < n or (exactly and k != n):
-            raise MalformedTree(
-                f"internal node {node} has {k} children, wanted {'exactly' if exactly else 'at least'} {n}")
+    stem, nodes = witness.stem, witness.nodes
+    counts = witness._parent_counts
+    kids = counts.values()
+    if not (stem in nodes and counts.total() == len(nodes) - 1
+            and counts.keys() <= nodes and _valid_strings(nodes, g)
+            and min(kids, default=n) >= n
+            and (not exactly or max(kids, default=n) == n)):
+        _name_offender(witness, n, g, exactly, counts)
     if leaves_in is not None:
-        stray = witness.leaves() - leaves_in
+        stray = nodes.difference(counts, leaves_in)
         if stray:
             raise MalformedTree(f"leaves outside the target set: {sorted(stray)[:3]}")
 

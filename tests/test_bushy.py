@@ -26,6 +26,7 @@ from dnrlab.bushy import (
     TreeWitness,
     brute_force_is_n_big,
     brute_force_union_sweep,
+    bushiness,
     bushiness_numbers,
     closure,
     closure_check,
@@ -36,7 +37,6 @@ from dnrlab.bushy import (
     region_size,
     union_smallness_sweep,
     verify_bushy,
-    verify_tree_shape,
     witness_tree,
 )
 from dnrlab.certs import decode_field
@@ -273,32 +273,50 @@ def test_witness_tree_always_verifies(B, n):
 
 
 def test_verify_tree_shape_rejections():
-    with pytest.raises(MalformedTree):
-        verify_tree_shape(TreeWitness((), frozenset({(0,)})), G3)  # stem missing
-    with pytest.raises(MalformedTree):
-        verify_tree_shape(TreeWitness((), frozenset({(), (0, 0)})), G3)  # orphan
-    with pytest.raises(MalformedTree):
-        verify_tree_shape(TreeWitness((1,), frozenset({(1,), (0,)})), G3)  # off-stem
-    with pytest.raises(MalformedTree):
-        verify_tree_shape(TreeWitness((), frozenset({(), (4,)})), G3)  # invalid string
+    with pytest.raises(MalformedTree, match="stem missing"):
+        verify_bushy(TreeWitness((), frozenset({(0,)})), 1, G3)
+    with pytest.raises(MalformedTree, match="no parent"):
+        verify_bushy(TreeWitness((), frozenset({(), (0, 0)})), 1, G3)  # orphan
+    with pytest.raises(MalformedTree, match="does not extend the stem"):
+        verify_bushy(TreeWitness((1,), frozenset({(1,), (0,)})), 1, G3)
+    with pytest.raises(MalformedTree, match="not a valid string"):
+        verify_bushy(TreeWitness((), frozenset({(), (4,)})), 1, G3)
 
 
-def _reference_tree_shape(witness, g):
-    """The per-node reference: every node validated by g.validate_node."""
-    if witness.stem not in witness.nodes:
+def _reference_verify_bushy(witness, n, g, exactly=False, leaves_in=None):
+    """Naive mirror of verify_bushy: one per-node loop for the shape (every
+    node validated by g.validate_node), a children index, one per-node loop
+    for the counts and a scan for the leaves."""
+    stem, nodes = witness.stem, witness.nodes
+    if stem not in nodes:
         raise MalformedTree("stem missing from node set")
-    for node in witness.nodes:
-        if node[:len(witness.stem)] != witness.stem:
+    for node in nodes:
+        if node[:len(stem)] != stem:
             raise MalformedTree(f"node {node} does not extend the stem")
         if not g.validate_node(node):
             raise MalformedTree(f"node {node} is not a valid string for g")
-        if len(node) > len(witness.stem) and node[:-1] not in witness.nodes:
+        if len(node) > len(stem) and node[:-1] not in nodes:
             raise MalformedTree(f"node {node} has no parent in the tree")
+    children = {}
+    for node in nodes:
+        if len(node) > len(stem):
+            children.setdefault(node[:-1], []).append(node)
+    for node in nodes:
+        k = len(children.get(node, ()))
+        if k == 0:
+            continue
+        if k < n or (exactly and k != n):
+            raise MalformedTree(
+                f"internal node {node} has {k} children, wanted {'exactly' if exactly else 'at least'} {n}")
+    if leaves_in is not None:
+        stray = frozenset(node for node in nodes if node not in children) - leaves_in
+        if stray:
+            raise MalformedTree(f"leaves outside the target set: {sorted(stray)[:3]}")
 
 
-def _shape_verdict(check, witness, g):
+def _verdict(check, witness, *args, **kwargs):
     try:
-        check(witness, g)
+        check(witness, *args, **kwargs)
     except MalformedTree as exc:
         return str(exc)
     return None
@@ -311,8 +329,59 @@ def _shape_verdict(check, witness, g):
 def test_tree_shape_matches_per_node_validation(stem, nodes, spec):
     g = OrderFunction.from_spec(spec)
     for witness in (TreeWitness(stem, nodes), TreeWitness(stem, nodes | {stem})):
-        assert _shape_verdict(verify_tree_shape, witness, g) == \
-            _shape_verdict(_reference_tree_shape, witness, g)
+        assert _verdict(verify_bushy, witness, 1, g) == \
+            _verdict(_reference_verify_bushy, witness, 1, g)
+
+
+@st.composite
+def _bushy_instances(draw):
+    """A witness tree, or a prefix-closed subset of a region, with nodes
+    dropped and stray nodes (negative, off-stem, orphaned, out of range)
+    added; then n, exactly and leaves_in for verify_bushy."""
+    g = OrderFunction.from_spec(draw(st.sampled_from(["2,3,4", "3", "2;tail=3,1"])))
+    stem = draw(st.sampled_from([(), (0,), (1, 1)]))
+    n = draw(st.integers(1, 4))
+    exactly = draw(st.booleans())
+    region = list(region_nodes(g, 3, stem))
+    picked = draw(st.frozensets(st.sampled_from(region), max_size=20))
+    if draw(st.booleans()) and bushiness(picked, g, 3, stem) >= n:
+        nodes = set(witness_tree(picked, n, g, stem, 3, exactly=draw(st.booleans())).nodes)
+    else:
+        nodes = {tau[:i] for tau in picked for i in range(len(stem), len(tau) + 1)}
+        nodes.add(stem)
+    if len(nodes) > 1:
+        nodes -= draw(st.frozensets(st.sampled_from(sorted(nodes - {stem})), max_size=2))
+    nodes |= draw(st.frozensets(st.lists(st.integers(-1, 4), max_size=4).map(tuple),
+                                max_size=2))
+    nodes = frozenset(nodes)
+    leaves_in = draw(st.one_of(st.none(), st.just(nodes),
+                               st.frozensets(st.sampled_from(sorted(nodes))),
+                               st.frozensets(st.sampled_from(region), max_size=20)))
+    return TreeWitness(stem, nodes), n, g, exactly, leaves_in
+
+
+@given(_bushy_instances())
+@settings(max_examples=400, deadline=None)
+def test_verify_bushy_matches_naive_mirror(instance):
+    witness, n, g, exactly, leaves_in = instance
+    assert _verdict(verify_bushy, witness, n, g, exactly, leaves_in) == \
+        _verdict(_reference_verify_bushy, witness, n, g, exactly, leaves_in)
+
+
+def test_verify_bushy_at_the_fusion_scale():
+    g = OrderFunction.constant(18)
+    ambient = witness_tree(frozenset(level_nodes(g, 3)), 18, g, (), 3)
+    assert len(ambient.nodes) == 6175
+    verify_bushy(ambient, 18, g, exactly=True, leaves_in=ambient.leaves())
+    leaf = max(ambient.leaves())
+    for nodes, message in (
+            (ambient.nodes - {leaf}, "internal node (17, 17) has 17 children"),
+            (ambient.nodes | {(3, 1, 4, 1, 5)}, "node (3, 1, 4, 1, 5) has no parent"),
+            (ambient.nodes | {(2, 18)}, "node (2, 18) is not a valid string")):
+        witness = TreeWitness((), nodes)
+        verdict = _verdict(verify_bushy, witness, 18, g, exactly=True)
+        assert verdict == _verdict(_reference_verify_bushy, witness, 18, g, exactly=True)
+        assert verdict.startswith(message)
 
 
 def test_verify_bushy_counts():
@@ -679,15 +748,26 @@ def test_invalid_members_raise_on_every_call():
 # ---------------------------------------------------------------------------
 # The tree's children index and JSON form, against naive scans.
 
-@given(set_st, st.integers(1, 3))
+def _scanned_leaves(w):
+    """The nodes no node longer than the stem names as its parent, collected
+    in the node set's order."""
+    parents = {x[:-1] for x in w.nodes if len(x) > len(w.stem)}
+    return frozenset(x for x in w.nodes if x not in parents)
+
+
+@given(set_st, st.integers(1, 3), st.sampled_from([(), (0,), (2, 1)]),
+       st.frozensets(st.lists(st.integers(-1, 3), max_size=4).map(tuple), max_size=12))
 @settings(max_examples=100, deadline=None)
-def test_tree_index_matches_scans(B, n):
+def test_tree_index_matches_scans(B, n, stem, raw):
+    # leaves() on sets that are not trees too: nodes no longer than the
+    # stem, off-stem nodes, orphans; the order of iteration is kept as well
+    for w in (TreeWitness(stem, raw), TreeWitness(stem, raw | {stem})):
+        assert list(w.leaves()) == list(_scanned_leaves(w))
     if not is_n_big(B, n, G3, (), 3):
         return
     w = witness_tree(B, n, G3, (), 3, exactly=False)
     for tau in region_nodes(G3, 3):
         scan = sorted(x for x in w.nodes if len(x) == len(tau) + 1 and x[:-1] == tau)
         assert w.children_of(tau) == scan
-    parents = {x[:-1] for x in w.nodes if x}
-    assert w.leaves() == frozenset(x for x in w.nodes if x not in parents)
+    assert list(w.leaves()) == list(_scanned_leaves(w))
     assert decode_field("certificate", "witness", w.to_jsonable()) == w
