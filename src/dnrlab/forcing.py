@@ -42,6 +42,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, compress
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .asm import assemble_index
@@ -74,13 +75,16 @@ from .oracle import BitOracle
 class BignessUnavailable(Exception):
     """C_m failed to be 7k-big above `node` at output position m = `position`.
 
-    The non-totality extension is then available there.
+    The non-totality extension is then available there.  `c_m` is that
+    C_m, `c_m_set(table, g, node, position)`, so the extension need not
+    read it again.
     """
 
-    def __init__(self, position: int, node: Node) -> None:
+    def __init__(self, position: int, node: Node, c_m: frozenset[Node]) -> None:
         super().__init__(f"C_{position} is not 7k-big above {node}")
         self.position = position
         self.node = node
+        self.c_m = c_m
 
 
 class BudgetExceededError(Exception):
@@ -103,6 +107,70 @@ class SearchLimits:
 # ---------------------------------------------------------------------------
 # Finite functionals.
 
+_PARENT = itemgetter(slice(None, -1))
+
+
+def _table_by_entry(depth: int, table: Iterable) -> dict[Node, tuple[int, ...]]:
+    """The table as a dict from node to output, checked one entry at a time.
+
+    Entries in order: a key no longer than `depth`, 0/1 output bits, a key
+    not seen before; then, in table order, each output against that of its
+    nearest tabled prefix.  The first offending entry raises ValueError.
+    This is the naive mirror of `_table_at_once` and the loop that names
+    the offender when one of its passes fails.
+    """
+    seen: dict[Node, tuple[int, ...]] = {}
+    for node, out in table:
+        if len(node) > depth:
+            raise ValueError(f"table key {node} exceeds depth {depth}")
+        if any(b not in (0, 1) for b in out):
+            raise ValueError(f"output bits must be 0/1 at {node}")
+        if node in seen:
+            raise ValueError(f"duplicate table key {node}")
+        seen[node] = out
+    for node, out in seen.items():
+        for cut in range(len(node) - 1, -1, -1):
+            prefix = node[:cut]
+            if prefix in seen:
+                if seen[prefix] != out[:len(seen[prefix])]:
+                    raise ValueError(
+                        f"monotonicity violation: table({prefix}) is not a prefix of table({node})")
+                break
+    return seen
+
+
+def _table_at_once(depth: int, table: tuple) -> Optional[dict[Node, tuple[int, ...]]]:
+    """`_table_by_entry`'s dict, decided by passes over the whole table, or
+    None when a pass fails (or trips on a malformed entry).
+
+    Keys are unique when the dict is as long as the table; one max bounds
+    their lengths and one set holds every output bit.  One pass compares
+    each output with its parent's, looked up for all nodes at once; only a
+    node whose parent is untabled walks up to its nearest tabled prefix.
+    The root is its own parent here and agrees with itself.
+    """
+    try:
+        seen = dict(table)
+        if (len(seen) != len(table) or max(map(len, seen), default=0) > depth
+                or not set(chain.from_iterable(seen.values())) <= {0, 1}):
+            return None
+        parent_outs = list(map(seen.get, map(_PARENT, seen)))
+        if any([p is not None and p != out[:len(p)]
+                for p, out in zip(parent_outs, seen.values())]):
+            return None
+        for node in [node for node, p in zip(seen, parent_outs) if p is None]:
+            out = seen[node]
+            for cut in range(len(node) - 2, -1, -1):
+                prefix = seen.get(node[:cut])
+                if prefix is not None:
+                    if prefix != out[:len(prefix)]:
+                        return None
+                    break
+    except (TypeError, ValueError):  # a malformed entry: the per-entry loop names it
+        return None
+    return seen
+
+
 @dataclass(frozen=True)
 class FiniteFunctional:
     """A finite monotone table from strings to 0/1 output strings.
@@ -120,23 +188,10 @@ class FiniteFunctional:
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise ValueError("depth is a natural")
-        seen: dict[Node, tuple[int, ...]] = {}
-        for node, out in self.table:
-            if len(node) > self.depth:
-                raise ValueError(f"table key {node} exceeds depth {self.depth}")
-            if any(b not in (0, 1) for b in out):
-                raise ValueError(f"output bits must be 0/1 at {node}")
-            if node in seen:
-                raise ValueError(f"duplicate table key {node}")
-            seen[node] = out
-        for node, out in seen.items():
-            for cut in range(len(node) - 1, -1, -1):
-                prefix = node[:cut]
-                if prefix in seen:
-                    if seen[prefix] != out[:len(seen[prefix])]:
-                        raise ValueError(
-                            f"monotonicity violation: table({prefix}) is not a prefix of table({node})")
-                    break
+        table = tuple(self.table)
+        seen = _table_at_once(self.depth, table)
+        if seen is None:
+            seen = _table_by_entry(self.depth, table)
         object.__setattr__(self, "table", tuple(sorted(seen.items())))
         object.__setattr__(self, "_by_node", seen)
         object.__setattr__(self, "_max_output_length",
@@ -146,7 +201,8 @@ class FiniteFunctional:
     def from_entries(cls, depth: int, entries: Mapping[Node, Sequence[int]] |
                      Iterable[tuple[Node, Sequence[int]]]) -> "FiniteFunctional":
         if isinstance(entries, Mapping):
-            entries = entries.items()
+            return cls(depth, tuple(zip(map(tuple, entries.keys()),
+                                        map(tuple, entries.values()))))
         return cls(depth, tuple((tuple(n), tuple(o)) for n, o in entries))
 
     @classmethod
@@ -174,7 +230,7 @@ class FiniteFunctional:
 
     def to_jsonable(self) -> dict:
         return {"depth": self.depth,
-                "entries": [[list(node), list(out)] for node, out in self.table]}
+                "entries": [[[*node], [*out]] for node, out in self.table]}
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "FiniteFunctional":
@@ -185,10 +241,11 @@ class FiniteFunctional:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"a functional is {{depth, entries: [[node, bits], ...]}}: {exc}") from None
-        if type(depth) is not int or any(
-                type(v) is not int or v < 0 for node, out in entries for v in node + out):
+        values = list(chain.from_iterable(chain.from_iterable(entries)))
+        if (type(depth) is not int or not set(map(type, values)) <= {int}
+                or min(values, default=0) < 0):
             raise ValueError("functional depth, nodes and bits must be naturals")
-        return cls.from_entries(depth, entries)
+        return cls(depth, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +318,8 @@ def c_m_set(gamma_table: FiniteFunctional, g: OrderFunction, stem: Node,
     row = (gamma_table.output(stem),)
     rows = [row]
     for level, w in zip(levels[1:], widths):
-        row = tuple(map(by_node.get, level, [out for out in row for _ in range(w)]))
+        parents = chain.from_iterable(zip(*[row] * w))  # each entry w times
+        row = tuple(map(by_node.get, level, parents))
         rows.append(row)
     return frozenset(compress(chain.from_iterable(levels),
                               [len(out) > m for out in chain.from_iterable(rows)]))
@@ -272,8 +330,8 @@ def _c_m_minimal(cm: frozenset[Node], stem: Node) -> frozenset[Node]:
 
     Domains are initial segments, so every extension of a member decides
     position m too."""
-    return frozenset(node for node in cm
-                     if len(node) == len(stem) or node[:-1] not in cm)
+    n = len(stem)
+    return frozenset([node for node in cm if len(node) == n or node[:-1] not in cm])
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +363,9 @@ def build_totality_tree(gamma_table: FiniteFunctional, tau: Node, k: int,
     Stages m = 0, 1, ... extend every leaf not yet deciding position m by an
     exactly-6k graft with leaves in C_m, all nodes outside `avoid` (the
     badset's k-closure, closed once by `density_search`).  Raises
-    BignessUnavailable(m, rho) when C_m fails to be 7k-big above a leaf rho,
-    which is exactly when the non-totality extension (rho, badset plus C_m)
-    is available.
+    BignessUnavailable(m, rho, C_m) when C_m fails to be 7k-big above a
+    leaf rho, which is exactly when the non-totality extension (rho, badset
+    plus C_m) is available.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -325,7 +383,7 @@ def build_totality_tree(gamma_table: FiniteFunctional, tau: Node, k: int,
                 continue
             cm = c_m_set(gamma_table, g, rho, m)
             if not is_n_big(cm, 7 * k, g, rho, depth):
-                raise BignessUnavailable(m, rho)
+                raise BignessUnavailable(m, rho, cm)
             graft = _graft(cm, 6 * k, g, depth, rho, avoid)
             nodes.update(graft.nodes)
             new_leaves.extend(graft.leaves())
@@ -627,7 +685,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         totality = build_totality_tree(gamma_table, tau0, k, target_len, avoid, g)
     except BignessUnavailable as exc:
         m, node = exc.position, exc.node
-        cm_min = _c_m_minimal(c_m_set(gamma_table, g, node, m), node)
+        cm_min = _c_m_minimal(exc.c_m, node)
         cert = {
             "kind": "non_total_extension",
             "g": g.to_spec(),

@@ -107,6 +107,65 @@ def dnr_candidate_bound(f: ProgramIndex, n: ProgramIndex, budget: int) -> int:
     return (1 << (2 * fv + 2)) - 1
 
 
+def _diagonal_outcomes(f: ProgramIndex, e_max: int, budget: int):
+    """The oracle-free half of the audit, one e <= e_max at a time:
+    (e, phi_e(e), h(e), f(h(e))), with None for the diagonal's value when
+    it diverges within budget (and then no h(e)) and for f's when f does
+    not converge on h(e)."""
+    for e in range(e_max + 1):
+        out = eval_program(e, e, budget)
+        if not isinstance(out, Halted):
+            yield e, None, None, None
+            continue
+        h_e = diagonal_set_index(e)
+        f_out = eval_program(f, h_e, budget)
+        yield e, out.value, h_e, (f_out.value if isinstance(f_out, Halted) else None)
+
+
+def _audit_certs(X: BitOracle, f: ProgramIndex, budget: int, outcomes):
+    """The audit's certificates for `_diagonal_outcomes` against X, in
+    order; the side codes are computed once per width."""
+    oracle_spec = oracle_to_spec(X)
+    side_codes: dict[int, tuple[int | None, int | None]] = {}
+    for e, v, h_e, f_value in outcomes:
+        if v is None:
+            yield {"kind": "diagonal_diverges", "e": e, "budget": budget}
+            continue
+        if f_value is None:
+            yield {"kind": "f_unconverged", "e": e, "h_e": h_e, "f": f, "budget": budget}
+            continue
+        k = f_value + 1
+        if k not in side_codes:
+            side_codes[k] = _side_codes(X, k)
+        code, co_code = side_codes[k]
+        witness = sorted(gamma(v))
+        base = {
+            "e": e,
+            "value": v,
+            "h_e": h_e,
+            "f": f,
+            "f_value": f_value,
+            "budget": budget,
+            "oracle": oracle_spec,
+        }
+        if code == v or co_code == v:
+            yield {
+                "kind": "ebi_violation",
+                **base,
+                "side": "oracle" if code == v else "complement",
+                "members": witness,
+                "horizon": (max(witness) + 2) if witness else 2,
+            }
+        else:
+            yield {
+                "kind": "dnr_value",
+                **base,
+                "side_code": code,
+                "complement_code": co_code,
+                "candidate": min(c for c in (code, co_code) if c is not None),
+            }
+
+
 def dnr_reduction_audit(X: BitOracle, f: ProgramIndex, e_max: int, budget: int) -> list[dict]:
     """Classify every diagonal e <= e_max against the oracle's slices.
 
@@ -117,49 +176,7 @@ def dnr_reduction_audit(X: BitOracle, f: ProgramIndex, e_max: int, budget: int) 
     certificate recording that every candidate avoids v.  Diverging
     diagonals and non-converging f probes are recorded, not errors.
     """
-    oracle_spec = oracle_to_spec(X)
-    certs: list[dict] = []
-    for e in range(e_max + 1):
-        out = eval_program(e, e, budget)
-        if not isinstance(out, Halted):
-            certs.append({"kind": "diagonal_diverges", "e": e, "budget": budget})
-            continue
-        v = out.value
-        h_e = diagonal_set_index(e)
-        f_out = eval_program(f, h_e, budget)
-        if not isinstance(f_out, Halted):
-            certs.append({"kind": "f_unconverged", "e": e, "h_e": h_e, "f": f,
-                          "budget": budget})
-            continue
-        k = f_out.value + 1
-        code, co_code = _side_codes(X, k)
-        witness = sorted(gamma(v))
-        base = {
-            "e": e,
-            "value": v,
-            "h_e": h_e,
-            "f": f,
-            "f_value": f_out.value,
-            "budget": budget,
-            "oracle": oracle_spec,
-        }
-        if code == v or co_code == v:
-            certs.append({
-                "kind": "ebi_violation",
-                **base,
-                "side": "oracle" if code == v else "complement",
-                "members": witness,
-                "horizon": (max(witness) + 2) if witness else 2,
-            })
-        else:
-            certs.append({
-                "kind": "dnr_value",
-                **base,
-                "side_code": code,
-                "complement_code": co_code,
-                "candidate": min(c for c in (code, co_code) if c is not None),
-            })
-    return certs
+    return list(_audit_certs(X, f, budget, _diagonal_outcomes(f, e_max, budget)))
 
 
 # Most audit-and-flip rounds patch_oracle_dnr_only takes before giving up.
@@ -172,16 +189,21 @@ def patch_oracle_dnr_only(f: ProgramIndex, e_max: int, budget: int,
 
     Each round flips the least member of the first violating slice, which
     removes that slice from the offending side.  Returns the patched oracle
-    and its clean audit; RuntimeError if the rounds run out.
+    and its clean audit; RuntimeError if the rounds run out.  The diagonals
+    and f's values do not depend on the oracle: they are evaluated once,
+    and each round only classifies them.
     """
+    outcomes = list(_diagonal_outcomes(f, e_max, budget))
     oracle = start
     for _ in range(PATCH_ROUNDS):
-        certs = dnr_reduction_audit(oracle, f, e_max, budget)
-        violations = [c for c in certs if c["kind"] == "ebi_violation"]
-        if not violations:
+        certs = []
+        for cert in _audit_certs(oracle, f, budget, outcomes):
+            if cert["kind"] == "ebi_violation":
+                break
+            certs.append(cert)
+        else:
             return oracle, certs
-        worst = violations[0]
-        pos = worst["members"][0]
+        pos = cert["members"][0]
         flipped = 1 - oracle.bit(pos)
         if isinstance(oracle, PatchedOracle):
             oracle = oracle.with_patch(pos, flipped)

@@ -207,6 +207,13 @@ class TestPatchedOracleAudit:
         assert all(c["kind"] != "ebi_violation" for c in certs)
         assert any(c["kind"] == "dnr_value" for c in certs)
 
+    def test_clean_audit_is_the_audit_of_the_patched_oracle(self):
+        # the rounds evaluate the diagonals once; a fresh audit re-runs them
+        f = const_index(1)
+        oracle, certs = patch_oracle_dnr_only(f, 2450, BUDGET, PrefixOracle((1, 1), 0))
+        assert isinstance(oracle, PatchedOracle)
+        assert certs == dnr_reduction_audit(oracle, f, 2450, BUDGET)
+
     def test_unpatched_start_did_violate(self):
         certs = dnr_reduction_audit(PrefixOracle((1, 1), 0), const_index(1), 2450, BUDGET)
         assert any(c["kind"] == "ebi_violation" for c in certs)
