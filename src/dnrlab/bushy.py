@@ -17,7 +17,7 @@ forbidden nodes.  The pass is also where string sets and stems are
 validated.  `bushiness` reads the stem's value, `bushiness_numbers` the
 whole table as a dict keyed by the index's tuples; bigness queries,
 closures, `closure_check` and greedy witness extraction
-(`tree_from_marking`) all read off the rows or that table, and regions are
+(`witness_tree`) all read off the rows or that table, and regions are
 listed from the index too (`level_nodes`, `region_nodes`).  The last few
 markings are kept, so a set asked for its closure, its closure check and
 its bigness is marked once.
@@ -417,16 +417,23 @@ def verify_bushy(witness: TreeWitness, n: int, g: OrderFunction,
             raise MalformedTree(f"leaves outside the target set: {sorted(stray)[:3]}")
 
 
-def tree_from_marking(beta: dict[Node, int], B: frozenset[Node], n: int,
-                      g: OrderFunction, stem: Node, exactly: bool = True) -> TreeWitness:
-    """Greedy lex-least n-bushy tree read off a marking with beta[stem] >= n.
+def witness_tree(B: Iterable[Node], n: int, g: OrderFunction, stem: Node,
+                 depth: int, exactly: bool = True,
+                 avoid: frozenset[Node] = frozenset()) -> TreeWitness:
+    """Greedy lex-least n-bushy tree above stem with all leaves in B.
 
-    Members of B become leaves (descent stops), so the tree is as shallow as
-    the marking allows.  With `exactly`, internal nodes keep exactly n
-    children.  Nodes the marking forbids have beta 0 and are never picked.
-    The tree's nodes are the region index's own tuples.
+    Requires B to be n-big above stem by trees avoiding `avoid`; raises
+    ValueError otherwise.  The tree is read off one marking: members of B
+    become leaves (descent stops), so the tree is as shallow as the marking
+    allows, and nodes the marking forbids have beta 0 and are never picked.
+    With `exactly`, internal nodes keep exactly n children.  The tree's
+    nodes are the region index's own tuples.
     """
-    levels, widths = _region_index(g, max(map(len, beta)), tuple(stem))
+    B = _string_set(B)
+    beta = bushiness_numbers(B, g, depth, stem, avoid)
+    if beta[stem] < n:
+        raise ValueError(f"set is not {n}-big above {stem} within depth {depth}")
+    levels, widths = _region_index(g, depth, tuple(stem))
     nodes = {levels[0][0]}
     frontier = [(0, 0)]  # (level, position) in the index
     while frontier:
@@ -439,22 +446,7 @@ def tree_from_marking(beta: dict[Node, int], B: frozenset[Node], n: int,
             picked = picked[:n]
         nodes.update(below[p] for p in picked)
         frontier.extend((i + 1, p) for p in picked)
-    return TreeWitness(levels[0][0], frozenset(nodes))
-
-
-def witness_tree(B: Iterable[Node], n: int, g: OrderFunction, stem: Node,
-                 depth: int, exactly: bool = True,
-                 avoid: frozenset[Node] = frozenset()) -> TreeWitness:
-    """Greedy lex-least n-bushy tree above stem with all leaves in B.
-
-    Requires B to be n-big above stem by trees avoiding `avoid`; raises
-    ValueError otherwise.  See `tree_from_marking` for the shape.
-    """
-    B = _string_set(B)
-    beta = bushiness_numbers(B, g, depth, stem, avoid)
-    if beta[stem] < n:
-        raise ValueError(f"set is not {n}-big above {stem} within depth {depth}")
-    witness = tree_from_marking(beta, B, n, g, stem, exactly)
+    witness = TreeWitness(levels[0][0], frozenset(nodes))
     verify_bushy(witness, n, g, exactly=exactly, leaves_in=B)
     return witness
 

@@ -48,11 +48,11 @@ from .forcing import (
     SearchLimits,
     density_search,
 )
-from .machine import FixedPointBudgetExceeded
+from .machine import Halted, eval_program
 from .numbering import (
+    TERM_LIMIT,
     TableNumbering,
     lowness_bound_check,
-    snr_collision_audit,
     snr_from_immune_oracle,
     tail_constraints,
     union_cylinder_measure,
@@ -376,7 +376,7 @@ def _cmd_schnorr_measure(config: RunConfig) -> CommandResult:
     data = _load_input(config)
     c = config.budget("c", 2)
     e_max = config.budget("e_max", 32)
-    term_cap = config.budget("terms", 1 << 20)
+    term_cap = config.budget("terms", TERM_LIMIT)
     numbering = TableNumbering(data.get("sets", _DEMO_SETS))
     constraints = tail_constraints(numbering, c, e_max)
     measure = union_cylinder_measure(constraints, term_cap)
@@ -426,6 +426,7 @@ def _cmd_snr_demo(config: RunConfig) -> CommandResult:
     e_max = config.budget("audit", 10)
     budget = config.budget("eval", 10_000)
     certs = []
+    collisions = 0  # e where the zero program halts exactly on the slice code
     for e in range(e_max + 1):
         value = snr_from_immune_oracle(oracle, h, e, budget)
         certs.append({
@@ -433,10 +434,12 @@ def _cmd_snr_demo(config: RunConfig) -> CommandResult:
             "oracle": oracle_to_spec(oracle),
             "h": h, "e": e, "budget": budget, "value": value,
         })
-    collisions = snr_collision_audit(ZERO_INDEX, oracle, h, e_max, budget)
+        out = eval_program(ZERO_INDEX, e, budget)
+        if isinstance(out, Halted) and out.value == value:
+            collisions += 1
     summary = [f"slice codes for e <= {e_max}: "
                f"{sorted({c['value'] for c in certs})}",
-               f"collisions against the zero program: {len(collisions)}"]
+               f"collisions against the zero program: {collisions}"]
     code = EXIT_COUNTEREXAMPLE if collisions else EXIT_OK
     return CommandResult(exit_code=code, summary=summary, certificates=certs)
 
@@ -574,7 +577,7 @@ def run(config: RunConfig) -> int:
         raise
     except (PreconditionViolated, InsufficientOracle, ValueError) as exc:
         raise InputError(str(exc))
-    except (WitnessBudgetExceeded, CombinatorialBlowup, FixedPointBudgetExceeded) as exc:
+    except (WitnessBudgetExceeded, CombinatorialBlowup) as exc:
         report = {"error": f"budget exhausted: {exc}"}
         if isinstance(exc, CombinatorialBlowup) and exc.upper_bound is not None:
             report["union_bound"] = exc.upper_bound.to_jsonable()

@@ -14,8 +14,10 @@ The module builds the finite combinatorial objects of the density argument:
   level by level, a tabled node's own and any other its parent's;
 * Delta sets (nodes deciding position m with a given bit), every
   position's read off one pass over a tree, and the greedy fusion of many
-  (position, bit) constraints;
-* the k-bushy zero-forcing tree of the no-fusion case, forced in one pass;
+  (position, bit) constraints, the nodes meeting fused constraints being
+  the intersection of their Delta sets;
+* the k-bushy zero-forcing tree of the no-fusion case, forced in one pass
+  over the zero sides of those Delta sets;
 * density_search, which turns a functional, a toy program index q, and a
   condition into a verdict: a non-totality extension, a diagonalizing
   extension with a replayable certificate built through the recursion
@@ -31,10 +33,11 @@ constraints, each candidate is judged on the nodes whose outputs agree with
 all previously fused (position, bit) pairs.  Since domains are initial
 segments, any node deciding a later position has decided all fused earlier
 ones, so every prefix of the fused list was accepted in its turn, and
-density_search reads its one 2k-bushy tree off the prefix it needs.  The
-zero tree reads its Delta sets off the search's one totality tree by the
-same fact: each zero-tree leaf decides the last forced position, so it is
-a stage leaf of that tree (see case2_zero_tree).
+density_search reads its one 2k-bushy tree off the constraint set fusion
+kept for the prefix it needs.  A search reads the Delta sets of its one
+totality tree once; the zero tree reads them too, by the same fact: each
+zero-tree leaf decides the last forced position, so it is a stage leaf of
+that tree (see case2_zero_tree).
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .bushy import (
     closure,
     is_n_big,
     region_nodes,
-    tree_from_marking,
     verify_bushy,
     witness_tree,
 )
@@ -345,16 +347,6 @@ def _badset_closure(badset: frozenset[Node], k: int, g: OrderFunction, depth: in
     return closure(badset, k, g, max(depth, *map(len, badset)))
 
 
-def _graft(B: frozenset[Node], n: int, g: OrderFunction, depth: int, rho: Node,
-           avoid: frozenset[Node]) -> TreeWitness:
-    """Exactly-n-bushy tree above rho with leaves in B, all nodes outside
-    `avoid`, read off one marking.  The caller has checked B (n + k)-big
-    above rho and `avoid` is k-small there, so the pruning lemma leaves n."""
-    beta = bushiness_numbers(B, g, depth, rho, avoid)
-    assert beta[rho] >= n, "pruning lemma violated"
-    return tree_from_marking(beta, B, n, g, rho)
-
-
 def build_totality_tree(gamma_table: FiniteFunctional, tau: Node, k: int,
                         target_len: int, avoid: frozenset[Node],
                         g: OrderFunction) -> TreeWitness:
@@ -384,7 +376,8 @@ def build_totality_tree(gamma_table: FiniteFunctional, tau: Node, k: int,
             cm = c_m_set(gamma_table, g, rho, m)
             if not is_n_big(cm, 7 * k, g, rho, depth):
                 raise BignessUnavailable(m, rho, cm)
-            graft = _graft(cm, 6 * k, g, depth, rho, avoid)
+            # C_m is 7k-big and `avoid` k-small: the pruning lemma leaves 6k
+            graft = witness_tree(cm, 6 * k, g, rho, depth, avoid=avoid)
             nodes.update(graft.nodes)
             new_leaves.extend(graft.leaves())
         leaves = new_leaves
@@ -396,65 +389,57 @@ def build_totality_tree(gamma_table: FiniteFunctional, tau: Node, k: int,
 # ---------------------------------------------------------------------------
 # Fusion.
 
-def _constraint_set(gamma_table: FiniteFunctional, source: Iterable[Node],
-                    constraints: Sequence[tuple[int, int]]) -> frozenset[Node]:
-    """Nodes among `source` deciding every constrained position with its bit."""
-    out = []
-    for node in source:
-        bits = gamma_table.output(node)
-        if all(m < len(bits) and bits[m] == i for m, i in constraints):
-            out.append(node)
-    return frozenset(out)
-
-
-def fusion_step(gamma_table: FiniteFunctional, tau: Node, k: int,
-                big_inputs: Sequence[tuple[int, int]], g: OrderFunction,
-                avoid: frozenset[Node], within: TreeWitness) -> list[tuple[int, int]]:
+def fusion_step(deltas: Sequence[tuple[frozenset[Node], frozenset[Node]]], tau: Node, k: int,
+                big_inputs: Sequence[tuple[int, int]], g: OrderFunction, depth: int,
+                avoid: frozenset[Node]) -> tuple[list[tuple[int, int]], list[frozenset[Node]]]:
     """Greedily fuse (position, bit) constraints above tau within a tree.
 
-    Each listed (m, i) must come with Delta_{tau,m,i} 4k-big above tau among
-    the nodes of `within` (checked).  Constraints are accepted in the given
-    order as long as the nodes satisfying all accepted constraints stay
-    2k-big above tau by trees outside `avoid` (as in `build_totality_tree`).
-    Returns the accepted pairs; every prefix of them was accepted in its
-    turn, so its constraint set is 2k-big for `witness_tree` to read off.
+    `deltas` are the tree's Delta sets (`delta_sets`), so the tree's nodes
+    meeting a list of constraints are the intersection of their Delta sets.
+    Each listed (m, i) must come with Delta_{m,i} 4k-big above tau (checked).
+    Constraints are accepted in the given order as long as the intersection
+    stays 2k-big above tau by trees outside `avoid` (as in
+    `build_totality_tree`).  Returns the accepted pairs and, for each, the
+    constraint set of the fused prefix ending with it: every prefix was
+    accepted in its turn, so its set is 2k-big for `witness_tree` to read off.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     tau = tuple(tau)
-    depth = gamma_table.depth
-    source = tuple(sorted(within.nodes))
     for m, i in big_inputs:
-        delta = _constraint_set(gamma_table, source, [(m, i)])
-        if not is_n_big(delta, 4 * k, g, tau, depth):
+        if not is_n_big(deltas[m][i], 4 * k, g, tau, depth):
             raise ValueError(
                 f"precondition failed: Delta at ({m}, {i}) is not {4 * k}-big above {tau}")
     if tau in avoid:
         raise ValueError(f"stem {tau} lies in the badset closure")
     fused: list[tuple[int, int]] = []
+    kept: list[frozenset[Node]] = []
     for m, i in big_inputs:
-        candidate = fused + [(m, i)]
-        if bushiness(_constraint_set(gamma_table, source, candidate),
-                     g, depth, tau, avoid) >= 2 * k:
-            fused = candidate
+        candidate = kept[-1] & deltas[m][i] if kept else deltas[m][i]
+        if bushiness(candidate, g, depth, tau, avoid) >= 2 * k:
+            fused.append((m, i))
+            kept.append(candidate)
     # the first input is 4k-big and the closure k-small: 3k >= 2k remain
     assert fused or not big_inputs, "pruning lemma violated"
-    return fused
+    return fused, kept
 
 
 # ---------------------------------------------------------------------------
 # Case 2: zero forcing.
 
-def case2_zero_tree(gamma_table: FiniteFunctional, totality: TreeWitness, k: int, count: int,
+def case2_zero_tree(gamma_table: FiniteFunctional, stem: Node,
+                    zero_sides: Sequence[frozenset[Node]], k: int, count: int,
                     avoid: frozenset[Node], g: OrderFunction) -> tuple[TreeWitness, list[int]]:
-    """k-bushy tree above totality.stem forcing up to `count` output positions to 0.
+    """k-bushy tree above stem forcing up to `count` output positions to 0.
 
-    `totality` is `build_totality_tree`'s tree above the stem through every
-    tabled position, with this k and `avoid`.  Stage j picks the least
-    admissible position n_j (one past the previous): above every current
-    leaf, the zero side of `totality` (its Delta set at (n_j, 0), cut to the
-    leaf's own nodes so the marking validates no others) is 2k-big, and the
-    leaf takes a k-bushy graft with leaves in it, all nodes outside `avoid`.
+    `zero_sides` are the zero sides of the Delta sets (`delta_sets`) of
+    `build_totality_tree`'s tree above the stem through every tabled
+    position, with this k and `avoid`.  Stage j picks the least admissible
+    position n_j (one past the previous): above every current leaf, the
+    zero side at n_j is 2k-big (read off one marking of it above the stem),
+    and the leaf takes a k-bushy graft with leaves in it (the zero side cut
+    to the leaf's own nodes, so the marking validates no others), all nodes
+    outside `avoid`.
     The pass stops at the first stage with no admissible position and
     returns the tree with the zeros forced so far, which may be none.
     Stages are deterministic, so the first j stages of any run are those of
@@ -462,38 +447,35 @@ def case2_zero_tree(gamma_table: FiniteFunctional, totality: TreeWitness, k: int
 
     The zero side equals that of a totality tree grown afresh above each
     leaf.  Every leaf decides the last forced position, so it lies in no
-    earlier stage's graft: it is a stage leaf of `totality`, which above it
-    repeats a fresh tree's stages (same C_m, graft and `avoid`).  The nodes
-    added after stage n descend from leaves already deciding n, so they
-    change no marking value the 2k test or the graft reads.  Hence C never
-    fails its 7k-bigness here: BignessUnavailable cannot arise.
+    earlier stage's graft: it is a stage leaf of the totality tree, which
+    above it repeats a fresh tree's stages (same C_m, graft and `avoid`).
+    The nodes added after stage n descend from leaves already deciding n,
+    so they change no marking value the 2k test or the graft reads.  Hence
+    C never fails its 7k-bigness here: BignessUnavailable cannot arise.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     depth = gamma_table.depth
-    nodes: set[Node] = {totality.stem}
-    leaves: list[Node] = [totality.stem]
+    stem = tuple(stem)
+    nodes: set[Node] = {stem}
+    leaves: list[Node] = [stem]
     zeros: list[int] = []
-    zero_sides = [zero for zero, _ in delta_sets(gamma_table, totality)]
     for _ in range(count):
         floor = zeros[-1] + 1 if zeros else 0
         for position in range(floor, len(zero_sides)):
             zero_delta = zero_sides[position]
-            grafts: list[TreeWitness] = []
-            for rho in sorted(leaves):
-                above = frozenset(n for n in zero_delta if n[:len(rho)] == rho)
-                if not is_n_big(above, 2 * k, g, rho, depth):
-                    break
-                grafts.append(_graft(above, k, g, depth, rho, avoid))
-            if len(grafts) == len(leaves):
-                break  # every leaf took a graft: the position is admissible
+            beta = bushiness_numbers(zero_delta, g, depth, stem)
+            if all(beta[rho] >= 2 * k for rho in leaves):
+                break  # the position is admissible
         else:
             break  # no admissible position: stop with the zeros forced so far
+        grafts = [witness_tree(frozenset(n for n in zero_delta if n[:len(rho)] == rho),
+                               k, g, rho, depth, avoid=avoid) for rho in sorted(leaves)]
         for graft in grafts:
             nodes.update(graft.nodes)
         leaves = [leaf for graft in grafts for leaf in graft.leaves()]
         zeros.append(position)
-    tree = TreeWitness(totality.stem, frozenset(nodes))
+    tree = TreeWitness(stem, frozenset(nodes))
     verify_bushy(tree, k, g)
     for leaf in tree.leaves():
         bits = gamma_table.output(leaf)
@@ -512,6 +494,11 @@ def dnr_bad_strings(g: OrderFunction, oracle: Optional[BitOracle], max_len: int,
     The budget-s approximation of the set of strings that cannot head a
     diagonally nonrecursive function relative to the oracle; nondecreasing
     in the budget.
+
+    Under this machine's numbering the set is always empty: the first index
+    whose program holds a halt is 23 (`halt r0`), so no phi_e(e) with
+    e < 23 halts, and the region guard refuses max_len 13 even at width 2
+    (CombinatorialBlowup).  generic_prefix thus meets no DNR constraint.
     """
     diag: dict[int, int] = {}
     for e in range(max_len):
@@ -705,8 +692,9 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
 
     # Delta sets are judged within the constructed tree: the case split is
     # whether the deciding level carries a >= 4k majority for one bit
+    deltas = delta_sets(gamma_table, totality)
     big_inputs: list[tuple[int, int]] = []
-    for m, sides in enumerate(delta_sets(gamma_table, totality)):
+    for m, sides in enumerate(deltas):
         for i in (0, 1):
             if is_n_big(sides[i], 4 * k, g, tau0, depth):
                 big_inputs.append((m, i))
@@ -765,7 +753,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         return e0, e1, out0.value, out1.value
 
     if big_inputs:
-        fused = fusion_step(gamma_table, tau0, k, big_inputs, g, avoid, totality)
+        fused, kept = fusion_step(deltas, tau0, k, big_inputs, g, depth, avoid)
         cap = len(fused)
         trace.append({"step": "fusion", "achieved": cap,
                       "fused": [list(p) for p in fused]})
@@ -776,15 +764,15 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         c = 2 * max(v0, v1) + 1
         if c <= cap:
             fused = fused[:c]  # accepted in its turn, so 2k-big
-            kept = _constraint_set(gamma_table, sorted(totality.nodes), fused)
-            tree = witness_tree(kept, 2 * k, g, tau0, depth, avoid=avoid)
+            tree = witness_tree(kept[c - 1], 2 * k, g, tau0, depth, avoid=avoid)
             # an all-zero prefix of 2m + 1 pairs holds more than m zeros
             label = "case2" if all(i == 0 for _, i in fused) else "case1"
             return finish(tree, 2 * k, fused, e0, e1, v0, v1, cap, label)
         trace.append({"step": "fusion_short", "achieved": cap, "needed": c})
 
     # Case 2: force zeros with a k-bushy tree, as many as the stages sustain
-    zeros_tree, zeros = case2_zero_tree(gamma_table, totality, k, target_len, avoid, g)
+    zero_sides = [zero for zero, _ in deltas]
+    zeros_tree, zeros = case2_zero_tree(gamma_table, tau0, zero_sides, k, target_len, avoid, g)
     if not zeros:
         return fail("no zero-forcing tree at any count")
     trace.append({"step": "zero_tree", "zeros": zeros})
@@ -798,7 +786,7 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         return fail("zero capacity below the q bound", capacity=cap, needed=m_val + 1)
     c = min(2 * m_val + 1, cap)
     if c < cap:
-        zeros_tree, zeros = case2_zero_tree(gamma_table, totality, k, c, avoid, g)
+        zeros_tree, zeros = case2_zero_tree(gamma_table, tau0, zero_sides, k, c, avoid, g)
     return finish(zeros_tree, k, [(n, 0) for n in zeros], e0, e1, v0, v1, cap, "case2")
 
 

@@ -61,6 +61,8 @@ from functools import lru_cache, partial
 from math import isqrt
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
+from .errors import WitnessBudgetExceeded
+
 ProgramIndex = int  # type alias: indices into the numbering are plain naturals
 
 N_REGISTERS = 16
@@ -135,14 +137,6 @@ OP_SIGNATURE = {
 # the length of the pairing prefix.  Recorded here as the implementation
 # constant the s-m-n correctness property is stated against.
 SMN_STEP_OVERHEAD = 3
-
-
-class MachineError(Exception):
-    """Base class for substrate errors."""
-
-
-class FixedPointBudgetExceeded(MachineError):
-    """The transform did not halt on the diagonal index within the budget."""
 
 
 @dataclass(frozen=True)
@@ -765,7 +759,7 @@ def fixed_point(transform: ProgramIndex, budget: int = 10_000) -> ProgramIndex:
     The construction is the standard self-application through s-m-n, not a
     search: let v compute u |-> F(d(u)); then e* = d(v).  Building e* never
     runs the transform; the budget only backs the final audit that F(e*)
-    converges, raising FixedPointBudgetExceeded otherwise (in which case
+    converges, raising WitnessBudgetExceeded otherwise (in which case
     phi_{e*} is everywhere undefined and no fixed point is certified).
     """
     v = encode(ToyProgram((
@@ -777,7 +771,7 @@ def fixed_point(transform: ProgramIndex, budget: int = 10_000) -> ProgramIndex:
     )))
     e_star = diagonal_index(v)
     if not isinstance(eval_program(transform, e_star, budget), Halted):
-        raise FixedPointBudgetExceeded(
+        raise WitnessBudgetExceeded(
             f"transform {transform} did not halt on the diagonal index within {budget} steps")
     return e_star
 

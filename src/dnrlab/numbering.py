@@ -1,8 +1,7 @@
 """Table numberings of finite sets, slice codes, exact measures and lowness sums.
 
 A table numbering lists the finite sets D_0, D_1, ... explicitly.  The
-slice code of an oracle at e is the code of its first h(2e)+1 members;
-snr_collision_audit lists the e where a program's value hits it.
+slice code of an oracle at e is the code of its first h(2e)+1 members.
 
 Measures of the induced cylinder unions are computed exactly over dyadic
 rationals by inclusion-exclusion, with a term cap guarding the subset
@@ -48,17 +47,6 @@ def snr_from_immune_oracle(R: BitOracle, h: ProgramIndex, e: int, budget: int) -
     if len(members) < k:
         raise InsufficientOracle(f"oracle holds only {len(members)} members, need {k}")
     return gamma_inverse(members)
-
-
-def snr_collision_audit(g: ProgramIndex, R: BitOracle, h: ProgramIndex,
-                        e_max: int, budget: int) -> list[int]:
-    """Indices e <= e_max where phi_g(e) halts exactly on the slice code."""
-    collisions = []
-    for e in range(e_max + 1):
-        out = eval_program(g, e, budget)
-        if isinstance(out, Halted) and out.value == snr_from_immune_oracle(R, h, e, budget):
-            collisions.append(e)
-    return collisions
 
 
 # ---------------------------------------------------------------------------

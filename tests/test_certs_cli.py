@@ -32,6 +32,15 @@ from dnrlab.reductions import blocking_prefix, diagonal_set_index, \
 from dnrlab.stages import ei_not_coei
 
 EVENS = PeriodicOracle((1, 0))
+# well-shaped oracle specs whose bits are not 0/1, or whose pattern is empty
+BAD_BIT_ORACLES = [
+    {"kind": "prefix", "bits": [1, 2]},
+    {"kind": "prefix", "bits": [1], "tail": 2},
+    {"kind": "periodic", "pattern": []},
+    {"kind": "periodic", "pattern": [0, 2]},
+    {"kind": "patched", "base": {"kind": "periodic", "pattern": [1, 0]}, "patches": [[0, 2]]},
+]
+BAD_BIT_ERROR = r"bits must be 0 or 1|must be nonempty 0/1"
 G8 = OrderFunction.constant(8)
 EMPTY_COND = ForcingCondition((), frozenset(), G8)
 
@@ -267,6 +276,27 @@ class TestCliCommands:
                      "--budget.eval=50"])
         assert code == EXIT_BUDGET
 
+    def test_snr_demo_zero_program_never_collides(self, tmp_path, capsys):
+        code, _ = run_cli(["--command", "snr-demo", "--budget.audit=20"], tmp_path)
+        assert code == EXIT_OK
+        assert "collisions against the zero program: 0" in capsys.readouterr().out.splitlines()
+
+    def test_failing_lowness_certificate_replays(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"h": const_index(5)}))
+        code, out = run_cli(["--command", "lowness-check", "--in", str(path)], tmp_path)
+        assert code == EXIT_COUNTEREXAMPLE
+        assert capsys.readouterr().out.splitlines() == ["bound fails first at e = 1"]
+        assert main(["--command", "replay", "--in", str(out)]) == EXIT_OK
+        assert "1 certificates verified, 0 mismatches" in capsys.readouterr().out
+        header, line = out.read_text().splitlines()
+        cert = json.loads(line)
+        assert cert["verdict"]["first_violation"] == 1
+        cert["verdict"]["first_violation"] = 2
+        out.write_text(header + "\n" + json.dumps(cert) + "\n")
+        assert main(["--command", "replay", "--in", str(out)]) == EXIT_COUNTEREXAMPLE
+        assert "MISMATCH line 2: lowness_bound" in capsys.readouterr().out
+
     def test_blocking_precondition_exit(self, tmp_path):
         # members of the enumerated set land on zeros of this prefix
         e = diagonal_set_index(const_index(5))
@@ -436,6 +466,8 @@ class TestTypedInputFiles:
         ("closure", {"depth": 2.9}),
         ("lowness-check", {"h": True}),
         ("schnorr-measure", {"sets": [[0], 1]}),
+        ("blocking-prefix", {"prefix": [2]}),
+        ("closure", [[0], [1]]),  # an array, not an object
     ])
     def test_ill_typed_field_exits_1_with_one_json_line(self, command, spec, tmp_path, capsys):
         path = tmp_path / "in.json"
@@ -443,6 +475,15 @@ class TestTypedInputFiles:
         assert main(["--command", command, "--in", str(path)]) == EXIT_INPUT
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "error" in json.loads(err[0])
+
+    @pytest.mark.parametrize("command", ["snr-demo", "dnr-audit"])
+    @pytest.mark.parametrize("spec", BAD_BIT_ORACLES)
+    def test_bad_bit_oracle_exits_1(self, command, spec, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"oracle": spec}))
+        assert main(["--command", command, "--in", str(path)]) == EXIT_INPUT
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert re.search(BAD_BIT_ERROR, json.loads(line)["error"])
 
     def test_union_bound_fallback_is_a_dyadic_field(self, capsys):
         assert main(["--command", "schnorr-measure", "--budget.terms=1"]) == EXIT_BUDGET
@@ -513,6 +554,14 @@ class TestSpecShapes:
         assert _replay_one(cert, tmp_path) == EXIT_INPUT
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert "oracle" in json.loads(line)["error"]
+
+    @pytest.mark.parametrize("spec", BAD_BIT_ORACLES)
+    def test_bad_bit_oracle_replays_as_malformed(self, spec, audit_certs, tmp_path, capsys):
+        cert = copy.deepcopy(next(c for c in audit_certs if c["kind"] == "dnr_value"))
+        cert["oracle"] = spec
+        assert _replay_one(cert, tmp_path) == EXIT_INPUT
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert re.search(BAD_BIT_ERROR, json.loads(line)["error"])
 
 
 def _bushy_seed_certs() -> list[dict]:

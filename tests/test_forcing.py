@@ -1,15 +1,18 @@
 """Forcing layer: conditions, staged trees, fusion, and density searches."""
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dnrlab import forcing
 from dnrlab.asm import DIVERGE_INDEX, const_index
 from dnrlab.bushy import (
     MalformedTree,
     OrderFunction,
     TreeWitness,
+    bushiness,
     is_n_big,
     region_nodes,
     verify_bushy,
@@ -26,9 +29,7 @@ from dnrlab.forcing import (
     NonTotalExt,
     SearchLimits,
     _badset_closure,
-    _constraint_set,
     _c_m_minimal,
-    _graft,
     _lengthen_stem,
     build_totality_tree,
     c_m_set,
@@ -39,8 +40,9 @@ from dnrlab.forcing import (
     fusion_step,
     generic_prefix,
 )
-from dnrlab.machine import Halted, eval_program
-from test_density_golden import BATTERY as GOLDEN
+from dnrlab.machine import OP_HALT, Halted, decode, eval_program
+from dnrlab.oracle import EVENS
+from test_density_golden import BATTERY as GOLDEN, EXITS
 
 G8 = OrderFunction.constant(8)
 G16 = OrderFunction.constant(16)
@@ -238,9 +240,44 @@ def fuse(table: FiniteFunctional, inputs) -> tuple[TreeWitness, list[tuple[int, 
     """fusion_step above the root within the full region, with the 2-bushy
     tree density_search reads off the fused pairs' constraint set."""
     region = TreeWitness((), frozenset(region_nodes(G8, table.depth)))
-    fused = fusion_step(table, (), 1, inputs, G8, frozenset(), region)
-    kept = _constraint_set(table, region.nodes, fused)
-    return witness_tree(kept, 2, G8, (), table.depth), fused
+    fused, kept = fusion_step(delta_sets(table, region), (), 1, inputs, G8, table.depth,
+                              frozenset())
+    return witness_tree(kept[-1], 2, G8, (), table.depth), fused
+
+
+def naive_fusion(gamma_table, tree, tau, k, inputs, g, avoid):
+    """Greedy fusion filtering the tree's nodes output by output for every
+    candidate list of constraints: the mirror of fusion_step, with the
+    constraint set of each fused prefix."""
+    depth = gamma_table.depth
+
+    def constraint_set(constraints):
+        return frozenset(node for node in tree.nodes
+                         if all(len(out := gamma_table.output(node)) > m and out[m] == i
+                                for m, i in constraints))
+
+    for m, i in inputs:
+        if not is_n_big(constraint_set([(m, i)]), 4 * k, g, tau, depth):
+            raise ValueError("precondition failed")
+    fused, kept = [], []
+    for pair in inputs:
+        candidate = constraint_set(fused + [pair])
+        if bushiness(candidate, g, depth, tau, avoid) >= 2 * k:
+            fused.append(pair)
+            kept.append(candidate)
+    return fused, kept
+
+
+def big_inputs_of(table, tree, tau, k, g):
+    """The (position, bit) pairs density_search hands to fusion: per
+    position, the first bit whose Delta set is 4k-big above tau."""
+    inputs = []
+    for m, sides in enumerate(delta_sets(table, tree)):
+        for i in (0, 1):
+            if is_n_big(sides[i], 4 * k, g, tau, table.depth):
+                inputs.append((m, i))
+                break
+    return inputs
 
 
 class TestFusion:
@@ -269,6 +306,56 @@ class TestFusion:
         with pytest.raises(ValueError, match="precondition"):
             fuse(CONST3, [(0, 1)])
 
+    def test_disjoint_pair_rejected(self):
+        # children 0-3 output (0, 0), children 4-7 output (1, 1): both
+        # Deltas below are 4-big, and their intersection is empty
+        table = FiniteFunctional.from_entries(2, {(a,): (a // 4,) * 2 for a in range(8)})
+        region = TreeWitness((), frozenset(region_nodes(G8, table.depth)))
+        inputs = [(0, 0), (1, 1), (1, 0)]
+        fused, kept = fusion_step(delta_sets(table, region), (), 1, inputs, G8, table.depth,
+                                  frozenset())
+        assert fused == [(0, 0), (1, 0)]
+        assert kept[0] == kept[1] == {node for node in region.nodes if node[:1] < (4,) and node}
+        assert (fused, kept) == naive_fusion(table, region, (), 1, inputs, G8, frozenset())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_matches_mirror_on_golden_tables(self, name):
+        table, cond, k, avoid, tau0 = golden_search_start(name)
+        g = cond.g
+        try:
+            tree = build_totality_tree(table, tau0, k, max(table.max_output_length(), 1),
+                                       avoid, g)
+        except BignessUnavailable:
+            return  # the search takes its non-totality exit: nothing is fused
+        inputs = big_inputs_of(table, tree, tau0, k, g)
+        assert fusion_step(delta_sets(table, tree), tau0, k, inputs, g, table.depth, avoid) \
+            == naive_fusion(table, tree, tau0, k, inputs, g, avoid)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_mirror_on_coherent_tables(self, data):
+        """The pairs meeting the precondition, in any order, over the region
+        above each stem and outside the closure of one bad node; adding a
+        pair that fails the precondition fails it."""
+        g, table, stems = data.draw(coherent_tables())
+        depth = table.depth
+        pairs = [(m, i) for m in range(table.max_output_length()) for i in (0, 1)]
+        bad = data.draw(st.sampled_from(list(region_nodes(g, depth))))
+        closed = _badset_closure(frozenset({bad}), 1, g, depth)
+        for stem in stems:
+            tree = TreeWitness(stem, frozenset(region_nodes(g, depth, stem)))
+            avoid = frozenset() if stem in closed else closed
+            deltas = delta_sets(table, tree)
+            big = [p for p in pairs
+                   if is_n_big(naive_delta_set(table, tree, *p), 4, g, stem, depth)]
+            inputs = data.draw(st.permutations(big))
+            assert fusion_step(deltas, stem, 1, inputs, g, depth, avoid) == \
+                naive_fusion(table, tree, stem, 1, inputs, g, avoid)
+            small = [p for p in pairs if p not in big]
+            if small:
+                with pytest.raises(ValueError, match="precondition"):
+                    fusion_step(deltas, stem, 1, inputs + [small[0]], g, depth, avoid)
+
 
 # ---------------------------------------------------------------------------
 # Zero forcing.
@@ -288,7 +375,7 @@ def naive_case2_zero_tree(gamma_table, sigma, k, count, avoid, g):
                 zero_delta = naive_delta_set(gamma_table, tree_rho, position, 0)
                 if not is_n_big(zero_delta, 2 * k, g, rho, depth):
                     break
-                grafts.append(_graft(zero_delta, k, g, depth, rho, avoid))
+                grafts.append(witness_tree(zero_delta, k, g, rho, depth, avoid=avoid))
             if len(grafts) == len(leaves):
                 break
         else:
@@ -303,7 +390,8 @@ def naive_case2_zero_tree(gamma_table, sigma, k, count, avoid, g):
 def zero_tree(table, k, count, avoid, g, stem=()):
     """case2_zero_tree over the totality tree density_search builds above stem."""
     totality = build_totality_tree(table, stem, k, max(table.max_output_length(), 1), avoid, g)
-    return case2_zero_tree(table, totality, k, count, avoid, g)
+    zero_sides = [zero for zero, _ in delta_sets(table, totality)]
+    return case2_zero_tree(table, stem, zero_sides, k, count, avoid, g)
 
 
 def assert_zero_tree_matches_mirror(table, k, avoid, g, stem):
@@ -404,6 +492,17 @@ class TestDnrBadStrings:
             if any(diag.get(e) == v for e, v in enumerate(node)))
         assert dnr_bad_strings(G8, None, max_len, budget) == expected
 
+    def test_always_empty(self):
+        """No index below 23 decodes to a program holding a halt, so no
+        diagonal below the longest length the region guard accepts (12, at
+        width 2) halts, whatever the oracle and budget."""
+        assert not any(ins[0] == OP_HALT for e in range(23) for ins in decode(e).instructions)
+        assert decode(23).instructions == ((OP_HALT, 0),)
+        g2 = OrderFunction.constant(2)
+        assert dnr_bad_strings(g2, EVENS, 12, 10**6) == frozenset()
+        with pytest.raises(CombinatorialBlowup):
+            dnr_bad_strings(g2, None, 13, 0)
+
     def test_monotone_in_budget(self):
         small = dnr_bad_strings(G8, None, 3, 10)
         large = dnr_bad_strings(G8, None, 3, 10_000)
@@ -495,6 +594,20 @@ class TestDensitySearch:
         v2 = density_search(PARITY1, Q0, EMPTY_COND, LIMITS)
         assert v1.certificate == v2.certificate
         assert v1.trace == v2.trace
+
+    def test_delta_sets_read_once_per_search(self):
+        """Fusion, its 2k tree and the zero tree all read the one list of
+        Delta sets each golden search derives from its totality tree."""
+        searches = [(table, const_index(q), g, stem, badset, LIMITS)
+                    for table, q, g, stem, badset, _ in GOLDEN.values()]
+        searches += [search for *search, _ in EXITS.values()]
+        counts = []
+        with mock.patch.object(forcing, "delta_sets", wraps=delta_sets) as spy:
+            for table, q, g, stem, badset, limits in searches:
+                spy.reset_mock()
+                density_search(table, q, ForcingCondition(stem, frozenset(badset), g), limits)
+                counts.append(spy.call_count)
+        assert max(counts) == 1
 
     def test_stem_lengthening_recorded(self):
         verdict = density_search(CONST3, Q0, EMPTY_COND, LIMITS)

@@ -38,6 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnrlab.asm import IDENTITY_INDEX, ZERO_INDEX, assemble, const_index
+from dnrlab.errors import WitnessBudgetExceeded
 from dnrlab.machine import (
     EMPTY_PROGRAM,
     OP_ADD,
@@ -60,7 +61,6 @@ from dnrlab.machine import (
     OP_UNIV,
     RUNNING,
     SMN_STEP_OVERHEAD,
-    FixedPointBudgetExceeded,
     Halted,
     ToyProgram,
     _compile,
@@ -311,6 +311,17 @@ def test_decode_matches_naive_mirror_exhaustively():
         assert prog.instructions == naive_decode(e), e
         # decode skips validation; validation must accept what it yields
         assert ToyProgram(prog.instructions) == prog, e
+
+
+@pytest.mark.parametrize("instructions, message", [
+    (((99, 0),), "unknown opcode"),
+    (((OP_HALT,),), "bad arity"),
+    (((OP_LOAD, 1, -1),), "negative operand"),
+    (((OP_HALT, 16),), "register out of range"),
+])
+def test_construction_rejects_malformed_instructions(instructions, message):
+    with pytest.raises(ValueError, match=message):
+        ToyProgram(instructions)
 
 
 @given(st.integers(0, 1 << 400))
@@ -817,7 +828,7 @@ def test_self_reference_reads_its_own_index(driver):
 
 def test_fixed_point_budget_guard():
     # a transform that never halts cannot certify a fixed point
-    with pytest.raises(FixedPointBudgetExceeded):
+    with pytest.raises(WitnessBudgetExceeded):
         fixed_point(0, budget=500)
 
 

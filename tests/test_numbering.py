@@ -14,7 +14,6 @@ from dnrlab.numbering import (
     brute_force_union_measure,
     lowness_bound_check,
     schnorr_measure,
-    snr_collision_audit,
     snr_from_immune_oracle,
     union_cylinder_measure,
 )
@@ -42,9 +41,6 @@ class TestSnrValue:
     def test_budget(self):
         with pytest.raises(WitnessBudgetExceeded):
             snr_from_immune_oracle(EVENS, DIVERGE_INDEX, 0, 10_000)
-
-    def test_zero_function_never_collides(self):
-        assert snr_collision_audit(ZERO_INDEX, EVENS, H_ONE, 20, 10_000) == []
 
 
 class TestUnionMeasure:

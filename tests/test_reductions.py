@@ -214,6 +214,16 @@ class TestPatchedOracleAudit:
         assert isinstance(oracle, PatchedOracle)
         assert certs == dnr_reduction_audit(oracle, f, 2450, BUDGET)
 
+    def test_gives_up_when_every_oracle_violates(self):
+        """Below e = 2500 the diagonals take the values 3, 5 and 6, the
+        codes of {0, 1}, {0, 2} and {1, 2}.  One side of any oracle holds
+        two of the positions 0-2, so every oracle keeps a violation and the
+        rounds run out."""
+        values = [eval_program(e, e, BUDGET) for e in (2439, 2471, 2487)]
+        assert [set(gamma(out.value)) for out in values] == [{0, 1}, {0, 2}, {1, 2}]
+        with pytest.raises(RuntimeError, match="no violation-free patch"):
+            patch_oracle_dnr_only(const_index(1), 2500, BUDGET, PrefixOracle((1, 1), 0))
+
     def test_unpatched_start_did_violate(self):
         certs = dnr_reduction_audit(PrefixOracle((1, 1), 0), const_index(1), 2450, BUDGET)
         assert any(c["kind"] == "ebi_violation" for c in certs)
