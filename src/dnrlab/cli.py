@@ -17,6 +17,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .asm import IDENTITY_INDEX, ZERO_INDEX, assemble_index, const_index
 from .bushy import (
@@ -48,7 +49,6 @@ from .forcing import (
     SearchLimits,
     density_search,
 )
-from .machine import Halted, eval_program
 from .numbering import (
     TERM_LIMIT,
     TableNumbering,
@@ -93,19 +93,6 @@ class RunConfig:
     out_path: str | None = None
     budgets: tuple[tuple[str, int], ...] = ()
 
-    def budget(self, name: str, default: int) -> int:
-        for key, value in self.budgets:
-            if key == name:
-                return value
-        return default
-
-    def g(self, default: str) -> OrderFunction:
-        spec = self.g_spec if self.g_spec is not None else default
-        try:
-            return OrderFunction.from_spec(spec)
-        except ValueError as exc:
-            raise InputError(f"bad order function spec {spec!r}: {exc}")
-
     def header(self) -> dict:
         return {
             "schema": TRACE_SCHEMA,
@@ -124,11 +111,11 @@ class CommandResult:
     error: str | None = None  # replaces the summary with one JSON line on stderr
 
 
-def _load_input(config: RunConfig) -> dict:
-    """The --in object, each field decoded by the rule for its name; a field
-    the command does not read is an input error."""
+def _load_input(config: RunConfig, fields: dict) -> dict:
+    """Every field the command reads: from the --in object, decoded by the
+    rule for its name, or else its default; any other field is an input error."""
     if config.in_path is None:
-        return {}
+        return dict(fields)
     try:
         with open(config.in_path) as fh:
             data = json.load(fh)
@@ -138,24 +125,23 @@ def _load_input(config: RunConfig) -> dict:
         raise InputError(f"input file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise InputError("input file must hold a JSON object")
-    fields = COMMANDS[config.command][2]
-    unknown = sorted(data.keys() - fields)
+    unknown = sorted(data.keys() - fields.keys())
     if unknown:
         raise InputError(f"{config.command} reads no input field named {unknown[0]!r}; "
                          f"it reads {list(fields)}")
-    return {key: decode_field("input file", key, value) for key, value in data.items()}
+    return {**fields, **{key: decode_field("input file", key, value)
+                         for key, value in data.items()}}
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands.  Each body takes the order function (None if the command reads
+# none), the --in fields, the budgets and the seed, every one resolved by
+# `resolve` from the flags or the defaults COMMANDS declares.
 
-def _cmd_bushy_check(config: RunConfig) -> CommandResult:
-    data = _load_input(config)
-    g = config.g("3")
-    depth = data.get("depth", 2)
-    stem = data.get("stem", ())
-    B = data["set"] if "set" in data else frozenset(level_nodes(g, depth))
-    n = data.get("n", g(0))
+def _cmd_bushy_check(g, data, budgets, seed) -> CommandResult:
+    depth, stem = data["depth"], data["stem"]
+    B = data["set"] if data["set"] is not None else frozenset(level_nodes(g, depth))
+    n = data["n"] if data["n"] is not None else g(0)
     big = is_n_big(B, n, g, stem, depth)
     cert = {
         "kind": "bushiness_verdict",
@@ -174,12 +160,8 @@ def _cmd_bushy_check(config: RunConfig) -> CommandResult:
         certificates=[cert])
 
 
-def _cmd_closure(config: RunConfig) -> CommandResult:
-    data = _load_input(config)
-    g = config.g("3")
-    depth = data.get("depth", 2)
-    B = data.get("set", frozenset({(0,), (1, 0)}))
-    n = data.get("n", 2)
+def _cmd_closure(g, data, budgets, seed) -> CommandResult:
+    depth, B, n = data["depth"], data["set"], data["n"]
     closed = closure(B, n, g, depth)
     cert = {
         "kind": "closure_result",
@@ -194,12 +176,8 @@ def _cmd_closure(config: RunConfig) -> CommandResult:
         certificates=[cert])
 
 
-def _cmd_lemma_sweep(config: RunConfig) -> CommandResult:
-    data = _load_input(config)
-    g = config.g("3")
-    depth = data.get("depth", 2)
-    pairs = data.get("pairs", [[2, 2], [2, 3], [3, 2], [3, 3]])
-    stems = data.get("stems", [[]])
+def _cmd_lemma_sweep(g, data, budgets, seed) -> CommandResult:
+    depth, pairs, stems = data["depth"], data["pairs"], data["stems"]
     out = union_smallness_sweep(g, depth, pairs, stems)
     certs = list(out["counterexamples"])
     certs.append({
@@ -234,11 +212,9 @@ def _random_subtree(rng: random.Random, ambient: TreeWitness, width: int) -> fro
     return frozenset(keep)
 
 
-def _cmd_fusion_check(config: RunConfig) -> CommandResult:
-    _load_input(config)  # reads no field, so any field is an input error
-    instances = config.budget("instances", 10)
-    depth = config.budget("depth", 2)
-    rng = random.Random(config.seed)
+def _cmd_fusion_check(g, data, budgets, seed) -> CommandResult:
+    instances, depth = budgets["instances"], budgets["depth"]
+    rng = random.Random(seed)
     certs: list[dict] = []
     failures = 0
     for i in range(instances):
@@ -290,30 +266,25 @@ def _cmd_fusion_check(config: RunConfig) -> CommandResult:
         certificates=certs)
 
 
-def _builtin_functionals() -> list[tuple[str, FiniteFunctional, int]]:
+def _builtin_functionals() -> list[tuple[str, FiniteFunctional]]:
     parity = {(c,): (c % 2,) for c in range(8)}
     return [
-        ("empty", FiniteFunctional(3, ()), const_index(0)),
-        ("constant", FiniteFunctional.constant(3, (0, 0, 0)), const_index(0)),
-        ("parity", FiniteFunctional.from_entries(2, parity), const_index(0)),
+        ("empty", FiniteFunctional(3, ())),
+        ("constant", FiniteFunctional.constant(3, (0, 0, 0))),
+        ("parity", FiniteFunctional.from_entries(2, parity)),
     ]
 
 
-def _cmd_density_search(config: RunConfig) -> CommandResult:
-    data = _load_input(config)
-    g = config.g("8")
-    limits = SearchLimits(
-        eval_budget=config.budget("eval", SearchLimits().eval_budget),
-        fixpoint_budget=config.budget("fixpoint", SearchLimits().fixpoint_budget),
-    )
-    if "functional" in data:
-        battery = [("input", data["functional"], data.get("q", const_index(0)))]
+def _cmd_density_search(g, data, budgets, seed) -> CommandResult:
+    limits = SearchLimits(eval_budget=budgets["eval"], fixpoint_budget=budgets["fixpoint"])
+    if data["functional"] is not None:
+        battery = [("input", data["functional"])]
     else:
         battery = _builtin_functionals()
     cond = ForcingCondition((), frozenset(), g)
     certs, summary = [], []
-    for name, table, q in battery:
-        verdict = density_search(table, q, cond, limits)
+    for name, table in battery:
+        verdict = density_search(table, data["q"], cond, limits)
         if isinstance(verdict, BudgetExceeded):
             return CommandResult(exit_code=EXIT_BUDGET, certificates=certs,
                                  error=f"budget exhausted: {name}: {verdict.reason}")
@@ -323,13 +294,9 @@ def _cmd_density_search(config: RunConfig) -> CommandResult:
     return CommandResult(summary=summary, certificates=certs)
 
 
-def _cmd_dnr_audit(config: RunConfig) -> CommandResult:
-    data = _load_input(config)
-    oracle = data.get("oracle", PeriodicOracle((1, 0)))
-    f = data.get("f", ZERO_INDEX)
-    e_max = config.budget("audit", 700)
-    budget = config.budget("eval", 10_000)
-    certs = dnr_reduction_audit(oracle, f, e_max, budget)
+def _cmd_dnr_audit(g, data, budgets, seed) -> CommandResult:
+    e_max, budget = budgets["audit"], budgets["eval"]
+    certs = dnr_reduction_audit(data["oracle"], data["f"], e_max, budget)
     by_kind: dict[str, int] = {}
     for cert in certs:
         by_kind[cert["kind"]] = by_kind.get(cert["kind"], 0) + 1
@@ -338,12 +305,9 @@ def _cmd_dnr_audit(config: RunConfig) -> CommandResult:
     return CommandResult(summary=summary, certificates=certs)
 
 
-def _cmd_ei_construct(config: RunConfig) -> CommandResult:
-    _load_input(config)  # reads no field, so any field is an input error
-    stages = config.budget("stages", 200)
-    budget = config.budget("eval", 100_000)
-    value_cap = config.budget("value_cap", 512)
-    probes = config.budget("probes", 3)
+def _cmd_ei_construct(g, data, budgets, seed) -> CommandResult:
+    stages, budget = budgets["stages"], budgets["eval"]
+    value_cap, probes = budgets["value_cap"], budgets["probes"]
     trace, g_map = ei_not_coei(stages, budget, value_cap=value_cap, probes=probes)
     violations = audit_effective_immunity(g_map, stages // 2, budget)
     certs = [{"kind": "interval_slice", **rec} for rec in trace.interval_records()]
@@ -366,27 +330,17 @@ def _cmd_ei_construct(config: RunConfig) -> CommandResult:
     return CommandResult(exit_code=code, summary=summary, certificates=certs)
 
 
-_DEMO_SETS = tuple(map(frozenset, (
-    (0,), (1,), (0, 1), (0, 1, 2, 3, 4, 5), (0, 2, 4, 6, 8, 10, 12, 14),
-    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), (2, 3), (0, 2, 4), (1, 3, 5),
-)))
-
-
-def _cmd_schnorr_measure(config: RunConfig) -> CommandResult:
-    data = _load_input(config)
-    c = config.budget("c", 2)
-    e_max = config.budget("e_max", 32)
-    term_cap = config.budget("terms", TERM_LIMIT)
-    numbering = TableNumbering(data.get("sets", _DEMO_SETS))
-    constraints = tail_constraints(numbering, c, e_max)
-    measure = union_cylinder_measure(constraints, term_cap)
+def _cmd_schnorr_measure(g, data, budgets, seed) -> CommandResult:
+    c, e_max = budgets["c"], budgets["e_max"]
+    constraints = tail_constraints(TableNumbering(data["sets"]), c, e_max)
+    measure = union_cylinder_measure(constraints)
     bound = DyadicRational.half_power(c)
     if measure > bound:
         raise AssertionError("tail bound violated: the measure proof is broken")
     cert = {
         "kind": "cylinder_measure",
         "sets": sorted(sorted(s) for s in constraints),
-        "term_cap": term_cap,
+        "term_cap": TERM_LIMIT,
         "measure": measure.to_jsonable(),
         "tail_exponent": c,
     }
@@ -396,14 +350,9 @@ def _cmd_schnorr_measure(config: RunConfig) -> CommandResult:
         certificates=[cert])
 
 
-def _cmd_lowness_check(config: RunConfig) -> CommandResult:
-    data = _load_input(config)
-    h = data.get("h", const_index(1))
-    p = data.get("p", IDENTITY_INDEX)
-    f = data.get("f", IDENTITY_INDEX)
-    c = config.budget("c", 0)
-    e_max = config.budget("e_max", 20)
-    budget = config.budget("eval", 10_000)
+def _cmd_lowness_check(g, data, budgets, seed) -> CommandResult:
+    h, p, f = data["h"], data["p"], data["f"]
+    c, e_max, budget = budgets["c"], budgets["e_max"], budgets["eval"]
     verdict = lowness_bound_check(h, p, f, c, e_max, budget)
     cert = {
         "kind": "lowness_bound",
@@ -419,49 +368,32 @@ def _cmd_lowness_check(config: RunConfig) -> CommandResult:
     return CommandResult(exit_code=code, summary=summary, certificates=[cert])
 
 
-def _cmd_snr_demo(config: RunConfig) -> CommandResult:
-    data = _load_input(config)
-    oracle = data.get("oracle", PeriodicOracle((1, 0)))
-    h = data.get("h", const_index(1))
-    e_max = config.budget("audit", 10)
-    budget = config.budget("eval", 10_000)
-    certs = []
-    collisions = 0  # e where the zero program halts exactly on the slice code
-    for e in range(e_max + 1):
-        value = snr_from_immune_oracle(oracle, h, e, budget)
-        certs.append({
-            "kind": "snr_slice",
-            "oracle": oracle_to_spec(oracle),
-            "h": h, "e": e, "budget": budget, "value": value,
-        })
-        out = eval_program(ZERO_INDEX, e, budget)
-        if isinstance(out, Halted) and out.value == value:
-            collisions += 1
-    summary = [f"slice codes for e <= {e_max}: "
-               f"{sorted({c['value'] for c in certs})}",
-               f"collisions against the zero program: {collisions}"]
-    code = EXIT_COUNTEREXAMPLE if collisions else EXIT_OK
-    return CommandResult(exit_code=code, summary=summary, certificates=certs)
+def _cmd_snr_demo(g, data, budgets, seed) -> CommandResult:
+    oracle, h = data["oracle"], data["h"]
+    e_max, budget = budgets["audit"], budgets["eval"]
+    certs = [{
+        "kind": "snr_slice",
+        "oracle": oracle_to_spec(oracle),
+        "h": h, "e": e, "budget": budget,
+        "value": snr_from_immune_oracle(oracle, h, e, budget),
+    } for e in range(e_max + 1)]
+    summary = [f"slice codes for e <= {e_max}: {sorted({c['value'] for c in certs})}"]
+    return CommandResult(summary=summary, certificates=certs)
 
 
-def _cmd_blocking_prefix(config: RunConfig) -> CommandResult:
-    data = _load_input(config)
-    e = data["e"] if "e" in data else assemble_index(_EVEN_HALT_SRC)
-    f = data.get("f", const_index(2))
-    prefix = data.get("prefix", [1])
-    budget = config.budget("eval", 100_000)
-    sigma, cert = blocking_prefix(prefix, e, f, budget)
+def _cmd_blocking_prefix(g, data, budgets, seed) -> CommandResult:
+    sigma, cert = blocking_prefix(data["prefix"], data["e"], data["f"], budgets["eval"])
     return CommandResult(
         summary=[f"{cert['kind']}: sigma = {list(sigma)}, "
                  f"members {cert['members']}"],
         certificates=[cert])
 
 
-def _cmd_replay(config: RunConfig) -> CommandResult:
-    if config.in_path is None:
+def _cmd_replay(g, path, budgets, seed) -> CommandResult:
+    if path is None:
         raise InputError("replay requires --in pointing at a trace file")
     try:
-        with open(config.in_path) as fh:
+        with open(path) as fh:
             lines = [line for line in fh.read().splitlines() if line.strip()]
     except OSError as exc:
         raise InputError(f"cannot read trace file: {exc}")
@@ -496,22 +428,47 @@ def _cmd_replay(config: RunConfig) -> CommandResult:
     return CommandResult(exit_code=code, summary=summary, certificates=[])
 
 
-# Each command with the --budget.<name> knobs and the --in fields it reads;
-# any other name is an input error.  Replay's --in is the trace itself.
+class Command(NamedTuple):
+    """Everything a command reads; a flag it does not read is an input error."""
+
+    body: Callable[..., CommandResult]
+    g: str | None = None  # the --g default, or None when it reads no order function
+    budgets: dict[str, int] = {}  # each --budget.<name> and its default
+    # each --in field and its default (None: derived by the body from the
+    # other inputs), or None when --in is a path the body opens itself
+    fields: dict[str, object] | None = {}
+
+
+# The one declaration of every command's inputs.
 COMMANDS = {
-    "bushy-check": (_cmd_bushy_check, (), ("set", "n", "stem", "depth")),
-    "closure": (_cmd_closure, (), ("set", "n", "depth")),
-    "lemma-sweep": (_cmd_lemma_sweep, (), ("pairs", "stems", "depth")),
-    "fusion-check": (_cmd_fusion_check, ("instances", "depth"), ()),
-    "density-search": (_cmd_density_search, ("eval", "fixpoint"),
-                       ("functional", "q")),
-    "dnr-audit": (_cmd_dnr_audit, ("audit", "eval"), ("oracle", "f")),
-    "ei-construct": (_cmd_ei_construct, ("stages", "eval", "value_cap", "probes"), ()),
-    "schnorr-measure": (_cmd_schnorr_measure, ("c", "e_max", "terms"), ("sets",)),
-    "lowness-check": (_cmd_lowness_check, ("c", "e_max", "eval"), ("h", "p", "f")),
-    "snr-demo": (_cmd_snr_demo, ("audit", "eval"), ("oracle", "h")),
-    "blocking-prefix": (_cmd_blocking_prefix, ("eval",), ("prefix", "e", "f")),
-    "replay": (_cmd_replay, (), ()),
+    "bushy-check": Command(_cmd_bushy_check, g="3",
+                           fields={"set": None, "n": None, "stem": (), "depth": 2}),
+    "closure": Command(_cmd_closure, g="3",
+                       fields={"set": frozenset({(0,), (1, 0)}), "n": 2, "depth": 2}),
+    "lemma-sweep": Command(_cmd_lemma_sweep, g="3", fields={
+        "pairs": ((2, 2), (2, 3), (3, 2), (3, 3)), "stems": ((),), "depth": 2}),
+    "fusion-check": Command(_cmd_fusion_check, budgets={"instances": 10, "depth": 2}),
+    "density-search": Command(
+        _cmd_density_search, g="8",
+        budgets={"eval": SearchLimits().eval_budget,
+                 "fixpoint": SearchLimits().fixpoint_budget},
+        fields={"functional": None, "q": const_index(0)}),  # no functional: a stock battery
+    "dnr-audit": Command(_cmd_dnr_audit, budgets={"audit": 700, "eval": 10_000},
+                         fields={"oracle": PeriodicOracle((1, 0)), "f": ZERO_INDEX}),
+    "ei-construct": Command(_cmd_ei_construct, budgets={
+        "stages": 200, "eval": 100_000, "value_cap": 512, "probes": 3}),
+    "schnorr-measure": Command(_cmd_schnorr_measure, budgets={"c": 2, "e_max": 32}, fields={
+        "sets": tuple(map(frozenset, (
+            (0,), (1,), (0, 1), (0, 1, 2, 3, 4, 5), (0, 2, 4, 6, 8, 10, 12, 14),
+            (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), (2, 3), (0, 2, 4), (1, 3, 5))))}),
+    "lowness-check": Command(_cmd_lowness_check, budgets={"c": 0, "e_max": 20, "eval": 10_000},
+                             fields={"h": const_index(1), "p": IDENTITY_INDEX,
+                                     "f": IDENTITY_INDEX}),
+    "snr-demo": Command(_cmd_snr_demo, budgets={"audit": 10, "eval": 10_000},
+                        fields={"oracle": PeriodicOracle((1, 0)), "h": const_index(1)}),
+    "blocking-prefix": Command(_cmd_blocking_prefix, budgets={"eval": 100_000}, fields={
+        "prefix": (1,), "e": assemble_index(_EVEN_HALT_SRC), "f": const_index(2)}),
+    "replay": Command(_cmd_replay, fields=None),  # --in is the trace
 }
 
 
@@ -557,8 +514,33 @@ def parse_args(argv: list[str]) -> RunConfig:
         g_spec=ns.g_spec,
         in_path=ns.in_path,
         out_path=ns.out_path,
-        budgets=tuple(sorted(set(budgets))),
+        budgets=tuple(sorted(budgets)),
     )
+
+
+def resolve(config: RunConfig) -> tuple:
+    """The arguments of the command's body: its order function, --in fields,
+    budgets and seed, each as given or else as COMMANDS declares it."""
+    command = COMMANDS[config.command]
+    names = [name for name, _ in config.budgets]
+    for name in names:
+        if name not in command.budgets:
+            raise InputError(f"{config.command} reads no budget named {name!r}; "
+                             f"it reads {list(command.budgets)}")
+        if names.count(name) > 1:
+            raise InputError(f"budget {name!r} is given more than once")
+    g = None
+    if command.g is None:
+        if config.g_spec is not None:
+            raise InputError(f"{config.command} reads no order function, so takes no --g")
+    else:
+        spec = command.g if config.g_spec is None else config.g_spec
+        try:
+            g = OrderFunction.from_spec(spec)
+        except ValueError as exc:
+            raise InputError(f"bad order function spec {spec!r}: {exc}")
+    data = config.in_path if command.fields is None else _load_input(config, command.fields)
+    return g, data, {**command.budgets, **dict(config.budgets)}, config.seed
 
 
 def _dump(obj: dict) -> str:
@@ -566,13 +548,8 @@ def _dump(obj: dict) -> str:
 
 
 def run(config: RunConfig) -> int:
-    command, budget_names, _ = COMMANDS[config.command]
-    unknown = sorted({name for name, _ in config.budgets} - set(budget_names))
-    if unknown:
-        raise InputError(f"{config.command} reads no budget named {unknown[0]!r}; "
-                         f"it reads {list(budget_names)}")
     try:
-        result = command(config)
+        result = COMMANDS[config.command].body(*resolve(config))
     except InputError:
         raise
     except (PreconditionViolated, InsufficientOracle, ValueError) as exc:
@@ -617,9 +594,6 @@ def main(argv: list[str] | None = None) -> int:
         return run(config)
     except InputError as exc:
         print(_dump({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
-    except KeyError as exc:
-        print(_dump({"error": f"missing input field {exc}"}), file=sys.stderr)
         return EXIT_INPUT
 
 

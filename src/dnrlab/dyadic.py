@@ -46,10 +46,8 @@ class DyadicRational:
 
     @classmethod
     def half_power(cls, c: int) -> "DyadicRational":
-        """2**-c for c >= 0, and 2**-c == 2**|c| for negative c."""
-        if c >= 0:
-            return cls(1, c)
-        return cls(1 << (-c), 0)
+        """2**-c for a natural c."""
+        return cls(1, c)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -63,16 +61,6 @@ class DyadicRational:
             raise CombinatorialBlowup(
                 f"a dyadic sum needs a {width}-bit numerator, over the {WIDTH_LIMIT}-bit limit")
         return DyadicRational((a << (e - self.exponent)) + (b << (e - other.exponent)), e)
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        return self + (-other)
-
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.numerator, self.exponent)
-
-    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        return DyadicRational(self.numerator * other.numerator,
-                              self.exponent + other.exponent)
 
     # -- order --------------------------------------------------------------
 

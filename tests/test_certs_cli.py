@@ -160,9 +160,7 @@ class TestParseArgs:
     def test_budget_flags_collected(self):
         config = parse_args(["--command", "closure", "--budget.eval=500",
                              "--budget.audit=7"])
-        assert config.budget("eval", 0) == 500
-        assert config.budget("audit", 0) == 7
-        assert config.budget("absent", 42) == 42
+        assert config.budgets == (("audit", 7), ("eval", 500))
 
     def test_budget_flags_sorted_for_determinism(self):
         a = parse_args(["--command", "closure", "--budget.b=2", "--budget.a=1"])
@@ -187,7 +185,7 @@ class TestParseArgs:
 
     def test_g_spec_carried(self):
         config = parse_args(["--command", "closure", "--g", "4,4;tail=4,2"])
-        assert config.g("3").to_spec() == "4,4;tail=4,2"
+        assert config.g_spec == "4,4;tail=4,2"
 
 
 ALL_COMMANDS = ["bushy-check", "closure", "lemma-sweep", "fusion-check",
@@ -202,6 +200,19 @@ FAST_FLAGS = {
     "snr-demo": ["--budget.audit=4"],
     "fusion-check": ["--budget.instances=4"],
 }
+
+
+def _documented(intro: str) -> dict[str, str]:
+    """The list after `intro` in docs/formats.md: each command named in an
+    item's backticks, mapped to the rest of the item."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    listing = text.split(intro)[1].lstrip().split("\n\n")[0]
+    documented = {}
+    for line in listing.splitlines():
+        commands, _, rest = line.removeprefix("- ").partition(": ")
+        for command in re.findall(r"`([a-z-]+)`", commands):
+            documented[command] = rest
+    return documented
 
 
 def run_cli(args, tmp_path, name="trace.jsonl"):
@@ -276,10 +287,17 @@ class TestCliCommands:
                      "--budget.eval=50"])
         assert code == EXIT_BUDGET
 
-    def test_snr_demo_zero_program_never_collides(self, tmp_path, capsys):
-        code, _ = run_cli(["--command", "snr-demo", "--budget.audit=20"], tmp_path)
-        assert code == EXIT_OK
-        assert "collisions against the zero program: 0" in capsys.readouterr().out.splitlines()
+    def test_q_applies_to_the_stock_battery(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"q": const_index(1)}))
+        code, out = run_cli(["--command", "density-search", "--in", str(path)], tmp_path)
+        # the parity table finds zero capacity below this q's bound
+        assert code == EXIT_BUDGET
+        assert "parity" in json.loads(capsys.readouterr().err)["error"]
+        certs = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+        assert [cert["kind"] for cert in certs] == ["non_total_extension", "diagonal_extension"]
+        assert certs[1]["q"] == const_index(1)
+        assert main(["--command", "replay", "--in", str(out)]) == EXIT_OK
 
     def test_failing_lowness_certificate_replays(self, tmp_path, capsys):
         path = tmp_path / "in.json"
@@ -373,13 +391,43 @@ class TestInputErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "error" in json.loads(err[0])
 
+    @staticmethod
+    def _break_closure(monkeypatch, fault: Exception) -> None:
+        def broken(*args):
+            raise fault
+        monkeypatch.setitem(cli.COMMANDS, "closure", cli.COMMANDS["closure"]._replace(body=broken))
+
     def test_assertion_error_is_not_mapped(self, monkeypatch):
-        def broken(config):
-            raise AssertionError("internal invariant")
-        _, budgets, fields = cli.COMMANDS["closure"]
-        monkeypatch.setitem(cli.COMMANDS, "closure", (broken, budgets, fields))
+        self._break_closure(monkeypatch, AssertionError("internal invariant"))
         with pytest.raises(AssertionError):
             main(["--command", "closure"])
+
+    def test_key_error_is_not_mapped(self, monkeypatch):
+        # a lookup that fails inside a command is a fault, not a missing input
+        self._break_closure(monkeypatch, KeyError("depth"))
+        with pytest.raises(KeyError):
+            main(["--command", "closure"])
+
+    @pytest.mark.parametrize("args", [
+        ["--command", "dnr-audit", "--g", "5"],
+        ["--command", "dnr-audit", "--g", "not a spec"],
+        ["--command", "dnr-audit", "--budget.audit=3", "--budget.audit=5"],
+        ["--command", "dnr-audit", "--budget.audit=3", "--budget.audit=3"],
+        ["--command", "schnorr-measure", "--budget.terms=1"],
+        ["--command", "closure", "--g", "not a spec"],
+    ])
+    def test_unread_bad_or_repeated_flag_exits_1(self, args, capsys):
+        assert main(args) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.strip().splitlines()
+        assert "error" in json.loads(line)
+
+    @pytest.mark.parametrize("command", ["bushy-check", "closure", "lemma-sweep",
+                                         "density-search"])
+    def test_given_g_reaches_the_certificates(self, command):
+        certs = _command_certs(command, "--g", "9")
+        assert certs and all(cert["g"] == "9" for cert in certs)
 
     @pytest.mark.parametrize("command", ALL_COMMANDS + ["replay"])
     def test_unknown_budget_name_rejected(self, command, capsys):
@@ -388,24 +436,23 @@ class TestInputErrors:
         assert "bogus" in err["error"]
 
     def test_declared_budget_names_cover_the_documented_ones(self, capsys):
-        documented = {"eval", "fixpoint", "audit", "stages", "value_cap",
-                      "probes", "instances", "depth", "c", "e_max", "terms"}
-        declared = {name for _, names, _ in cli.COMMANDS.values() for name in names}
-        assert declared == documented
+        documented = {command: {name: int(value) for name, value
+                                in re.findall(r"`([a-z_]+)` = ([0-9]+)", knobs)}
+                      for command, knobs in _documented("Each knob with its default:").items()}
+        assert documented == {command: dict(c.budgets) for command, c in cli.COMMANDS.items()}
+        g_defaults = {command: spec.strip("`") for command, spec
+                      in _documented("defaults to this order function:").items()}
+        assert g_defaults == {command: c.g for command, c in cli.COMMANDS.items()
+                              if c.g is not None}
         # density_search never reads the bad-string length; generic_prefix does
         assert main(["--command", "density-search", "--budget.bad_len=3"]) == EXIT_INPUT
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert "bad_len" in json.loads(line)["error"]
 
     def test_declared_input_fields_are_the_documented_ones(self):
-        text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
-        listing = text.split("Recognized fields by command:")[1].lstrip().split("\n\n")[0]
-        documented = {}
-        for line in listing.splitlines():
-            commands, _, fields = line.removeprefix("- ").partition(": ")
-            for command in re.findall(r"`([a-z-]+)`", commands):
-                documented[command] = set(re.findall(r"`([a-z_]+)`", fields))
-        declared = {command: set(fields) for command, (_, _, fields) in cli.COMMANDS.items()}
+        documented = {command: set(re.findall(r"`([a-z_]+)`", fields))
+                      for command, fields in _documented("Recognized fields by command:").items()}
+        declared = {command: set(c.fields or ()) for command, c in cli.COMMANDS.items()}
         assert declared == documented
 
     @pytest.mark.parametrize("command", ALL_COMMANDS)
@@ -485,11 +532,14 @@ class TestTypedInputFiles:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert re.search(BAD_BIT_ERROR, json.loads(line)["error"])
 
-    def test_union_bound_fallback_is_a_dyadic_field(self, capsys):
-        assert main(["--command", "schnorr-measure", "--budget.terms=1"]) == EXIT_BUDGET
+    def test_union_bound_fallback_is_a_dyadic_field(self, tmp_path, capsys):
+        # 21 distinct tail sets D_e = {0, ..., 2e - 1}, e = 3..23, take 2^21 - 1 terms
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"sets": [list(range(2 * e)) for e in range(24)]}))
+        assert main(["--command", "schnorr-measure", "--in", str(path)]) == EXIT_BUDGET
         (line,) = capsys.readouterr().err.strip().splitlines()
         report = json.loads(line)
-        assert "exceed the cap 1" in report["error"]
+        assert f"{(1 << 21) - 1} inclusion-exclusion terms exceed the cap" in report["error"]
         assert DyadicRational.from_jsonable(report["union_bound"]) > DyadicRational(0)
 
     def test_fixpoint_budget_exhaustion_exits_2(self, capsys):
@@ -629,7 +679,8 @@ def _replay_one(cert: dict, directory) -> int:
 
 
 def _command_certs(command: str, *flags: str) -> list[dict]:
-    return cli.COMMANDS[command][0](parse_args(["--command", command, *flags])).certificates
+    config = parse_args(["--command", command, *flags])
+    return cli.COMMANDS[command].body(*cli.resolve(config)).certificates
 
 
 @functools.cache

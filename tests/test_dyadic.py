@@ -44,7 +44,8 @@ class TestNormalization:
     def test_half_power(self):
         assert DyadicRational.half_power(3) == DyadicRational(1, 3)
         assert DyadicRational.half_power(0) == ONE
-        assert DyadicRational.half_power(-2) == DyadicRational(4)
+        with pytest.raises(ValueError):
+            DyadicRational.half_power(-2)
 
 
 class TestArithmetic:
@@ -52,13 +53,10 @@ class TestArithmetic:
         q = DyadicRational(1, 2)
         assert q + q == DyadicRational(1, 1)
 
-    def test_subtraction_can_go_negative(self):
-        d = ZERO - DyadicRational(1, 1)
+    def test_sum_can_go_negative(self):
+        d = DyadicRational(1, 2) + DyadicRational(-3, 2)
         assert d.is_negative
         assert d == DyadicRational(-1, 1)
-
-    def test_mul(self):
-        assert DyadicRational(3, 1) * DyadicRational(5, 2) == DyadicRational(15, 3)
 
     def test_wide_sum_refused_before_shifting(self):
         # aligning 1 with 2^-(10^9) would build a 10^9-bit numerator
@@ -75,7 +73,7 @@ class TestArithmetic:
         edge = ONE + DyadicRational.half_power(WIDTH_LIMIT - 1)
         assert edge.numerator.bit_length() == WIDTH_LIMIT
         with pytest.raises(CombinatorialBlowup):
-            DyadicRational.half_power(WIDTH_LIMIT) - ONE
+            DyadicRational.half_power(WIDTH_LIMIT) + DyadicRational(-1)
 
     def test_sum_helper(self):
         assert dyadic_sum(DyadicRational(1, k) for k in range(1, 5)) == DyadicRational(15, 4)
@@ -89,9 +87,8 @@ class TestArithmetic:
     def test_ring_identities(self, a, b, c):
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
-        assert a * (b + c) == a * b + a * c
-        assert a - a == ZERO
-        assert a * ONE == a
+        assert a + ZERO == a
+        assert a + DyadicRational(-a.numerator, a.exponent) == ZERO
 
     @given(comparable, comparable)
     def test_order_matches_fractions(self, a, b):
@@ -114,7 +111,7 @@ class TestArithmetic:
 
     @given(dyadics, dyadics)
     def test_order_respects_addition(self, a, b):
-        assert (a <= b) == (a - b <= ZERO)
+        assert (a <= b) == (a + DyadicRational(-b.numerator, b.exponent) <= ZERO)
 
     @given(dyadics)
     def test_json_roundtrip(self, a):

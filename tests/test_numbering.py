@@ -52,7 +52,7 @@ class TestUnionMeasure:
 
     def test_disjoint_supports(self):
         got = union_cylinder_measure([frozenset({0}), frozenset({1, 2})])
-        want = DyadicRational(1, 1) + DyadicRational(1, 2) - DyadicRational(1, 3)
+        want = DyadicRational(5, 3)  # 1/2 + 1/4 - 1/8
         assert got == want
 
     def test_duplicates_collapse(self):
@@ -154,8 +154,7 @@ class TestSchnorrMeasure:
     def test_disjoint_supports_formula(self):
         d1, d2 = frozenset({0, 1}), frozenset({2, 3, 4, 5})
         numbering = TableNumbering((frozenset(), d1, d2))
-        want = (DyadicRational(1, 2) + DyadicRational(1, 4)
-                - DyadicRational(1, 6))
+        want = DyadicRational(19, 6)  # 1/4 + 1/16 - 1/64
         assert schnorr_measure(numbering, 0, 2) == want
 
     def test_toy_backed_numbering(self):
@@ -182,7 +181,7 @@ class TestLownessBound:
         verdict = lowness_bound_check(H_ONE, IDENTITY_INDEX, IDENTITY_INDEX, 0, 10, 10_000)
         assert verdict.holds
         # sum of 2^-(e+1) for e in 1..10
-        want = DyadicRational(1, 1) - DyadicRational(1, 11)
+        want = DyadicRational(1023, 11)  # 1/2 - 1/2^11
         assert verdict.partial_sum == want
 
     def test_flat_bound_violates_at_two(self):
