@@ -42,8 +42,13 @@ Fast paths, each mirrored by a naive version in tests/test_machine.py:
 
 * `_run` keeps each program's liveness table, ends a run on a dead pc or a
   repeated configuration, and reuses the halves of the last pair;
-* `decode` scans its bit string with `str.find`, and `smn_fill` splices a
-  cached body;
+* `decode` scans its bit string with `str.find` and resumes from the last
+  parse: a code word of the same bit length keeps every instruction that
+  lies wholly inside the leading bits the two share, so consecutive
+  indices re-read a token or two;
+* equal decoded programs are one object: one cache keyed by the
+  instruction tuple builds each ToyProgram and its liveness table once;
+* `smn_fill` splices a cached body;
 * windows of many inputs (`domain_window`, `re_enumeration_growth`) run a
   compiled program: one generated Python function with the registers in
   locals and one budget check per basic block.  It returns exactly what
@@ -56,6 +61,7 @@ Fast paths, each mirrored by a naive version in tests/test_machine.py:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import isqrt
@@ -170,7 +176,6 @@ class Oracle(Protocol):
 # ---------------------------------------------------------------------------
 # Static divergence analysis.
 
-@lru_cache(maxsize=8192)
 def _halt_reachable(instructions: tuple[tuple[int, ...], ...]) -> tuple[bool, ...]:
     """For each pc, whether some HALT instruction is control-flow reachable.
 
@@ -321,20 +326,54 @@ _REGISTER_OPERANDS = tuple(tuple(kind == "r" for kind in OP_SIGNATURE[op])
 
 
 @lru_cache(maxsize=8192)
+def _program(code: tuple[tuple[int, ...], ...]) -> ToyProgram:
+    """The one ToyProgram for a decoded instruction tuple, with its liveness."""
+    prog = object.__new__(ToyProgram)
+    object.__setattr__(prog, "instructions", code)
+    object.__setattr__(prog, "live", _halt_reachable(code))
+    return prog
+
+
+# decode's last parse: the code word e+1, its instructions, and where each
+# instruction starts (one more entry: where the unfinished tail starts).
+# Replaced whole on every parse, never changed in place, so a thread that
+# reads it sees one parse.
+_last_parse: tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]] = (1, (), (0,))
+
+
+@lru_cache(maxsize=8192)
 def decode(e: ProgramIndex) -> ToyProgram:
     """Program coded by e.  Canonical by construction, so not re-validated.
 
     A token `1^k 0 b` (b: binary(v+1) after its leading 1) codes
-    v = int("0" + b, 2) + 2^k - 1.
+    v = int("0" + b, 2) + 2^k - 1.  A parse reads nothing past the
+    instruction it completes, so when the code word c = e+1 has the bit
+    length of the last code word parsed, `last`, the two share their first
+    len(bits) - (c ^ last).bit_length() bits, and every instruction that
+    lies wholly inside them is kept: parsing resumes where the first other
+    one starts.  Consecutive indices thus re-read a token or two; any
+    other index parses from bit 0.  Equal instruction tuples give the same
+    ToyProgram object, built with its liveness table once (`_program`).
     """
+    global _last_parse
     if e < 0:
         raise ValueError("indices are naturals")
-    bits = bin(e + 1)[3:]
+    c = e + 1
+    bits = bin(c)[3:]
     n = len(bits)
-    find = bits.find
+    last, done, starts = _last_parse
+    if last.bit_length() == n + 1:
+        keep = bisect_right(starts, n - (c ^ last).bit_length()) - 1
+        done = done[:keep]
+        starts = starts[:keep + 1]
+    else:
+        done = ()
+        starts = (0,)
+    pos = starts[-1]
     instructions = []
+    new_starts = []
+    find = bits.find
     ins: list[int] = []
-    pos = 0
     while (zero := find("0", pos)) >= 0:
         if zero == pos:  # k = 0: the token "0" codes 0
             val = 0
@@ -353,12 +392,13 @@ def decode(e: ProgramIndex) -> ToyProgram:
             ins.append(val % N_REGISTERS if registers[len(ins) - 1] else val)
             if len(ins) > len(registers):
                 instructions.append(tuple(ins))
+                new_starts.append(pos)
                 ins = []
-    code = tuple(instructions)
-    prog = object.__new__(ToyProgram)
-    object.__setattr__(prog, "instructions", code)
-    object.__setattr__(prog, "live", _halt_reachable(code))
-    return prog
+    if instructions:
+        done += tuple(instructions)
+        starts += tuple(new_starts)
+    _last_parse = (c, done, starts)
+    return _program(done)
 
 
 # ---------------------------------------------------------------------------

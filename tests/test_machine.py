@@ -22,14 +22,19 @@ hostile programs (a load constant too long to print, thousands of blocks)
 check that the compiler copes.
 
 The program codec has fast paths too: `decode` scans its bit string with
-`str.find` and skips ToyProgram's validation, and `smn_fill` splices a
-cached body.  `naive_decode` (a bit-at-a-time reader) and `naive_smn_fill`
-(decode, shift, re-encode) mirror them.
+`str.find`, resumes from the last parse where the code words share leading
+bits, skips ToyProgram's validation and hands out one object per distinct
+program, and `smn_fill` splices a cached body.  `naive_decode` (a
+bit-at-a-time reader) and `naive_smn_fill` (decode, shift, re-encode)
+mirror them; the resume path is checked in orders that resume from every
+kind of earlier parse.
 """
 
 from __future__ import annotations
 
+import random
 import sys
+import threading
 import time
 from functools import partial
 
@@ -311,6 +316,88 @@ def test_decode_matches_naive_mirror_exhaustively():
         assert prog.instructions == naive_decode(e), e
         # decode skips validation; validation must accept what it yields
         assert ToyProgram(prog.instructions) == prog, e
+
+
+def _assert_decodes_in_order(indices):
+    """decode, from an empty cache, matches the mirrors on `indices` in order.
+
+    Each miss resumes from the parse of the index before it, so the order
+    decides which shared prefixes the resume path sees.
+    """
+    decode.cache_clear()
+    for e in indices:
+        prog = decode(e)
+        assert prog.instructions == naive_decode(e), e
+        assert prog.live == naive_live(prog.instructions), e
+
+
+def test_decode_resumes_correctly_in_descending_order():
+    _assert_decodes_in_order(range((1 << 16) - 1, -1, -1))
+
+
+def test_decode_resumes_correctly_in_shuffled_order():
+    order = list(range(1 << 16))
+    random.Random(21).shuffle(order)
+    _assert_decodes_in_order(order)
+
+
+def test_decode_resumes_correctly_on_interleaved_runs():
+    _assert_decodes_in_order(e + shift for e in range(1 << 14) for shift in (0, 10**6))
+
+
+def test_decode_resumes_correctly_across_powers_of_two():
+    # the code word's bit length changes between 2^k - 2 and 2^k - 1
+    _assert_decodes_in_order(e for k in range(65) for e in range(2**k - 3, 2**k + 4) if e >= 0)
+
+
+def test_decode_resumes_correctly_between_long_and_short_codes():
+    def order():
+        for e in range(48):
+            long = smn_fill(e, 1 << 20000)
+            yield from (long, long + 1, e, long + 2)
+    _assert_decodes_in_order(order())
+
+
+def test_decode_from_threads_matches_naive_mirror():
+    # every thread reads the other threads' parses as resume points; a parse
+    # is published whole, so each read sees one code word's parse
+    rng = random.Random(4)
+    ranges = [list(range(k << 14, (k + 1) << 14)) for k in range(4)]
+    for indices in ranges:
+        rng.shuffle(indices)
+    results = [None] * len(ranges)
+    start = threading.Barrier(len(ranges))
+
+    def work(k):
+        start.wait(timeout=60)
+        results[k] = [decode(e) for e in ranges[k]]
+
+    decode.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(ranges))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert None not in results
+    for indices, progs in zip(ranges, results):
+        for e, prog in zip(indices, progs):
+            assert prog.instructions == naive_decode(e), e
+            assert prog.live == naive_live(prog.instructions), e
+
+
+def test_equal_decoded_programs_are_one_object():
+    assert decode(0) is decode(1)
+    assert decode(0) == EMPTY_PROGRAM
+    e = encode(CONST1)
+    decode.cache_clear()
+    # appending a 1 to the code bits adds only padding
+    assert decode(2 * (e + 1)) is decode(e) == CONST1
 
 
 @pytest.mark.parametrize("instructions, message", [
