@@ -40,11 +40,11 @@ from .forcing import (
     c_m_set,
 )
 from .machine import (
+    EnumerationScan,
     Halted,
     domain_window,
     eval_program,
     gamma,
-    re_enumeration_growth,
 )
 from .numbering import (
     LownessVerdict,
@@ -353,9 +353,9 @@ def _replay_f_unconverged(e, h_e, f, budget) -> None:
 @_replayer("blocking_finite")
 def _replay_blocking_finite(e, f, f_value, members, budget, sigma) -> None:
     _check(_halted_value(f, e, budget) == f_value, f"f({e}) is no longer {f_value}")
-    full, at_half = re_enumeration_growth(e, budget)
-    _check(len(full) == at_half, "the set still grows at the checkpoint: not the finite case")
-    _check(sorted(full) == members, "enumerated members disagree with the record")
+    scan = EnumerationScan(e, budget)
+    _check(not scan.grows(), "the set still grows at the checkpoint: not the finite case")
+    _check(scan.members() == members, "enumerated members disagree with the record")
     _check(len(members) > f_value, "member count does not exceed the bound")
     _check(all(x < len(sigma) and sigma[x] == 1 for x in members),
            "some member is not a one of sigma")
@@ -367,9 +367,9 @@ def _replay_blocking_infinite(e, f, e_prime, f_value, members, order_prefix,
     _check(first_slice_index(e, f) == e_prime, "slice index fails to rebuild")
     _check(_halted_value(f, e_prime, budget) == f_value,
            f"f on the slice index is no longer {f_value}")
-    full, at_half = re_enumeration_growth(e, budget)
-    _check(len(full) > at_half, "the set no longer grows at the checkpoint")
-    _check(list(full[:f_value + 1]) == order_prefix,
+    scan = EnumerationScan(e, budget)
+    _check(scan.grows(), "the set no longer grows at the checkpoint")
+    _check(list(scan.first(f_value + 1)) == order_prefix,
            "canonical order prefix disagrees with the record")
     _check(sorted(order_prefix) == members, "members are not the sorted order prefix")
     _check(sorted(domain_window(e_prime, horizon, budget)) == members,

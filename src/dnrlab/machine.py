@@ -49,7 +49,11 @@ Fast paths, each mirrored by a naive version in tests/test_machine.py:
 * equal decoded programs are one object: one cache keyed by the
   instruction tuple builds each ToyProgram and its liveness table once;
 * `smn_fill` splices a cached body;
-* windows of many inputs (`domain_window`, `re_enumeration_growth`) run a
+* `EnumerationScan` runs each input of W_{e,budget} at most once and stops
+  as soon as its question is decided: the first k elements in canonical
+  order stop once the inputs pass the k-th smallest key, and growth past
+  the checkpoint W_{e,budget//2} stops at its first witness;
+* windows of many inputs (`domain_window`, `EnumerationScan`) run a
   compiled program: one generated Python function with the registers in
   locals and one budget check per basic block.  It returns exactly what
   `_run` returns, because a run that does not halt always reports the whole
@@ -64,6 +68,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from heapq import heappush, heapreplace
+from itertools import chain
 from math import isqrt
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
@@ -704,41 +710,99 @@ def domain_window(e: ProgramIndex, horizon: int, budget: int) -> frozenset[int]:
     return frozenset(x for x in range(horizon) if run(x, budget, None)[0] is not None)
 
 
+class EnumerationScan:
+    """W_{e,budget} = {x <= budget : eval(e, x, budget) halts}, read lazily.
+
+    Canonical enumeration order is by (max(halting steps, x), x).  It is
+    stable as the budget grows, so "the first k elements of W_e" does not
+    depend on the budget that first exposed them.  Each input runs at most
+    once, and each question runs only the inputs its answer needs.
+    """
+
+    def __init__(self, e: ProgramIndex, budget: int) -> None:
+        if budget < 0:
+            raise ValueError("budget is a natural")
+        prog = decode(e)
+        live = bool(prog.live) and prog.live[0]
+        self._budget = budget
+        self._half = budget // 2
+        self._run = _window_runner(prog, budget + 1) if live else None
+        self._halted: dict[int, int] = {}  # steps of each input run that halted
+        # The inputs run so far: x < _low, or _half < x < _high.  Each
+        # question runs upward from 0 or from _half + 1, so two stretches
+        # record them, and memory grows with the members found, not the
+        # inputs run.  A dead program halts nowhere: all count as run.
+        self._low = 0 if live else budget + 1
+        self._high = self._half + 1
+
+    def _steps(self, x: int) -> Optional[int]:
+        """Steps the run on x takes to halt within the budget; None if it does not."""
+        if x < self._low or self._half < x < self._high:
+            return self._halted.get(x)
+        value, steps = self._run(x, self._budget, None)
+        if x == self._low:
+            self._low += 1
+        elif x == self._high:
+            self._high += 1
+        if value is None:
+            return None
+        self._halted[x] = steps
+        return steps
+
+    def grows(self) -> bool:
+        """Whether W_{e,budget} is larger than the checkpoint W_{e,budget//2}.
+
+        By budget monotonicity x lies in the checkpoint exactly when
+        x <= budget//2 and its run halts within budget//2 steps, so any
+        other member is a witness.  Inputs past budget//2 are tried first.
+        """
+        half = self._half
+        if any(self._steps(x) is not None for x in range(half + 1, self._budget + 1)):
+            return True
+        return any((steps := self._steps(x)) is not None and steps > half
+                   for x in range(half + 1))
+
+    def first(self, k: int) -> tuple[int, ...]:
+        """The first k elements of W_{e,budget} in canonical order (all, if fewer).
+
+        Inputs run upward.  A key is at least (x, x), so once (x, x) passes
+        the k-th smallest key found, no later input can enter.
+        """
+        if k <= 0:
+            return ()
+        heap: list[tuple[int, int]] = []  # the k smallest keys so far, negated
+        for x in range(self._budget + 1):
+            if len(heap) == k and (-x, -x) < heap[0]:
+                break
+            steps = self._steps(x)
+            if steps is not None:
+                key = (-max(steps, x), -x)
+                if len(heap) < k:
+                    heappush(heap, key)
+                elif key > heap[0]:
+                    heapreplace(heap, key)
+        return tuple(-x for _, x in sorted(heap, reverse=True))
+
+    def _run_rest(self) -> dict[int, int]:
+        """Run each input not yet run, then return the steps of every member."""
+        for x in chain(range(self._low, self._half + 1),
+                       range(max(self._low, self._high), self._budget + 1)):
+            self._steps(x)
+        return self._halted
+
+    def members(self) -> list[int]:
+        """All of W_{e,budget} in increasing order."""
+        return sorted(self._run_rest())
+
+    def order(self) -> tuple[int, ...]:
+        """All of W_{e,budget} in canonical order: one pass, one sort."""
+        keys = sorted((max(steps, x), x) for x, steps in self._run_rest().items())
+        return tuple(x for _, x in keys)
+
+
 def re_enumeration_order(e: ProgramIndex, budget: int) -> tuple[int, ...]:
-    """W_{e,budget} in canonical enumeration order.
-
-    Elements are ordered by (max(halting steps, value), value).  This order
-    is stable as the budget grows, so "the first k elements of W_e" is well
-    defined independent of the budget that first exposed them.
-    """
-    return re_enumeration_growth(e, budget)[0]
-
-
-def re_enumeration_growth(e: ProgramIndex, budget: int) -> tuple[tuple[int, ...], int]:
-    """re_enumeration_order(e, budget) and |W_{e,budget//2}| from one pass.
-
-    The second value is the growth checkpoint: W_e looks infinite at this
-    budget when the first value is longer.  By budget monotonicity, x lies
-    in W_{e,budget//2} exactly when x <= budget//2 and the run at this
-    budget halts within budget//2 steps, so no second pass is needed.
-    """
-    if budget < 0:
-        raise ValueError("budget is a natural")
-    prog = decode(e)
-    if not prog.live or not prog.live[0]:
-        return (), 0
-    half = budget // 2
-    entries = []
-    at_half = 0
-    run = _window_runner(prog, budget + 1)
-    for x in range(budget + 1):
-        value, steps = run(x, budget, None)
-        if value is not None:
-            entries.append((max(steps, x), x))
-            if x <= half and steps <= half:
-                at_half += 1
-    entries.sort()
-    return tuple(x for _, x in entries), at_half
+    """W_{e,budget} in canonical enumeration order (see EnumerationScan)."""
+    return EnumerationScan(e, budget).order()
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ from __future__ import annotations
 from .asm import assemble_index
 from .errors import PreconditionViolated, WitnessBudgetExceeded
 from .machine import (
+    EnumerationScan,
     Halted,
     ProgramIndex,
     eval_program,
     gamma,
     gamma_inverse,
-    re_enumeration_growth,
     self_reference,
     smn_fill,
 )
@@ -217,7 +217,7 @@ def patch_oracle_dnr_only(f: ProgramIndex, e_max: int, budget: int,
 
 # phi(pair(u, x)) where u is the index's own acting self: compute
 # k = f(u) + 1, then dovetail the source program's domain in canonical
-# order (by (max(steps, y), y), matching re_enumeration_order) and halt
+# order (by (max(steps, y), y), matching EnumerationScan) and halt
 # iff x shows up among the first k emissions.  The braces are filled per
 # (source, f) pair before assembly.
 _FIRST_SLICE_DRIVER = """
@@ -291,11 +291,10 @@ def blocking_prefix(A_prefix: tuple[int, ...], e: ProgramIndex, f: ProgramIndex,
     if not isinstance(f_out, Halted):
         raise WitnessBudgetExceeded(f"f = {f} did not converge on {e} within {budget} steps")
     bound = f_out.value
-    full, at_half = re_enumeration_growth(e, budget)
-    appears_infinite = len(full) > at_half
+    scan = EnumerationScan(e, budget)
 
-    if not appears_infinite:
-        members = sorted(full)
+    if not scan.grows():
+        members = scan.members()
         if len(members) <= bound:
             raise PreconditionViolated(
                 f"W_e has only {len(members)} members at this budget, bound is {bound}")
@@ -320,10 +319,11 @@ def blocking_prefix(A_prefix: tuple[int, ...], e: ProgramIndex, f: ProgramIndex,
         raise WitnessBudgetExceeded(
             f"f = {f} did not converge on the slice index within {budget} steps")
     k = f_slice.value + 1
-    if len(full) < k:
+    order_prefix = scan.first(k)
+    if len(order_prefix) < k:  # then the scan has read all of W_{e,budget}
         raise WitnessBudgetExceeded(
-            f"only {len(full)} elements enumerated, slice needs {k}")
-    slice_members = sorted(full[:k])
+            f"only {len(order_prefix)} elements enumerated, slice needs {k}")
+    slice_members = sorted(order_prefix)
     sigma = list(A_prefix)
     for w in slice_members:
         if w < len(A_prefix):
@@ -342,7 +342,7 @@ def blocking_prefix(A_prefix: tuple[int, ...], e: ProgramIndex, f: ProgramIndex,
         "e_prime": slice_idx,
         "f_value": f_slice.value,
         "members": slice_members,
-        "order_prefix": list(full[:k]),
+        "order_prefix": list(order_prefix),
         "horizon": horizon,
         "budget": budget,
         "sigma": sigma,

@@ -28,7 +28,7 @@ from dnrlab.forcing import FiniteFunctional, ForcingCondition, SearchLimits, \
     density_search
 from dnrlab.oracle import PeriodicOracle, oracle_from_spec
 from dnrlab.reductions import blocking_prefix, diagonal_set_index, \
-    dnr_reduction_audit
+    dnr_reduction_audit, first_slice_index
 from dnrlab.stages import ei_not_coei
 
 EVENS = PeriodicOracle((1, 0))
@@ -380,6 +380,75 @@ class TestReplayCommand:
         path.write_text(header + "\n" + forged + "\n")
         assert main(["--command", "replay", "--in", str(path)]) == \
             EXIT_COUNTEREXAMPLE
+
+
+class TestBlockingReplay:
+    """The blocking replayers read W_e only as far as each answer needs, and
+    still refute every certificate whose claim is false."""
+
+    EVENS_INDEX = cli.COMMANDS["blocking-prefix"].fields["e"]
+    FINITE_INDEX = diagonal_set_index(const_index(5))  # W = {0, 2}
+
+    @staticmethod
+    def _replay_one(cert, tmp_path, capsys):
+        path = tmp_path / "forged.jsonl"
+        path.write_text(json.dumps({"schema": TRACE_SCHEMA}) + "\n" + json.dumps(cert) + "\n")
+        code = main(["--command", "replay", "--in", str(path)])
+        return code, capsys.readouterr().out
+
+    @pytest.fixture()
+    def infinite_cert(self, tmp_path):
+        code, out = run_cli(["--command", "blocking-prefix", "--budget.eval=2000"], tmp_path)
+        assert code == EXIT_OK
+        cert = json.loads(out.read_text().splitlines()[1])
+        assert cert["kind"] == "blocking_infinite" and cert["order_prefix"] == [0, 2, 4]
+        return cert
+
+    def test_untampered_certificate_replays(self, infinite_cert, tmp_path, capsys):
+        code, out = self._replay_one(infinite_cert, tmp_path, capsys)
+        assert code == EXIT_OK and "0 mismatches" in out
+
+    @pytest.mark.parametrize("tamper, reason", [
+        (lambda c: c["order_prefix"].reverse(), "canonical order prefix disagrees"),
+        (lambda c: c.update(f_value=c["f_value"] + 1), "is no longer 3"),
+    ])
+    def test_tampered_infinite_certificate_mismatches(self, infinite_cert, tamper, reason,
+                                                      tmp_path, capsys):
+        tamper(infinite_cert)
+        code, out = self._replay_one(infinite_cert, tmp_path, capsys)
+        assert code == EXIT_COUNTEREXAMPLE
+        assert "MISMATCH line 2" in out and reason in out
+
+    def test_infinite_certificate_over_a_finite_set_mismatches(self, infinite_cert, tmp_path,
+                                                               capsys):
+        # the slice index is rebuilt for the new set, so only the growth check fails
+        infinite_cert["e"] = self.FINITE_INDEX
+        infinite_cert["e_prime"] = first_slice_index(self.FINITE_INDEX, infinite_cert["f"])
+        code, out = self._replay_one(infinite_cert, tmp_path, capsys)
+        assert code == EXIT_COUNTEREXAMPLE
+        assert "the set no longer grows at the checkpoint" in out
+
+    def test_finite_certificate_over_a_growing_set_mismatches(self, tmp_path, capsys):
+        _, cert = blocking_prefix((1, 0, 1), self.FINITE_INDEX, ZERO_INDEX, 1_000)
+        assert cert["kind"] == "blocking_finite"
+        cert["e"] = self.EVENS_INDEX
+        code, out = self._replay_one(cert, tmp_path, capsys)
+        assert code == EXIT_COUNTEREXAMPLE
+        assert "the set still grows at the checkpoint" in out
+
+    def test_work_does_not_grow_with_the_budget_on_a_growing_set(self, tmp_path, capsys):
+        # the scan reads a few inputs at any budget; a finite set still runs
+        # every input, which only a declared-cost bound can limit
+        summaries = []
+        for budget in (100_000, 10**9):
+            code, out = run_cli(["--command", "blocking-prefix", f"--budget.eval={budget}"],
+                                tmp_path, f"b{budget}.jsonl")
+            assert code == EXIT_OK
+            summaries.append(capsys.readouterr().out)
+            assert main(["--command", "replay", "--in", str(out)]) == EXIT_OK
+            assert "1 certificates verified, 0 mismatches" in capsys.readouterr().out
+        assert summaries[0] == summaries[1]
+        assert "sigma = [1, 0, 1, 0, 1], members [0, 2, 4]" in summaries[0]
 
 
 class TestInputErrors:

@@ -42,6 +42,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnrlab import machine
 from dnrlab.asm import IDENTITY_INDEX, ZERO_INDEX, assemble, const_index
 from dnrlab.errors import WitnessBudgetExceeded
 from dnrlab.machine import (
@@ -66,6 +67,7 @@ from dnrlab.machine import (
     OP_UNIV,
     RUNNING,
     SMN_STEP_OVERHEAD,
+    EnumerationScan,
     Halted,
     ToyProgram,
     _compile,
@@ -84,13 +86,13 @@ from dnrlab.machine import (
     gamma_inverse,
     pair,
     program,
-    re_enumeration_growth,
     re_enumeration_order,
     self_reference,
     smn_fill,
     unpair,
 )
 from dnrlab.oracle import EVENS, PrefixOracle
+from dnrlab.reductions import blocking_prefix
 from dnrlab.stages import interval_slice_index
 
 IDENTITY = program([(OP_HALT, 0)])
@@ -952,11 +954,12 @@ def test_windows_reject_negative_bounds(e):
         domain_window(e, 5, -1)
     with pytest.raises(ValueError, match="horizon is a natural"):
         domain_window(e, -1, 5)
-    for window in (enumerate_re, re_enumeration_order, re_enumeration_growth):
+    for window in (enumerate_re, re_enumeration_order, EnumerationScan):
         with pytest.raises(ValueError, match="budget is a natural"):
             window(e, -2)
     assert domain_window(e, 0, 0) == frozenset()
-    assert re_enumeration_growth(e, 0) == ((), 0)
+    scan = EnumerationScan(e, 0)
+    assert (scan.grows(), scan.first(1), scan.order()) == (False, (), ())
 
 
 @given(st.integers(0, 2000), st.integers(0, 40))
@@ -993,28 +996,91 @@ def _order_by_eval_steps(e, budget):
     return tuple(x for _, x in sorted(entries))
 
 
+def _naive_growth(e, budget):
+    """The canonical order and |W_{e,budget//2}|, each input run by naive_eval."""
+    order = tuple(x for _, x in sorted(
+        (max(steps, x), x) for x in range(budget + 1)
+        for out, steps in [naive_eval(e, x, budget)] if out is not RUNNING))
+    at_half = sum(naive_eval(e, x, budget // 2)[0] is not RUNNING for x in range(budget // 2 + 1))
+    return order, at_half
+
+
+def _check_scan(e, budget, order, at_half, ks):
+    """Every answer of a fresh scan per k, asked in both orders, against the mirror."""
+    grows = len(order) > at_half
+    for k in ks:
+        scan = EnumerationScan(e, budget)
+        if k % 2:
+            assert scan.grows() == grows, (e, budget)
+        assert scan.first(k) == order[:k], (e, budget, k)
+        assert scan.grows() == grows, (e, budget)
+        assert scan.order() == order, (e, budget)
+        assert scan.members() == sorted(order), (e, budget)
+
+
 @given(program_st, st.integers(0, 60))
 @settings(max_examples=150, deadline=None)
 def test_growth_checkpoint_matches_two_passes(p, budget):
     e = encode(p)
-    order, at_half = re_enumeration_growth(e, budget)
+    order, at_half = _naive_growth(e, budget)
     assert order == re_enumeration_order(e, budget) == _order_by_eval_steps(e, budget)
-    assert at_half == len(re_enumeration_order(e, budget // 2))
     assert at_half == len(_order_by_eval_steps(e, budget // 2))
+    _check_scan(e, budget, order, at_half, range(budget + 3))
+
+
+ZERO_ONLY = program([(OP_JZ, 0, 2), (OP_JMP, 1), (OP_HALT, 0)])
+# halts on 0 in six steps and on any other input in two, so 0 enters the
+# canonical order after 5 and before 6
+SLOW_ZERO = program([(OP_JZ, 0, 2), (OP_HALT, 0)] + [(OP_LOAD, 1, 0)] * 4 + [(OP_HALT, 0)])
 
 
 def test_growth_checkpoint_on_stock_sets():
-    # runs halting in exactly budget//2 steps sit on the checkpoint's edge
-    for prog in (IDENTITY, CONST1, EVEN_HALT):
+    # runs halting in exactly budget//2 steps sit on the checkpoint's edge;
+    # at budgets 2 and 3 only a slow run below the checkpoint shows growth
+    assert re_enumeration_order(encode(SLOW_ZERO), 11) == (1, 2, 3, 4, 5, 0, 6, 7, 8, 9, 10, 11)
+    for prog in (IDENTITY, CONST1, EVEN_HALT, ZERO_ONLY, SLOW_ZERO):
         for budget in range(12):
-            at_half = re_enumeration_growth(encode(prog), budget)[1]
-            assert at_half == len(re_enumeration_order(encode(prog), budget // 2))
+            _check_scan(encode(prog), budget, *_naive_growth(encode(prog), budget),
+                        range(budget + 3))
     # evens keep growing between the checkpoint and the budget; a finite
     # set has stopped by then
-    order, at_half = re_enumeration_growth(encode(EVEN_HALT), 40)
-    assert len(order) > at_half == len(re_enumeration_order(encode(EVEN_HALT), 20))
-    zero_only = program([(OP_JZ, 0, 2), (OP_JMP, 1), (OP_HALT, 0)])
-    assert re_enumeration_growth(encode(zero_only), 40) == ((0,), 1)
+    scan = EnumerationScan(encode(EVEN_HALT), 40)
+    assert scan.grows() and scan.first(3) == (0, 2, 4)
+    assert len(scan.order()) > len(re_enumeration_order(encode(EVEN_HALT), 20))
+    _check_scan(encode(ZERO_ONLY), 40, (0,), 1, range(4))
+
+
+def _count_runs(monkeypatch):
+    """Inputs run by every window built from here on, in order."""
+    ran = []
+
+    def counting(prog, runs):
+        run = _window_runner(prog, runs)
+
+        def counted(x, budget, oracle):
+            ran.append(x)
+            return run(x, budget, oracle)
+        return counted
+    monkeypatch.setattr(machine, "_window_runner", counting)
+    return ran
+
+
+def test_scan_runs_only_the_inputs_its_answer_needs(monkeypatch):
+    ran = _count_runs(monkeypatch)
+    sigma, cert = blocking_prefix((1,), encode(EVEN_HALT), const_index(2), 100_000)
+    assert (sigma, cert["order_prefix"]) == ((1, 0, 1, 0, 1), [0, 2, 4])
+    assert len(ran) < 20 and len(set(ran)) == len(ran), ran
+
+
+def test_scan_runs_each_input_once_on_a_finite_set(monkeypatch):
+    ran = _count_runs(monkeypatch)
+    scan = EnumerationScan(encode(ZERO_ONLY), 200)
+    assert scan.first(1) == (0,)
+    assert not scan.grows()
+    assert scan.order() == (0,) and scan.members() == [0]
+    assert sorted(ran) == list(range(201))
+    # a dead program halts nowhere, so nothing runs
+    assert EnumerationScan(0, 200).order() == () and len(ran) == 201
 
 
 # ---------------------------------------------------------------------------
@@ -1064,14 +1130,6 @@ def test_compiled_matches_interpreters_on_stock_indices(e):
             assert eval_steps(e, x, budget) == want == compiled_eval(e, x, budget), (x, budget)
 
 
-def _naive_growth(e, budget):
-    order = tuple(x for _, x in sorted(
-        (max(steps, x), x) for x in range(budget + 1)
-        for out, steps in [naive_eval(e, x, budget)] if out is not RUNNING))
-    at_half = sum(naive_eval(e, x, budget // 2)[0] is not RUNNING for x in range(budget // 2 + 1))
-    return order, at_half
-
-
 @pytest.mark.parametrize("runs", [_COMPILE_MIN_RUNS - 1, _COMPILE_MIN_RUNS])
 def test_windows_match_naive_loop_across_the_compile_threshold(runs):
     compiled = not isinstance(_window_runner(decode(encode(EVEN_HALT)), runs), partial)
@@ -1081,7 +1139,7 @@ def test_windows_match_naive_loop_across_the_compile_threshold(runs):
         for budget in (0, 3, 4, 13, 200):
             naive = frozenset(x for x in range(runs) if naive_eval(e, x, budget)[0] is not RUNNING)
             assert domain_window(e, runs, budget) == naive, (e, budget)
-        assert re_enumeration_growth(e, runs - 1) == _naive_growth(e, runs - 1), e
+        _check_scan(e, runs - 1, *_naive_growth(e, runs - 1), (0, 1, 3, runs + 1))
 
 
 def test_compiled_window_over_a_load_constant_too_long_to_print():
