@@ -18,13 +18,18 @@ for "reject" branches.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache, lru_cache
+from typing import Callable
 
 from .machine import (
     OP_BY_NAME,
+    OP_LOAD,
     OP_SIGNATURE,
     ProgramIndex,
     ToyProgram,
+    _code_bits,
+    _gamma_bits,
+    _nat_of_bits,
     encode,
     program,
 )
@@ -101,6 +106,38 @@ def assemble(source: str) -> ToyProgram:
 
 def assemble_index(source: str) -> ProgramIndex:
     return encode(assemble(source))
+
+
+def _template_index(source: str) -> Callable[..., ProgramIndex]:
+    """constants -> assemble_index(source.format(**constants)), for a source
+    whose every brace field is the constant of one `load`.  The source is
+    assembled once, at the first call, with stand-ins; each call splices in
+    the constants' code words between the fixed code bits."""
+    @cache
+    def layout() -> tuple[list[str], list[str]]:
+        names = re.findall(r"{(\w+)}", source)
+        marks = {(1 << 64) + i: name for i, name in enumerate(names)}  # no source uses these
+        pieces, order = [""], []
+        for ins in assemble(source.format(**{n: m for m, n in marks.items()})).instructions:
+            if ins[0] == OP_LOAD and ins[2] in marks:
+                pieces[-1] += _code_bits([ins[:2]])
+                pieces.append("")
+                order.append(marks[ins[2]])
+            else:
+                pieces[-1] += _code_bits([ins])
+        if sorted(order) != sorted(set(names)):
+            raise AsmError("each brace field must be the constant of exactly one load")
+        return pieces, order
+
+    def index(**constants: int) -> ProgramIndex:
+        pieces, order = layout()
+        if min(constants.values()) < 0:
+            raise AsmError(f"constants are naturals, got {constants}")
+        words = [pieces[0]]
+        for name, piece in zip(order, pieces[1:]):
+            words += (_gamma_bits(constants[name]), piece)
+        return _nat_of_bits("".join(words))
+    return index
 
 
 # ---------------------------------------------------------------------------

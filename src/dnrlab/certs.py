@@ -3,9 +3,10 @@
 Every audit and construction in the package emits plain-dict certificates
 carrying enough data to re-verify their claims from scratch.  This module
 is the single registry mapping certificate kinds to replayers.  A replayer
-takes the fields it reads, each decoded by the rule for its name, then
-recomputes the cheap claims exactly and re-runs the budgeted ones at the
-recorded budgets, raising ReplayMismatch on the first disagreement.
+takes the fields it reads, each decoded by the rule for its name (bound per
+kind at registration), then recomputes the cheap claims exactly and re-runs
+the budgeted ones at the recorded budgets, raising ReplayMismatch on the
+first disagreement.
 Structural problems (missing fields, unknown kinds, fields that break
 their rule) are MalformedCertificate instead: a broken file is not a
 refuted claim.
@@ -187,7 +188,8 @@ def _check(ok: bool, detail: str) -> None:
 
 def _replayer(kind: str):
     """Register `fn` for `kind`: its parameters name the fields it reads,
-    and one with a default is an optional field."""
+    and one with a default is an optional field.  Their decoders are bound
+    here; decode_field runs only to name a field that breaks its rule."""
     def register(fn: Callable[..., None]):
         params = inspect.signature(fn).parameters.values()
         names = [p.name for p in params]
@@ -195,14 +197,22 @@ def _replayer(kind: str):
         if unruled:
             raise TypeError(f"{fn.__name__} reads fields with no rule: {unruled}")
         required = [p.name for p in params if p.default is p.empty]
+        needed = frozenset(required)
+        rules = [(name, _FIELDS[name][0]) for name in names]
 
         def replay(cert: Mapping) -> None:
-            missing = [name for name in required if name not in cert]
-            if missing:
+            if not cert.keys() >= needed:
+                missing = [name for name in required if name not in cert]
                 raise MalformedCertificate(f"{kind} certificate lacks fields {missing}")
             try:
-                fn(**{name: decode_field(kind, name, cert[name])
-                      for name in names if name in cert})
+                fields = {name: decode(cert[name]) for name, decode in rules if name in cert}
+            except (KeyError, TypeError, ValueError):  # the first broken field wins
+                for name in names:
+                    if name in cert:
+                        decode_field(kind, name, cert[name])
+                raise
+            try:
+                fn(**fields)
             except _Refuted as exc:
                 raise ReplayMismatch(kind, str(exc)) from None
 
@@ -304,10 +314,15 @@ def _replay_diagonal(g, functional, k, tau, tree, tree_bushiness, fused, e0, e1,
 # ---------------------------------------------------------------------------
 # Diagonal-value audits.
 
+# These replayers run thousands of times a trace: a message that reads
+# the fields is built only when its check fails.
+
 def _check_diagonal(e: int, value: int, h_e: int, f: int, f_value: int, budget: int) -> None:
     _check(h_e == diagonal_set_index(e), "transformed index fails to rebuild")
-    _check(_halted_value(e, e, budget) == value, f"diagonal value at {e} is no longer {value}")
-    _check(_halted_value(f, h_e, budget) == f_value, f"f({h_e}) is no longer {f_value}")
+    if _halted_value(e, e, budget) != value:
+        raise _Refuted(f"diagonal value at {e} is no longer {value}")
+    if _halted_value(f, h_e, budget) != f_value:
+        raise _Refuted(f"f({h_e}) is no longer {f_value}")
 
 
 @_replayer("ebi_violation")
@@ -338,7 +353,8 @@ def _replay_dnr_value(e, value, h_e, f, f_value, budget, oracle, side_code,
 
 @_replayer("diagonal_diverges")
 def _replay_diagonal_diverges(e, budget) -> None:
-    _check(_halted_value(e, e, budget) is None, f"phi_{e}({e}) now halts within {budget} steps")
+    if _halted_value(e, e, budget) is not None:
+        raise _Refuted(f"phi_{e}({e}) now halts within {budget} steps")
 
 
 @_replayer("f_unconverged")

@@ -407,11 +407,18 @@ def _cmd_replay(g, path, budgets, seed) -> CommandResult:
         raise InputError(f"trace header lacks schema {TRACE_SCHEMA!r}")
     checked: dict[str, int] = {}
     mismatches: list[str] = []
+    raw_decode = json.JSONDecoder().raw_decode
     for lineno, line in enumerate(lines[1:], start=2):
+        # one pass for a bare value; json.loads accepts or names the rest
         try:
-            cert = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InputError(f"line {lineno} is not valid JSON: {exc}")
+            cert, end = raw_decode(line)
+        except (json.JSONDecodeError, RecursionError):
+            end = -1
+        if end != len(line):
+            try:
+                cert = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise InputError(f"line {lineno} is not valid JSON: {exc}")
         try:
             kind = replay_certificate(cert)
         except ReplayMismatch as exc:

@@ -48,7 +48,7 @@ from itertools import chain, compress
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .asm import assemble_index
+from .asm import _template_index
 from .bushy import (
     Node,
     OrderFunction,
@@ -558,62 +558,67 @@ def _lengthen_stem(stem: Node, target_length: int, avoid: frozenset[Node],
     return tau
 
 
+_MASTER_DRIVER = """
+    # input pair(u, pair(i, n)); r6 stays 0 and serves as constant zero
+    left r1, r0            # u
+    right r2, r0           # pair(i, n)
+    left r3, r2            # i
+    right r4, r2           # n
+    smn r5, r1, r6         # e_0
+    load r7, 1
+    smn r8, r1, r7         # e_1
+    load r9, {q}
+    univ r10, r9, r5       # q(e_0)
+    univ r11, r9, r8       # q(e_1)
+    sub r12, r10, r11
+    add r13, r11, r12      # m = max(q(e_0), q(e_1))
+    add r13, r13, r13
+    load r12, 1
+    add r13, r13, r12      # 2m + 1
+    load r12, {cap}
+    sub r14, r13, r12
+    jz r14, capped
+    mov r13, r12           # c = min(2m + 1, cap)
+capped:
+    load r12, {a0}
+    jz r3, selected
+    load r12, {a1}
+selected:
+    load r15, {big_k}
+unpack:
+    jz r13, extract        # mask = (A_i div K^c) mod K
+    div r12, r12, r15
+    load r14, 1
+    sub r13, r13, r14
+    jmp unpack
+extract:
+    mod r12, r12, r15
+    load r15, 2
+probe:
+    jz r4, test            # bit n of the mask
+    div r12, r12, r15
+    load r14, 1
+    sub r4, r4, r14
+    jmp probe
+test:
+    mod r12, r12, r15
+    jz r12, stuck
+    halt r6
+stuck:
+"""
+_master_driver = _template_index(_MASTER_DRIVER)
+
+
 def _master_driver_index(q: ProgramIndex, a0: int, a1: int, big_k: int, cap: int) -> ProgramIndex:
-    """Assemble the self-referential enumerator behind the diagonal indices.
+    """The self-referential enumerator behind the diagonal indices.
 
     Input pair(u, pair(i, n)): derive e_0, e_1 from u by s-m-n, run q on
     both, set c = min(2 max + 1, cap), select the c-th packed mask of A_i
-    (base K digits), and halt exactly when bit n of that mask is set.
+    (base K digits), and halt exactly when bit n of that mask is set.  The
+    driver is assembled once; each call splices q, A_0, A_1, K and the cap
+    into its `load` instructions.
     """
-    kk = big_k
-    return assemble_index(f"""
-        # input pair(u, pair(i, n)); r6 stays 0 and serves as constant zero
-        left r1, r0            # u
-        right r2, r0           # pair(i, n)
-        left r3, r2            # i
-        right r4, r2           # n
-        smn r5, r1, r6         # e_0
-        load r7, 1
-        smn r8, r1, r7         # e_1
-        load r9, {q}
-        univ r10, r9, r5       # q(e_0)
-        univ r11, r9, r8       # q(e_1)
-        sub r12, r10, r11
-        add r13, r11, r12      # m = max(q(e_0), q(e_1))
-        add r13, r13, r13
-        load r12, 1
-        add r13, r13, r12      # 2m + 1
-        load r12, {cap}
-        sub r14, r13, r12
-        jz r14, capped
-        mov r13, r12           # c = min(2m + 1, cap)
-    capped:
-        load r12, {a0}
-        jz r3, selected
-        load r12, {a1}
-    selected:
-        load r15, {kk}
-    unpack:
-        jz r13, extract        # mask = (A_i div K^c) mod K
-        div r12, r12, r15
-        load r14, 1
-        sub r13, r13, r14
-        jmp unpack
-    extract:
-        mod r12, r12, r15
-        load r15, 2
-    probe:
-        jz r4, test            # bit n of the mask
-        div r12, r12, r15
-        load r14, 1
-        sub r4, r4, r14
-        jmp probe
-    test:
-        mod r12, r12, r15
-        jz r12, stuck
-        halt r6
-    stuck:
-    """)
+    return _master_driver(q=q, a0=a0, a1=a1, big_k=big_k, cap=cap)
 
 
 def _diagonal_pair(q: ProgramIndex, fused: Sequence[tuple[int, int]], horizon: int,

@@ -42,6 +42,10 @@ Fast paths, each mirrored by a naive version in tests/test_machine.py:
 
 * `_run` keeps each program's liveness table, ends a run on a dead pc or a
   repeated configuration, and reuses the halves of the last pair;
+* a program that is dead at pc 0 (no halt reachable from its first
+  instruction, the empty program included) is not run: `eval_steps`
+  answers Running at the whole budget, and `domain_window` and
+  `EnumerationScan` find no member, without entering `_run`;
 * `decode` scans its bit string with `str.find` and resumes from the last
   parse: a code word of the same bit length keeps every instruction that
   lies wholly inside the leading bits the two share, so consecutive
@@ -688,7 +692,10 @@ def eval_steps(e: ProgramIndex, x: int, budget: int, oracle: Optional[Oracle] = 
         raise ValueError("budget is a natural")
     if x < 0:
         raise ValueError("inputs are naturals")
-    value, steps = _run(decode(e), x, budget, oracle)
+    prog = decode(e)
+    if not prog.live or not prog.live[0]:  # dead at pc 0: _run would say the same
+        return RUNNING, budget
+    value, steps = _run(prog, x, budget, oracle)
     return (RUNNING if value is None else Halted(value)), steps
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .dyadic import ZERO, DyadicRational, dyadic_sum
+from .dyadic import WIDTH_LIMIT, ZERO, DyadicRational, dyadic_sum
 from .errors import CombinatorialBlowup, InsufficientOracle, WitnessBudgetExceeded
 from .machine import Halted, ProgramIndex, eval_program, gamma_inverse
 from .oracle import BitOracle, first_members
@@ -154,7 +154,9 @@ def lowness_bound_check(h: ProgramIndex, p: ProgramIndex, f: ProgramIndex,
 
     The partial sum is accumulated exactly; when every term obeys its bound
     the sum is automatically below 2^-c, and that final comparison is
-    checked rather than trusted.
+    checked rather than trusted.  No e past WIDTH_LIMIT is evaluated: the
+    bound 2^-e there is wider than any dyadic sum accepts, so the check
+    stops with CombinatorialBlowup when it reaches one.
     """
     def value(idx: ProgramIndex, x: int) -> int:
         out = eval_program(idx, x, budget)
@@ -163,7 +165,7 @@ def lowness_bound_check(h: ProgramIndex, p: ProgramIndex, f: ProgramIndex,
         return out.value
 
     total = ZERO
-    for e in range(c + 1, e_max + 1):
+    for e in range(c + 1, min(e_max, WIDTH_LIMIT) + 1):
         term = DyadicRational(value(h, value(p, e)), value(f, e) + 1)
         if term > DyadicRational.half_power(e):
             return LownessVerdict(
@@ -173,5 +175,9 @@ def lowness_bound_check(h: ProgramIndex, p: ProgramIndex, f: ProgramIndex,
                 violating_term=term,
             )
         total = total + term
+    if e_max > max(c, WIDTH_LIMIT):
+        raise CombinatorialBlowup(
+            f"e_max {e_max} is past {WIDTH_LIMIT}: a term bound 2^-e there is wider "
+            f"than the {WIDTH_LIMIT}-bit limit of a dyadic sum")
     assert total <= DyadicRational.half_power(c)
     return LownessVerdict(holds=True, partial_sum=total)

@@ -16,7 +16,9 @@ for the emitted certificates live in the certs module.
 
 from __future__ import annotations
 
-from .asm import assemble_index
+from functools import lru_cache
+
+from .asm import _template_index, assemble_index
 from .errors import PreconditionViolated, WitnessBudgetExceeded
 from .machine import (
     EnumerationScan,
@@ -72,12 +74,15 @@ def _claimed_bound(f: ProgramIndex, n: ProgramIndex, budget: int) -> int:
     return out.value
 
 
+@lru_cache(maxsize=256)
 def _side_codes(oracle: BitOracle, k: int) -> tuple[int | None, int | None]:
     """Codes of the first k members of the oracle and of its complement.
 
     A side with fewer than k members below its structural scan bound yields
     None.  At least one side is always full: the two sides partition the
     naturals, so one of them has k members among the first 2k positions.
+    Computed once per (oracle, k): an audit and its replay ask for a few
+    widths thousands of times.
     """
     codes = []
     for value in (1, 0):
@@ -124,9 +129,8 @@ def _diagonal_outcomes(f: ProgramIndex, e_max: int, budget: int):
 
 def _audit_certs(X: BitOracle, f: ProgramIndex, budget: int, outcomes):
     """The audit's certificates for `_diagonal_outcomes` against X, in
-    order; the side codes are computed once per width."""
+    order."""
     oracle_spec = oracle_to_spec(X)
-    side_codes: dict[int, tuple[int | None, int | None]] = {}
     for e, v, h_e, f_value in outcomes:
         if v is None:
             yield {"kind": "diagonal_diverges", "e": e, "budget": budget}
@@ -134,10 +138,7 @@ def _audit_certs(X: BitOracle, f: ProgramIndex, budget: int, outcomes):
         if f_value is None:
             yield {"kind": "f_unconverged", "e": e, "h_e": h_e, "f": f, "budget": budget}
             continue
-        k = f_value + 1
-        if k not in side_codes:
-            side_codes[k] = _side_codes(X, k)
-        code, co_code = side_codes[k]
+        code, co_code = _side_codes(X, f_value + 1)
         witness = sorted(gamma(v))
         base = {
             "e": e,
@@ -218,8 +219,8 @@ def patch_oracle_dnr_only(f: ProgramIndex, e_max: int, budget: int,
 # phi(pair(u, x)) where u is the index's own acting self: compute
 # k = f(u) + 1, then dovetail the source program's domain in canonical
 # order (by (max(steps, y), y), matching EnumerationScan) and halt
-# iff x shows up among the first k emissions.  The braces are filled per
-# (source, f) pair before assembly.
+# iff x shows up among the first k emissions.  The braces mark the
+# constants spliced in per (source, f) pair.
 _FIRST_SLICE_DRIVER = """
     left r1, r0
     right r2, r0
@@ -261,6 +262,7 @@ hit:
     halt r8
 stuck:
 """
+_first_slice_driver = _template_index(_FIRST_SLICE_DRIVER)
 
 
 def first_slice_index(source: ProgramIndex, f: ProgramIndex) -> ProgramIndex:
@@ -268,9 +270,11 @@ def first_slice_index(source: ProgramIndex, f: ProgramIndex) -> ProgramIndex:
 
     Self-referential: the returned index computes its own claimed bound by
     running f on itself, then releases exactly that many elements of the
-    source's domain in canonical enumeration order.
+    source's domain in canonical enumeration order.  The driver is
+    assembled once; each call splices f and source into its `load`
+    instructions.
     """
-    return self_reference(assemble_index(_FIRST_SLICE_DRIVER.format(f=f, source=source)))
+    return self_reference(_first_slice_driver(f=f, source=source))
 
 
 def blocking_prefix(A_prefix: tuple[int, ...], e: ProgramIndex, f: ProgramIndex,

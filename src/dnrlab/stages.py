@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .asm import assemble_index
+from .asm import _template_index
 from .errors import CombinatorialBlowup
 from .machine import (
     Halted,
@@ -53,11 +53,13 @@ geq:
     halt r2
 stuck:
 """
+_interval_driver = _template_index(_INTERVAL_DRIVER)
 
 
 def interval_slice_index(e: ProgramIndex, base: int) -> ProgramIndex:
-    """An index a with W_a = [base, base + phi_e(a) + 1), by self-reference."""
-    return self_reference(assemble_index(_INTERVAL_DRIVER.format(e=e, base=base)))
+    """An index a with W_a = [base, base + phi_e(a) + 1), by self-reference.
+    The driver is assembled once; each call splices e and base into it."""
+    return self_reference(_interval_driver(e=e, base=base))
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 
+from dnrlab import forcing, reductions, stages
 from dnrlab.asm import (
     AsmError,
     DIVERGE_INDEX,
     EVEN_HALT_INDEX,
     IDENTITY_INDEX,
     ZERO_INDEX,
+    _template_index,
     assemble,
     assemble_index,
     const_index,
@@ -23,6 +28,7 @@ from dnrlab.machine import (
     gamma_inverse,
     pair,
     program,
+    self_reference,
 )
 
 
@@ -163,3 +169,46 @@ def test_residue_domains(k, r):
 def test_finite_set_domains(members):
     e = finite_set_index(members)
     assert enumerate_re(e, 150) == members
+
+
+# ---------------------------------------------------------------------------
+# Spliced drivers: each self-referential driver is assembled once and its
+# constants spliced in; assembling the formatted source text is the mirror.
+
+_WIDE = random.Random(2400).getrandbits(2400) | 1 << 2399  # a 2400-bit constant
+SPLICE_CONSTANTS = (0, 1 << 64, _WIDE, _WIDE ^ 0b1011)
+
+
+def test_two_constant_drivers_match_the_assembled_text():
+    for first, second in product(SPLICE_CONSTANTS, repeat=2):
+        assert stages._interval_driver(e=first, base=second) == \
+            assemble_index(stages._INTERVAL_DRIVER.format(e=first, base=second))
+        assert reductions._first_slice_driver(f=first, source=second) == \
+            assemble_index(reductions._FIRST_SLICE_DRIVER.format(f=first, source=second))
+
+
+def test_master_driver_matches_the_assembled_text():
+    for q, a0, a1, big_k, cap in product(SPLICE_CONSTANTS[:3], repeat=5):
+        assert forcing._master_driver_index(q, a0, a1, big_k, cap) == assemble_index(
+            forcing._MASTER_DRIVER.format(q=q, a0=a0, a1=a1, big_k=big_k, cap=cap))
+
+
+@pytest.mark.parametrize("e, base", [(0, 0), (const_index(2), 1 << 64), (ZERO_INDEX, 7)])
+def test_slice_indices_match_the_assembled_text(e, base):
+    assert stages.interval_slice_index(e, base) == \
+        self_reference(assemble_index(stages._INTERVAL_DRIVER.format(e=e, base=base)))
+    assert reductions.first_slice_index(base, e) == \
+        self_reference(assemble_index(reductions._FIRST_SLICE_DRIVER.format(f=e, source=base)))
+
+
+def test_template_fields_must_be_load_constants():
+    with pytest.raises(AsmError, match="exactly one load"):
+        _template_index("jmp {target}\nhalt r0")(target=1)
+    with pytest.raises(AsmError, match="exactly one load"):
+        _template_index("load r1, {c}\nload r2, {c}\nhalt r1")(c=1)
+    splice = _template_index("load r1, {c}\nhalt r1")
+    assert splice(c=5) == const_index(5)
+    with pytest.raises(AsmError):
+        assemble_index("load r1, -1\nhalt r1")
+    with pytest.raises(AsmError, match="natural"):
+        splice(c=-1)

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import functools
+import inspect
 import io
 import json
 import re
@@ -19,7 +20,7 @@ from dnrlab.asm import DIVERGE_INDEX, IDENTITY_INDEX, ZERO_INDEX, assemble_index
     const_index
 from dnrlab.bushy import OrderFunction, closure, region_nodes, \
     union_smallness_sweep, witness_tree
-from dnrlab.certs import _FIELDS, REPLAYERS, replay_certificate
+from dnrlab.certs import _FIELDS, REPLAYERS, decode_field, replay_certificate
 from dnrlab.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INPUT, EXIT_OK, \
     TRACE_SCHEMA, InputError, main, parse_args
 from dnrlab.dyadic import DyadicRational
@@ -964,6 +965,29 @@ class TestHostileReplay:
         (line,) = err
         assert "-bit numerator, over the 8192-bit limit" in json.loads(line)["error"]
 
+    @pytest.mark.parametrize("how", ["lowness-check", "lowness replay"])
+    def test_lowness_e_max_past_the_width_limit_is_refused(self, how, tmp_path):
+        # h is the zero program, so every term is 0 and no sum is refused:
+        # only the bound on e stops the loop short of 10^9 values of e
+        path = tmp_path / "in.json"
+        if how == "lowness-check":
+            path.write_text(json.dumps({"h": ZERO_INDEX}))
+            args = ["--command", how, "--budget.e_max=1000000000", "--in", str(path)]
+        else:
+            cert = {"kind": "lowness_bound", "h": ZERO_INDEX, "p": IDENTITY_INDEX,
+                    "f": IDENTITY_INDEX, "c": 0, "e_max": 10**9, "budget": 10_000,
+                    "verdict": {"holds": True, "partial_sum": {"num": "0", "exp": "0"}}}
+            path.write_text(json.dumps({"schema": TRACE_SCHEMA}) + "\n" + json.dumps(cert) + "\n")
+            args = ["--command", "replay", "--in", str(path)]
+        start = time.perf_counter()
+        code, err = _quiet_main(args)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BUDGET
+        (line,) = err
+        assert json.loads(line) == {"error": "budget exhausted: e_max 1000000000 is past 8192: "
+                                    "a term bound 2^-e there is wider than the 8192-bit "
+                                    "limit of a dyadic sum"}
+
     @pytest.mark.parametrize("where", ["trace line", "trace header", "input file"])
     def test_deeply_nested_json_is_one_line_exit_1(self, where, tmp_path):
         deep = "[" * 100_000 + "]" * 100_000
@@ -1035,6 +1059,101 @@ class TestHostileReplay:
         path.write_text(json.dumps(_confuse(data.draw, seed)))
         _assert_clean_exit(*_quiet_main(["--command", command, "--in", str(path),
                                          "--out", str(directory / "out.jsonl"), *flags]))
+
+
+def _replay_lines(lines: list[str], directory) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of replaying a header and `lines`."""
+    path = directory / "trace.jsonl"
+    path.write_text("\n".join([json.dumps({"schema": TRACE_SCHEMA}), *lines]) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--command", "replay", "--in", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+_CLEAN_LINE = json.dumps({"kind": "diagonal_diverges", "e": 0, "budget": 5})
+
+
+_BROKEN = 1.5  # breaks every field rule: nothing is coerced
+
+
+class TestReplayPerLineCost:
+    """The replay parses a line in one pass, decodes fields with decoders
+    bound at registration and builds a refutation message only when a check
+    fails.  Every exit code, error line and MISMATCH line stays what the
+    json.loads and decode_field path printed; the texts pinned here are
+    that path's."""
+
+    @pytest.mark.parametrize("line, code, error", [
+        ("  " + _CLEAN_LINE + " \t", EXIT_OK, None),
+        (_CLEAN_LINE + " x", EXIT_INPUT,
+         "line 2 is not valid JSON: Extra data: line 1 column 52 (char 51)"),
+        (_CLEAN_LINE + " " + _CLEAN_LINE, EXIT_INPUT,
+         "line 2 is not valid JSON: Extra data: line 1 column 52 (char 51)"),
+        (_CLEAN_LINE[:-1], EXIT_INPUT,
+         "line 2 is not valid JSON: Expecting ',' delimiter: line 1 column 50 (char 49)"),
+        ("\ufeff" + _CLEAN_LINE, EXIT_INPUT,
+         "line 2 is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+         "line 1 column 1 (char 0)"),
+        ("[" * 100_000 + "]" * 100_000, EXIT_INPUT,
+         "line 2 is not valid JSON: maximum recursion depth exceeded while decoding "
+         "a JSON array from a unicode string"),
+    ], ids=["whitespace", "garbage", "two values", "unterminated", "bom", "deep"])
+    def test_line_parse_outcomes(self, line, code, error, tmp_path):
+        got, out, err = _replay_lines([line], tmp_path)
+        assert got == code
+        if error is None:
+            assert err == "" and out.startswith("1 certificates verified, 0 mismatches")
+        else:
+            assert [json.loads(e) for e in err.splitlines()] == [{"error": error}]
+
+    @pytest.mark.parametrize("kind", sorted(REPLAYERS))
+    def test_first_broken_field_is_named_by_decode_field(self, kind):
+        seed = next(c for c in _every_kind_seeds() if c["kind"] == kind)
+        registered = inspect.getclosurevars(REPLAYERS[kind]).nonlocals["fn"]
+        fields = [name for name in inspect.signature(registered).parameters if name in seed]
+        for i, name in enumerate(fields):
+            with pytest.raises(MalformedCertificate) as want:
+                decode_field(kind, name, _BROKEN)
+            # the field alone, then it and every field after it
+            for broken in (fields[i:i + 1], fields[i:]):
+                cert = dict(seed, **dict.fromkeys(broken, _BROKEN))
+                with pytest.raises(MalformedCertificate) as got:
+                    replay_certificate(cert)
+                assert str(got.value) == str(want.value), (kind, broken)
+
+    def test_tampered_diagonal_certificates_print_the_same_mismatches(self, audit_certs,
+                                                                      tmp_path):
+        first = {}
+        for cert in audit_certs:
+            first.setdefault(cert["kind"], cert)
+        dnr, ebi = first["dnr_value"], first["ebi_violation"]
+        tampered = [
+            {"kind": "diagonal_diverges", "e": IDENTITY_INDEX, "budget": 100},
+            dict(dnr, value=dnr["value"] + 1),
+            dict(dnr, f_value=dnr["f_value"] + 1),
+            dict(dnr, h_e=dnr["h_e"] + 1),
+            dict(dnr, candidate=dnr["candidate"] + 1),
+            dict(ebi, value=ebi["value"] + 1),
+            dict(ebi, f_value=ebi["f_value"] + 1),
+            dict(ebi, members=ebi["members"][:-1]),
+        ]
+        code, out, err = _replay_lines([json.dumps(c) for c in tampered], tmp_path)
+        assert (code, err) == (EXIT_COUNTEREXAMPLE, "")
+        h_dnr = 131535841107977731574115585719378239076784124134086261176356
+        h_ebi = 134971135175524652222173927396160111960824500618311848639166500
+        assert (dnr["h_e"], ebi["h_e"]) == (h_dnr, h_ebi)
+        assert out.splitlines() == [
+            "0 certificates verified, 8 mismatches",
+            "  MISMATCH line 2: diagonal_diverges: phi_23(23) now halts within 100 steps",
+            "  MISMATCH line 3: dnr_value: diagonal value at 23 is no longer 24",
+            f"  MISMATCH line 4: dnr_value: f({h_dnr}) is no longer 1",
+            "  MISMATCH line 5: dnr_value: transformed index fails to rebuild",
+            "  MISMATCH line 6: dnr_value: candidate is not the least defined side code",
+            "  MISMATCH line 7: ebi_violation: diagonal value at 583 is no longer 2",
+            f"  MISMATCH line 8: ebi_violation: f({h_ebi}) is no longer 1",
+            "  MISMATCH line 9: ebi_violation: members are not the decoded diagonal value",
+        ]
 
 
 def _mistype(kind: str, edit) -> dict:

@@ -12,6 +12,9 @@ its own pairing formula; a sweep cross-checks the two on a few thousand
 indices, random looping programs cross-check them at budgets long enough
 for loops to repeat, and self-referential interval slices (huge s-m-n
 parameters paired with every input) cross-check the domain windows.
+`eval_steps` answers a program dead at pc 0 without running it; random
+dead programs check that answer against `naive_eval` at budgets up to 60,
+0 included.
 `naive_live` mirrors the liveness table by a plain search per pc.
 
 Windows of many inputs run a compiled program: `_compile` turns a decoded
@@ -653,6 +656,37 @@ def test_matches_naive_interpreter_random(p, x):
     for budget in (0, 5, 48):
         assert eval_steps(e, x, budget) == naive_eval(e, x, budget) == compiled_eval(e, x, budget)
     assert compiled_eval(e, x, 48, EVENS) == naive_eval(e, x, 48, EVENS)
+
+
+# Programs dead at pc 0: no halt anywhere, or a first jump to itself.
+# eval_steps answers them without entering _run.
+dead_program_st = st.one_of(
+    st.lists(instruction_st.filter(lambda ins: ins[0] != OP_HALT), max_size=8),
+    st.lists(instruction_st, max_size=7).map(lambda body: [(OP_JMP, 0), *body]),
+).map(program)
+
+
+@given(st.one_of(program_st, dead_program_st), st.integers(0, 6), st.integers(0, 60))
+@settings(max_examples=200, deadline=None)
+def test_eval_steps_matches_naive_interpreter_on_dead_programs(p, x, budget):
+    e = encode(p)
+    for b in (0, budget):
+        assert eval_steps(e, x, b) == naive_eval(e, x, b), (p, x, b)
+        assert eval_steps(e, x, b, EVENS) == naive_eval(e, x, b, EVENS), (p, x, b)
+
+
+@given(dead_program_st, st.integers(0, 6), st.integers(0, 60))
+@settings(max_examples=50, deadline=None)
+def test_dead_programs_never_enter_the_interpreter(p, x, budget):
+    assert naive_live(p.instructions)[:1] != (True,)
+
+    def entered(*args):
+        raise AssertionError("a program dead at pc 0 entered _run")
+    saved, machine._run = machine._run, entered
+    try:
+        assert eval_steps(encode(p), x, budget) == (RUNNING, budget)
+    finally:
+        machine._run = saved
 
 
 # Looping programs: few registers, small constants and in-range jump

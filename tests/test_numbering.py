@@ -6,7 +6,7 @@ from itertools import chain, combinations
 import pytest
 
 from dnrlab.asm import DIVERGE_INDEX, IDENTITY_INDEX, ZERO_INDEX, const_index
-from dnrlab.dyadic import ZERO, DyadicRational
+from dnrlab.dyadic import WIDTH_LIMIT, ZERO, DyadicRational
 from dnrlab.errors import CombinatorialBlowup, InsufficientOracle, WitnessBudgetExceeded
 from dnrlab.machine import gamma, gamma_inverse
 from dnrlab.numbering import (
@@ -199,6 +199,23 @@ class TestLownessBound:
     def test_budget(self):
         with pytest.raises(WitnessBudgetExceeded):
             lowness_bound_check(H_ONE, DIVERGE_INDEX, ZERO_INDEX, 0, 3, 10_000)
+
+    def test_no_e_past_the_width_limit_is_evaluated(self):
+        # every term is 0, so only the bound on e stops the loop
+        assert lowness_bound_check(ZERO_INDEX, IDENTITY_INDEX, IDENTITY_INDEX,
+                                   0, WIDTH_LIMIT, 100).holds
+        with pytest.raises(CombinatorialBlowup, match="e_max 8193 is past 8192"):
+            lowness_bound_check(ZERO_INDEX, IDENTITY_INDEX, IDENTITY_INDEX,
+                                0, WIDTH_LIMIT + 1, 100)
+        # nothing to evaluate: the range above c is empty
+        assert lowness_bound_check(H_ONE, IDENTITY_INDEX, IDENTITY_INDEX,
+                                   10**9, 10**9, 100).holds
+
+    def test_violation_below_the_width_limit_is_still_the_verdict(self):
+        verdict = lowness_bound_check(
+            const_index(4), IDENTITY_INDEX, ZERO_INDEX, 1, 10**9, 10_000)
+        assert not verdict.holds
+        assert verdict.first_violation == 2
 
     def test_jsonable(self):
         verdict = lowness_bound_check(H_ONE, IDENTITY_INDEX, IDENTITY_INDEX, 0, 4, 10_000)
