@@ -52,7 +52,9 @@ from .errors import CombinatorialBlowup
 Node = tuple[int, ...]
 Levels = tuple[tuple[Node, ...], ...]  # a region's nodes, level by level from the stem
 
-BIG_CAP = 2**30  # bushiness number assigned to members of B
+# Bushiness number of members of B, which are n-big for every n: queries compare
+# beta with min(n, BIG_CAP), which no non-member's beta (at most a width) reaches.
+BIG_CAP = 2**30
 # Largest region (nodes above a stem within the horizon) that marking and
 # the sweep take on; the fusion ambient at k = 3, depth 3 has 6175.
 REGION_NODE_LIMIT = 1 << 13
@@ -301,7 +303,7 @@ def is_n_big(B: Iterable[Node], n: int, g: OrderFunction, stem: Node = (),
     """Whether B is n-big above stem within the depth horizon (n >= 1)."""
     if n < 1:
         raise ValueError("bigness is defined for n >= 1")
-    return bushiness(B, g, depth, stem) >= n
+    return bushiness(B, g, depth, stem) >= min(n, BIG_CAP)
 
 
 def closure(B: Iterable[Node], n: int, g: OrderFunction, depth: int) -> frozenset[Node]:
@@ -313,9 +315,10 @@ def closure(B: Iterable[Node], n: int, g: OrderFunction, depth: int) -> frozense
     if n < 1:
         raise ValueError("bigness is defined for n >= 1")
     levels, rows = _mark(_string_set(B), g, depth, (), frozenset())
+    threshold = min(n, BIG_CAP)
     # deepest level first, as bushiness_numbers lists them
     return frozenset(compress(chain.from_iterable(levels[::-1]),
-                              [v >= n for v in chain.from_iterable(rows[::-1])]))
+                              [v >= threshold for v in chain.from_iterable(rows[::-1])]))
 
 
 _parent = itemgetter(slice(None, -1))
@@ -431,7 +434,8 @@ def witness_tree(B: Iterable[Node], n: int, g: OrderFunction, stem: Node,
     """
     B = _string_set(B)
     beta = bushiness_numbers(B, g, depth, stem, avoid)
-    if beta[stem] < n:
+    threshold = min(n, BIG_CAP)
+    if beta[stem] < threshold:
         raise ValueError(f"set is not {n}-big above {stem} within depth {depth}")
     levels, widths = _region_index(g, depth, tuple(stem))
     nodes = {levels[0][0]}
@@ -441,7 +445,7 @@ def witness_tree(B: Iterable[Node], n: int, g: OrderFunction, stem: Node,
         if levels[i][j] in B:
             continue
         w, below = widths[i], levels[i + 1]
-        picked = [p for p in range(j * w, (j + 1) * w) if beta[below[p]] >= n]
+        picked = [p for p in range(j * w, (j + 1) * w) if beta[below[p]] >= threshold]
         if exactly:
             picked = picked[:n]
         nodes.update(below[p] for p in picked)
@@ -502,7 +506,8 @@ def closure_check(B: Iterable[Node], n: int, g: OrderFunction, depth: int) -> Le
     """
     B = _string_set(B)
     levels, rows = _mark(B, g, depth, (), frozenset())
-    inside = [[v >= n for v in row] for row in rows]
+    threshold = min(n, BIG_CAP)
+    inside = [[v >= threshold for v in row] for row in rows]
     missing = [tau for level, row in zip(levels, inside)
                for tau, big in zip(level, row) if not big and tau in B]
     if missing:
@@ -606,8 +611,6 @@ def _big_unions(widths: list[int], target: int) -> int:
     node's subtree are counted once per level, split by whether the node
     reaches the target, from the horizon up.  A member's beta is BIG_CAP.
     """
-    if target > BIG_CAP:
-        return 0
     small, big = 1, 1  # a node at the horizon is outside U (beta 0) or a member
     for width in reversed(widths):
         total = small + big
@@ -625,8 +628,6 @@ def _bad_splits(widths: list[int], n: int, m: int, target: int) -> int:
     As in _big_unions, one count per level and node state, the state being
     (beta_A >= m, beta_B >= n, beta_U >= target).
     """
-    if target > BIG_CAP:
-        return 0
     states: dict = {(0, 0, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}  # at the horizon
     for width in reversed(widths):
         total = sum(states.values())
@@ -652,15 +653,15 @@ def _sweep(g: OrderFunction, depth: int, checks: list[tuple[int, int, int]],
     # the counts depend on a stem only through its length
     widths = {k: [g.value(d) for d in range(k, depth)]
               for k in {len(stem) for stem in stems if len(stem) <= depth}}
+    capped = [tuple(min(t, BIG_CAP) for t in check) for check in checks]
     work = sum(width * prod(t + 1 if t <= width else 1 for t in check)
-               for check in checks if check[2] <= BIG_CAP
-               for level in widths.values() for width in level)
+               for check in capped for level in widths.values() for width in level)
     if work > SWEEP_WORK_LIMIT:
         raise CombinatorialBlowup(
             f"the sweep would step through {work} child-count states, "
             f"more than {SWEEP_WORK_LIMIT}")
     counts = {k: [(_big_unions(level, target), _bad_splits(level, n, m, target))
-                  for n, m, target in checks]
+                  for n, m, target in capped]
               for k, level in widths.items()}
     instances = 0
     counterexamples: list[dict] = []
@@ -709,13 +710,14 @@ def _brute_force_sweep(g: OrderFunction, depth: int,
             members = [region[i] for i in range(size) if mask >> i & 1]
             beta[mask] = bushiness(members, g, depth, stem)
         for n, m, target in checks:
+            big_n, big_m, big_target = (min(t, BIG_CAP) for t in (n, m, target))
             for mask in range(1 << size):
-                if beta[mask] < target:
+                if beta[mask] < big_target:
                     continue
                 instances += 1
                 sub = mask
                 while True:
-                    if beta[sub] < m and beta[mask ^ sub] < n:
+                    if beta[sub] < big_m and beta[mask ^ sub] < big_n:
                         counterexamples.append({
                             "kind": "union_counterexample",
                             "g": g.to_spec(),

@@ -34,6 +34,8 @@ BUDV note: the inner run is evaluated at exactly the bound in R[u], never at
 "whatever budget remains", so its verdict does not depend on the ambient
 budget.  When the remaining ambient budget cannot cover the inner run the
 outer evaluation reports Running; a larger budget yields the same verdict.
+Nested runs are frames of one stack, so the nesting depth of `univ` and
+`budv` calls is bounded only by the budget.
 
 Program source text for hand-written programs is the one-instruction-per-line
 format implemented in dnrlab.asm and documented in docs/formats.md.
@@ -57,14 +59,14 @@ Fast paths, each mirrored by a naive version in tests/test_machine.py:
   as soon as its question is decided: the first k elements in canonical
   order stop once the inputs pass the k-th smallest key, and growth past
   the checkpoint W_{e,budget//2} stops at its first witness;
-* windows of many inputs (`domain_window`, `EnumerationScan`) run a
-  compiled program: one generated Python function with the registers in
-  locals and one budget check per basic block.  It returns exactly what
-  `_run` returns, because a run that does not halt always reports the whole
-  budget (so any sound loop check gives the same result wherever it fires),
-  a run that cannot pay for a whole block cannot halt inside it, and a
-  nested `univ` or `budv` run at the budget left after its block costs the
-  same steps as `_run`'s pushed frame.
+* windows of many inputs (`domain_window`, `EnumerationScan`) over a flat
+  program, one with no `univ` or `budv`, run it compiled: one generated
+  Python function with the registers in locals and one budget check per
+  basic block.  It returns exactly what `_run` returns, because a run that
+  does not halt always reports the whole budget (so any sound loop check
+  gives the same result wherever it fires) and a run that cannot pay for a
+  whole block cannot halt inside it.  Nested programs are interpreted: their
+  time goes to the callees, which compiling the caller does not speed up.
 """
 
 from __future__ import annotations
@@ -420,21 +422,31 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
     Returns (value, steps-consumed), value None when the run does not halt
     within the budget; such a run always reports the whole budget consumed
     (a diverging run would use any allowance).  Only eval_steps turns this
-    into a Halted/RUNNING outcome, so the window functions build none.  Each
-    taken jump checks for a loop (Brent's cycle finding): landing on the
-    saved configuration, that is the same register list (so the same frame),
-    pc and register values, repeats forever, because the frames below cannot
-    change while this one runs and a `budv` that would answer differently
-    the second time can only withhold.  The saved configuration is renewed
-    at the first jump once `used` reaches a mark that doubles each time.
+    into a Halted/RUNNING outcome, so the window functions build none.
+
+    Nested runs are frames on one stack, never Python recursion.  A `univ`
+    or `budv` call saves its caller, pc left on the calling instruction,
+    with its step limit.  A `univ` callee keeps that limit; a `budv` callee
+    runs under used + min(bound, limit - used), and when the caller can pay
+    the whole bound its frame keeps that sum, the step at which the timeout
+    ends.  A halting callee's value (plus one for `budv`) goes to the first
+    operand of the caller's instruction.  A frame that cannot halt (dead
+    pc, limit reached, repeated configuration) unwinds the stack to the
+    nearest frame with a timeout, whose `budv` reads 0 at that step; with
+    none, the run is Running.  Each taken jump checks for a loop (Brent's
+    cycle finding): landing on the saved configuration, that is the same
+    register list (so the same frame), pc and register values, repeats
+    forever, because the frames below cannot change while this one runs and
+    a `budv` that would answer differently the second time can only
+    withhold.  The saved configuration is renewed at the first jump once
+    `used` reaches a mark that doubles, or once its frame ends: short
+    callees must not keep a looping caller's configuration from being saved.
     """
-    code = prog.instructions
-    live = prog.live
+    code, live, pc = prog.instructions, prog.live, 0
     n = len(code)
-    pc = 0
     regs = [0] * N_REGISTERS
     regs[0] = x
-    dest = 0
+    limit = budget
     callers: list[tuple] = []
     used = 0
     saved_regs: Optional[list[int]] = None
@@ -444,8 +456,18 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
     paired: Optional[int] = None
     paired_left = paired_right = 0
     while True:
-        if pc >= n or not live[pc] or used >= budget:
-            return None, budget
+        if pc >= n or not live[pc] or used >= limit:
+            timeout = None
+            while timeout is None:
+                if not callers:
+                    return None, budget
+                if regs is saved_regs:  # its configuration cannot recur: save anew
+                    next_mark = used
+                code, live, n, pc, regs, limit, timeout = callers.pop()
+            used = timeout
+            regs[code[pc][1]] = 0
+            pc += 1
+            continue
         ins = code[pc]
         op = ins[0]
         used += 1
@@ -455,9 +477,11 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
             value = regs[ins[1]]
             if not callers:
                 return value, used
-            into = dest
-            code, live, n, pc, regs, dest = callers.pop()
-            regs[into] = value
+            if regs is saved_regs:  # as when unwinding
+                next_mark = used
+            code, live, n, pc, regs, limit, timeout = callers.pop()
+            ins = code[pc]
+            regs[ins[1]] = value + 1 if ins[0] == OP_BUDV else value
         elif op == OP_JZ or op == OP_JMP:
             if op == OP_JMP:
                 pc = ins[1]
@@ -467,8 +491,8 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
             else:
                 pc = ins[2]
             if regs is saved_regs and pc == saved_pc and regs == saved_values:
-                return None, budget
-            if used >= next_mark:
+                pc = n  # never halts: unwind as from past the end
+            elif used >= next_mark:
                 saved_regs, saved_pc, saved_values = regs, pc, regs[:]
                 next_mark *= 2
             continue
@@ -479,17 +503,17 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
             regs[ins[1]] = d if d > 0 else 0
         elif op == OP_MOV:
             regs[ins[1]] = regs[ins[2]]
-        elif op == OP_UNIV:
-            callers.append((code, live, n, pc, regs, dest))
+        elif op == OP_UNIV or op == OP_BUDV:
+            timeout = used + regs[ins[4]] if op == OP_BUDV and regs[ins[4]] <= limit - used else None
+            callers.append((code, live, n, pc, regs, limit, timeout))
+            if timeout is not None:
+                limit = timeout
             callee = decode(regs[ins[2]])
-            code = callee.instructions
-            live = callee.live
-            arg = regs[ins[3]]
+            code, live, pc = callee.instructions, callee.live, 0
             n = len(code)
-            pc = 0
+            arg = regs[ins[3]]
             regs = [0] * N_REGISTERS
             regs[0] = arg
-            dest = ins[1]
             continue
         elif op == OP_SMN:
             regs[ins[1]] = smn_fill(regs[ins[2]], regs[ins[3]])
@@ -513,20 +537,6 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
             regs[ins[1]] = regs[ins[2]] % d if d else 0
         elif op == OP_ORACLE:
             regs[ins[1]] = oracle.bit(regs[ins[2]]) if oracle is not None else 0
-        elif op == OP_BUDV:
-            inner_bound = regs[ins[4]]
-            avail = budget - used
-            bounded = min(inner_bound, avail)
-            value, consumed = _run(decode(regs[ins[2]]), regs[ins[3]], bounded, oracle)
-            if value is not None:
-                used += consumed
-                regs[ins[1]] = 1 + value
-            elif bounded == inner_bound:
-                used += consumed  # genuine timeout within the declared bound
-                regs[ins[1]] = 0
-            else:
-                # ambient budget cannot cover the declared bound: withhold.
-                return None, budget
         else:  # pragma: no cover - opcodes are exhaustive
             raise AssertionError(op)
         pc += 1
@@ -566,24 +576,21 @@ _INLINE = {
 
 
 @lru_cache(maxsize=256)
-def _compile(code: tuple[tuple[int, ...], ...]) -> Callable[..., tuple[Optional[int], int]]:
-    """`run(x, budget, oracle=None)` returning exactly what `_run` returns.
+def _compile(prog: ToyProgram) -> Callable[..., tuple[Optional[int], int]]:
+    """`run(x, budget, oracle=None)` of a flat program, exactly what `_run` returns.
 
     Basic blocks start at jump targets and after each jump or halt; the
     registers are locals, and the dispatch on pc is a bisection over the
     live block starts, so no program needs a long `elif` chain.  Each block
     pays its whole length at entry: a run that cannot pay for a block
     cannot halt inside it, and a run that does not halt reports the whole
-    budget.  `univ` and `budv` are nested `_run` calls, which cost the same
-    steps as `_run`'s pushed frame, at the budget left after the whole
-    block: the rest of the block is paid after the nested run anyway, so a
-    nested run that needs more could not be followed to a halt.  A taken
-    jump checks the registers the program writes against a configuration
-    saved as in `_run` (Brent's cycle finding); the loop check is sound, so
-    wherever it fires the result is the same.
+    budget.  A taken jump checks the registers the program writes against
+    a configuration saved as in `_run` (Brent's cycle finding); the loop
+    check is sound, so wherever it fires the result is the same.
     """
+    code = prog.instructions
     n = len(code)
-    live = _halt_reachable(code)
+    live = prog.live
     leaders = {0}
     registers = set()
     written = set()
@@ -627,16 +634,6 @@ def _compile(code: tuple[tuple[int, ...], ...]) -> Callable[..., tuple[Optional[
             elif op == OP_JZ:
                 lines.append(f"if not {regs[0]}:")
                 lines += ["    " + line for line in goto(ins[2], True)]
-            elif op == OP_UNIV:
-                lines += [f"value, steps = _run(decode({regs[1]}), {regs[2]}, budget - used, oracle)",
-                          "if value is None:", "    return None, budget",
-                          "used += steps", f"{regs[0]} = value"]
-            elif op == OP_BUDV:
-                lines += [f"bounded = min({regs[3]}, budget - used)",
-                          f"value, steps = _run(decode({regs[1]}), {regs[2]}, bounded, oracle)",
-                          "if value is not None:", f"    used += steps; {regs[0]} = 1 + value",
-                          f"elif bounded == {regs[3]}:", f"    used += steps; {regs[0]} = 0",
-                          "else:", "    return None, budget"]
             else:
                 lines.append(_INLINE[op].format(a=regs[0], b=regs[1], c=regs[-1]))
         if code[end - 1][0] != OP_HALT and code[end - 1][0] != OP_JMP:
@@ -669,15 +666,16 @@ def _compile(code: tuple[tuple[int, ...], ...]) -> Callable[..., tuple[Optional[
     else:
         source.append("        return None, budget")
     source.append("    return run")
-    namespace = {"_run": _run, "decode": decode, "smn_fill": smn_fill, "pair": pair, "unpair": unpair}
+    namespace = {"smn_fill": smn_fill, "pair": pair, "unpair": unpair}
     exec("\n".join(source), namespace)
     return namespace["build"](tuple(constants))
 
 
 def _window_runner(prog: ToyProgram, runs: int) -> Callable[..., tuple[Optional[int], int]]:
-    """What a window of `runs` inputs calls as run(x, budget, None)."""
-    if runs >= _COMPILE_MIN_RUNS and len(prog) <= _COMPILE_MAX_LENGTH:
-        return _compile(prog.instructions)
+    """What a window of `runs` inputs calls as run(x, budget, None); only flat programs compile."""
+    if (runs >= _COMPILE_MIN_RUNS and len(prog) <= _COMPILE_MAX_LENGTH
+            and not any(ins[0] == OP_UNIV or ins[0] == OP_BUDV for ins in prog.instructions)):
+        return _compile(prog)
     return partial(_run, prog)
 
 

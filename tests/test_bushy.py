@@ -497,11 +497,32 @@ def test_sweep_targets_past_every_width():
     # only unions holding the stem reach the target: 2^12 of the 13-node region
     out = union_smallness_sweep(G3, 2, [(100000, 100000)])
     assert out == {"instances": 4096, "counterexamples": []}
-    # a member's BIG_CAP reaches a target of BIG_CAP, not one above it
+    # a member is big for every n: its BIG_CAP reaches targets past BIG_CAP too
     pairs = [(BIG_CAP, 1), (BIG_CAP, 2)]
     out = union_smallness_sweep(G3, 1, pairs)
     assert out == brute_force_union_sweep(G3, 1, pairs) == {
-        "instances": 8, "counterexamples": []}
+        "instances": 16, "counterexamples": []}
+    assert union_smallness_sweep(G3, 2, [(2**40, 2**40)]) == {
+        "instances": 4096, "counterexamples": []}
+
+
+@pytest.mark.parametrize("n", [BIG_CAP, BIG_CAP + 1, 2**40])
+@pytest.mark.parametrize("B", [{()}, {(1,)}, {(0,), (1,), (2,)}, {(), (0, 1)}, set()])
+def test_bigness_past_the_member_cap_matches_brute_force(n, B):
+    # "B is n-big above sigma when sigma is in B", for every n
+    region = list(region_nodes(G3, 2))
+    for stem in ((), (1,), (0, 1)):
+        want = brute_force_is_n_big(B, n, G3, stem, 2)
+        assert want == (stem in B)
+        assert is_n_big(B, n, G3, stem, 2) == want, (stem, n)
+        if want:
+            assert witness_tree(B, n, G3, stem, 2).nodes == {stem}
+        else:
+            with pytest.raises(ValueError, match="is not"):
+                witness_tree(B, n, G3, stem, 2)
+    assert closure(B, n, G3, 2) == {tau for tau in region
+                                    if brute_force_is_n_big(B, n, G3, tau, 2)} == B
+    assert isinstance(closure_check(B, n, G3, 2), LemmaHolds)
 
 
 def test_sweep_input_checks():

@@ -27,6 +27,7 @@ from dnrlab.dyadic import DyadicRational
 from dnrlab.errors import MalformedCertificate, ReplayMismatch
 from dnrlab.forcing import FiniteFunctional, ForcingCondition, SearchLimits, \
     density_search
+from dnrlab.machine import self_reference
 from dnrlab.oracle import PeriodicOracle, oracle_from_spec
 from dnrlab.reductions import blocking_prefix, diagonal_set_index, \
     dnr_reduction_audit, first_slice_index
@@ -267,6 +268,22 @@ class TestCliCommands:
         cert = json.loads(out.read_text().splitlines()[1])
         assert cert["big"] is True
         assert cert["n"] == 2
+
+    def test_members_are_big_past_the_member_cap(self, tmp_path, capsys):
+        # a member is n-big for every n, 2^31 > BIG_CAP included
+        certs = {}
+        for command, spec in (("bushy-check", {"set": [[]], "n": 2**31, "depth": 1}),
+                              ("closure", {"set": [[0]], "n": 2**31, "depth": 1})):
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(spec))
+            code, out = run_cli(["--command", command, "--in", str(path)], tmp_path, f"{command}.jsonl")
+            assert code == EXIT_OK
+            assert main(["--command", "replay", "--in", str(out)]) == EXIT_OK
+            certs[command] = json.loads(out.read_text().splitlines()[1])
+        assert certs["bushy-check"]["big"] is True
+        assert certs["closure"]["closure"] == [[0]]
+        assert _replay_one(dict(certs["bushy-check"], big=False), tmp_path) == EXIT_COUNTEREXAMPLE
+        assert _replay_one(dict(certs["closure"], closure=[]), tmp_path) == EXIT_COUNTEREXAMPLE
 
     def test_malformed_input_file(self, tmp_path):
         path = tmp_path / "in.json"
@@ -881,6 +898,28 @@ class TestHostileReplay:
     def test_deep_fusion_ambient_is_refused(self, instances):
         assert main(["--command", "fusion-check", f"--budget.instances={instances}",
                      "--budget.depth=20"]) == EXIT_BUDGET
+
+    @pytest.mark.parametrize("call", ["budv r4, r1, r2, r3", "univ r4, r1, r2"])
+    def test_self_nesting_program_ends_at_its_budget(self, call, tmp_path, capsys):
+        # phi_e(x) = phi_e(x) through a nested call, a new level every few steps
+        e = self_reference(assemble_index(
+            f"left r1, r0\nright r2, r0\nload r3, 1000000\n{call}\nhalt r4"))
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"f": e}))
+        start = time.perf_counter()
+        assert main(["--command", "blocking-prefix", "--in", str(path),
+                     "--out", str(tmp_path / "trace.jsonl")]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 2
+        out, err = capsys.readouterr()
+        (line,) = err.strip().splitlines()
+        assert "did not converge" in json.loads(line)["error"]
+        start = time.perf_counter()
+        cert = {"kind": "diagonal_diverges", "e": e, "budget": 100000}
+        assert _replay_one(cert, tmp_path) == EXIT_OK
+        assert time.perf_counter() - start < 2
+        replay_out, replay_err = capsys.readouterr()
+        assert "1 certificates verified, 0 mismatches" in replay_out and replay_err == ""
+        assert "Traceback" not in out + err + replay_out + replay_err
 
     @pytest.mark.parametrize("kind", [
         "stage_summary", "cylinder_measure", "snr_slice", "dnr_value", "ebi_violation"])

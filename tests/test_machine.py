@@ -17,12 +17,21 @@ dead programs check that answer against `naive_eval` at budgets up to 60,
 0 included.
 `naive_live` mirrors the liveness table by a plain search per pc.
 
-Windows of many inputs run a compiled program: `_compile` turns a decoded
-program into one generated Python function, and `compiled_eval` below runs
-it.  The mirror tests compare it with `eval_steps` (that is, `_run`) and
-`naive_eval`; the window tests straddle the compile threshold, and two
-hostile programs (a load constant too long to print, thousands of blocks)
-check that the compiler copes.
+Nested runs are frames on `_run`'s one stack: self-nesting `univ` and
+`budv` programs run to the budget, a 200-deep `budv` chain agrees with
+`naive_eval` under a recursion limit it would overflow if each level took
+a Python frame, and a looping caller whose callees make most of the jumps
+is still caught by the loop check at once.
+
+Windows of many inputs over a flat program (no `univ` or `budv`) run it
+compiled: `_compile` turns it into one generated Python function, and
+`compiled_eval` below runs it.  The mirror tests compare it with
+`eval_steps` (that is, `_run`) and `naive_eval` on flat programs; nested
+programs are compared through `eval_steps` and through `domain_window`
+over a window long enough to compile, which must interpret them.  The
+window tests straddle the compile threshold, and two hostile programs (a
+load constant too long to print, thousands of blocks) check that the
+compiler copes.
 
 The program codec has fast paths too: `decode` scans its bit string with
 `str.find`, resumes from the last parse where the code words share leading
@@ -70,6 +79,7 @@ from dnrlab.machine import (
     OP_UNIV,
     RUNNING,
     SMN_STEP_OVERHEAD,
+    UNIV2_INDEX,
     EnumerationScan,
     Halted,
     ToyProgram,
@@ -244,10 +254,30 @@ def naive_eval(e, x, budget, oracle=None):
     return (Halted(v) if h else RUNNING), (c if h else budget)
 
 
+def is_flat(p):
+    """Whether p makes no nested run (no univ or budv): only such programs compile."""
+    return all(ins[0] not in (OP_UNIV, OP_BUDV) for ins in p.instructions)
+
+
 def compiled_eval(e, x, budget, oracle=None):
-    """eval_steps through the compiled function of decode(e)."""
-    value, steps = _compile(decode(e).instructions)(x, budget, oracle)
+    """eval_steps through the compiled function of decode(e), a flat program."""
+    value, steps = _compile(decode(e))(x, budget, oracle)
     return (RUNNING if value is None else Halted(value)), steps
+
+
+def assert_eval_matches_naive(e, x, budget, oracle=None):
+    """eval_steps, and the compiled function of a flat program, against naive_eval."""
+    want = naive_eval(e, x, budget, oracle)
+    assert eval_steps(e, x, budget, oracle) == want, (e, x, budget, oracle)
+    if is_flat(decode(e)):
+        assert compiled_eval(e, x, budget, oracle) == want, (e, x, budget, oracle)
+
+
+def assert_window_matches_naive(e, budget, horizon=_COMPILE_MIN_RUNS):
+    """domain_window over a window long enough to compile (nested programs
+    are interpreted there) against naive_eval."""
+    naive = frozenset(x for x in range(horizon) if naive_eval(e, x, budget)[0] is not RUNNING)
+    assert domain_window(e, horizon, budget) == naive, (e, budget)
 
 
 def naive_live(instructions):
@@ -641,12 +671,11 @@ def test_matches_naive_interpreter_on_crafted_programs():
     ])
     for p in (add_loop, nested_univ, budv_probe, pairing, smn_call, oracle_count):
         e = encode(p)
-        for x in range(6):
-            for budget in (0, 1, 3, 10, 50, 300):
+        for budget in (0, 1, 3, 10, 50, 300):
+            for x in range(6):
                 for oracle in (None, EVENS):
-                    want = naive_eval(e, x, budget, oracle)
-                    assert eval_steps(e, x, budget, oracle) == want, (p, x, budget)
-                    assert compiled_eval(e, x, budget, oracle) == want, (p, x, budget)
+                    assert_eval_matches_naive(e, x, budget, oracle)
+            assert_window_matches_naive(e, budget)
 
 
 @given(program_st, st.integers(0, 6))
@@ -654,8 +683,10 @@ def test_matches_naive_interpreter_on_crafted_programs():
 def test_matches_naive_interpreter_random(p, x):
     e = encode(p)
     for budget in (0, 5, 48):
-        assert eval_steps(e, x, budget) == naive_eval(e, x, budget) == compiled_eval(e, x, budget)
-    assert compiled_eval(e, x, 48, EVENS) == naive_eval(e, x, 48, EVENS)
+        assert_eval_matches_naive(e, x, budget)
+        if not is_flat(p):
+            assert_window_matches_naive(e, budget)
+    assert_eval_matches_naive(e, x, 48, EVENS)
 
 
 # Programs dead at pc 0: no halt anywhere, or a first jump to itself.
@@ -737,12 +768,27 @@ LOOP3 = program([(OP_LOAD, 0, 0), (OP_JZ, 0, 0), (OP_HALT, 0)])
              (OP_BUDV, 1, 2, 3, 4), (OP_JMP, 2)]),
     # pure jumps, two to a round, with a halt the liveness pass cannot rule out
     program([(OP_JZ, 1, 2), (OP_HALT, 0), (OP_JMP, 0)]),
+    # the two budv loopers again, live: a taken jz on the zero r5 and a halt
+    # behind it.  Most jumps are the callee's, so the loop check may first
+    # save a configuration of a callee that then ends
+    program([(OP_LOAD, 2, encode(LOOP3)), (OP_LOAD, 4, 50),
+             (OP_BUDV, 1, 2, 3, 4), (OP_JZ, 5, 2), (OP_HALT, 1)]),
+    program([(OP_LOAD, 2, encode(LOOP3)), (OP_LOAD, 4, 10**12),
+             (OP_BUDV, 1, 2, 3, 4), (OP_JZ, 5, 2), (OP_HALT, 1)]),
+    # a univ callee that counts 20 down through its own jumps, then halts
+    program([(OP_LOAD, 2, encode(program([(OP_LOAD, 1, 1), (OP_JZ, 0, 4), (OP_SUB, 0, 0, 1),
+                                           (OP_JMP, 1), (OP_HALT, 0)]))),
+             (OP_LOAD, 3, 20), (OP_UNIV, 1, 2, 3), (OP_JZ, 5, 2), (OP_HALT, 1)]),
 ])
 def test_configuration_loops_end_at_once(looper):
-    for run in (eval_steps, compiled_eval):
+    e = encode(looper)
+    for run in (eval_steps, compiled_eval) if is_flat(looper) else (eval_steps,):
         start = time.perf_counter()
-        assert run(encode(looper), 3, 10**9) == (RUNNING, 10**9)
+        assert run(e, 3, 10**9) == (RUNNING, 10**9)
         assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    assert domain_window(e, _COMPILE_MIN_RUNS, 10**9) == frozenset()
+    assert time.perf_counter() - start < 0.5
 
 
 COUNTDOWN = program([
@@ -798,10 +844,10 @@ PAIR_OVERWRITTEN = program([
 ])
 def test_near_loops_match_naive_interpreter(p, at_40):
     e = encode(p)
-    for x in (0, 1, 2, 7, 40, 10**30):
-        for budget in (0, 1, 5, 17, 64, 300, 2000):
-            want = naive_eval(e, x, budget)
-            assert eval_steps(e, x, budget) == want == compiled_eval(e, x, budget), (x, budget)
+    for budget in (0, 1, 5, 17, 64, 300, 2000):
+        for x in (0, 1, 2, 7, 40, 10**30):
+            assert_eval_matches_naive(e, x, budget)
+        assert_window_matches_naive(e, budget)
     assert eval_program(e, 40, 10**6) == Halted(at_40)
 
 
@@ -816,13 +862,16 @@ def test_univ_shares_budget():
     assert out == Halted(9)
     assert used == 4  # load + univ + (inner halt) + halt
     assert eval_program(e, 9, 3) is RUNNING
-    assert [compiled_eval(e, 9, b) for b in range(6)] == [eval_steps(e, 9, b) for b in range(6)]
+    for b in range(6):
+        assert_eval_matches_naive(e, 9, b)
+        assert_window_matches_naive(e, b)
 
 
 def test_univ_of_diverger_diverges():
     outer = program([(OP_LOAD, 1, 0), (OP_UNIV, 2, 1, 0), (OP_HALT, 2)])
     assert eval_program(encode(outer), 0, 10**4) is RUNNING
-    assert compiled_eval(encode(outer), 0, 10**4) == (RUNNING, 10**4)
+    assert_eval_matches_naive(encode(outer), 0, 10**4)
+    assert_window_matches_naive(encode(outer), 10**4)
 
 
 def test_budv_verdict_totality():
@@ -854,14 +903,63 @@ def test_budv_budget_independent():
     ])
     e = encode(div_probe)
     verdicts = [eval_program(e, 0, b) for b in range(0, 40)]
-    # the compiled run pays the halt before the inner run: it must still withhold
-    assert [compiled_eval(e, 0, b) for b in range(40)] == [eval_steps(e, 0, b) for b in range(40)]
+    for b in range(40):
+        assert_eval_matches_naive(e, 0, b)
+        assert_window_matches_naive(e, b)
     halted = [v for v in verdicts if isinstance(v, Halted)]
     assert all(v == Halted(0) for v in halted)
     # Running up to the resolution point, Halted(0) from there on
     first = next(i for i, v in enumerate(verdicts) if isinstance(v, Halted))
     assert all(v is RUNNING for v in verdicts[:first])
     assert all(isinstance(v, Halted) for v in verdicts[first:])
+
+
+# phi_e(x) = phi_e(x) through univ or budv: every run nests without end
+SELF_NESTING = {
+    op: self_reference(encode(assemble(
+        f"left r1, r0\nright r2, r0\nload r3, 1000000\n{call}\nhalt r4")))
+    for op, call in (("univ", "univ r4, r1, r2"), ("budv", "budv r4, r1, r2, r3"))
+}
+
+
+@pytest.mark.parametrize("op", sorted(SELF_NESTING))
+def test_self_nesting_runs_until_the_budget(op):
+    assert eval_steps(SELF_NESTING[op], 0, 10**5) == (RUNNING, 10**5)
+
+
+def _countdown_chain(bound):
+    """phi_e(x) = 1 + phi_e(x - 1) through budv at the given bound (a
+    source operand over r2, the input less one), and phi_e(0) = 0."""
+    return self_reference(encode(assemble(f"""
+        left r1, r0
+        right r2, r0
+        jz r2, 8
+        load r5, 1
+        sub r2, r2, r5
+        {bound}
+        budv r4, r1, r2, r3
+        halt r4
+        halt r2""")))
+
+
+@pytest.mark.parametrize("bound", [
+    "load r3, 1000000",  # covers every callee: x itself
+    "load r3, 1000",  # only the outermost call can pay its bound: 0 after it
+    "mul r3, r2, r2",  # the deepest timeouts end inside their callers' timeouts
+])
+def test_deep_budv_chain_needs_no_python_recursion(bound):
+    e = _countdown_chain(bound)
+    budgets = [0, 1, 50, 1026, 1027, 2000, 5217, 5218, 5422, 5423, 10**6, 10**7]
+    want = [naive_eval(e, 200, b) for b in budgets]  # 200 levels deep at most
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)  # a recursive interpreter needs a frame per level
+    try:
+        got = [eval_steps(e, 200, b) for b in budgets]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+    assert want[-1] == {"load r3, 1000000": (Halted(200), 5423), "load r3, 1000": (Halted(0), 1027),
+                        "mul r3, r2, r2": (Halted(186), 5218)}[bound]
 
 
 # ---------------------------------------------------------------------------
@@ -1129,8 +1227,8 @@ def test_interval_slice_windows_match_naive_interpreter(f, base):
         naive = frozenset(x for x in range(horizon) if naive_eval(a, x, budget)[0] != RUNNING)
         assert domain_window(a, horizon, budget) == naive, budget
         for x in range(horizon):
-            want = naive_eval(a, x, budget)
-            assert eval_steps(a, x, budget) == want == compiled_eval(a, x, budget), (x, budget)
+            assert_eval_matches_naive(a, x, budget)
+        assert_window_matches_naive(a, budget)
     assert domain_window(a, horizon, 10_000) == frozenset(range(base, base + 1 + eval_program(f, a, 100).value))
 
 
@@ -1141,13 +1239,15 @@ def test_compiled_matches_interpreters_on_every_small_index():
     # small budgets: mul loops square their operands
     for e in range(2**12):
         p = decode(e)
-        run = _compile(p.instructions)
-        for x in range(12):
-            for budget in (0, 1, 2, 3, 5, 8, 13, 21):
+        run = _compile(p) if is_flat(p) else None
+        for budget in (0, 1, 2, 3, 5, 8, 13, 21):
+            for x in range(12):
                 want = _run(p, x, budget, None)
-                assert run(x, budget) == want, (e, x, budget)
+                assert run is None or run(x, budget) == want, (e, x, budget)
                 halted, value, steps = _naive_run(p.instructions, x, budget, None)
                 assert want == ((value if halted else None), steps), (e, x, budget)
+            if run is None:
+                assert_window_matches_naive(e, budget)
 
 
 @pytest.mark.parametrize("e", [
@@ -1158,10 +1258,10 @@ def test_compiled_matches_interpreters_on_every_small_index():
                                    (OP_HALT, 3)]))),
 ])
 def test_compiled_matches_interpreters_on_stock_indices(e):
-    for x in (0, 1, 2, 5, 8, 9, 10**20):
-        for budget in (0, 1, 3, 4, 5, 12, 13, 40, 10_000):
-            want = naive_eval(e, x, budget)
-            assert eval_steps(e, x, budget) == want == compiled_eval(e, x, budget), (x, budget)
+    for budget in (0, 1, 3, 4, 5, 12, 13, 40, 10_000):
+        for x in (0, 1, 2, 5, 8, 9, 10**20):
+            assert_eval_matches_naive(e, x, budget)
+        assert_window_matches_naive(e, budget)
 
 
 @pytest.mark.parametrize("runs", [_COMPILE_MIN_RUNS - 1, _COMPILE_MIN_RUNS])
@@ -1174,6 +1274,19 @@ def test_windows_match_naive_loop_across_the_compile_threshold(runs):
             naive = frozenset(x for x in range(runs) if naive_eval(e, x, budget)[0] is not RUNNING)
             assert domain_window(e, runs, budget) == naive, (e, budget)
         _check_scan(e, runs - 1, *_naive_growth(e, runs - 1), (0, 1, 3, runs + 1))
+
+
+NESTED_STOCK = [COUNTDOWN_CALLS, SAME_LANDING, decode(UNIV2_INDEX),
+                decode(interval_slice_index(const_index(2), 7)),
+                decode(self_reference(encode(LEFT_PROG))), *map(decode, SELF_NESTING.values())]
+
+
+@given(st.one_of(st.sampled_from(NESTED_STOCK), program_st.filter(lambda p: not is_flat(p))))
+@settings(max_examples=100, deadline=None)
+def test_nested_programs_are_always_interpreted(p):
+    for runs in (_COMPILE_MIN_RUNS, 10**6):
+        run = _window_runner(p, runs)
+        assert isinstance(run, partial) and run.func is _run and run.args == (p,)
 
 
 def test_compiled_window_over_a_load_constant_too_long_to_print():
@@ -1193,6 +1306,6 @@ def test_compiled_dispatch_over_thousands_of_blocks():
     e = encode(p)
     assert domain_window(e, _COMPILE_MIN_RUNS, 3001) == frozenset(range(_COMPILE_MIN_RUNS))
     assert domain_window(e, _COMPILE_MIN_RUNS, 3000) == frozenset()
-    run = _compile(p.instructions)
+    run = _compile(p)
     for budget in (0, 1500, 3000, 3001, 10**6):
         assert run(5, budget) == _run(p, 5, budget, None)
