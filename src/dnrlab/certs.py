@@ -4,12 +4,14 @@ Every audit and construction in the package emits plain-dict certificates
 carrying enough data to re-verify their claims from scratch.  This module
 is the single registry mapping certificate kinds to replayers.  A replayer
 takes the fields it reads, each decoded by the rule for its name (bound per
-kind at registration), then recomputes the cheap claims exactly and re-runs
-the budgeted ones at the recorded budgets, raising ReplayMismatch on the
-first disagreement.
+kind at registration) and passed positionally, with no dict of fields in
+between; it then recomputes the cheap claims exactly and re-runs the
+budgeted ones at the recorded budgets, raising ReplayMismatch on the first
+disagreement.
 Structural problems (missing fields, unknown kinds, fields that break
 their rule) are MalformedCertificate instead: a broken file is not a
-refuted claim.
+refuted claim.  Only then does a field-by-field pass run, to name the
+first missing or broken field.
 """
 
 from __future__ import annotations
@@ -189,30 +191,41 @@ def _check(ok: bool, detail: str) -> None:
 def _replayer(kind: str):
     """Register `fn` for `kind`: its parameters name the fields it reads,
     and one with a default is an optional field.  Their decoders are bound
-    here; decode_field runs only to name a field that breaks its rule."""
+    here.  The reader decodes the required fields in order and passes them
+    positionally; it reads optional fields only for kinds that have them.
+    The field-by-field path through decode_field runs only when decoding
+    fails, to name the first missing or broken field."""
     def register(fn: Callable[..., None]):
         params = inspect.signature(fn).parameters.values()
         names = [p.name for p in params]
         unruled = [name for name in names if name not in _FIELDS]
         if unruled:
             raise TypeError(f"{fn.__name__} reads fields with no rule: {unruled}")
-        required = [p.name for p in params if p.default is p.empty]
-        needed = frozenset(required)
-        rules = [(name, _FIELDS[name][0]) for name in names]
+        # defaults follow the required parameters, so every field is positional
+        required = [(p.name, _FIELDS[p.name][0]) for p in params if p.default is p.empty]
+        optional = [(p.name, _FIELDS[p.name][0], p.default)
+                    for p in params if p.default is not p.empty]
+
+        def name_the_broken_field(cert: Mapping) -> None:
+            missing = [name for name, _ in required if name not in cert]
+            if missing:
+                raise MalformedCertificate(f"{kind} certificate lacks fields {missing}")
+            for name in names:
+                if name in cert:
+                    decode_field(kind, name, cert[name])
 
         def replay(cert: Mapping) -> None:
-            if not cert.keys() >= needed:
-                missing = [name for name in required if name not in cert]
-                raise MalformedCertificate(f"{kind} certificate lacks fields {missing}")
+            args = []
             try:
-                fields = {name: decode(cert[name]) for name, decode in rules if name in cert}
-            except (KeyError, TypeError, ValueError):  # the first broken field wins
-                for name in names:
-                    if name in cert:
-                        decode_field(kind, name, cert[name])
+                for name, decode in required:
+                    args.append(decode(cert[name]))
+                for name, decode, default in optional:
+                    args.append(decode(cert[name]) if name in cert else default)
+            except (KeyError, TypeError, ValueError):
+                name_the_broken_field(cert)
                 raise
             try:
-                fn(**fields)
+                fn(*args)
             except _Refuted as exc:
                 raise ReplayMismatch(kind, str(exc)) from None
 
@@ -223,7 +236,7 @@ def _replayer(kind: str):
 
 def replay_certificate(cert: Mapping) -> str:
     """Re-verify one certificate; returns its kind, raises on any failure."""
-    if not isinstance(cert, Mapping):
+    if type(cert) is not dict and not isinstance(cert, Mapping):
         raise MalformedCertificate(f"certificate is not an object: {cert!r}")
     kind = cert.get("kind")
     if not isinstance(kind, str):

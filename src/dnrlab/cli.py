@@ -407,12 +407,12 @@ def _cmd_replay(g, path, budgets, seed) -> CommandResult:
         raise InputError(f"trace header lacks schema {TRACE_SCHEMA!r}")
     checked: dict[str, int] = {}
     mismatches: list[str] = []
-    raw_decode = json.JSONDecoder().raw_decode
+    scan_once = json.JSONDecoder().scan_once
     for lineno, line in enumerate(lines[1:], start=2):
         # one pass for a bare value; json.loads accepts or names the rest
         try:
-            cert, end = raw_decode(line)
-        except (json.JSONDecodeError, RecursionError):
+            cert, end = scan_once(line, 0)
+        except (StopIteration, json.JSONDecodeError, RecursionError):
             end = -1
         if end != len(line):
             try:

@@ -44,6 +44,12 @@ Fast paths, each mirrored by a naive version in tests/test_machine.py:
 
 * `_run` keeps each program's liveness table, ends a run on a dead pc or a
   repeated configuration, and reuses the halves of the last pair;
+* runs without an oracle cache each nested call that halts, keyed by
+  (callee index, argument), as its value and steps.  A cached `univ` or
+  `budv` call opens no frame: it halts exactly when its allowance covers
+  the steps (halting is absorbing in the budget), and otherwise ends as
+  the callee would.  Runs that do not halt are never cached; at 4096
+  entries the cache is cleared;
 * a program that is dead at pc 0 (no halt reachable from its first
   instruction, the empty program included) is not run: `eval_steps`
   answers Running at the whole budget, and `domain_window` and
@@ -416,6 +422,13 @@ def decode(e: ProgramIndex) -> ToyProgram:
 # ---------------------------------------------------------------------------
 # The interpreter.
 
+# Nested calls of oracle-free runs that halted: (callee index, argument) ->
+# (value, steps).  Halting is absorbing in the budget, so an entry answers
+# the same call under any allowance.  Cleared whole when full.
+_HALTING_CAP = 4096
+_halting: dict[tuple[int, int], tuple[int, int]] = {}
+
+
 def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tuple[Optional[int], int]:
     """Run phi_prog(x) for at most `budget` steps.
 
@@ -426,21 +439,27 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
 
     Nested runs are frames on one stack, never Python recursion.  A `univ`
     or `budv` call saves its caller, pc left on the calling instruction,
-    with its step limit.  A `univ` callee keeps that limit; a `budv` callee
-    runs under used + min(bound, limit - used), and when the caller can pay
-    the whole bound its frame keeps that sum, the step at which the timeout
-    ends.  A halting callee's value (plus one for `budv`) goes to the first
-    operand of the caller's instruction.  A frame that cannot halt (dead
-    pc, limit reached, repeated configuration) unwinds the stack to the
-    nearest frame with a timeout, whose `budv` reads 0 at that step; with
-    none, the run is Running.  Each taken jump checks for a loop (Brent's
-    cycle finding): landing on the saved configuration, that is the same
-    register list (so the same frame), pc and register values, repeats
-    forever, because the frames below cannot change while this one runs and
-    a `budv` that would answer differently the second time can only
-    withhold.  The saved configuration is renewed at the first jump once
-    `used` reaches a mark that doubles, or once its frame ends: short
-    callees must not keep a looping caller's configuration from being saved.
+    with its step limit and the step at which the callee starts.  A `univ`
+    callee keeps that limit; a `budv` callee runs under
+    used + min(bound, limit - used), and when the caller can pay the whole
+    bound its frame keeps that sum, the step at which the timeout ends.  A
+    halting callee's value (plus one for `budv`) goes to the first operand
+    of the caller's instruction.  Without an oracle it is also cached, with
+    its steps (`used` less its start), under (callee index, argument); a
+    cached call opens no frame.  It halts when its allowance (the bound
+    under a timeout, else limit - used) covers the steps, and otherwise
+    ends as the callee would: 0 at the timeout, or `used = limit`.  A frame
+    that cannot halt (dead pc, limit reached, repeated configuration)
+    unwinds the stack to the nearest frame with a timeout, whose `budv`
+    reads 0 at that step; with none, the run is Running.  Each taken jump
+    checks for a loop (Brent's cycle finding): landing on the saved
+    configuration, that is the same register list (so the same frame), pc
+    and register values, repeats forever, because the frames below cannot
+    change while this one runs and a `budv` that would answer differently
+    the second time can only withhold.  The saved configuration is renewed
+    at the first jump once `used` reaches a mark that doubles, or once its
+    frame ends: short callees must not keep a looping caller's
+    configuration from being saved.
     """
     code, live, pc = prog.instructions, prog.live, 0
     n = len(code)
@@ -463,7 +482,7 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
                     return None, budget
                 if regs is saved_regs:  # its configuration cannot recur: save anew
                     next_mark = used
-                code, live, n, pc, regs, limit, timeout = callers.pop()
+                code, live, n, pc, regs, limit, timeout, start = callers.pop()
             used = timeout
             regs[code[pc][1]] = 0
             pc += 1
@@ -479,8 +498,12 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
                 return value, used
             if regs is saved_regs:  # as when unwinding
                 next_mark = used
-            code, live, n, pc, regs, limit, timeout = callers.pop()
+            code, live, n, pc, regs, limit, timeout, start = callers.pop()
             ins = code[pc]
+            if oracle is None:
+                if len(_halting) >= _HALTING_CAP:
+                    _halting.clear()
+                _halting[regs[ins[2]], regs[ins[3]]] = value, used - start
             regs[ins[1]] = value + 1 if ins[0] == OP_BUDV else value
         elif op == OP_JZ or op == OP_JMP:
             if op == OP_JMP:
@@ -505,13 +528,26 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
             regs[ins[1]] = regs[ins[2]]
         elif op == OP_UNIV or op == OP_BUDV:
             timeout = used + regs[ins[4]] if op == OP_BUDV and regs[ins[4]] <= limit - used else None
-            callers.append((code, live, n, pc, regs, limit, timeout))
+            index, arg = regs[ins[2]], regs[ins[3]]
+            if oracle is None and (cached := _halting.get((index, arg))) is not None:
+                value, steps = cached
+                if used + steps <= (limit if timeout is None else timeout):
+                    used += steps
+                    regs[ins[1]] = value + 1 if op == OP_BUDV else value
+                elif timeout is None:
+                    used = limit  # the callee runs out: unwind from the top
+                    continue
+                else:
+                    used = timeout
+                    regs[ins[1]] = 0
+                pc += 1
+                continue
+            callers.append((code, live, n, pc, regs, limit, timeout, used))
             if timeout is not None:
                 limit = timeout
-            callee = decode(regs[ins[2]])
+            callee = decode(index)
             code, live, pc = callee.instructions, callee.live, 0
             n = len(code)
-            arg = regs[ins[3]]
             regs = [0] * N_REGISTERS
             regs[0] = arg
             continue

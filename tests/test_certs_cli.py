@@ -10,6 +10,7 @@ import re
 import time
 from datetime import timedelta
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -1193,6 +1194,70 @@ class TestReplayPerLineCost:
             f"  MISMATCH line 8: ebi_violation: f({h_ebi}) is no longer 1",
             "  MISMATCH line 9: ebi_violation: members are not the decoded diagonal value",
         ]
+
+
+def _outcome(cert):
+    """The kind a replay verifies, or the class and message of its refusal."""
+    try:
+        return replay_certificate(cert)
+    except (ReplayMismatch, MalformedCertificate) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestReplayReader:
+    """Each kind's reader takes its required fields positionally and its
+    optional ones only if present; any Mapping works, and keys no replayer
+    reads are ignored."""
+
+    def _variants(self):
+        for seed in _every_kind_seeds():
+            yield seed
+            for name in seed.keys() - {"kind"}:
+                yield dict(seed, **{name: _BROKEN})
+                yield {k: v for k, v in seed.items() if k != name}
+        yield {"kind": "diagonal_diverges", "e": IDENTITY_INDEX, "budget": 100}
+
+    def test_a_mapping_proxy_or_an_extra_key_gives_the_dict_verdict(self):
+        kinds = set()
+        for cert in self._variants():
+            want = _outcome(cert)
+            kinds.add(want if isinstance(want, str) else want[0])
+            assert _outcome(MappingProxyType(cert)) == want, cert
+            assert _outcome(dict(cert, unread_extra=[1.5])) == want, cert
+        # every kind verifies once, but the forged union counterexample
+        assert kinds == {"ReplayMismatch", "MalformedCertificate", *REPLAYERS} \
+            - {"union_counterexample"}
+
+    def test_optional_tail_exponent_present_and_absent(self):
+        seed = next(c for c in _every_kind_seeds() if c["kind"] == "cylinder_measure")
+        assert seed["tail_exponent"] == 2 and seed["measure"] == {"num": "39", "exp": "11"}
+        absent = {k: v for k, v in seed.items() if k != "tail_exponent"}
+        assert _outcome(seed) == _outcome(absent) == "cylinder_measure"
+        assert _outcome(dict(seed, tail_exponent=6)) == (
+            "ReplayMismatch", "cylinder_measure: measure exceeds the recorded tail bound")
+        assert _outcome(dict(seed, tail_exponent=None))[0] == "MalformedCertificate"
+
+    def test_optional_witness_present_and_absent(self):
+        big = next(c for c in _every_kind_seeds() if c["kind"] == "bushiness_verdict")
+        assert big["big"] is True
+        no_witness = {k: v for k, v in big.items() if k != "witness"}
+        assert _outcome(big) == "bushiness_verdict"
+        assert _outcome(no_witness) == (
+            "MalformedCertificate", "bushiness_verdict certificate lacks fields ['witness']")
+        small = dict(no_witness, n=50, big=False)
+        assert _outcome(small) == _outcome(dict(small, witness=big["witness"])) \
+            == "bushiness_verdict"
+        with pytest.raises(MalformedCertificate) as want:
+            decode_field("bushiness_verdict", "witness", _BROKEN)
+        assert _outcome(dict(small, witness=_BROKEN)) == _outcome(dict(big, witness=_BROKEN)) \
+            == ("MalformedCertificate", str(want.value))
+
+    def test_an_error_in_the_replayer_body_is_bad_field_content(self, tmp_path):
+        seed = next(c for c in _every_kind_seeds() if c["kind"] == "closure_result")
+        code, out, err = _replay_lines([json.dumps(dict(seed, n=0))], tmp_path)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert [json.loads(e) for e in err.splitlines()] == [{
+            "error": "line 2: closure_result: bad field content (bigness is defined for n >= 1)"}]
 
 
 def _mistype(kind: str, edit) -> dict:

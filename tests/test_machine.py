@@ -23,6 +23,17 @@ Nested runs are frames on `_run`'s one stack: self-nesting `univ` and
 a Python frame, and a looping caller whose callees make most of the jumps
 is still caught by the loop check at once.
 
+Oracle-free runs cache each nested call that halted, as (callee index,
+argument) -> (value, steps).  The memo tests run nested programs (random
+ones, callers that make the same call twice, interval and first slices,
+the loopers and chains above) against `naive_eval` at every budget up to
+past the halting step, once with the cache cleared before each run and
+once after a warming run at a larger budget, and check every entry against
+`naive_eval` too.  Explicit edges put a cached callee of s steps under
+`budv` bounds s-1, s and s+1, under `univ` allowances s-1 and s, and
+inside an outer `budv` timeout, and check that no frame was opened for it.
+Oracle runs neither read nor fill the cache, and it never passes its cap.
+
 Windows of many inputs over a flat program (no `univ` or `budv`) run it
 compiled: `_compile` turns it into one generated Python function, and
 `compiled_eval` below runs it.  The mirror tests compare it with
@@ -105,7 +116,7 @@ from dnrlab.machine import (
     unpair,
 )
 from dnrlab.oracle import EVENS, PrefixOracle
-from dnrlab.reductions import blocking_prefix
+from dnrlab.reductions import blocking_prefix, first_slice_index
 from dnrlab.stages import interval_slice_index
 
 IDENTITY = program([(OP_HALT, 0)])
@@ -1309,3 +1320,173 @@ def test_compiled_dispatch_over_thousands_of_blocks():
     run = _compile(p)
     for budget in (0, 1500, 3000, 3001, 10**6):
         assert run(5, budget) == _run(p, 5, budget, None)
+
+
+# ---------------------------------------------------------------------------
+# The halting cache: nested calls that halted, replayed without a frame.
+
+def _assert_entries_match_naive():
+    """Every cached call is what naive_eval gives it at a budget past its steps."""
+    for (index, arg), (value, steps) in machine._halting.items():
+        assert naive_eval(index, arg, steps) == (Halted(value), steps), (index, arg)
+
+
+def assert_memo_matches_naive(e, x, top=None):
+    """eval_steps against naive_eval at every budget from 0 to `top` (default:
+    a few past the halting step), with the cache cleared before each run,
+    then again after one warming run at a larger budget."""
+    if top is None:
+        out, steps = naive_eval(e, x, 10**5)
+        top = steps + 3 if isinstance(out, Halted) else 300
+    want = [naive_eval(e, x, b) for b in range(top + 1)]
+    cold = []
+    for b in range(top + 1):
+        machine._halting.clear()
+        cold.append(eval_steps(e, x, b))
+    assert cold == want, e
+    machine._halting.clear()
+    eval_steps(e, x, 2 * top + 50)
+    _assert_entries_match_naive()
+    assert [eval_steps(e, x, b) for b in range(top + 1)] == want, e
+    _assert_entries_match_naive()
+
+
+# A caller that runs a callee twice on the same argument (the second call
+# can hit the entry the first one left), under univ or budv at a bound.
+def _twice(callee, arg, call):
+    return program([(OP_LOAD, 2, callee), (OP_LOAD, 3, arg), (OP_LOAD, 4, call[1]),
+                    call[0], (OP_MOV, 6, 1), call[0], (OP_ADD, 1, 1, 6), (OP_HALT, 1)])
+
+
+_CALLS = st.one_of(st.just(((OP_UNIV, 1, 2, 3), 0)),
+                   st.integers(0, 40).map(lambda bound: ((OP_BUDV, 1, 2, 3, 4), bound)))
+
+
+@given(st.one_of(
+    program_st.filter(lambda p: not is_flat(p)),
+    st.builds(_twice, st.one_of(program_st, looping_program_st).map(encode),
+              st.integers(0, 6), _CALLS)),
+    st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_memo_matches_naive_on_random_nested_programs(p, x):
+    # budgets stay small: mul squares its operand every round
+    assert_memo_matches_naive(encode(p), x, top=min(naive_eval(encode(p), x, 40)[1] + 3, 40))
+
+
+@pytest.mark.parametrize("e, x, top", [
+    (interval_slice_index(const_index(2), 7), 8, None),
+    (interval_slice_index(ZERO_INDEX, 5), 5, None),
+    (interval_slice_index(const_index(1), 0), 3, None),
+    (first_slice_index(encode(EVEN_HALT), const_index(2)), 4, None),
+    (first_slice_index(encode(EVEN_HALT), const_index(2)), 3, None),
+    (encode(COUNTDOWN_CALLS), 7, None),
+    (encode(SAME_LANDING), 3, None),
+    (_countdown_chain("load r3, 1000000"), 12, None),
+    (_countdown_chain("load r3, 1000"), 12, None),
+    (_countdown_chain("mul r3, r2, r2"), 12, None),
+    # never halt: past 10^4 steps the recursive mirror would overflow Python's stack
+    *((SELF_NESTING[op], 0, 300) for op in sorted(SELF_NESTING)),
+], ids=["slice-2", "slice-0", "slice-1", "first-slice", "first-slice-short", "countdown-calls",
+        "same-landing", "chain-covered", "chain-outer-bound", "chain-squared", "self-budv",
+        "self-univ"])
+def test_memo_matches_naive_on_stock_nested_programs(e, x, top):
+    assert_memo_matches_naive(e, x, top)
+
+
+@pytest.mark.parametrize("looper", [
+    program([(OP_LOAD, 1, encode(LOOP3)), (OP_UNIV, 2, 1, 0), (OP_HALT, 2)]),
+    program([(OP_LOAD, 2, encode(LOOP3)), (OP_LOAD, 4, 50), (OP_BUDV, 1, 2, 3, 4), (OP_JZ, 5, 2),
+             (OP_HALT, 1)]),
+    program([(OP_LOAD, 2, encode(program([(OP_LOAD, 1, 1), (OP_JZ, 0, 4), (OP_SUB, 0, 0, 1),
+                                           (OP_JMP, 1), (OP_HALT, 0)]))),
+             (OP_LOAD, 3, 20), (OP_UNIV, 1, 2, 3), (OP_JZ, 5, 2), (OP_HALT, 1)]),
+])
+def test_memo_matches_naive_on_looping_callers(looper):
+    assert_memo_matches_naive(encode(looper), 3, top=300)
+
+
+# CALLEE on 5 halts with 0 in CALLEE_STEPS steps; `_caller` calls it as its third step.
+CALLEE_STEPS = 18
+CALLEE = encode(COUNTDOWN)
+
+
+def _caller(call, bound=0):
+    return encode(program([(OP_LOAD, 2, CALLEE), (OP_LOAD, 4, bound), call, (OP_HALT, 1)]))
+
+
+@pytest.fixture
+def warm_countdown(monkeypatch):
+    """The cache holding only CALLEE on 5, and the callees of the frames opened later."""
+    machine._halting.clear()
+    assert eval_steps(_caller((OP_UNIV, 1, 2, 0)), 5, 10**4) == (Halted(0), 3 + CALLEE_STEPS + 1)
+    assert machine._halting == {(CALLEE, 5): (0, CALLEE_STEPS)}
+    framed = []
+    real = machine.decode
+    monkeypatch.setattr(machine, "decode", lambda e: framed.append(e) or real(e))
+    return framed
+
+
+@pytest.mark.parametrize("bound, want", [
+    (CALLEE_STEPS - 1, Halted(0)), (CALLEE_STEPS, Halted(1)), (CALLEE_STEPS + 1, Halted(1))])
+def test_cached_callee_at_budv_bounds_around_its_steps(warm_countdown, bound, want):
+    e = _caller((OP_BUDV, 1, 2, 0, 4), bound)
+    for budget in range(3 + bound + 3):
+        assert eval_steps(e, 5, budget) == naive_eval(e, 5, budget), budget
+    assert eval_program(e, 5, 10**4) == want
+    assert CALLEE not in warm_countdown
+
+
+@pytest.mark.parametrize("left", [CALLEE_STEPS - 1, CALLEE_STEPS])
+def test_cached_callee_with_univ_allowance_around_its_steps(warm_countdown, left):
+    e = _caller((OP_UNIV, 1, 2, 0))
+    budget = 3 + left  # the univ is the third step
+    got = [eval_steps(e, 5, b) for b in (budget, budget + 1)]
+    assert got == [naive_eval(e, 5, b) for b in (budget, budget + 1)]
+    assert got == [(RUNNING, budget), (Halted(0) if left == CALLEE_STEPS else RUNNING, budget + 1)]
+    assert CALLEE not in warm_countdown
+
+
+@pytest.mark.parametrize("bound", [4 + CALLEE_STEPS - 1, 4 + CALLEE_STEPS, 4 + CALLEE_STEPS + 1,
+                                   10**6])
+def test_cached_callee_inside_an_outer_budv_timeout(warm_countdown, bound):
+    # the outer budv runs, under its bound, a caller whose univ hits the cache
+    inner = encode(program([(OP_LOAD, 2, CALLEE), (OP_LOAD, 3, 5), (OP_UNIV, 1, 2, 3),
+                            (OP_HALT, 1)]))
+    e = encode(program([(OP_LOAD, 2, inner), (OP_LOAD, 4, bound), (OP_BUDV, 1, 2, 0, 4),
+                        (OP_HALT, 1)]))
+    for budget in list(range(3 + 4 + CALLEE_STEPS + 3)) + [bound + 3, bound + 4, 10**7]:
+        assert eval_steps(e, 0, budget) == naive_eval(e, 0, budget), budget
+    assert eval_program(e, 0, 10**7) == Halted(1 if bound >= 4 + CALLEE_STEPS else 0)
+    assert CALLEE not in warm_countdown
+
+
+def test_oracle_runs_neither_read_nor_fill_the_cache():
+    reader = encode(program([(OP_ORACLE, 1, 0), (OP_HALT, 1)]))
+    e = encode(program([(OP_LOAD, 2, reader), (OP_UNIV, 1, 2, 0), (OP_HALT, 1)]))
+    machine._halting.clear()
+    assert eval_steps(e, 4, 100) == (Halted(0), 5)
+    assert machine._halting == {(reader, 4): (0, 2)}
+    assert eval_steps(e, 4, 100, EVENS) == naive_eval(e, 4, 100, EVENS) == (Halted(1), 5)
+    machine._halting.clear()
+    for x in range(6):
+        assert eval_steps(e, x, 100, EVENS) == naive_eval(e, x, 100, EVENS)
+    assert machine._halting == {}
+
+
+class _CapWatch(dict):
+    def __setitem__(self, key, value):
+        assert len(self) < machine._HALTING_CAP
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("cap", [1, 5])
+def test_cache_never_passes_its_cap(monkeypatch, cap):
+    # calls the identity on x, x-1, ..., 1: x distinct entries
+    e = encode(program([(OP_LOAD, 2, IDENTITY_INDEX), (OP_LOAD, 5, 1), (OP_UNIV, 1, 2, 0),
+                        (OP_SUB, 0, 0, 5), (OP_JZ, 0, 6), (OP_JMP, 2), (OP_HALT, 1)]))
+    monkeypatch.setattr(machine, "_HALTING_CAP", cap)
+    monkeypatch.setattr(machine, "_halting", _CapWatch())
+    for x in (1, 3, 12, 3, 12):
+        assert eval_steps(e, x, 10**4) == naive_eval(e, x, 10**4)
+        assert len(machine._halting) <= cap
+    _assert_entries_match_naive()
