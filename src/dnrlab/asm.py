@@ -151,15 +151,14 @@ IDENTITY_INDEX = encode(IDENTITY)  # == 23
 ZERO = assemble("halt r1")  # r1 is never written, so the value is 0
 ZERO_INDEX = encode(ZERO)
 
-# Halts exactly on even inputs; the odd branch hits a jump with no path to
-# halt, which the interpreter classifies as divergence immediately.
+# Halts exactly on even inputs, the stock infinite r.e. set; the odd branch
+# loops with no path to halt, which the interpreter classifies at once.
 EVEN_HALT = assemble("""
-    load r1, 2
-    mod r2, r0, r1
-    jz r2, ok
-    jmp stuck
+    load r2, 2
+    mod r1, r0, r2
+    jz r1, ok
+loop: jmp loop
 ok: halt r0
-stuck:
 """)
 EVEN_HALT_INDEX = encode(EVEN_HALT)
 

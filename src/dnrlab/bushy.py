@@ -178,6 +178,17 @@ def validate_string_set(B: Iterable[Node], g: OrderFunction, depth: int) -> froz
     return B
 
 
+def _check_stem(g: OrderFunction, depth: int, stem: Node, limit: int) -> int:
+    """Size of the region above stem, as `_region_index` checks it: at most
+    `limit` nodes, and a stem within the depth and valid for g."""
+    size = region_size(g, depth, stem, limit)
+    if len(stem) > depth:
+        raise ValueError(f"stem {stem} exceeds depth horizon {depth}")
+    if not g.validate_node(stem):
+        raise ValueError(f"stem {stem} is not a valid string for g")
+    return size
+
+
 # Callers revisit few regions (the library workloads of bench/ touch 10 to
 # 13), and a cached region holds up to REGION_NODE_LIMIT node tuples, about
 # a megabyte, so the cache stays small.
@@ -192,11 +203,7 @@ def _region_index(g: OrderFunction, depth: int, stem: Node) -> tuple[Levels, tup
     REGION_NODE_LIMIT nodes, and ValueError for a stem longer than the depth
     or not a valid string for g.
     """
-    region_size(g, depth, stem)
-    if len(stem) > depth:
-        raise ValueError(f"stem {stem} exceeds depth horizon {depth}")
-    if not g.validate_node(stem):
-        raise ValueError(f"stem {stem} is not a valid string for g")
+    _check_stem(g, depth, stem, REGION_NODE_LIMIT)
     widths = tuple(g.value(d) for d in range(len(stem), depth))
     levels = [(stem,)]
     for w in widths:
@@ -648,11 +655,9 @@ def _sweep(g: OrderFunction, depth: int, checks: list[tuple[int, int, int]],
     """union_smallness_sweep over (n, m, target) checks, by level counts."""
     stems = [tuple(stem) for stem in stems]
     for stem in stems:
-        if region_size(g, depth, stem) and not g.validate_node(stem):
-            raise ValueError(f"member {stem} is not a valid string for g")
+        _check_stem(g, depth, stem, REGION_NODE_LIMIT)
     # the counts depend on a stem only through its length
-    widths = {k: [g.value(d) for d in range(k, depth)]
-              for k in {len(stem) for stem in stems if len(stem) <= depth}}
+    widths = {k: [g.value(d) for d in range(k, depth)] for k in {len(stem) for stem in stems}}
     capped = [tuple(min(t, BIG_CAP) for t in check) for check in checks]
     work = sum(width * prod(t + 1 if t <= width else 1 for t in check)
                for check in capped for level in widths.values() for width in level)
@@ -666,8 +671,6 @@ def _sweep(g: OrderFunction, depth: int, checks: list[tuple[int, int, int]],
     instances = 0
     counterexamples: list[dict] = []
     for stem in stems:
-        if len(stem) not in counts:
-            continue  # an empty region has no big union
         instances += sum(big for big, _ in counts[len(stem)])
         if any(bad for _, bad in counts[len(stem)]):
             # only a broken kernel gets here: list the certificates in the
@@ -690,7 +693,8 @@ def union_smallness_sweep(g: OrderFunction, depth: int,
     `brute_force_union_sweep` does, but counted level by level instead of
     enumerated, so regions of hundreds of nodes are in reach.  Raises
     CombinatorialBlowup for a region above REGION_NODE_LIMIT nodes, or when
-    the counts would step through more than SWEEP_WORK_LIMIT states.
+    the counts would step through more than SWEEP_WORK_LIMIT states, and
+    ValueError for a stem longer than the depth or not a valid string for g.
     """
     return _sweep(g, depth, [(n, m, n + m - 1) for n, m in _pair_list(pairs)], stems)
 
@@ -702,7 +706,7 @@ def _brute_force_sweep(g: OrderFunction, depth: int,
     counterexamples: list[dict] = []
     for stem in stems:
         stem = tuple(stem)
-        size = region_size(g, depth, stem, BRUTE_FORCE_NODE_LIMIT)
+        size = _check_stem(g, depth, stem, BRUTE_FORCE_NODE_LIMIT)
         region = sorted(region_nodes(g, depth, stem))
         # beta of every subset once; split checks are then table lookups
         beta = [0] * (1 << size)

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .asm import IDENTITY_INDEX, ZERO_INDEX, assemble_index, const_index
+from .asm import EVEN_HALT_INDEX, IDENTITY_INDEX, ZERO_INDEX, const_index
 from .bushy import (
     LemmaHolds,
     OrderFunction,
@@ -67,18 +67,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_COUNTEREXAMPLE = 3
-
-# Halts exactly on even input: the stock infinite r.e. set for demos.
-_EVEN_HALT_SRC = """
-    load r2, 2
-    mod r1, r0, r2
-    jz r1, ok
-loop:
-    jmp loop
-ok:
-    halt r0
-"""
-
 
 class InputError(ValueError):
     """Configuration or input file problems: reported, exit code 1."""
@@ -474,7 +462,7 @@ COMMANDS = {
     "snr-demo": Command(_cmd_snr_demo, budgets={"audit": 10, "eval": 10_000},
                         fields={"oracle": PeriodicOracle((1, 0)), "h": const_index(1)}),
     "blocking-prefix": Command(_cmd_blocking_prefix, budgets={"eval": 100_000}, fields={
-        "prefix": (1,), "e": assemble_index(_EVEN_HALT_SRC), "f": const_index(2)}),
+        "prefix": (1,), "e": EVEN_HALT_INDEX, "f": const_index(2)}),
     "replay": Command(_cmd_replay, fields=None),  # --in is the trace
 }
 

@@ -21,9 +21,7 @@ The module builds the finite combinatorial objects of the density argument:
 * density_search, which turns a functional, a toy program index q, and a
   condition into a verdict: a non-totality extension, a diagonalizing
   extension with a replayable certificate built through the recursion
-  theorem, or an honest budget report with the partial trace;
-* the budgeted bad-string set for diagonally nonrecursive behavior and
-  generic_prefix, which runs a list of requirements from the empty stem.
+  theorem, or an honest budget report with the partial trace.
 
 Searches are deterministic: ties break lexicographically, traces are plain
 data, and every certificate embeds what a replay needs.
@@ -58,7 +56,6 @@ from .bushy import (
     bushiness_numbers,
     closure,
     is_n_big,
-    region_nodes,
     verify_bushy,
     witness_tree,
 )
@@ -71,7 +68,6 @@ from .machine import (
     self_reference,
     smn_fill,
 )
-from .oracle import BitOracle
 
 
 class BignessUnavailable(Exception):
@@ -89,21 +85,12 @@ class BignessUnavailable(Exception):
         self.c_m = c_m
 
 
-class BudgetExceededError(Exception):
-    """Raised by generic_prefix when a density search could not close."""
-
-    def __init__(self, trace: list) -> None:
-        super().__init__("budget exceeded during generic prefix construction")
-        self.trace = trace
-
-
 @dataclass(frozen=True)
 class SearchLimits:
     """Budgets for the machine-facing parts of the searches."""
 
     eval_budget: int = 100_000
     fixpoint_budget: int = 10_000
-    bad_string_len: int = 4
 
 
 # ---------------------------------------------------------------------------
@@ -485,34 +472,6 @@ def case2_zero_tree(gamma_table: FiniteFunctional, stem: Node,
 
 
 # ---------------------------------------------------------------------------
-# Bad strings for diagonally nonrecursive behavior.
-
-def dnr_bad_strings(g: OrderFunction, oracle: Optional[BitOracle], max_len: int,
-                    budget: int) -> frozenset[Node]:
-    """Strings sigma with sigma(e) = phi_e(e) for some e < |sigma| at this budget.
-
-    The budget-s approximation of the set of strings that cannot head a
-    diagonally nonrecursive function relative to the oracle; nondecreasing
-    in the budget.
-
-    Under this machine's numbering the set is always empty: the first index
-    whose program holds a halt is 23 (`halt r0`), so no phi_e(e) with
-    e < 23 halts, and the region guard refuses max_len 13 even at width 2
-    (CombinatorialBlowup).  generic_prefix thus meets no DNR constraint.
-    """
-    diag: dict[int, int] = {}
-    for e in range(max_len):
-        out = eval_program(e, e, budget, oracle)
-        if isinstance(out, Halted):
-            diag[e] = out.value
-    bad = []
-    for node in region_nodes(g, max_len):
-        if any(diag.get(e) == v for e, v in enumerate(node)):
-            bad.append(node)
-    return frozenset(bad)
-
-
-# ---------------------------------------------------------------------------
 # Density search.
 
 @dataclass(frozen=True)
@@ -558,6 +517,12 @@ def _lengthen_stem(stem: Node, target_length: int, avoid: frozenset[Node],
     return tau
 
 
+# The self-referential enumerator behind the diagonal indices.  Input
+# pair(u, pair(i, n)): derive e_0, e_1 from u by s-m-n, run q on both, set
+# c = min(2 max + 1, cap), select the c-th packed mask of A_i (base K
+# digits), and halt exactly when bit n of that mask is set.  The driver is
+# assembled once; each call of `_master_driver` splices q, A_0, A_1, K and
+# the cap into its `load` instructions.
 _MASTER_DRIVER = """
     # input pair(u, pair(i, n)); r6 stays 0 and serves as constant zero
     left r1, r0            # u
@@ -609,18 +574,6 @@ stuck:
 _master_driver = _template_index(_MASTER_DRIVER)
 
 
-def _master_driver_index(q: ProgramIndex, a0: int, a1: int, big_k: int, cap: int) -> ProgramIndex:
-    """The self-referential enumerator behind the diagonal indices.
-
-    Input pair(u, pair(i, n)): derive e_0, e_1 from u by s-m-n, run q on
-    both, set c = min(2 max + 1, cap), select the c-th packed mask of A_i
-    (base K digits), and halt exactly when bit n of that mask is set.  The
-    driver is assembled once; each call splices q, A_0, A_1, K and the cap
-    into its `load` instructions.
-    """
-    return _master_driver(q=q, a0=a0, a1=a1, big_k=big_k, cap=cap)
-
-
 def _diagonal_pair(q: ProgramIndex, fused: Sequence[tuple[int, int]], horizon: int,
                    fixpoint_budget: int) -> tuple[ProgramIndex, ProgramIndex]:
     """The recursion-theorem pair e_0, e_1 that diagonalizes q against the
@@ -634,8 +587,8 @@ def _diagonal_pair(q: ProgramIndex, fused: Sequence[tuple[int, int]], horizon: i
     for c in range(len(fused) + 1):
         for side in (0, 1):
             a[side] += gamma_inverse(m for m, i in fused[:c] if i == side) * big_k ** c
-    e_star = self_reference(_master_driver_index(q, a[0], a[1], big_k, len(fused)),
-                            fixpoint_budget)
+    driver = _master_driver(q=q, a0=a[0], a1=a[1], big_k=big_k, cap=len(fused))
+    e_star = self_reference(driver, fixpoint_budget)
     return smn_fill(e_star, 0), smn_fill(e_star, 1)
 
 
@@ -794,36 +747,3 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         zeros_tree, zeros = case2_zero_tree(gamma_table, tau0, zero_sides, k, c, avoid, g)
     return finish(zeros_tree, k, [(n, 0) for n in zeros], e0, e1, v0, v1, cap, "case2")
 
-
-# ---------------------------------------------------------------------------
-# Generic prefix.
-
-def generic_prefix(g: OrderFunction, oracle: Optional[BitOracle],
-                   requirements: Sequence[tuple[FiniteFunctional, ProgramIndex]],
-                   limits: SearchLimits = SearchLimits()) -> tuple[Node, list]:
-    """Run the requirements from the empty stem over the budgeted bad set.
-
-    Returns the final stem and the full trace (one certificate per density
-    search plus bookkeeping).  Raises BudgetExceededError with the partial
-    trace when a density search reports BudgetExceeded.
-    """
-    bad = dnr_bad_strings(g, oracle, limits.bad_string_len, limits.eval_budget)
-    cond = ForcingCondition((), bad, g)
-    trace: list = [{"step": "bad_strings", "count": len(bad),
-                    "max_len": limits.bad_string_len, "budget": limits.eval_budget}]
-    for gamma_table, q in requirements:
-        verdict = density_search(gamma_table, q, cond, limits)
-        if isinstance(verdict, BudgetExceeded):
-            trace.extend(verdict.trace)
-            raise BudgetExceededError(trace)
-        trace.append({"step": "requirement_met",
-                      "verdict": type(verdict).__name__,
-                      "certificate": verdict.certificate})
-        cond = verdict.condition
-    # one final good step so even an empty run commits to a nonempty stem
-    blocked = _badset_closure(cond.badset, g(len(cond.stem)), g, len(cond.stem) + 1)
-    stem = _lengthen_stem(cond.stem, len(cond.stem) + 1, blocked, g)
-    trace.append({"step": "good_step", "stem": list(stem)})
-    assert all(v < g(i) for i, v in enumerate(stem))
-    assert not any(stem[:len(b)] == b for b in cond.badset)
-    return stem, trace

@@ -71,8 +71,9 @@ Fast paths, each mirrored by a naive version in tests/test_machine.py:
   basic block.  It returns exactly what `_run` returns, because a run that
   does not halt always reports the whole budget (so any sound loop check
   gives the same result wherever it fires) and a run that cannot pay for a
-  whole block cannot halt inside it.  Nested programs are interpreted: their
-  time goes to the callees, which compiling the caller does not speed up.
+  whole block cannot halt inside it.  Nested programs are interpreted: cheap
+  when their time goes to the callees, but a caller that loops on its own
+  after its call runs about 4x slower than compiled (ROADMAP item 11).
 """
 
 from __future__ import annotations
@@ -715,13 +716,14 @@ def _window_runner(prog: ToyProgram, runs: int) -> Callable[..., tuple[Optional[
     return partial(_run, prog)
 
 
-def eval_program(e: ProgramIndex, x: int, budget: int, oracle: Optional[Oracle] = None) -> EvalOutcome:
-    """phi_e(x) within `budget` steps, relative to `oracle` (default all-zeros)."""
-    return eval_steps(e, x, budget, oracle)[0]
+def eval_program(e: ProgramIndex, x: int, budget: int) -> EvalOutcome:
+    """phi_e(x) within `budget` steps, with no oracle; relativized runs use eval_steps."""
+    return eval_steps(e, x, budget)[0]
 
 
 def eval_steps(e: ProgramIndex, x: int, budget: int, oracle: Optional[Oracle] = None) -> tuple[EvalOutcome, int]:
-    """Like eval_program but also reports steps consumed (== budget when Running)."""
+    """Like eval_program, relative to `oracle` (default all-zeros), but also
+    reports steps consumed (== budget when Running)."""
     if budget < 0:
         raise ValueError("budget is a natural")
     if x < 0:

@@ -86,6 +86,11 @@ class StageTrace:
 # stages take a fraction of a second, 4096 a few seconds.
 STAGE_LIMIT = 1 << 12
 
+# Most probes, and most pinned positions, the even stages take on in all,
+# since a total phi_e stops neither.  2048 even stages at the default cap
+# of 512 reach it exactly.
+EVEN_STAGE_WORK_LIMIT = 1 << 20
+
 
 def _window_horizon(e: int) -> int:
     # wide enough that exceeding the bound 2e+1 is visible with room to spare
@@ -98,13 +103,18 @@ def ei_not_coei(stages: int, budget: int,
 
     Returns the trace and the partial characteristic function.  The set
     built is A = {x : g(x) = 1}; everything pinned to 0 stays outside A
-    forever, and undetermined positions count as outside.  More than
-    STAGE_LIMIT stages are refused (CombinatorialBlowup) before any runs.
+    forever, and undetermined positions count as outside.  Sizes past
+    STAGE_LIMIT or EVEN_STAGE_WORK_LIMIT are refused (CombinatorialBlowup)
+    before any runs.
     """
     if stages < 0:
         raise ValueError("stages is a natural")
     if stages > STAGE_LIMIT:
         raise CombinatorialBlowup(f"{stages} stages exceed the limit {STAGE_LIMIT}")
+    for knob, value in (("probes", probes), ("value_cap", value_cap)):
+        if (stages // 2) * value > EVEN_STAGE_WORK_LIMIT:
+            raise CombinatorialBlowup(f"{knob} times {stages // 2} even stages "
+                                      f"exceeds the limit {EVEN_STAGE_WORK_LIMIT}")
     g: dict[int, int] = {}
     records: list[dict] = []
     # g only gains keys and never overwrites one, so the least fresh

@@ -34,14 +34,13 @@ PACKAGE = ROOT / "src" / "dnrlab"
 BENCH = ROOT / "bench"
 TESTS = ROOT / "tests"
 
-# Public names kept without a caller in the package or the benchmark.  The
-# other kept names need no entry: the remaining brute_force_* mirrors,
-# dnr_bad_strings and BudgetExceededError (used by generic_prefix),
-# eval_steps (eval_program calls it, and the tracer names it), and
-# enumerate_re and re_enumeration_order (named by the tracer).
+# Public names kept without a caller in the package or the benchmark: a
+# naive mirror only tests call.  The other kept names need no entry: the
+# remaining brute_force_* mirrors, eval_steps (eval_program calls it, and
+# the tracer names it), and enumerate_re and re_enumeration_order (named
+# by the tracer).
 ALLOWED = {
     "brute_force_union_sweep": "naive mirror of union_smallness_sweep; tests compare the two",
-    "generic_prefix": "the paper's forcing run from the empty stem, not yet a command",
 }
 
 
@@ -230,7 +229,7 @@ def test_parameter_audit_finds_an_unpassed_default(tmp_path):
         "def spread(a, b=1): pass\n"
         "def unpassed(a, b=1, *, c=2): pass\n"
         "def _private(a=1): pass\n"
-        "def generic_prefix(a=1): pass\n"
+        "def brute_force_union_sweep(a=1): pass\n"
         "class K:\n"
         "    def method(self, x=1): pass\n"
         "    @staticmethod\n"

@@ -189,7 +189,7 @@ def test_two_constant_drivers_match_the_assembled_text():
 
 def test_master_driver_matches_the_assembled_text():
     for q, a0, a1, big_k, cap in product(SPLICE_CONSTANTS[:3], repeat=5):
-        assert forcing._master_driver_index(q, a0, a1, big_k, cap) == assemble_index(
+        assert forcing._master_driver(q=q, a0=a0, a1=a1, big_k=big_k, cap=cap) == assemble_index(
             forcing._MASTER_DRIVER.format(q=q, a0=a0, a1=a1, big_k=big_k, cap=cap))
 
 

@@ -534,8 +534,9 @@ def test_sweep_input_checks():
         brute_force_union_sweep(G3, 1, [(2, 2), (True, 2)])
     with pytest.raises(ValueError, match="not a valid string"):
         union_smallness_sweep(G3, 2, [(2, 2)], [(3,)])
-    # a stem past the horizon has an empty region, valid or not
-    assert union_smallness_sweep(G3, 1, [(2, 2)], [(5, 5)])["instances"] == 0
+    # a stem past the horizon is bad, valid or not
+    with pytest.raises(ValueError, match="exceeds depth horizon"):
+        union_smallness_sweep(G3, 1, [(2, 2)], [(5, 5)])
     with pytest.raises(CombinatorialBlowup):
         union_smallness_sweep(G3, 10**9, [(2, 2)])
     with pytest.raises(CombinatorialBlowup):  # within the node limit, not the work limit
@@ -671,8 +672,9 @@ def test_marking_checks_its_stem():
         is_n_big({(0,)}, 3, G3, (7,), 2)
     with pytest.raises(ValueError, match="not a valid string"):
         witness_tree({(7, 0)}, 1, G3, (7,), 2)
-    # the sweeps still skip a stem past the horizon, valid or not
-    assert brute_force_union_sweep(G3, 1, [(2, 2)], [(5, 5)])["instances"] == 0
+    # the sweeps refuse a stem past the horizon too, valid or not
+    with pytest.raises(ValueError, match="exceeds depth horizon"):
+        brute_force_union_sweep(G3, 1, [(2, 2)], [(5, 5)])
 
 
 def _reference_numbers(B, g, depth, stem, avoid):

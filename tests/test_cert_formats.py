@@ -1,0 +1,102 @@
+"""Format audit: each certificate kind carries exactly the fields its replayer reads.
+
+`replay_certificate` ignores keys its replayer does not read, so nothing
+at replay time notices an emitter that writes a field no one checks, or
+one that renames a field the replayer then reports missing.  This audit
+reads each replayer's parameters from `src/dnrlab/certs.py` with `ast`:
+the names of a function decorated `@_replayer("kind")`, and which of them
+have defaults.  Every kind is emitted, from the default commands or from
+the library calls that build the rest, and its keys must be `kind` plus
+the replayer's parameters, where an optional parameter may be absent.
+
+Two documentation checks ride along: every kind has a row in the kinds
+table of `docs/formats.md`, and every field name with a rule in
+`certs._FIELDS` appears in that file's table of rules.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from dnrlab import bushy, certs, cli
+from dnrlab.asm import DIVERGE_INDEX, ZERO_INDEX, const_index
+from dnrlab.oracle import EVENS
+from dnrlab.reductions import blocking_prefix, diagonal_set_index, dnr_reduction_audit
+
+ROOT = Path(__file__).resolve().parent.parent
+FORMATS = (ROOT / "docs" / "formats.md").read_text()
+
+
+def replayer_parameters() -> dict[str, tuple[set[str], set[str]]]:
+    """kind -> (required parameter names, optional ones), read from certs.py."""
+    tree = ast.parse((ROOT / "src" / "dnrlab" / "certs.py").read_text())
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for deco in node.decorator_list:
+            if (isinstance(deco, ast.Call) and isinstance(deco.func, ast.Name)
+                    and deco.func.id == "_replayer"):
+                names = [a.arg for a in node.args.posonlyargs + node.args.args]
+                cut = len(names) - len(node.args.defaults)
+                found[deco.args[0].value] = (set(names[:cut]), set(names[cut:]))
+    return found
+
+
+def emitted_certificates() -> list[dict]:
+    """Every certificate of every default command, plus the three kinds no
+    default command emits."""
+    emitted = []
+    for command in sorted(cli.COMMANDS):
+        if command != "replay":
+            config = cli.parse_args(["--command", command])
+            emitted += cli.COMMANDS[command].body(*cli.resolve(config)).certificates
+    emitted.append(blocking_prefix((1, 0, 1), diagonal_set_index(const_index(5)),
+                                   ZERO_INDEX, 300)[1])
+    emitted += dnr_reduction_audit(EVENS, DIVERGE_INDEX, 30, 100)
+    # below n + m - 1 the union lemma fails, so a lowered target has counterexamples
+    g = bushy.OrderFunction.from_spec("2")
+    emitted += bushy._brute_force_sweep(g, 2, [(2, 2, 2)], [()])["counterexamples"]
+    return emitted
+
+
+@pytest.fixture(scope="module")
+def by_kind() -> dict[str, list[dict]]:
+    grouped: dict[str, list[dict]] = {}
+    for cert in emitted_certificates():
+        grouped.setdefault(cert["kind"], []).append(cert)
+    return grouped
+
+
+def test_the_audit_reads_every_replayer():
+    assert replayer_parameters().keys() == certs.REPLAYERS.keys()
+
+
+def test_every_kind_is_emitted(by_kind):
+    assert by_kind.keys() == certs.REPLAYERS.keys()
+
+
+def test_certificates_hold_exactly_their_replayers_fields(by_kind):
+    wrong = []
+    for kind, (required, optional) in sorted(replayer_parameters().items()):
+        for cert in by_kind[kind]:
+            keys = cert.keys() - {"kind"}
+            if not required <= keys <= required | optional:
+                wrong.append((kind, sorted(keys - required - optional), sorted(required - keys)))
+    assert wrong == []
+
+
+def test_every_kind_has_a_row_in_the_kinds_table():
+    rows = set(re.findall(r"^\| `(\w+)` \|", FORMATS, re.MULTILINE))
+    assert sorted(certs.REPLAYERS.keys() - rows) == []
+
+
+def test_every_field_rule_is_documented():
+    start = FORMATS.index("| rule | value | fields |")
+    rules = FORMATS[start:FORMATS.index("\n\n", start)]
+    documented = set(re.findall(r"`(\w+)`", rules))
+    assert sorted(certs._FIELDS.keys() - documented) == []

@@ -532,7 +532,7 @@ class TestInputErrors:
                       in _documented("defaults to this order function:").items()}
         assert g_defaults == {command: c.g for command, c in cli.COMMANDS.items()
                               if c.g is not None}
-        # density_search never reads the bad-string length; generic_prefix does
+        # no command reads a bad-string length: density-search takes its bad set from --in
         assert main(["--command", "density-search", "--budget.bad_len=3"]) == EXIT_INPUT
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert "bad_len" in json.loads(line)["error"]
@@ -951,6 +951,28 @@ class TestHostileReplay:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert "exceed" in json.loads(line)["error"]
 
+    @pytest.mark.parametrize("knob, value", [("probes", 10**12), ("value_cap", 10**1000)])
+    @pytest.mark.parametrize("how", ["ei-construct", "stage_summary replay"])
+    def test_unbounded_stage_knobs_are_refused(self, knob, value, how, tmp_path):
+        # stage 48 reaches e = 23, `halt r0`: total, so the probes never stop,
+        # and phi_23(a) = a, so a cap past the 2339-bit index a pins a positions
+        if how == "ei-construct":
+            args = ["--command", "ei-construct", "--budget.stages=48", f"--budget.{knob}={value}",
+                    "--out", str(tmp_path / "trace.jsonl")]
+        else:
+            cert = {"kind": "stage_summary", "stages": 48, "budget": 100, "value_cap": 512,
+                    "probes": 3, "ones": [], "record_count": 48, "interval_count": 0}
+            cert[knob] = value
+            path = tmp_path / "trace.jsonl"
+            path.write_text(json.dumps({"schema": TRACE_SCHEMA}) + "\n" + json.dumps(cert) + "\n")
+            args = ["--command", "replay", "--in", str(path)]
+        start = time.perf_counter()
+        code, err = _quiet_main(args)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BUDGET
+        (line,) = err
+        assert f"{knob} times 24 even stages exceeds the limit" in json.loads(line)["error"]
+
     def test_huge_pairs_replay_fast(self, tmp_path, capsys):
         cert = {"kind": "sweep_summary", "g": "3", "depth": 2,
                 "pairs": [[100000, 100000]], "stems": [[]], "instances": 1,
@@ -1063,6 +1085,21 @@ class TestHostileReplay:
         path.write_text(json.dumps({"schema": TRACE_SCHEMA}) + "\n" + json.dumps(cert) + "\n")
         code, err = _quiet_main(["--command", "replay", "--in", str(path)])
         assert code == EXIT_INPUT and len(err) == 1 and message in json.loads(err[0])["error"]
+
+    @pytest.mark.parametrize("stem", [[5, 5, 5], [0, 0, 0]])
+    def test_sweep_stem_past_the_horizon_is_an_input_error(self, stem, tmp_path):
+        # the same stem rule as above, whether or not the stem is valid for g
+        message = f"stem {tuple(stem)} exceeds depth horizon 2"
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"stems": [stem]}))
+        code, err = _quiet_main(["--command", "lemma-sweep", "--g", "3", "--in", str(path),
+                                 "--out", str(tmp_path / "out.jsonl")])
+        assert code == EXIT_INPUT
+        assert [json.loads(line) for line in err] == [{"error": message}]
+        cert = {"kind": "sweep_summary", "g": "3", "depth": 2, "pairs": [[2, 2]],
+                "stems": [stem], "instances": 0, "counterexamples": 0}
+        with pytest.raises(MalformedCertificate, match=re.escape(message)):
+            replay_certificate(cert)
 
     def test_seeds_cover_every_kind_and_replay(self, tmp_path):
         seeds = _every_kind_seeds()

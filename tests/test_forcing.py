@@ -1,6 +1,5 @@
 """Forcing layer: conditions, staged trees, fusion, and density searches."""
 
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -22,7 +21,6 @@ from dnrlab.errors import CombinatorialBlowup
 from dnrlab.forcing import (
     BignessUnavailable,
     BudgetExceeded,
-    BudgetExceededError,
     DiagonalExt,
     FiniteFunctional,
     ForcingCondition,
@@ -36,12 +34,9 @@ from dnrlab.forcing import (
     case2_zero_tree,
     delta_sets,
     density_search,
-    dnr_bad_strings,
     fusion_step,
-    generic_prefix,
 )
-from dnrlab.machine import OP_HALT, Halted, decode, eval_program
-from dnrlab.oracle import EVENS
+from dnrlab.machine import Halted, eval_program
 from test_density_golden import BATTERY as GOLDEN, EXITS
 
 G8 = OrderFunction.constant(8)
@@ -472,44 +467,6 @@ class TestCase2ZeroTree:
 
 
 # ---------------------------------------------------------------------------
-# Bad strings.
-
-class TestDnrBadStrings:
-    def test_budget_zero_empty(self):
-        assert dnr_bad_strings(G8, None, 3, 0) == frozenset()
-
-    def test_matches_definition(self):
-        budget, max_len = 50_000, 3
-        diag = {}
-        for e in range(max_len):
-            out = eval_program(e, e, budget)
-            if isinstance(out, Halted):
-                diag[e] = out.value
-        expected = frozenset(
-            node
-            for length in range(max_len + 1)
-            for node in __import__("itertools").product(*(range(8) for _ in range(length)))
-            if any(diag.get(e) == v for e, v in enumerate(node)))
-        assert dnr_bad_strings(G8, None, max_len, budget) == expected
-
-    def test_always_empty(self):
-        """No index below 23 decodes to a program holding a halt, so no
-        diagonal below the longest length the region guard accepts (12, at
-        width 2) halts, whatever the oracle and budget."""
-        assert not any(ins[0] == OP_HALT for e in range(23) for ins in decode(e).instructions)
-        assert decode(23).instructions == ((OP_HALT, 0),)
-        g2 = OrderFunction.constant(2)
-        assert dnr_bad_strings(g2, EVENS, 12, 10**6) == frozenset()
-        with pytest.raises(CombinatorialBlowup):
-            dnr_bad_strings(g2, None, 13, 0)
-
-    def test_monotone_in_budget(self):
-        small = dnr_bad_strings(G8, None, 3, 10)
-        large = dnr_bad_strings(G8, None, 3, 10_000)
-        assert small <= large
-
-
-# ---------------------------------------------------------------------------
 # Density search.
 
 class TestDensitySearch:
@@ -609,43 +566,18 @@ class TestDensitySearch:
                 counts.append(spy.call_count)
         assert max(counts) == 1
 
+    def test_search_from_a_returned_condition(self):
+        first = density_search(PARITY1, Q0, EMPTY_COND, LIMITS)
+        second = density_search(CONST3, Q0, first.condition, LIMITS)
+        assert isinstance(first, DiagonalExt) and isinstance(second, DiagonalExt)
+        assert extends(second.condition, first.condition)
+        assert all(v < G8(i) for i, v in enumerate(second.condition.stem))
+
     def test_stem_lengthening_recorded(self):
         verdict = density_search(CONST3, Q0, EMPTY_COND, LIMITS)
         steps = [entry["step"] for entry in verdict.trace]
         assert "lengthen_stem" in steps
         assert "close_badset" in steps
-
-
-# ---------------------------------------------------------------------------
-# Generic prefix.
-
-class TestGenericPrefix:
-    def test_empty_requirements(self):
-        stem, trace = generic_prefix(G8, None, [], replace(LIMITS, bad_string_len=2))
-        assert len(stem) >= 1
-        assert all(v < G8(i) for i, v in enumerate(stem))
-
-    def test_one_requirement_one_certificate(self):
-        stem, trace = generic_prefix(G8, None, [(PARITY1, Q0)],
-                                     replace(LIMITS, bad_string_len=2))
-        certs = [t for t in trace if t["step"] == "requirement_met"]
-        assert len(certs) == 1
-        assert certs[0]["certificate"]["kind"] == "diagonal_extension"
-        assert all(v < G8(i) for i, v in enumerate(stem))
-
-    def test_two_requirements(self):
-        stem, trace = generic_prefix(
-            G8, None, [(PARITY1, Q0), (CONST3, Q0)],
-            replace(LIMITS, bad_string_len=2))
-        certs = [t for t in trace if t["step"] == "requirement_met"]
-        assert len(certs) == 2
-        assert all(v < G8(i) for i, v in enumerate(stem))
-
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(BudgetExceededError) as exc:
-            generic_prefix(G8, None, [(CONST3, const_index(5))],
-                           replace(LIMITS, bad_string_len=2))
-        assert len(exc.value.trace) > 0
 
 
 # ---------------------------------------------------------------------------

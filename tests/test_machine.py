@@ -66,7 +66,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnrlab import machine
-from dnrlab.asm import IDENTITY_INDEX, ZERO_INDEX, assemble, const_index
+from dnrlab.asm import EVEN_HALT, IDENTITY_INDEX, ZERO_INDEX, assemble, const_index
 from dnrlab.errors import WitnessBudgetExceeded
 from dnrlab.machine import (
     EMPTY_PROGRAM,
@@ -592,10 +592,10 @@ def test_pure_jump_cycle_diverges_fast():
 def test_oracle_instruction():
     probe = program([(OP_ORACLE, 1, 0), (OP_HALT, 1)])
     e = encode(probe)
-    assert eval_program(e, 4, 10, EVENS) == Halted(1)
-    assert eval_program(e, 5, 10, EVENS) == Halted(0)
+    assert eval_steps(e, 4, 10, EVENS)[0] == Halted(1)
+    assert eval_steps(e, 5, 10, EVENS)[0] == Halted(0)
     assert eval_program(e, 5, 10) == Halted(0)  # default oracle is all zeros
-    assert eval_program(e, 2, 10, PrefixOracle((0, 0, 1))) == Halted(1)
+    assert eval_steps(e, 2, 10, PrefixOracle((0, 0, 1)))[0] == Halted(1)
 
 
 def test_halting_budget_is_tight():
@@ -1074,15 +1074,6 @@ def test_diagonal_index_of_const_program():
 # ---------------------------------------------------------------------------
 # R.e. set enumeration.
 
-EVEN_HALT = program([
-    (OP_LOAD, 1, 2),
-    (OP_MOD, 2, 0, 1),
-    (OP_JZ, 2, 4),
-    (OP_JMP, 3),
-    (OP_HALT, 0),
-])
-
-
 def test_enumerate_re_even_halting():
     e = encode(EVEN_HALT)
     assert enumerate_re(e, 6) == frozenset({0, 2, 4, 6})
@@ -1263,6 +1254,9 @@ def test_compiled_matches_interpreters_on_every_small_index():
 
 @pytest.mark.parametrize("e", [
     encode(EVEN_HALT),
+    # EVEN_HALT with r1 and r2 swapped: a renaming must not change the mirror
+    encode(program([(OP_LOAD, 1, 2), (OP_MOD, 2, 0, 1), (OP_JZ, 2, 4), (OP_JMP, 3),
+                    (OP_HALT, 0)])),
     interval_slice_index(const_index(2), 7),
     self_reference(encode(LEFT_PROG)),
     self_reference(encode(program([(OP_LEFT, 1, 0), (OP_RIGHT, 2, 0), (OP_ADD, 3, 1, 2),

@@ -4,8 +4,10 @@ import pytest
 
 from dnrlab.asm import ZERO_INDEX, const_index
 from dnrlab.certs import replay_certificate
+from dnrlab.errors import CombinatorialBlowup
 from dnrlab.machine import domain_window
 from dnrlab.stages import (
+    EVEN_STAGE_WORK_LIMIT,
     StageTrace,
     audit_effective_immunity,
     ei_not_coei,
@@ -73,6 +75,16 @@ class TestConstructionBasics:
         second = ei_not_coei(30, 10_000)
         assert first[0] == second[0]
         assert first[1] == second[1]
+
+    @pytest.mark.parametrize("knob", ["probes", "value_cap"])
+    def test_even_stage_work_limit_is_exact(self, knob):
+        # stage 2 is the one even stage of three; e = 0 diverges, so it runs nothing
+        trace, _ = ei_not_coei(3, 100, **{knob: EVEN_STAGE_WORK_LIMIT})
+        assert len(trace.records) == 3
+        with pytest.raises(CombinatorialBlowup, match=f"{knob} times 1 even stages"):
+            ei_not_coei(3, 100, **{knob: EVEN_STAGE_WORK_LIMIT + 1})
+        # odd stages cost neither, so one stage takes any value
+        assert len(ei_not_coei(1, 100, **{knob: 10**100})[0].records) == 1
 
 
 class TestStageEvents:
