@@ -12,6 +12,11 @@ Structural problems (missing fields, unknown kinds, fields that break
 their rule) are MalformedCertificate instead: a broken file is not a
 refuted claim.  Only then does a field-by-field pass run, to name the
 first missing or broken field.
+
+The same rules write certificates: `certificate` encodes native values
+by them, for exactly its replayer's fields.  The kinds built in bushy,
+forcing and reductions stay dict literals: this module imports those, and
+the DNR audit writes thousands of certificates a run.
 """
 
 from __future__ import annotations
@@ -42,27 +47,21 @@ from .forcing import (
     _diagonal_pair,
     c_m_set,
 )
-from .machine import (
-    EnumerationScan,
-    Halted,
-    domain_window,
-    eval_program,
-    gamma,
-)
+from .machine import EnumerationScan, domain_window, gamma, halted_value
 from .numbering import (
     LownessVerdict,
     lowness_bound_check,
     snr_from_immune_oracle,
     union_cylinder_measure,
 )
-from .oracle import first_members, oracle_from_spec
+from .oracle import first_members, oracle_from_spec, oracle_to_spec
 from .reductions import _side_codes, diagonal_set_index, first_slice_index
 from .stages import ei_not_coei, interval_slice_index
 
 # ---------------------------------------------------------------------------
-# Field rules: a decoder and what the field must hold.  A decoder returns
-# the decoded value or raises; nothing is coerced, so 2.0, true or "2"
-# where a natural belongs breaks the rule.
+# Field rules: a decoder, what the field must hold and an encoder.  A
+# decoder returns the decoded value or raises; nothing is coerced, so 2.0,
+# true or "2" where a natural belongs breaks the rule.
 
 def _natural(value) -> int:
     if type(value) is not int or value < 0:
@@ -112,20 +111,21 @@ def _lowness_verdict(value) -> LownessVerdict:
                              for name, part in value.items()})
 
 
-def _one_of(*values) -> tuple[Callable, str]:
+def _one_of(*values) -> tuple[Callable, str, None]:
     allowed = {(type(v), v) for v in values}
 
     def decode(value):
         if (type(value), value) not in allowed:
             raise ValueError
         return value
-    return decode, f"one of {list(values)}"
+    return decode, f"one of {list(values)}", None
 
 
 _LISTS = "a list of lists of naturals"
 
-# The rule of every field name, for certificates and --in files alike.
-_FIELDS: dict[str, tuple[Callable, str]] = {
+# The rule of every field name, for certificates and --in files alike: its
+# decoder, what it must hold, and how a certificate writes it (None: as given).
+_FIELDS: dict[str, tuple[Callable, str, Callable | None]] = {
     **dict.fromkeys((
         "a", "base", "budget", "c", "candidate", "cap", "chosen_color",
         "claimed_bound", "count", "counterexamples", "depth", "e", "e0", "e1",
@@ -133,28 +133,38 @@ _FIELDS: dict[str, tuple[Callable, str]] = {
         "fixpoint_budget", "h", "h_e", "horizon", "instances", "interval_count",
         "intersection_size", "k", "m", "n", "p", "position_horizon", "probes",
         "q", "record_count", "smallness_bound", "stages", "tail_exponent",
-        "term_cap", "tree_bushiness", "value", "value_cap", "winner"), (_natural, "naturals")),
+        "term_cap", "tree_bushiness", "value", "value_cap", "winner"),
+        (_natural, "naturals", None)),
     **dict.fromkeys(("side_code", "complement_code"),
-                    (lambda v: v if v is None else _natural(v), "naturals or null")),
+                    (lambda v: v if v is None else _natural(v), "naturals or null", None)),
     **dict.fromkeys(("members", "ones", "order_prefix", "prefix", "q_values",
-                     "sigma", "w_winner"), (_naturals, "a list of naturals")),
-    **dict.fromkeys(("new_stem", "stem", "tau"), (_node, "a node (a list of naturals)")),
+                     "sigma", "w_winner"), (_naturals, "a list of naturals", list)),
+    **dict.fromkeys(("new_stem", "stem", "tau"),
+                    (_node, "a node (a list of naturals)", list)),
     **dict.fromkeys(("fused", "pairs", "stems"),
-                    (lambda v: list(map(tuple, _lists_of_naturals(v))), _LISTS)),
+                    (lambda v: list(map(tuple, _lists_of_naturals(v))), _LISTS,
+                     lambda v: list(map(list, v)))),
     **dict.fromkeys(("badset", "badset_before", "c_m_minimal", "closure", "first",
                      "part_small_m", "part_small_n", "second", "set", "union"),
-                    (_node_set, _LISTS)),
-    "sets": (lambda v: tuple(map(frozenset, _lists_of_naturals(v))), _LISTS),
+                    (_node_set, _LISTS, lambda v: sorted(map(list, v)))),
+    "sets": (lambda v: tuple(map(frozenset, _lists_of_naturals(v))), _LISTS,
+             lambda v: sorted(map(sorted, v))),
     **dict.fromkeys(("ambient", "tree", "witness"), (
         lambda v: TreeWitness(_node(v["stem"]), _node_set(v["nodes"])),
-        "a tree {stem, nodes} of lists of naturals")),
-    "colors": (_coloring, "a list of [node, color] pairs"),
-    "g": (OrderFunction.from_spec, 'an order function spec "v0,v1,...[;tail=base,period]"'),
-    "functional": (FiniteFunctional.from_jsonable, "a functional {depth, entries}"),
-    "oracle": (oracle_from_spec, "an oracle spec"),
+        "a tree {stem, nodes} of lists of naturals", TreeWitness.to_jsonable)),
+    "colors": (_coloring, "a list of [node, color] pairs",
+               lambda v: sorted([list(node), color] for color, nodes in v.items()
+                                for node in nodes)),
+    "g": (OrderFunction.from_spec, 'an order function spec "v0,v1,...[;tail=base,period]"',
+          OrderFunction.to_spec),
+    "functional": (FiniteFunctional.from_jsonable, "a functional {depth, entries}",
+                   FiniteFunctional.to_jsonable),
+    "oracle": (oracle_from_spec, "an oracle spec", oracle_to_spec),
     **dict.fromkeys(("measure", "partial_sum", "violating_term"),
-                    (DyadicRational.from_jsonable, "a dyadic rational {num, exp}")),
-    "verdict": (_lowness_verdict, "a lowness verdict {holds, partial_sum, ...}"),
+                    (DyadicRational.from_jsonable, "a dyadic rational {num, exp}",
+                     DyadicRational.to_jsonable)),
+    "verdict": (_lowness_verdict, "a lowness verdict {holds, partial_sum, ...}",
+                LownessVerdict.to_jsonable),
     **dict.fromkeys(("big", "holds"), _one_of(True, False)),
     "case": _one_of("case1", "case2"),
     "side": _one_of("oracle", "complement"),
@@ -164,7 +174,7 @@ _FIELDS: dict[str, tuple[Callable, str]] = {
 def decode_field(owner: str, name: str, value):
     """`value` decoded by the rule for fields named `name`, else
     MalformedCertificate (a ValueError) naming `owner`."""
-    decode, wanted = _FIELDS[name]
+    decode, wanted, _ = _FIELDS[name]
     try:
         return decode(value)
     except (KeyError, TypeError, ValueError) as exc:
@@ -177,6 +187,8 @@ def decode_field(owner: str, name: str, value):
 # The registry.
 
 REPLAYERS: dict[str, Callable[[Mapping], None]] = {}
+# kind -> (its required fields, its optional ones), from the replayer's parameters
+_PARAMETERS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
 
 
 class _Refuted(Exception):
@@ -191,10 +203,11 @@ def _check(ok: bool, detail: str) -> None:
 def _replayer(kind: str):
     """Register `fn` for `kind`: its parameters name the fields it reads,
     and one with a default is an optional field.  Their decoders are bound
-    here.  The reader decodes the required fields in order and passes them
-    positionally; it reads optional fields only for kinds that have them.
-    The field-by-field path through decode_field runs only when decoding
-    fails, to name the first missing or broken field."""
+    here, and their names recorded for `certificate`.  The reader decodes
+    the required fields in order and passes them positionally; it reads
+    optional fields only for kinds that have them.  The field-by-field
+    path through decode_field runs only when decoding fails, to name the
+    first missing or broken field."""
     def register(fn: Callable[..., None]):
         params = inspect.signature(fn).parameters.values()
         names = [p.name for p in params]
@@ -230,8 +243,29 @@ def _replayer(kind: str):
                 raise ReplayMismatch(kind, str(exc)) from None
 
         REPLAYERS[kind] = replay
+        _PARAMETERS[kind] = (tuple(name for name, _ in required),
+                             tuple(name for name, _, _ in optional))
         return fn
     return register
+
+
+def certificate(kind: str, **fields) -> dict:
+    """The certificate `{"kind": kind, ...}` of native field values, each
+    written by the rule for its name.  The fields must be the parameters
+    of the kind's replayer, else TypeError: every required one, and an
+    optional one may be absent or None (then it is left out)."""
+    required, optional = _PARAMETERS[kind]
+    missing = [name for name in required if name not in fields]
+    unknown = [name for name in fields if name not in required and name not in optional]
+    if missing or unknown:
+        raise TypeError(f"{kind} certificate: missing fields {missing}, unknown fields {unknown}")
+    cert = {"kind": kind}
+    for name, value in fields.items():
+        if value is None and name in optional:
+            continue
+        encode = _FIELDS[name][2]
+        cert[name] = value if encode is None else encode(value)
+    return cert
 
 
 def replay_certificate(cert: Mapping) -> str:
@@ -251,11 +285,6 @@ def replay_certificate(cert: Mapping) -> str:
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCertificate(f"{kind}: bad field content ({exc})") from exc
     return kind
-
-
-def _halted_value(e: int, x: int, budget: int) -> int | None:
-    out = eval_program(e, x, budget)
-    return out.value if isinstance(out, Halted) else None
 
 
 def _check_exactly_bushy(tree: TreeWitness, stem: Node, n: int, g: OrderFunction,
@@ -302,8 +331,8 @@ def _replay_diagonal(g, functional, k, tau, tree, tree_bushiness, fused, e0, e1,
         _check(not any(leaf[:len(b)] == b for b in badset),
                f"leaf {leaf} extends a recorded bad string")
     v0, v1 = q_values
-    _check(_halted_value(q, e0, eval_budget) == v0, f"q({e0}) no longer evaluates to {v0}")
-    _check(_halted_value(q, e1, eval_budget) == v1, f"q({e1}) no longer evaluates to {v1}")
+    _check(halted_value(q, e0, eval_budget) == v0, f"q({e0}) no longer evaluates to {v0}")
+    _check(halted_value(q, e1, eval_budget) == v1, f"q({e1}) no longer evaluates to {v1}")
     _check(m == max(v0, v1), "m is not max of the q values")
     _check(c == min(2 * m + 1, cap), "c is not min(2m+1, cap)")
     w0 = {p for p, i in fused if i == 0}
@@ -332,9 +361,9 @@ def _replay_diagonal(g, functional, k, tau, tree, tree_bushiness, fused, e0, e1,
 
 def _check_diagonal(e: int, value: int, h_e: int, f: int, f_value: int, budget: int) -> None:
     _check(h_e == diagonal_set_index(e), "transformed index fails to rebuild")
-    if _halted_value(e, e, budget) != value:
+    if halted_value(e, e, budget) != value:
         raise _Refuted(f"diagonal value at {e} is no longer {value}")
-    if _halted_value(f, h_e, budget) != f_value:
+    if halted_value(f, h_e, budget) != f_value:
         raise _Refuted(f"f({h_e}) is no longer {f_value}")
 
 
@@ -366,14 +395,14 @@ def _replay_dnr_value(e, value, h_e, f, f_value, budget, oracle, side_code,
 
 @_replayer("diagonal_diverges")
 def _replay_diagonal_diverges(e, budget) -> None:
-    if _halted_value(e, e, budget) is not None:
+    if halted_value(e, e, budget) is not None:
         raise _Refuted(f"phi_{e}({e}) now halts within {budget} steps")
 
 
 @_replayer("f_unconverged")
 def _replay_f_unconverged(e, h_e, f, budget) -> None:
     _check(h_e == diagonal_set_index(e), "transformed index fails to rebuild")
-    _check(_halted_value(f, h_e, budget) is None, f"f({h_e}) now halts within {budget} steps")
+    _check(halted_value(f, h_e, budget) is None, f"f({h_e}) now halts within {budget} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +410,7 @@ def _replay_f_unconverged(e, h_e, f, budget) -> None:
 
 @_replayer("blocking_finite")
 def _replay_blocking_finite(e, f, f_value, members, budget, sigma) -> None:
-    _check(_halted_value(f, e, budget) == f_value, f"f({e}) is no longer {f_value}")
+    _check(halted_value(f, e, budget) == f_value, f"f({e}) is no longer {f_value}")
     scan = EnumerationScan(e, budget)
     _check(not scan.grows(), "the set still grows at the checkpoint: not the finite case")
     _check(scan.members() == members, "enumerated members disagree with the record")
@@ -394,7 +423,7 @@ def _replay_blocking_finite(e, f, f_value, members, budget, sigma) -> None:
 def _replay_blocking_infinite(e, f, e_prime, f_value, members, order_prefix,
                               horizon, budget, sigma) -> None:
     _check(first_slice_index(e, f) == e_prime, "slice index fails to rebuild")
-    _check(_halted_value(f, e_prime, budget) == f_value,
+    _check(halted_value(f, e_prime, budget) == f_value,
            f"f on the slice index is no longer {f_value}")
     scan = EnumerationScan(e, budget)
     _check(scan.grows(), "the set no longer grows at the checkpoint")
@@ -410,7 +439,7 @@ def _replay_blocking_infinite(e, f, e_prime, f_value, members, order_prefix,
 @_replayer("interval_slice")
 def _replay_interval_slice(e, a, base, count, claimed_bound, budget) -> None:
     _check(interval_slice_index(e, base) == a, "interval index fails to rebuild")
-    _check(_halted_value(e, a, budget) == claimed_bound,
+    _check(halted_value(e, a, budget) == claimed_bound,
            f"phi_{e}({a}) is no longer {claimed_bound}")
     _check(count == claimed_bound + 1, "interval size is not the bound plus one")
     _check(domain_window(a, base + count + 2, budget) == frozenset(range(base, base + count)),

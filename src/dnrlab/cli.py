@@ -31,7 +31,7 @@ from .bushy import (
     union_smallness_sweep,
     witness_tree,
 )
-from .certs import decode_field, replay_certificate
+from .certs import certificate, decode_field, replay_certificate
 from .dyadic import DyadicRational
 from .errors import (
     CombinatorialBlowup,
@@ -57,7 +57,7 @@ from .numbering import (
     tail_constraints,
     union_cylinder_measure,
 )
-from .oracle import PeriodicOracle, oracle_to_spec
+from .oracle import PeriodicOracle
 from .reductions import blocking_prefix, dnr_reduction_audit
 from .stages import audit_effective_immunity, ei_not_coei
 
@@ -131,52 +131,30 @@ def _cmd_bushy_check(g, data, budgets, seed) -> CommandResult:
     B = data["set"] if data["set"] is not None else frozenset(level_nodes(g, depth))
     n = data["n"] if data["n"] is not None else g(0)
     big = is_n_big(B, n, g, stem, depth)
-    cert = {
-        "kind": "bushiness_verdict",
-        "g": g.to_spec(),
-        "stem": list(stem),
-        "depth": depth,
-        "n": n,
-        "set": sorted(list(x) for x in B),
-        "big": big,
-    }
-    if big:
-        cert["witness"] = witness_tree(B, n, g, stem, depth, exactly=True).to_jsonable()
+    witness = witness_tree(B, n, g, stem, depth, exactly=True) if big else None
     word = "big" if big else "small"
     return CommandResult(
         summary=[f"set of {len(B)} strings is {n}-{word} above {stem}"],
-        certificates=[cert])
+        certificates=[certificate("bushiness_verdict", g=g, stem=stem, depth=depth, n=n,
+                                  set=B, big=big, witness=witness)])
 
 
 def _cmd_closure(g, data, budgets, seed) -> CommandResult:
     depth, B, n = data["depth"], data["set"], data["n"]
     closed = closure(B, n, g, depth)
-    cert = {
-        "kind": "closure_result",
-        "g": g.to_spec(),
-        "n": n,
-        "depth": depth,
-        "set": sorted(list(x) for x in B),
-        "closure": sorted(list(x) for x in closed),
-    }
     return CommandResult(
         summary=[f"{n}-closure of {len(B)} strings has {len(closed)} nodes"],
-        certificates=[cert])
+        certificates=[certificate("closure_result", g=g, n=n, depth=depth, set=B,
+                                  closure=closed)])
 
 
 def _cmd_lemma_sweep(g, data, budgets, seed) -> CommandResult:
     depth, pairs, stems = data["depth"], data["pairs"], data["stems"]
     out = union_smallness_sweep(g, depth, pairs, stems)
     certs = list(out["counterexamples"])
-    certs.append({
-        "kind": "sweep_summary",
-        "g": g.to_spec(),
-        "depth": depth,
-        "pairs": pairs,
-        "stems": stems,
-        "instances": out["instances"],
-        "counterexamples": len(out["counterexamples"]),
-    })
+    certs.append(certificate("sweep_summary", g=g, depth=depth, pairs=pairs, stems=stems,
+                             instances=out["instances"],
+                             counterexamples=len(out["counterexamples"])))
     code = EXIT_COUNTEREXAMPLE if out["counterexamples"] else EXIT_OK
     return CommandResult(
         exit_code=code,
@@ -215,37 +193,22 @@ def _cmd_fusion_check(g, data, budgets, seed) -> CommandResult:
         if not isinstance(verdict, LemmaHolds):
             failures += 1
             continue
-        certs.append({
-            "kind": "fusion_intersection",
-            "g": g.to_spec(),
-            "k": k,
-            "ambient": ambient.to_jsonable(),
-            "first": sorted(list(x) for x in F),
-            "second": sorted(list(x) for x in C),
-            "intersection_size": len(F & C),
-        })
+        certs.append(certificate("fusion_intersection", g=g, k=k, ambient=ambient, first=F,
+                                 second=C, intersection_size=len(F & C)))
     # one pigeonhole certificate: a 3-coloring of an exactly-6k tree's leaves
     # always leaves one class 2k-big
     k = 1
     g = OrderFunction.constant(6 * k)
     ambient = witness_tree(frozenset(level_nodes(g, depth)), 6 * k, g, (), depth, exactly=True)
-    leaves = sorted(ambient.leaves())
-    colors = [[list(leaf), rng.randint(0, 2)] for leaf in leaves]
-    classes = {c: frozenset(tuple(n) for n, cc in colors if cc == c)
+    colors = {leaf: rng.randint(0, 2) for leaf in sorted(ambient.leaves())}
+    classes = {c: frozenset(leaf for leaf, cc in colors.items() if cc == c)
                for c in (0, 1, 2)}
     chosen = next(c for c in (0, 1, 2)
                   if is_n_big(classes[c], 2 * k, g, (), depth))
-    certs.append({
-        "kind": "pigeonhole_witness",
-        "g": g.to_spec(),
-        "stem": [],
-        "depth": depth,
-        "k": k,
-        "colors": colors,
-        "chosen_color": chosen,
-        "witness": witness_tree(
-            classes[chosen], 2 * k, g, (), depth, exactly=True).to_jsonable(),
-    })
+    certs.append(certificate(
+        "pigeonhole_witness", g=g, stem=(), depth=depth, k=k, colors=classes,
+        chosen_color=chosen,
+        witness=witness_tree(classes[chosen], 2 * k, g, (), depth, exactly=True)))
     code = EXIT_COUNTEREXAMPLE if failures else EXIT_OK
     return CommandResult(
         exit_code=code,
@@ -298,17 +261,11 @@ def _cmd_ei_construct(g, data, budgets, seed) -> CommandResult:
     value_cap, probes = budgets["value_cap"], budgets["probes"]
     trace, g_map = ei_not_coei(stages, budget, value_cap=value_cap, probes=probes)
     violations = audit_effective_immunity(g_map, stages // 2, budget)
-    certs = [{"kind": "interval_slice", **rec} for rec in trace.interval_records()]
-    certs.append({
-        "kind": "stage_summary",
-        "stages": stages,
-        "budget": budget,
-        "value_cap": value_cap,
-        "probes": probes,
-        "ones": sorted(x for x, b in g_map.items() if b == 1),
-        "record_count": len(trace.records),
-        "interval_count": len(trace.interval_records()),
-    })
+    certs = [certificate("interval_slice", **rec) for rec in trace.interval_records()]
+    certs.append(certificate(
+        "stage_summary", stages=stages, budget=budget, value_cap=value_cap, probes=probes,
+        ones=sorted(x for x, b in g_map.items() if b == 1), record_count=len(trace.records),
+        interval_count=len(trace.interval_records())))
     ones = sum(1 for b in g_map.values() if b == 1)
     summary = [
         f"{stages} stages, {ones} ones, {len(trace.interval_records())} intervals",
@@ -325,28 +282,19 @@ def _cmd_schnorr_measure(g, data, budgets, seed) -> CommandResult:
     bound = DyadicRational.half_power(c)
     if measure > bound:
         raise AssertionError("tail bound violated: the measure proof is broken")
-    cert = {
-        "kind": "cylinder_measure",
-        "sets": sorted(sorted(s) for s in constraints),
-        "term_cap": TERM_LIMIT,
-        "measure": measure.to_jsonable(),
-        "tail_exponent": c,
-    }
     return CommandResult(
         summary=[f"{len(constraints)} constraint sets over ({c}, {e_max}]",
                  f"union measure {measure} <= 2^-{c}"],
-        certificates=[cert])
+        certificates=[certificate("cylinder_measure", sets=constraints, term_cap=TERM_LIMIT,
+                                  measure=measure, tail_exponent=c)])
 
 
 def _cmd_lowness_check(g, data, budgets, seed) -> CommandResult:
     h, p, f = data["h"], data["p"], data["f"]
     c, e_max, budget = budgets["c"], budgets["e_max"], budgets["eval"]
     verdict = lowness_bound_check(h, p, f, c, e_max, budget)
-    cert = {
-        "kind": "lowness_bound",
-        "h": h, "p": p, "f": f, "c": c, "e_max": e_max, "budget": budget,
-        "verdict": verdict.to_jsonable(),
-    }
+    cert = certificate("lowness_bound", h=h, p=p, f=f, c=c, e_max=e_max, budget=budget,
+                       verdict=verdict)
     if verdict.holds:
         summary = [f"termwise bound holds; partial sum {verdict.partial_sum} <= 2^-{c}"]
         code = EXIT_OK
@@ -359,12 +307,9 @@ def _cmd_lowness_check(g, data, budgets, seed) -> CommandResult:
 def _cmd_snr_demo(g, data, budgets, seed) -> CommandResult:
     oracle, h = data["oracle"], data["h"]
     e_max, budget = budgets["audit"], budgets["eval"]
-    certs = [{
-        "kind": "snr_slice",
-        "oracle": oracle_to_spec(oracle),
-        "h": h, "e": e, "budget": budget,
-        "value": snr_from_immune_oracle(oracle, h, e, budget),
-    } for e in range(e_max + 1)]
+    certs = [certificate("snr_slice", oracle=oracle, h=h, e=e, budget=budget,
+                         value=snr_from_immune_oracle(oracle, h, e, budget))
+             for e in range(e_max + 1)]
     summary = [f"slice codes for e <= {e_max}: {sorted({c['value'] for c in certs})}"]
     return CommandResult(summary=summary, certificates=certs)
 

@@ -60,11 +60,10 @@ from .bushy import (
     witness_tree,
 )
 from .machine import (
-    Halted,
     ProgramIndex,
     domain_window,
-    eval_program,
     gamma_inverse,
+    halted_value,
     self_reference,
     smn_fill,
 )
@@ -704,11 +703,11 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
     def diagonal_indices(fused: Sequence[tuple[int, int]]):
         """(e0, e1, q(e0), q(e1)) for the fused list, or BudgetExceeded."""
         e0, e1 = _diagonal_pair(q, fused, target_len, limits.fixpoint_budget)
-        out0 = eval_program(q, e0, limits.eval_budget)
-        out1 = eval_program(q, e1, limits.eval_budget)
-        if not (isinstance(out0, Halted) and isinstance(out1, Halted)):
+        v0 = halted_value(q, e0, limits.eval_budget)
+        v1 = halted_value(q, e1, limits.eval_budget)
+        if v0 is None or v1 is None:
             return fail("q not total on the diagonal indices")
-        return e0, e1, out0.value, out1.value
+        return e0, e1, v0, v1
 
     if big_inputs:
         fused, kept = fusion_step(deltas, tau0, k, big_inputs, g, depth, avoid)

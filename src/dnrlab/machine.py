@@ -735,6 +735,12 @@ def eval_steps(e: ProgramIndex, x: int, budget: int, oracle: Optional[Oracle] = 
     return (RUNNING if value is None else Halted(value)), steps
 
 
+def halted_value(e: ProgramIndex, x: int, budget: int) -> Optional[int]:
+    """phi_e(x) if it halts within `budget` steps with no oracle, else None."""
+    out = eval_steps(e, x, budget)[0]
+    return None if out is RUNNING else out.value
+
+
 def enumerate_re(e: ProgramIndex, budget: int) -> frozenset[int]:
     """W_{e,budget} = {x <= budget : eval(e, x, budget) halts}."""
     return domain_window(e, budget + 1, budget)
@@ -917,7 +923,7 @@ def fixed_point(transform: ProgramIndex, budget: int = 10_000) -> ProgramIndex:
         (OP_HALT, 4),
     )))
     e_star = diagonal_index(v)
-    if not isinstance(eval_program(transform, e_star, budget), Halted):
+    if halted_value(transform, e_star, budget) is None:
         raise WitnessBudgetExceeded(
             f"transform {transform} did not halt on the diagonal index within {budget} steps")
     return e_star

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from .dyadic import WIDTH_LIMIT, ZERO, DyadicRational, dyadic_sum
 from .errors import CombinatorialBlowup, InsufficientOracle, WitnessBudgetExceeded
-from .machine import Halted, ProgramIndex, eval_program, gamma_inverse
+from .machine import ProgramIndex, gamma_inverse, halted_value
 from .oracle import BitOracle, first_members
 
 
@@ -39,10 +39,10 @@ def snr_from_immune_oracle(R: BitOracle, h: ProgramIndex, e: int, budget: int) -
     matching size, the resulting value disagrees with phi_e(e) wherever
     that halts.
     """
-    out = eval_program(h, 2 * e, budget)
-    if not isinstance(out, Halted):
+    out = halted_value(h, 2 * e, budget)
+    if out is None:
         raise WitnessBudgetExceeded(f"h did not converge on {2 * e} within {budget} steps")
-    k = out.value + 1
+    k = out + 1
     members = first_members(R, k)
     if len(members) < k:
         raise InsufficientOracle(f"oracle holds only {len(members)} members, need {k}")
@@ -112,9 +112,10 @@ def brute_force_union_measure(sets: Iterable[frozenset[int]]) -> DyadicRational:
     return DyadicRational(covered.bit_count(), width)
 
 
-def tail_constraints(numbering, c: int, e_max: int) -> list[frozenset[int]]:
-    """The level-c test tail: each D_e with c < e <= e_max and |D_e| >= 2e."""
-    return [members for e in range(c + 1, e_max + 1)
+def tail_constraints(numbering: TableNumbering, c: int, e_max: int) -> list[frozenset[int]]:
+    """The level-c test tail: each D_e with c < e <= e_max and |D_e| >= 2e.
+    Past the table every D_e is empty, so the scan stops at its end."""
+    return [members for e in range(c + 1, min(e_max, len(numbering.sets) - 1) + 1)
             if len(members := frozenset(numbering.finite_set(e))) >= 2 * e]
 
 
@@ -159,10 +160,10 @@ def lowness_bound_check(h: ProgramIndex, p: ProgramIndex, f: ProgramIndex,
     stops with CombinatorialBlowup when it reaches one.
     """
     def value(idx: ProgramIndex, x: int) -> int:
-        out = eval_program(idx, x, budget)
-        if not isinstance(out, Halted):
+        out = halted_value(idx, x, budget)
+        if out is None:
             raise WitnessBudgetExceeded(f"index {idx} did not converge on {x}")
-        return out.value
+        return out
 
     total = ZERO
     for e in range(c + 1, min(e_max, WIDTH_LIMIT) + 1):

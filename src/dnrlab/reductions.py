@@ -22,11 +22,10 @@ from .asm import _template_index, assemble_index
 from .errors import PreconditionViolated, WitnessBudgetExceeded
 from .machine import (
     EnumerationScan,
-    Halted,
     ProgramIndex,
-    eval_program,
     gamma,
     gamma_inverse,
+    halted_value,
     self_reference,
     smn_fill,
 )
@@ -66,12 +65,11 @@ def diagonal_set_index(n: ProgramIndex) -> ProgramIndex:
 
 def _claimed_bound(f: ProgramIndex, n: ProgramIndex, budget: int) -> int:
     """f at the transformed index, or WitnessBudgetExceeded."""
-    target = diagonal_set_index(n)
-    out = eval_program(f, target, budget)
-    if not isinstance(out, Halted):
+    value = halted_value(f, diagonal_set_index(n), budget)
+    if value is None:
         raise WitnessBudgetExceeded(
             f"f = {f} did not converge on the transformed index within {budget} steps")
-    return out.value
+    return value
 
 
 @lru_cache(maxsize=256)
@@ -118,13 +116,12 @@ def _diagonal_outcomes(f: ProgramIndex, e_max: int, budget: int):
     it diverges within budget (and then no h(e)) and for f's when f does
     not converge on h(e)."""
     for e in range(e_max + 1):
-        out = eval_program(e, e, budget)
-        if not isinstance(out, Halted):
+        value = halted_value(e, e, budget)
+        if value is None:
             yield e, None, None, None
             continue
         h_e = diagonal_set_index(e)
-        f_out = eval_program(f, h_e, budget)
-        yield e, out.value, h_e, (f_out.value if isinstance(f_out, Halted) else None)
+        yield e, value, h_e, halted_value(f, h_e, budget)
 
 
 def _audit_certs(X: BitOracle, f: ProgramIndex, budget: int, outcomes):
@@ -291,10 +288,9 @@ def blocking_prefix(A_prefix: tuple[int, ...], e: ProgramIndex, f: ProgramIndex,
     A_prefix = tuple(A_prefix)
     if any(b not in (0, 1) for b in A_prefix):
         raise ValueError("prefix bits must be 0 or 1")
-    f_out = eval_program(f, e, budget)
-    if not isinstance(f_out, Halted):
+    bound = halted_value(f, e, budget)
+    if bound is None:
         raise WitnessBudgetExceeded(f"f = {f} did not converge on {e} within {budget} steps")
-    bound = f_out.value
     scan = EnumerationScan(e, budget)
 
     if not scan.grows():
@@ -318,11 +314,11 @@ def blocking_prefix(A_prefix: tuple[int, ...], e: ProgramIndex, f: ProgramIndex,
         return A_prefix, cert
 
     slice_idx = first_slice_index(e, f)
-    f_slice = eval_program(f, slice_idx, budget)
-    if not isinstance(f_slice, Halted):
+    f_slice = halted_value(f, slice_idx, budget)
+    if f_slice is None:
         raise WitnessBudgetExceeded(
             f"f = {f} did not converge on the slice index within {budget} steps")
-    k = f_slice.value + 1
+    k = f_slice + 1
     order_prefix = scan.first(k)
     if len(order_prefix) < k:  # then the scan has read all of W_{e,budget}
         raise WitnessBudgetExceeded(
@@ -344,7 +340,7 @@ def blocking_prefix(A_prefix: tuple[int, ...], e: ProgramIndex, f: ProgramIndex,
         "e": e,
         "f": f,
         "e_prime": slice_idx,
-        "f_value": f_slice.value,
+        "f_value": f_slice,
         "members": slice_members,
         "order_prefix": list(order_prefix),
         "horizon": horizon,

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 from .asm import _template_index
 from .errors import CombinatorialBlowup
-from .machine import (
-    Halted,
-    ProgramIndex,
-    domain_window,
-    eval_program,
-    self_reference,
-)
+from .machine import ProgramIndex, domain_window, halted_value, self_reference
 
 # phi(pair(u, x)): n = phi_e(u) + 1; halt iff base <= x < base + n.
 # The braces carry the stage's target index and the fresh base.
@@ -158,26 +152,25 @@ def ei_not_coei(stages: int, budget: int,
                                    "pulled_in": inside[0]})
         else:
             e = (s - 2) // 2
-            probe_ok = all(
-                isinstance(eval_program(e, x, budget), Halted) for x in range(probes))
+            probe_ok = all(halted_value(e, x, budget) is not None for x in range(probes))
             if not probe_ok:
                 events.append({"event": "skipped_not_total", "e": e})
             else:
                 base = top + 1
                 a = interval_slice_index(e, base)
-                out = eval_program(e, a, budget)
-                if not isinstance(out, Halted):
+                value = halted_value(e, a, budget)
+                if value is None:
                     events.append({"event": "skipped_diagonal_budget", "e": e, "a": a})
-                elif out.value + 1 > value_cap:
+                elif value + 1 > value_cap:
                     events.append({"event": "skipped_value_cap", "e": e, "a": a,
-                                   "value": out.value})
+                                   "value": value})
                 else:
-                    n = out.value + 1
+                    n = value + 1
                     for x in range(base, base + n):
                         put(x, 0)
                     interval_record = {
                         "e": e, "a": a, "base": base, "count": n,
-                        "claimed_bound": out.value, "budget": budget,
+                        "claimed_bound": value, "budget": budget,
                     }
                     events.append({"event": "interval_pinned", "e": e, "count": n})
         assert ones <= 2 * s, f"stage {s}: {ones} ones exceeds 2s"

@@ -9,6 +9,12 @@ have defaults.  Every kind is emitted, from the default commands or from
 the library calls that build the rest, and its keys must be `kind` plus
 the replayer's parameters, where an optional parameter may be absent.
 
+The same corpus checks the writer, `certs.certificate`: decoding every
+field of a certificate by its rule and building it again gives the same
+JSON, whichever module first wrote it.  The parameters the builder records
+per kind must equal the `ast` reading above, and `cli.py` must hold no
+certificate literal of its own.
+
 Two documentation checks ride along: every kind has a row in the kinds
 table of `docs/formats.md`, and every field name with a rule in
 `certs._FIELDS` appears in that file's table of rules.
@@ -17,6 +23,7 @@ table of `docs/formats.md`, and every field name with a rule in
 from __future__ import annotations
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -24,6 +31,7 @@ import pytest
 
 from dnrlab import bushy, certs, cli
 from dnrlab.asm import DIVERGE_INDEX, ZERO_INDEX, const_index
+from dnrlab.dyadic import DyadicRational
 from dnrlab.oracle import EVENS
 from dnrlab.reductions import blocking_prefix, diagonal_set_index, dnr_reduction_audit
 
@@ -88,6 +96,57 @@ def test_certificates_hold_exactly_their_replayers_fields(by_kind):
             if not required <= keys <= required | optional:
                 wrong.append((kind, sorted(keys - required - optional), sorted(required - keys)))
     assert wrong == []
+
+
+def test_the_builder_records_each_replayers_parameters():
+    recorded = {kind: (set(required), set(optional))
+                for kind, (required, optional) in certs._PARAMETERS.items()}
+    assert recorded == replayer_parameters()
+
+
+def _decoded(cert: dict) -> dict:
+    return {name: certs.decode_field(cert["kind"], name, value)
+            for name, value in cert.items() if name != "kind"}
+
+
+def test_every_certificate_is_rebuilt_byte_for_byte(by_kind):
+    changed = []
+    for kind, emitted in sorted(by_kind.items()):
+        for cert in emitted:
+            rebuilt = certs.certificate(kind, **_decoded(cert))
+            if json.dumps(rebuilt, sort_keys=True) != json.dumps(cert, sort_keys=True):
+                changed.append(kind)
+    assert changed == []
+
+
+def test_cli_writes_no_certificate_literal():
+    tree = ast.parse((ROOT / "src" / "dnrlab" / "cli.py").read_text())
+    literals = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Dict)
+                and any(isinstance(key, ast.Constant) and key.value == "kind"
+                        for key in node.keys)]
+    assert literals == []
+
+
+def test_the_builder_refuses_fields_that_are_not_its_replayers(by_kind):
+    fields = _decoded(by_kind["cylinder_measure"][0])
+    del fields["measure"]
+    with pytest.raises(TypeError, match=r"missing fields \['measure'\]"):
+        certs.certificate("cylinder_measure", **fields)
+    fields = _decoded(by_kind["snr_slice"][0])
+    with pytest.raises(TypeError, match=r"unknown fields \['stem'\]"):
+        certs.certificate("snr_slice", stem=(), **fields)
+
+
+def test_none_is_absent_only_for_an_optional_field(by_kind):
+    cert = certs.certificate("cylinder_measure", sets=(frozenset({0}),), term_cap=8,
+                             measure=DyadicRational(1, 1), tail_exponent=None)
+    assert "tail_exponent" not in cert
+    fields = {**_decoded(by_kind["bushiness_verdict"][0]), "big": False, "witness": None}
+    assert "witness" not in certs.certificate("bushiness_verdict", **fields)
+    fields = {**_decoded(by_kind["dnr_value"][0]), "side_code": None}
+    assert certs.certificate("dnr_value", **fields)["side_code"] is None
+    with pytest.raises(TypeError, match="missing fields"):
+        certs.certificate("dnr_value", **{k: v for k, v in fields.items() if k != "side_code"})
 
 
 def test_every_kind_has_a_row_in_the_kinds_table():

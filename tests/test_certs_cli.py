@@ -286,6 +286,16 @@ class TestCliCommands:
         assert _replay_one(dict(certs["bushy-check"], big=False), tmp_path) == EXIT_COUNTEREXAMPLE
         assert _replay_one(dict(certs["closure"], closure=[]), tmp_path) == EXIT_COUNTEREXAMPLE
 
+    def test_schnorr_measure_stops_at_the_end_of_its_table(self, tmp_path):
+        # every D_e past the table is empty, so no e there can qualify
+        _, default = run_cli(["--command", "schnorr-measure"], tmp_path, "a.jsonl")
+        start = time.perf_counter()
+        code, far = run_cli(["--command", "schnorr-measure", "--budget.e_max=1000000000000"],
+                            tmp_path, "b.jsonl")
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_OK
+        assert far.read_text().splitlines()[1] == default.read_text().splitlines()[1]
+
     def test_malformed_input_file(self, tmp_path):
         path = tmp_path / "in.json"
         path.write_text("{not json")

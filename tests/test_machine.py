@@ -66,7 +66,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnrlab import machine
-from dnrlab.asm import EVEN_HALT, IDENTITY_INDEX, ZERO_INDEX, assemble, const_index
+from dnrlab.asm import EVEN_HALT, EVEN_HALT_INDEX, IDENTITY_INDEX, ZERO_INDEX, assemble, \
+    const_index
 from dnrlab.errors import WitnessBudgetExceeded
 from dnrlab.machine import (
     EMPTY_PROGRAM,
@@ -108,6 +109,7 @@ from dnrlab.machine import (
     fixed_point,
     gamma,
     gamma_inverse,
+    halted_value,
     pair,
     program,
     re_enumeration_order,
@@ -606,6 +608,22 @@ def test_halting_budget_is_tight():
         assert isinstance(out, Halted)
         assert eval_program(e, x, used) == out
         assert eval_program(e, x, used - 1) is RUNNING
+
+
+def test_halted_value_agrees_with_eval_program():
+    nested = (UNIV2_INDEX, pair(IDENTITY_INDEX, 6))
+    for e, x in [(IDENTITY_INDEX, 5), (encode(CONST1), 0), (const_index(7), 3),
+                 (EVEN_HALT_INDEX, 4), nested]:
+        used = eval_steps(e, x, 10**4)[1]
+        for budget in (used - 1, used, used + 1, 10**4):
+            out = eval_program(e, x, budget)
+            want = out.value if isinstance(out, Halted) else None
+            assert halted_value(e, x, budget) == want
+            assert (want is None) == (budget < used)
+    dead = encode(program([(OP_JMP, 0), (OP_HALT, 0)]))
+    assert not decode(dead).live[0]
+    assert eval_program(dead, 0, 10**9) is RUNNING
+    assert halted_value(dead, 0, 10**9) is None
 
 
 @given(program_st, st.integers(0, 8), st.integers(0, 120))
