@@ -702,6 +702,9 @@ def union_smallness_sweep(g: OrderFunction, depth: int,
 def _brute_force_sweep(g: OrderFunction, depth: int,
                        checks: list[tuple[int, int, int]],
                        stems: Iterable[Node]) -> dict:
+    # at call time: certs imports this module, and is fully loaded before any call runs
+    from .certs import certificate
+
     instances = 0
     counterexamples: list[dict] = []
     for stem in stems:
@@ -722,20 +725,12 @@ def _brute_force_sweep(g: OrderFunction, depth: int,
                 sub = mask
                 while True:
                     if beta[sub] < big_m and beta[mask ^ sub] < big_n:
-                        counterexamples.append({
-                            "kind": "union_counterexample",
-                            "g": g.to_spec(),
-                            "depth": depth,
-                            "stem": list(stem),
-                            "n": n,
-                            "m": m,
-                            "union": [list(region[i]) for i in range(size)
-                                      if mask >> i & 1],
-                            "part_small_m": [list(region[i]) for i in range(size)
-                                             if sub >> i & 1],
-                            "part_small_n": [list(region[i]) for i in range(size)
-                                             if (mask ^ sub) >> i & 1],
-                        })
+                        counterexamples.append(certificate(
+                            "union_counterexample", g=g, depth=depth, stem=stem, n=n, m=m,
+                            union=[region[i] for i in range(size) if mask >> i & 1],
+                            part_small_m=[region[i] for i in range(size) if sub >> i & 1],
+                            part_small_n=[region[i] for i in range(size)
+                                          if (mask ^ sub) >> i & 1]))
                     if sub == 0:
                         break
                     sub = (sub - 1) & mask

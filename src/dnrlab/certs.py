@@ -14,9 +14,10 @@ refuted claim.  Only then does a field-by-field pass run, to name the
 first missing or broken field.
 
 The same rules write certificates: `certificate` encodes native values
-by them, for exactly its replayer's fields.  The kinds built in bushy,
-forcing and reductions stay dict literals: this module imports those, and
-the DNR audit writes thousands of certificates a run.
+by them, for exactly its replayer's fields.  Every module builds its
+kinds through it; bushy, forcing and reductions import it at call time,
+since this module imports them.  Only the DNR audit's four kinds stay
+dict literals: it writes thousands of certificates a run.
 """
 
 from __future__ import annotations

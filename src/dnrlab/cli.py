@@ -68,6 +68,11 @@ EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_COUNTEREXAMPLE = 3
 
+# The widest integer, in decimal digits, that a trace or an --in file may
+# hold while `main` runs.  Diagonal indices grow with the square of the
+# fused list, past CPython's default of 4300.
+INT_DIGIT_LIMIT = 1 << 16
+
 class InputError(ValueError):
     """Configuration or input file problems: reported, exit code 1."""
 
@@ -109,7 +114,7 @@ def _load_input(config: RunConfig, fields: dict) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read input file: {exc}")
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # past INT_DIGIT_LIMIT too
         raise InputError(f"input file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise InputError("input file must hold a JSON object")
@@ -327,30 +332,32 @@ def _cmd_replay(g, path, budgets, seed) -> CommandResult:
         raise InputError("replay requires --in pointing at a trace file")
     try:
         with open(path) as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
+            # numbered as in the file, blank lines included
+            lines = [(lineno, line) for lineno, line in
+                     enumerate(fh.read().splitlines(), start=1) if line.strip()]
     except OSError as exc:
         raise InputError(f"cannot read trace file: {exc}")
     if not lines:
         raise InputError("trace file is empty")
     try:
-        header = json.loads(lines[0])
-    except (json.JSONDecodeError, RecursionError) as exc:
+        header = json.loads(lines[0][1])
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"trace header is not valid JSON: {exc}")
     if not isinstance(header, dict) or header.get("schema") != TRACE_SCHEMA:
         raise InputError(f"trace header lacks schema {TRACE_SCHEMA!r}")
     checked: dict[str, int] = {}
     mismatches: list[str] = []
     scan_once = json.JSONDecoder().scan_once
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         # one pass for a bare value; json.loads accepts or names the rest
         try:
             cert, end = scan_once(line, 0)
-        except (StopIteration, json.JSONDecodeError, RecursionError):
+        except (StopIteration, ValueError, RecursionError):
             end = -1
         if end != len(line):
             try:
                 cert = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise InputError(f"line {lineno} is not valid JSON: {exc}")
         try:
             kind = replay_certificate(cert)
@@ -506,8 +513,13 @@ def run(config: RunConfig) -> int:
             print(line)
         return result.exit_code
 
-    trace_lines = [_dump(config.header())]
-    trace_lines += [_dump(cert) for cert in result.certificates]
+    try:
+        trace_lines = [_dump(config.header())]
+        trace_lines += [_dump(cert) for cert in result.certificates]
+    except ValueError:  # an integer past INT_DIGIT_LIMIT
+        print(_dump({"error": f"budget exhausted: a certificate holds an integer "
+                              f"of more than {INT_DIGIT_LIMIT} digits"}), file=sys.stderr)
+        return EXIT_BUDGET
     text = "\n".join(trace_lines) + "\n"
     if config.out_path is not None:
         try:
@@ -529,12 +541,20 @@ def run(config: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # Python 3.10.0 to 3.10.6 convert integers of any width
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(INT_DIGIT_LIMIT)
     try:
         config = parse_args(argv)
         return run(config)
     except InputError as exc:
         print(_dump({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -602,6 +602,9 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
     q (certificate included), and BudgetExceeded with the partial trace when
     the finite table sustains neither.
     """
+    # at call time: certs imports this module, and is fully loaded before any call runs
+    from .certs import certificate
+
     g = cond.g
     trace: list = []
 
@@ -630,17 +633,9 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
     except BignessUnavailable as exc:
         m, node = exc.position, exc.node
         cm_min = _c_m_minimal(exc.c_m, node)
-        cert = {
-            "kind": "non_total_extension",
-            "g": g.to_spec(),
-            "functional": gamma_table.to_jsonable(),
-            "k": k,
-            "stem": list(node),
-            "m": m,
-            "smallness_bound": 7 * k,
-            "c_m_minimal": sorted(list(n) for n in cm_min),
-            "badset_before": sorted(list(b) for b in cond.badset),
-        }
+        cert = certificate("non_total_extension", g=g, functional=gamma_table, k=k,
+                           stem=node, m=m, smallness_bound=7 * k, c_m_minimal=cm_min,
+                           badset_before=cond.badset)
         trace.append({"step": "non_total_extension", "m": m, "stem": list(node)})
         return NonTotalExt(ForcingCondition(node, cond.badset | cm_min, g), m, cert,
                            tuple(trace))
@@ -671,31 +666,13 @@ def density_search(gamma_table: FiniteFunctional, q: ProgramIndex,
         if domain_window(e_win, target_len, limits.eval_budget) != w_win:
             return fail("enumeration audit failed at this budget")
         leaf = min(tree.leaves())
-        cert = {
-            "kind": "diagonal_extension",
-            "case": label,
-            "g": g.to_spec(),
-            "functional": gamma_table.to_jsonable(),
-            "k": k,
-            "tau": list(tau0),
-            "tree": tree.to_jsonable(),
-            "tree_bushiness": bushiness,
-            "fused": [list(p) for p in fused],
-            "e0": e0,
-            "e1": e1,
-            "q": q,
-            "q_values": [v0, v1],
-            "m": m_val,
-            "c": len(fused),
-            "cap": cap,
-            "winner": winner,
-            "w_winner": sorted(w_win),
-            "position_horizon": target_len,
-            "eval_budget": limits.eval_budget,
-            "fixpoint_budget": limits.fixpoint_budget,
-            "badset": sorted(list(b) for b in cond.badset),
-            "new_stem": list(leaf),
-        }
+        cert = certificate(
+            "diagonal_extension", case=label, g=g, functional=gamma_table, k=k, tau=tau0,
+            tree=tree, tree_bushiness=bushiness, fused=fused, e0=e0, e1=e1, q=q,
+            q_values=[v0, v1], m=m_val, c=len(fused), cap=cap, winner=winner,
+            w_winner=sorted(w_win), position_horizon=target_len,
+            eval_budget=limits.eval_budget, fixpoint_budget=limits.fixpoint_budget,
+            badset=cond.badset, new_stem=leaf)
         trace.append({"step": "diagonal_extension", "case": label, "c": len(fused),
                       "winner": winner, "stem": list(leaf)})
         return DiagonalExt(ForcingCondition(leaf, cond.badset, g), cert, tuple(trace))

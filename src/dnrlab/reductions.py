@@ -285,6 +285,9 @@ def blocking_prefix(A_prefix: tuple[int, ...], e: ProgramIndex, f: ProgramIndex,
     elements of W_e; sigma extends the prefix with ones exactly at those
     positions.  Either way the certificate is finite and replayable.
     """
+    # at call time: certs imports this module, and is fully loaded before any call runs
+    from .certs import certificate
+
     A_prefix = tuple(A_prefix)
     if any(b not in (0, 1) for b in A_prefix):
         raise ValueError("prefix bits must be 0 or 1")
@@ -302,16 +305,8 @@ def blocking_prefix(A_prefix: tuple[int, ...], e: ProgramIndex, f: ProgramIndex,
         if outside:
             raise PreconditionViolated(
                 f"enumerated members {outside} are not ones of the prefix")
-        cert = {
-            "kind": "blocking_finite",
-            "e": e,
-            "f": f,
-            "f_value": bound,
-            "members": members,
-            "budget": budget,
-            "sigma": list(A_prefix),
-        }
-        return A_prefix, cert
+        return A_prefix, certificate("blocking_finite", e=e, f=f, f_value=bound,
+                                     members=members, budget=budget, sigma=A_prefix)
 
     slice_idx = first_slice_index(e, f)
     f_slice = halted_value(f, slice_idx, budget)
@@ -334,17 +329,7 @@ def blocking_prefix(A_prefix: tuple[int, ...], e: ProgramIndex, f: ProgramIndex,
             while len(sigma) <= w:
                 sigma.append(0)
             sigma[w] = 1
-    horizon = max(slice_members) + 2
-    cert = {
-        "kind": "blocking_infinite",
-        "e": e,
-        "f": f,
-        "e_prime": slice_idx,
-        "f_value": f_slice,
-        "members": slice_members,
-        "order_prefix": list(order_prefix),
-        "horizon": horizon,
-        "budget": budget,
-        "sigma": sigma,
-    }
-    return tuple(sigma), cert
+    return tuple(sigma), certificate(
+        "blocking_infinite", e=e, f=f, e_prime=slice_idx, f_value=f_slice,
+        members=slice_members, order_prefix=order_prefix,
+        horizon=max(slice_members) + 2, budget=budget, sigma=sigma)

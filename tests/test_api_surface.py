@@ -22,11 +22,16 @@ benchmark or the tests, so nothing is computed at import for no reader.
 
 A last audit keeps the imports honest: no module of the package imports
 a name it does not use.
+
+The benchmark's tracer (`bench/tracer.py`) wraps functions and methods by
+name, so one more check reads its `FUNCTIONS` and `METHODS` with `ast`,
+without importing the benchmark, and requires every name to exist.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -260,3 +265,26 @@ def test_constants_audit_finds_an_unread_constant(tmp_path):
 
 def test_no_module_imports_a_name_it_does_not_use():
     assert unused_imports(_package_modules()) == []
+
+
+def _tracer_targets() -> tuple[list[tuple], list[tuple]]:
+    """`FUNCTIONS` and `METHODS` of bench/tracer.py, read as literals."""
+    tree = ast.parse((BENCH / "tracer.py").read_text())
+    lists = {stmt.targets[0].id: ast.literal_eval(stmt.value) for stmt in tree.body
+             if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)
+             and stmt.targets[0].id in ("FUNCTIONS", "METHODS")}
+    return lists["FUNCTIONS"], lists["METHODS"]
+
+
+def test_every_name_the_tracer_wraps_exists():
+    functions, methods = _tracer_targets()
+    assert functions and methods
+    # the tracer also replaces eval_program by hand
+    attributes = [(module, attr) for module, attr, _, _ in functions]
+    attributes.append(("dnrlab.machine", "eval_program"))
+    missing = [f"{module}.{attr}" for module, attr in attributes
+               if not hasattr(importlib.import_module(module), attr)]
+    # methods are patched on the class that defines them, not inherited
+    missing += [f"{module}.{cls}.{method}" for module, cls, method, _ in methods
+                if method not in vars(getattr(importlib.import_module(module), cls, object))]
+    assert missing == []

@@ -13,7 +13,8 @@ The same corpus checks the writer, `certs.certificate`: decoding every
 field of a certificate by its rule and building it again gives the same
 JSON, whichever module first wrote it.  The parameters the builder records
 per kind must equal the `ast` reading above, and `cli.py` must hold no
-certificate literal of its own.
+certificate literal of its own.  Across the package, only the DNR audit
+(`reductions._audit_certs`) writes its four kinds as dict literals.
 
 Two documentation checks ride along: every kind has a row in the kinds
 table of `docs/formats.md`, and every field name with a rule in
@@ -125,6 +126,31 @@ def test_cli_writes_no_certificate_literal():
                 and any(isinstance(key, ast.Constant) and key.value == "kind"
                         for key in node.keys)]
     assert literals == []
+
+
+AUDIT_KINDS = {"diagonal_diverges", "f_unconverged", "ebi_violation", "dnr_value"}
+
+
+def test_only_the_dnr_audit_writes_certificate_literals():
+    # a literal counts when its "kind" is a replayer's: oracle specs do not
+    outside, in_audit = [], set()
+    for path in sorted((ROOT / "src" / "dnrlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        audit = {id(node) for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                 and (path.stem, func.name) == ("reductions", "_audit_certs")
+                 for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Dict):
+                continue
+            kinds = [value.value for key, value in zip(node.keys, node.values)
+                     if isinstance(key, ast.Constant) and key.value == "kind"
+                     and isinstance(value, ast.Constant) and value.value in certs.REPLAYERS]
+            if kinds and id(node) in audit:
+                in_audit.update(kinds)
+            elif kinds:
+                outside.append(f"{path.name}:{node.lineno} {kinds[0]}")
+    assert outside == []
+    assert in_audit == AUDIT_KINDS
 
 
 def test_the_builder_refuses_fields_that_are_not_its_replayers(by_kind):

@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import re
+import sys
 import time
 from datetime import timedelta
 from pathlib import Path
@@ -397,6 +398,16 @@ class TestReplayCommand:
     def test_missing_file_rejected(self):
         assert main(["--command", "replay", "--in", "/no/such/file"]) == EXIT_INPUT
 
+    def test_line_numbers_count_blank_lines(self, tmp_path, capsys):
+        header = json.dumps({"schema": TRACE_SCHEMA})
+        path = tmp_path / "trace.jsonl"
+        path.write_text(header + '\n\n\n{"kind":"diagonal_diverges","e":0,"budget":"x"}\n')
+        assert main(["--command", "replay", "--in", str(path)]) == EXIT_INPUT
+        assert json.loads(capsys.readouterr().err)["error"].startswith("line 4: ")
+        path.write_text(header + '\n\n{"kind":"diagonal_diverges","e":23,"budget":5}\n')
+        assert main(["--command", "replay", "--in", str(path)]) == EXIT_COUNTEREXAMPLE
+        assert "  MISMATCH line 3: diagonal_diverges: " in capsys.readouterr().out
+
     def test_sweep_counterexample_exit(self, tmp_path):
         # a forged counterexample certificate must be refuted, not believed
         header = json.dumps({"schema": TRACE_SCHEMA})
@@ -409,6 +420,61 @@ class TestReplayCommand:
         path.write_text(header + "\n" + forged + "\n")
         assert main(["--command", "replay", "--in", str(path)]) == \
             EXIT_COUNTEREXAMPLE
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python 3.10.0 to 3.10.6 convert integers of any width")
+class TestWideIntegers:
+    """Integers past CPython's default 4300 digits, up to cli.INT_DIGIT_LIMIT."""
+
+    @pytest.fixture(autouse=True)
+    def _limit_restored(self):
+        before = sys.get_int_max_str_digits()
+        yield
+        assert sys.get_int_max_str_digits() == before
+
+    @staticmethod
+    def _zeros(tmp_path, length: int) -> str:
+        """--in for density-search: a constant functional of `length` zero bits,
+        whose diagonal indices grow with the square of the length."""
+        path = tmp_path / f"zeros{length}.json"
+        path.write_text(json.dumps({"functional": {"depth": 3, "entries": [[[], [0] * length]]}}))
+        return str(path)
+
+    def test_wide_diagonal_indices_are_written_and_replayed(self, tmp_path, capsys):
+        args = ["--command", "density-search", "--in", self._zeros(tmp_path, 24)]
+        code, out = run_cli(args, tmp_path)
+        assert code == EXIT_OK
+        assert len(re.search(r'"e0":(\d+)', out.read_text()).group(1)) > 4300
+        assert main(["--command", "replay", "--in", str(out)]) == EXIT_OK
+
+    def test_writing_past_the_ceiling_exits_2_with_one_json_line(self, tmp_path, capsys):
+        args = ["--command", "density-search", "--in", self._zeros(tmp_path, 128)]
+        assert main(args) == EXIT_BUDGET
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert f"more than {cli.INT_DIGIT_LIMIT} digits" in json.loads(line)["error"]
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_reading_a_trace_past_the_ceiling_names_the_line(self, line, tmp_path, capsys):
+        wide = "7" * (cli.INT_DIGIT_LIMIT + 1)
+        lines = [json.dumps({"schema": TRACE_SCHEMA}),
+                 '{"kind":"diagonal_diverges","e":0,"budget":5}']
+        lines[line - 1] = lines[line - 1][:-1] + f',"seed":{wide}}}'
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["--command", "replay", "--in", str(path)]) == EXIT_INPUT
+        (err,) = capsys.readouterr().err.splitlines()
+        where = "trace header" if line == 1 else f"line {line}"
+        assert json.loads(err)["error"].startswith(f"{where} is not valid JSON: ")
+
+    def test_reading_an_input_file_past_the_ceiling_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text('{"e":' + "7" * (cli.INT_DIGIT_LIMIT + 1) + "}")
+        assert main(["--command", "blocking-prefix", "--in", str(path)]) == EXIT_INPUT
+        (err,) = capsys.readouterr().err.splitlines()
+        assert json.loads(err)["error"].startswith("input file is not valid JSON: ")
 
 
 class TestBlockingReplay:
