@@ -18,7 +18,7 @@ for "reject" branches.
 from __future__ import annotations
 
 import re
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable
 
 from .machine import (
@@ -163,7 +163,6 @@ ok: halt r0
 EVEN_HALT_INDEX = encode(EVEN_HALT)
 
 
-@lru_cache(maxsize=4096)
 def const_index(c: int) -> ProgramIndex:
     """Index of the total constant-c function."""
     if c == 0:

@@ -28,7 +28,7 @@ tests.  Every region first has its node count checked (`region_size`).
 
 The union-smallness sweep counts instead of enumerating: it works up the
 levels of a region once, counting subsets and splits by the bigness they
-give a node, and `brute_force_union_sweep` keeps the 2^N/3^N enumerator as
+give a node, and `_brute_force_sweep` keeps the 2^N/3^N enumerator as
 its mirror.
 
 Trees (`TreeWitness`) are checked by `verify_bushy` with set operations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, compress, filterfalse, zip_longest
 from math import comb, prod
-from operator import itemgetter, lt
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import CombinatorialBlowup
@@ -382,11 +382,10 @@ def _name_offender(witness: TreeWitness, n: int, g: OrderFunction, exactly: bool
     if stem not in nodes:
         raise MalformedTree("stem missing from node set")
     k = len(stem)
-    widths = [g.value(i) for i in range(max(map(len, nodes)))]
     for node in nodes:
         if node[:k] != stem:
             raise MalformedTree(f"node {node} does not extend the stem")
-        if min(node, default=0) < 0 or not all(map(lt, node, widths)):
+        if not g.validate_node(node):
             raise MalformedTree(f"node {node} is not a valid string for g")
         if len(node) > k and node[:-1] not in nodes:
             raise MalformedTree(f"node {node} has no parent in the tree")
@@ -689,8 +688,8 @@ def union_smallness_sweep(g: OrderFunction, depth: int,
     first class m-big or the second n-big.  Disjoint colorings suffice,
     since parts only shrink under disjointification and bigness is
     monotone.  Returns the count of checked big unions and the (expected
-    empty) list of counterexample certificates, exactly as
-    `brute_force_union_sweep` does, but counted level by level instead of
+    empty) list of counterexample certificates, exactly as the mirror
+    `_brute_force_sweep` does, but counted level by level instead of
     enumerated, so regions of hundreds of nodes are in reach.  Raises
     CombinatorialBlowup for a region above REGION_NODE_LIMIT nodes, or when
     the counts would step through more than SWEEP_WORK_LIMIT states, and
@@ -702,6 +701,9 @@ def union_smallness_sweep(g: OrderFunction, depth: int,
 def _brute_force_sweep(g: OrderFunction, depth: int,
                        checks: list[tuple[int, int, int]],
                        stems: Iterable[Node]) -> dict:
+    """Naive mirror of _sweep: a beta table for all 2^N subsets of each
+    region, then every (union, split) pair walked.  Raises
+    CombinatorialBlowup for a region above BRUTE_FORCE_NODE_LIMIT nodes."""
     # at call time: certs imports this module, and is fully loaded before any call runs
     from .certs import certificate
 
@@ -735,14 +737,3 @@ def _brute_force_sweep(g: OrderFunction, depth: int,
                         break
                     sub = (sub - 1) & mask
     return {"instances": instances, "counterexamples": counterexamples}
-
-
-def brute_force_union_sweep(g: OrderFunction, depth: int,
-                            pairs: Iterable[tuple[int, int]],
-                            stems: Iterable[Node] = ((),)) -> dict:
-    """Naive mirror of union_smallness_sweep: a beta table for all 2^N
-    subsets of each region, then every (union, split) pair walked.  Raises
-    CombinatorialBlowup for a region above BRUTE_FORCE_NODE_LIMIT nodes.
-    """
-    return _brute_force_sweep(
-        g, depth, [(n, m, n + m - 1) for n, m in _pair_list(pairs)], stems)

@@ -10,8 +10,8 @@ budgeted ones at the recorded budgets, raising ReplayMismatch on the first
 disagreement.
 Structural problems (missing fields, unknown kinds, fields that break
 their rule) are MalformedCertificate instead: a broken file is not a
-refuted claim.  Only then does a field-by-field pass run, to name the
-first missing or broken field.
+refuted claim.  The one decode pass names its own failure: the missing
+required fields if any, else the field it stopped at.
 
 The same rules write certificates: `certificate` encodes native values
 by them, for exactly its replayer's fields.  Every module builds its
@@ -206,27 +206,19 @@ def _replayer(kind: str):
     and one with a default is an optional field.  Their decoders are bound
     here, and their names recorded for `certificate`.  The reader decodes
     the required fields in order and passes them positionally; it reads
-    optional fields only for kinds that have them.  The field-by-field
-    path through decode_field runs only when decoding fails, to name the
-    first missing or broken field."""
+    optional fields only for kinds that have them.  When a field fails,
+    the reader names the missing required fields if any, else that field,
+    through decode_field: every field before it has decoded, so it is the
+    first broken one in parameter order."""
     def register(fn: Callable[..., None]):
         params = inspect.signature(fn).parameters.values()
-        names = [p.name for p in params]
-        unruled = [name for name in names if name not in _FIELDS]
+        unruled = [p.name for p in params if p.name not in _FIELDS]
         if unruled:
             raise TypeError(f"{fn.__name__} reads fields with no rule: {unruled}")
         # defaults follow the required parameters, so every field is positional
         required = [(p.name, _FIELDS[p.name][0]) for p in params if p.default is p.empty]
         optional = [(p.name, _FIELDS[p.name][0], p.default)
                     for p in params if p.default is not p.empty]
-
-        def name_the_broken_field(cert: Mapping) -> None:
-            missing = [name for name, _ in required if name not in cert]
-            if missing:
-                raise MalformedCertificate(f"{kind} certificate lacks fields {missing}")
-            for name in names:
-                if name in cert:
-                    decode_field(kind, name, cert[name])
 
         def replay(cert: Mapping) -> None:
             args = []
@@ -236,7 +228,10 @@ def _replayer(kind: str):
                 for name, decode, default in optional:
                     args.append(decode(cert[name]) if name in cert else default)
             except (KeyError, TypeError, ValueError):
-                name_the_broken_field(cert)
+                missing = [field for field, _ in required if field not in cert]
+                if missing:
+                    raise MalformedCertificate(f"{kind} certificate lacks fields {missing}")
+                decode_field(kind, name, cert[name])
                 raise
             try:
                 fn(*args)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -422,6 +423,17 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 # Plumbing.
 
+def _integer(what: str, text: str) -> int:
+    """`text` as an integer in ASCII digits, else InputError: nothing is
+    coerced, and int() alone would also read other digits, "1_0", "+5" and " 5"."""
+    if re.fullmatch(r"-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # wider than the integer-string limit
+            pass
+    raise InputError(f"{what} must be an integer, got {text!r}")
+
+
 def parse_args(argv: list[str]) -> RunConfig:
     budgets: list[tuple[str, int]] = []
     rest: list[str] = []
@@ -431,10 +443,7 @@ def parse_args(argv: list[str]) -> RunConfig:
             name, eq, value = body.partition("=")
             if not name or not eq or not value:
                 raise InputError(f"budget flags look like --budget.name=N, got {arg!r}")
-            try:
-                parsed = int(value)
-            except ValueError:
-                raise InputError(f"budget {name!r} must be an integer, got {value!r}")
+            parsed = _integer(f"budget {name!r}", value)
             if parsed < 0:
                 raise InputError(f"budget {name!r} must be nonnegative")
             budgets.append((name, parsed))
@@ -444,7 +453,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         prog="dnrlab",
         description="Budgeted audits and constructions with replayable traces.")
     parser.add_argument("--command", required=True, choices=sorted(COMMANDS))
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", default="0")
     parser.add_argument("--g", dest="g_spec", default=None,
                         metavar='"v0,v1,...[;tail=base,period]"')
     parser.add_argument("--in", dest="in_path", default=None, metavar="PATH")
@@ -457,7 +466,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise InputError("bad command line (see --help)")
     return RunConfig(
         command=ns.command,
-        seed=ns.seed,
+        seed=_integer("seed", ns.seed),
         g_spec=ns.g_spec,
         in_path=ns.in_path,
         out_path=ns.out_path,

@@ -82,7 +82,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from heapq import heappush, heapreplace
-from itertools import chain
 from math import isqrt
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
@@ -832,21 +831,13 @@ class EnumerationScan:
                     heapreplace(heap, key)
         return tuple(-x for _, x in sorted(heap, reverse=True))
 
-    def _run_rest(self) -> dict[int, int]:
-        """Run each input not yet run, then return the steps of every member."""
-        for x in chain(range(self._low, self._half + 1),
-                       range(max(self._low, self._high), self._budget + 1)):
-            self._steps(x)
-        return self._halted
-
     def members(self) -> list[int]:
         """All of W_{e,budget} in increasing order."""
-        return sorted(self._run_rest())
+        return sorted(self.first(self._budget + 1))
 
     def order(self) -> tuple[int, ...]:
-        """All of W_{e,budget} in canonical order: one pass, one sort."""
-        keys = sorted((max(steps, x), x) for x, steps in self._run_rest().items())
-        return tuple(x for _, x in keys)
+        """All of W_{e,budget} in canonical order."""
+        return self.first(self._budget + 1)
 
 
 def re_enumeration_order(e: ProgramIndex, budget: int) -> tuple[int, ...]:

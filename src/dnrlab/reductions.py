@@ -136,7 +136,6 @@ def _audit_certs(X: BitOracle, f: ProgramIndex, budget: int, outcomes):
             yield {"kind": "f_unconverged", "e": e, "h_e": h_e, "f": f, "budget": budget}
             continue
         code, co_code = _side_codes(X, f_value + 1)
-        witness = sorted(gamma(v))
         base = {
             "e": e,
             "value": v,
@@ -147,6 +146,7 @@ def _audit_certs(X: BitOracle, f: ProgramIndex, budget: int, outcomes):
             "oracle": oracle_spec,
         }
         if code == v or co_code == v:
+            witness = sorted(gamma(v))
             yield {
                 "kind": "ebi_violation",
                 **base,

@@ -39,16 +39,6 @@ PACKAGE = ROOT / "src" / "dnrlab"
 BENCH = ROOT / "bench"
 TESTS = ROOT / "tests"
 
-# Public names kept without a caller in the package or the benchmark: a
-# naive mirror only tests call.  The other kept names need no entry: the
-# remaining brute_force_* mirrors, eval_steps (eval_program calls it, and
-# the tracer names it), and enumerate_re and re_enumeration_order (named
-# by the tracer).
-ALLOWED = {
-    "brute_force_union_sweep": "naive mirror of union_smallness_sweep; tests compare the two",
-}
-
-
 def _package_modules() -> list[Path]:
     return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -146,9 +136,8 @@ def unpassed_parameters(package_modules: list[Path], other_modules: list[Path]) 
     unpassed = []
     for path in package_modules:
         for definition, param, position in _defaulted_parameters(trees[path]):
-            if definition[-1] in ALLOWED or any(
-                    unpacks or param in keywords or (position is not None and count > position)
-                    for count, keywords, unpacks in calls.get(definition[-1], ())):
+            if any(unpacks or param in keywords or (position is not None and count > position)
+                   for count, keywords, unpacks in calls.get(definition[-1], ())):
                 continue
             unpassed.append(f"{path.stem}.{'.'.join(definition)}({param})")
     return unpassed
@@ -194,14 +183,7 @@ def unused_imports(package_modules: list[Path]) -> list[str]:
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     missing = unreferenced_names(_package_modules(), _bench_modules())
-    unexpected = [name for name in missing if name.rsplit(".", 1)[-1] not in ALLOWED]
-    assert not unexpected, f"public names only tests call: {unexpected}"
-
-
-def test_allow_list_names_exist_and_lack_callers():
-    missing = {name.rsplit(".", 1)[-1] for name in
-               unreferenced_names(_package_modules(), _bench_modules())}
-    assert set(ALLOWED) <= missing, f"stale allow-list entries: {set(ALLOWED) - missing}"
+    assert not missing, f"public names only tests call: {missing}"
 
 
 def test_name_audit_reaches_methods_only_through_attributes(tmp_path):
@@ -234,7 +216,6 @@ def test_parameter_audit_finds_an_unpassed_default(tmp_path):
         "def spread(a, b=1): pass\n"
         "def unpassed(a, b=1, *, c=2): pass\n"
         "def _private(a=1): pass\n"
-        "def brute_force_union_sweep(a=1): pass\n"
         "class K:\n"
         "    def method(self, x=1): pass\n"
         "    @staticmethod\n"

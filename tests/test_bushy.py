@@ -25,7 +25,6 @@ from dnrlab.bushy import (
     PreconditionViolated,
     TreeWitness,
     brute_force_is_n_big,
-    brute_force_union_sweep,
     bushiness,
     bushiness_numbers,
     closure,
@@ -446,6 +445,12 @@ def test_union_smallness_hand_instance():
 def test_union_smallness_never_refuted(B1, B2, m, n):
     if not is_n_big(B1, m, G3, (), 3) and not is_n_big(B2, n, G3, (), 3):
         assert not is_n_big(B1 | B2, m + n - 1, G3, (), 3)
+
+
+def brute_force_union_sweep(g, depth, pairs, stems=((),)):
+    """The sweep's 2^N/3^N enumerator mirror, read like union_smallness_sweep."""
+    return bushy._brute_force_sweep(
+        g, depth, [(n, m, n + m - 1) for n, m in bushy._pair_list(pairs)], stems)
 
 
 # The sweep's level counts against the 2^N/3^N enumerator on every region of

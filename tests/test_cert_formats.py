@@ -14,7 +14,9 @@ field of a certificate by its rule and building it again gives the same
 JSON, whichever module first wrote it.  The parameters the builder records
 per kind must equal the `ast` reading above, and `cli.py` must hold no
 certificate literal of its own.  Across the package, only the DNR audit
-(`reductions._audit_certs`) writes its four kinds as dict literals.
+(`reductions._audit_certs`) writes its four kinds as dict literals, and
+every replayer's kind has a writer in the package, so no replayer is left
+that nothing can feed.
 
 Two documentation checks ride along: every kind has a row in the kinds
 table of `docs/formats.md`, and every field name with a rule in
@@ -151,6 +153,22 @@ def test_only_the_dnr_audit_writes_certificate_literals():
                 outside.append(f"{path.name}:{node.lineno} {kinds[0]}")
     assert outside == []
     assert in_audit == AUDIT_KINDS
+
+
+def test_every_replayer_kind_has_a_writer():
+    # a writer is certificate("<kind>", ...) or a dict literal with that "kind"
+    written = set()
+    for path in sorted((ROOT / "src" / "dnrlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and node.args \
+                    and isinstance(node.args[0], ast.Constant) \
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "certificate":
+                written.add(node.args[0].value)
+            elif isinstance(node, ast.Dict):
+                written.update(value.value for key, value in zip(node.keys, node.values)
+                               if isinstance(key, ast.Constant) and key.value == "kind"
+                               and isinstance(value, ast.Constant))
+    assert sorted(set(certs.REPLAYERS) - written) == []
 
 
 def test_the_builder_refuses_fields_that_are_not_its_replayers(by_kind):

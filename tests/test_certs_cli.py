@@ -179,6 +179,28 @@ class TestParseArgs:
         with pytest.raises(InputError, match="nonnegative"):
             parse_args(["--command", "closure", "--budget.eval=-3"])
 
+    # int() reads all of these; a budget or a seed is ASCII digits only
+    COERCED = ["\u0665", "1_0", "+5", " 5"]
+
+    @pytest.mark.parametrize("value", COERCED)
+    def test_coerced_budget_refused(self, value, capsys):
+        assert main(["--command", "dnr-audit", f"--budget.audit={value}"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": f"budget 'audit' must be an integer, got {value!r}"}
+
+    @pytest.mark.parametrize("value", COERCED)
+    def test_coerced_seed_refused(self, value, capsys):
+        assert main(["--command", "fusion-check", "--seed", value]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": f"seed must be an integer, got {value!r}"}
+
+    def test_seed_may_be_negative(self):
+        assert parse_args(["--command", "fusion-check", "--seed", "-7"]).seed == -7
+        assert parse_args(["--command", "fusion-check"]).seed == 0
+
     def test_malformed_budget_flag(self):
         with pytest.raises(InputError, match="--budget.name=N"):
             parse_args(["--command", "closure", "--budget.eval"])
@@ -1274,6 +1296,30 @@ class TestReplayPerLineCost:
                 with pytest.raises(MalformedCertificate) as got:
                     replay_certificate(cert)
                 assert str(got.value) == str(want.value), (kind, broken)
+
+    def test_a_missing_field_is_named_before_a_broken_one(self):
+        seed = next(c for c in _every_kind_seeds() if c["kind"] == "cylinder_measure")
+        cert = {k: v for k, v in seed.items() if k != "measure"}
+        cert["sets"] = _BROKEN  # the first field breaks its rule, a later one is missing
+        with pytest.raises(MalformedCertificate,
+                           match=re.escape("cylinder_measure certificate lacks fields ['measure']")):
+            replay_certificate(cert)
+
+    def test_a_broken_optional_field_is_named_after_the_required_ones(self):
+        seed = next(c for c in _every_kind_seeds() if c["kind"] == "cylinder_measure")
+        for broken in (["measure"], ["term_cap", "measure"]):
+            with pytest.raises(MalformedCertificate) as want:
+                decode_field("cylinder_measure", broken[0], _BROKEN)
+            cert = dict(seed, tail_exponent=_BROKEN, **dict.fromkeys(broken, _BROKEN))
+            with pytest.raises(MalformedCertificate) as got:
+                replay_certificate(cert)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(MalformedCertificate) as want:
+            decode_field("cylinder_measure", "tail_exponent", _BROKEN)
+        with pytest.raises(MalformedCertificate) as got:
+            replay_certificate(dict(seed, tail_exponent=_BROKEN))
+        assert str(got.value) == str(want.value)
+        assert "'tail_exponent'" in str(got.value)
 
     def test_tampered_diagonal_certificates_print_the_same_mismatches(self, audit_certs,
                                                                       tmp_path):
