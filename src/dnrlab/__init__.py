@@ -1,7 +1,7 @@
 """Desk-scale workbench for DNR forcing, bushy trees, and effective immunity
 constructions over a toy register machine.
 
-The subpackages split along the objects they manipulate:
+The modules split along the objects they manipulate:
 
 - machine, asm, oracle: the 17-opcode register machine, its assembler, and
   the bit-oracle hierarchy it can consult.

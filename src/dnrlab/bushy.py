@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, compress, filterfalse, zip_longest
 from math import comb, prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
+from ._value import _set_field, _Value
 from .errors import CombinatorialBlowup
 
 Node = tuple[int, ...]
@@ -69,8 +69,7 @@ class MalformedTree(ValueError):
     """A node set that does not form a tree of the claimed shape."""
 
 
-@dataclass(frozen=True)
-class OrderFunction:
+class OrderFunction(_Value):
     """Branching widths by level: an explicit table, then a slow linear tail.
 
     value(n) = table[n] for n < len(table); past the table the value is
@@ -79,19 +78,18 @@ class OrderFunction:
     nondecreasing, so deeper levels never get narrower.
     """
 
-    table: tuple[int, ...]
-    tail_base: int = 0
-    tail_period: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.table:
+    def __init__(self, table: tuple[int, ...], tail_base: int = 0, tail_period: int = 0) -> None:
+        if not table:
             raise ValueError("order function needs at least one table entry")
-        if any(v < 2 for v in self.table):
+        if any(v < 2 for v in table):
             raise ValueError("branching widths must be >= 2")
-        if any(a > b for a, b in zip(self.table, self.table[1:])):
+        if any(a > b for a, b in zip(table, table[1:])):
             raise ValueError("branching widths must be nondecreasing")
-        if self.tail_period < 0 or self.tail_base < 0:
+        if tail_period < 0 or tail_base < 0:
             raise ValueError("tail parameters are naturals")
+        _set_field(self, "table", table)
+        _set_field(self, "tail_base", tail_base)
+        _set_field(self, "tail_period", tail_period)
 
     @cached_property
     def _hash(self) -> int:
@@ -112,7 +110,7 @@ class OrderFunction:
         every number is written in ASCII decimal digits."""
         match = _SPEC.fullmatch(spec) if isinstance(spec, str) else None
         if match is None:
-            raise ValueError(f"bad order function spec {spec!r}")
+            raise ValueError('expected "v0,v1,...[;tail=base,period]" in ASCII digits')
         head, base, period = match.groups()
         return cls(tuple(int(v) for v in head.split(",")), int(base or 0), int(period or 0))
 
@@ -331,12 +329,12 @@ def closure(B: Iterable[Node], n: int, g: OrderFunction, depth: int) -> frozense
 _parent = itemgetter(slice(None, -1))
 
 
-@dataclass(frozen=True)
-class TreeWitness:
+class TreeWitness(_Value):
     """A finite tree of strings above a stem, presented as its node set."""
 
-    stem: Node
-    nodes: frozenset[Node]
+    def __init__(self, stem: Node, nodes: frozenset[Node]) -> None:
+        _set_field(self, "stem", stem)
+        _set_field(self, "nodes", nodes)
 
     @cached_property
     def _children(self) -> dict[Node, list[Node]]:
@@ -483,20 +481,20 @@ def brute_force_is_n_big(B: Iterable[Node], n: int, g: OrderFunction,
 # Lemma checkers.  Each returns a small verdict object rather than a bool so
 # sweeps can count and serialize what they saw.
 
-@dataclass(frozen=True)
-class PreconditionViolated:
-    reason: str
+class PreconditionViolated(_Value):
+    def __init__(self, reason: str) -> None:
+        _set_field(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class LemmaHolds:
-    detail: str = ""
+class LemmaHolds(_Value):
+    def __init__(self, detail: str = "") -> None:
+        _set_field(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class CounterexampleWitness:
-    detail: str
-    witness: Optional[TreeWitness] = None
+class CounterexampleWitness(_Value):
+    def __init__(self, detail: str, witness: Optional[TreeWitness] = None) -> None:
+        _set_field(self, "detail", detail)
+        _set_field(self, "witness", witness)
 
 
 LemmaVerdict = PreconditionViolated | LemmaHolds | CounterexampleWitness

@@ -22,7 +22,6 @@ dict literals: it writes thousands of certificates a run.
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Mapping
 from itertools import chain
 from typing import Callable
@@ -106,7 +105,7 @@ def _coloring(value) -> dict[int, frozenset[Node]]:
 
 def _lowness_verdict(value) -> LownessVerdict:
     # only the verdict's own fields: a nested "verdict" key would recurse
-    if type(value) is not dict or not value.keys() <= LownessVerdict.__dataclass_fields__.keys():
+    if type(value) is not dict or not value.keys() <= {*LownessVerdict.__match_args__}:
         raise ValueError
     return LownessVerdict(**{name: decode_field("verdict", name, part)
                              for name, part in value.items()})
@@ -156,8 +155,7 @@ _FIELDS: dict[str, tuple[Callable, str, Callable | None]] = {
     "colors": (_coloring, "a list of [node, color] pairs",
                lambda v: sorted([list(node), color] for color, nodes in v.items()
                                 for node in nodes)),
-    "g": (OrderFunction.from_spec, 'an order function spec "v0,v1,...[;tail=base,period]"',
-          OrderFunction.to_spec),
+    "g": (OrderFunction.from_spec, "an order function spec", OrderFunction.to_spec),
     "functional": (FiniteFunctional.from_jsonable, "a functional {depth, entries}",
                    FiniteFunctional.to_jsonable),
     "oracle": (oracle_from_spec, "an oracle spec", oracle_to_spec),
@@ -211,14 +209,16 @@ def _replayer(kind: str):
     through decode_field: every field before it has decoded, so it is the
     first broken one in parameter order."""
     def register(fn: Callable[..., None]):
-        params = inspect.signature(fn).parameters.values()
-        unruled = [p.name for p in params if p.name not in _FIELDS]
+        code, defaults = fn.__code__, fn.__defaults__ or ()
+        names = code.co_varnames[:code.co_argcount]
+        unruled = [name for name in names if name not in _FIELDS]
         if unruled:
             raise TypeError(f"{fn.__name__} reads fields with no rule: {unruled}")
         # defaults follow the required parameters, so every field is positional
-        required = [(p.name, _FIELDS[p.name][0]) for p in params if p.default is p.empty]
-        optional = [(p.name, _FIELDS[p.name][0], p.default)
-                    for p in params if p.default is not p.empty]
+        cut = len(names) - len(defaults)
+        required = [(name, _FIELDS[name][0]) for name in names[:cut]]
+        optional = [(name, _FIELDS[name][0], default)
+                    for name, default in zip(names[cut:], defaults)]
 
         def replay(cert: Mapping) -> None:
             args = []

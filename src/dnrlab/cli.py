@@ -17,9 +17,9 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+from ._value import _set_field, _Value
 from .asm import EVEN_HALT_INDEX, IDENTITY_INDEX, ZERO_INDEX, const_index
 from .bushy import (
     LemmaHolds,
@@ -78,14 +78,16 @@ class InputError(ValueError):
     """Configuration or input file problems: reported, exit code 1."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    seed: int = 0
-    g_spec: str | None = None
-    in_path: str | None = None
-    out_path: str | None = None
-    budgets: tuple[tuple[str, int], ...] = ()
+class RunConfig(_Value):
+    def __init__(self, command: str, seed: int = 0, g_spec: str | None = None,
+                 in_path: str | None = None, out_path: str | None = None,
+                 budgets: tuple[tuple[str, int], ...] = ()) -> None:
+        _set_field(self, "command", command)
+        _set_field(self, "seed", seed)
+        _set_field(self, "g_spec", g_spec)
+        _set_field(self, "in_path", in_path)
+        _set_field(self, "out_path", out_path)
+        _set_field(self, "budgets", budgets)
 
     def header(self) -> dict:
         return {
@@ -97,12 +99,18 @@ class RunConfig:
         }
 
 
-@dataclass
-class CommandResult:
-    exit_code: int = EXIT_OK
-    summary: list[str] = field(default_factory=list)
-    certificates: list[dict] = field(default_factory=list)
-    error: str | None = None  # replaces the summary with one JSON line on stderr
+class CommandResult(_Value):
+    # the one mutable value class, so it is unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, exit_code: int = EXIT_OK, summary: list[str] | None = None,
+                 certificates: list[dict] | None = None, error: str | None = None) -> None:
+        self.exit_code = exit_code
+        self.summary = [] if summary is None else summary
+        self.certificates = [] if certificates is None else certificates
+        self.error = error  # replaces the summary with one JSON line on stderr
 
 
 def _load_input(config: RunConfig, fields: dict) -> dict:
@@ -434,6 +442,12 @@ def _integer(what: str, text: str) -> int:
     raise InputError(f"{what} must be an integer, got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # argparse would print its usage block before exiting 2
+        raise InputError(f"bad command line: {message}")
+
+
 def parse_args(argv: list[str]) -> RunConfig:
     budgets: list[tuple[str, int]] = []
     rest: list[str] = []
@@ -449,7 +463,7 @@ def parse_args(argv: list[str]) -> RunConfig:
             budgets.append((name, parsed))
         else:
             rest.append(arg)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dnrlab",
         description="Budgeted audits and constructions with replayable traces.")
     parser.add_argument("--command", required=True, choices=sorted(COMMANDS))
@@ -458,12 +472,7 @@ def parse_args(argv: list[str]) -> RunConfig:
                         metavar='"v0,v1,...[;tail=base,period]"')
     parser.add_argument("--in", dest="in_path", default=None, metavar="PATH")
     parser.add_argument("--out", dest="out_path", default=None, metavar="PATH")
-    try:
-        ns = parser.parse_args(rest)
-    except SystemExit as exc:
-        if exc.code == 0:
-            raise
-        raise InputError("bad command line (see --help)")
+    ns = parser.parse_args(rest)
     return RunConfig(
         command=ns.command,
         seed=_integer("seed", ns.seed),
@@ -485,6 +494,8 @@ def resolve(config: RunConfig) -> tuple:
                              f"it reads {list(command.budgets)}")
         if names.count(name) > 1:
             raise InputError(f"budget {name!r} is given more than once")
+    if config.command == "replay" and config.out_path is not None:
+        raise InputError("replay writes no trace, so takes no --out")
     g = None
     if command.g is None:
         if config.g_spec is not None:

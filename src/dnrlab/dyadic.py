@@ -12,10 +12,10 @@ large numerators survive JSON round-trips without precision loss.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Mapping
 
+from ._value import _set_field, _Value
 from .errors import CombinatorialBlowup
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -27,22 +27,17 @@ WIDTH_LIMIT = 1 << 13
 
 
 @total_ordering
-@dataclass(frozen=True)
-class DyadicRational:
+class DyadicRational(_Value):
     """numerator / 2**exponent, normalized."""
 
-    numerator: int
-    exponent: int = 0
-
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
+    def __init__(self, numerator: int, exponent: int = 0) -> None:
+        if exponent < 0:
             raise ValueError("exponent is a natural")
-        num, exp = self.numerator, self.exponent
+        num, exp = numerator, exponent
         # drop the numerator's trailing zero bits, at most exp of them
         shift = min((num & -num).bit_length() - 1, exp) if num else exp
-        num, exp = num >> shift, exp - shift
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", exp)
+        _set_field(self, "numerator", num >> shift)
+        _set_field(self, "exponent", exp - shift)
 
     @classmethod
     def half_power(cls, c: int) -> "DyadicRational":

@@ -41,11 +41,11 @@ that tree (see case2_zero_tree).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import chain, compress
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
+from ._value import _set_field, _Value
 from .asm import _template_index
 from .bushy import (
     Node,
@@ -84,12 +84,12 @@ class BignessUnavailable(Exception):
         self.c_m = c_m
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(_Value):
     """Budgets for the machine-facing parts of the searches."""
 
-    eval_budget: int = 100_000
-    fixpoint_budget: int = 10_000
+    def __init__(self, eval_budget: int = 100_000, fixpoint_budget: int = 10_000) -> None:
+        _set_field(self, "eval_budget", eval_budget)
+        _set_field(self, "fixpoint_budget", fixpoint_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +159,7 @@ def _table_at_once(depth: int, table: tuple) -> Optional[dict[Node, tuple[int, .
     return seen
 
 
-@dataclass(frozen=True)
-class FiniteFunctional:
+class FiniteFunctional(_Value):
     """A finite monotone table from strings to 0/1 output strings.
 
     The output at a node is the table value of its longest tabled prefix
@@ -170,20 +169,17 @@ class FiniteFunctional:
     is a plain bit tuple.
     """
 
-    depth: int
-    table: tuple[tuple[Node, tuple[int, ...]], ...]
-
-    def __post_init__(self) -> None:
-        if self.depth < 0:
+    def __init__(self, depth: int, table: tuple[tuple[Node, tuple[int, ...]], ...]) -> None:
+        if depth < 0:
             raise ValueError("depth is a natural")
-        table = tuple(self.table)
-        seen = _table_at_once(self.depth, table)
+        table = tuple(table)
+        seen = _table_at_once(depth, table)
         if seen is None:
-            seen = _table_by_entry(self.depth, table)
-        object.__setattr__(self, "table", tuple(sorted(seen.items())))
-        object.__setattr__(self, "_by_node", seen)
-        object.__setattr__(self, "_max_output_length",
-                           max(map(len, seen.values()), default=0))
+            seen = _table_by_entry(depth, table)
+        _set_field(self, "depth", depth)
+        _set_field(self, "table", tuple(sorted(seen.items())))
+        _set_field(self, "_by_node", seen)
+        _set_field(self, "_max_output_length", max(map(len, seen.values()), default=0))
 
     @classmethod
     def from_entries(cls, depth: int, entries: Mapping[Node, Sequence[int]] |
@@ -243,24 +239,22 @@ def _badset_horizon(stem: Node, badset: frozenset[Node]) -> int:
     return max([len(stem)] + [len(b) for b in badset])
 
 
-@dataclass(frozen=True)
-class ForcingCondition:
+class ForcingCondition(_Value):
     """A stem with a badset that is g(|stem|)-small above it."""
 
-    stem: Node
-    badset: frozenset[Node]
-    g: OrderFunction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stem", tuple(self.stem))
-        object.__setattr__(self, "badset", frozenset(tuple(b) for b in self.badset))
-        if not self.g.validate_node(self.stem):
-            raise ValueError(f"stem {self.stem} is not a valid string for g")
-        horizon = _badset_horizon(self.stem, self.badset)
-        bound = self.g(len(self.stem))
-        if is_n_big(self.badset, bound, self.g, self.stem, horizon):
+    def __init__(self, stem: Node, badset: frozenset[Node], g: OrderFunction) -> None:
+        stem = tuple(stem)
+        badset = frozenset(tuple(b) for b in badset)
+        if not g.validate_node(stem):
+            raise ValueError(f"stem {stem} is not a valid string for g")
+        horizon = _badset_horizon(stem, badset)
+        bound = g(len(stem))
+        if is_n_big(badset, bound, g, stem, horizon):
             raise ValueError(
                 f"badset is {bound}-big above the stem, condition invalid")
+        _set_field(self, "stem", stem)
+        _set_field(self, "badset", badset)
+        _set_field(self, "g", g)
 
     def smallness_degree(self) -> int:
         """Least k with the badset k-small above the stem."""
@@ -473,31 +467,32 @@ def case2_zero_tree(gamma_table: FiniteFunctional, stem: Node,
 # ---------------------------------------------------------------------------
 # Density search.
 
-@dataclass(frozen=True)
-class NonTotalExt:
+class NonTotalExt(_Value):
     """Extension forcing the functional to stay partial past position m."""
 
-    condition: ForcingCondition
-    m: int
-    certificate: dict
-    trace: tuple = ()
+    def __init__(self, condition: ForcingCondition, m: int, certificate: dict,
+                 trace: tuple = ()) -> None:
+        _set_field(self, "condition", condition)
+        _set_field(self, "m", m)
+        _set_field(self, "certificate", certificate)
+        _set_field(self, "trace", trace)
 
 
-@dataclass(frozen=True)
-class DiagonalExt:
+class DiagonalExt(_Value):
     """Extension with a diagonalizing r.e.-set certificate."""
 
-    condition: ForcingCondition
-    certificate: dict
-    trace: tuple = ()
+    def __init__(self, condition: ForcingCondition, certificate: dict, trace: tuple = ()) -> None:
+        _set_field(self, "condition", condition)
+        _set_field(self, "certificate", certificate)
+        _set_field(self, "trace", trace)
 
 
-@dataclass(frozen=True)
-class BudgetExceeded:
+class BudgetExceeded(_Value):
     """The search could not close either case at this scale."""
 
-    reason: str
-    trace: tuple = ()
+    def __init__(self, reason: str, trace: tuple = ()) -> None:
+        _set_field(self, "reason", reason)
+        _set_field(self, "trace", trace)
 
 
 DensityVerdict = NonTotalExt | DiagonalExt | BudgetExceeded

@@ -79,12 +79,12 @@ Fast paths, each mirrored by a naive version in tests/test_machine.py:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from heapq import heappush, heapreplace
 from math import isqrt
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
+from ._value import _set_field, _Value
 from .errors import WitnessBudgetExceeded
 
 ProgramIndex = int  # type alias: indices into the numbering are plain naturals
@@ -163,9 +163,9 @@ OP_SIGNATURE = {
 SMN_STEP_OVERHEAD = 3
 
 
-@dataclass(frozen=True)
-class Halted:
-    value: int
+class Halted(_Value):
+    def __init__(self, value: int) -> None:
+        _set_field(self, "value", value)
 
 
 class Running:
@@ -227,8 +227,7 @@ def _halt_reachable(instructions: tuple[tuple[int, ...], ...]) -> tuple[bool, ..
     return tuple(reach)
 
 
-@dataclass(frozen=True)
-class ToyProgram:
+class ToyProgram(_Value):
     """A canonical instruction sequence.
 
     Instructions are tuples (opcode, operand, ...) matching OP_SIGNATURE;
@@ -238,11 +237,8 @@ class ToyProgram:
     the instructions, so equality, hashing and repr leave it out.
     """
 
-    instructions: tuple[tuple[int, ...], ...]
-    live: tuple[bool, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        for ins in self.instructions:
+    def __init__(self, instructions: tuple[tuple[int, ...], ...]) -> None:
+        for ins in instructions:
             op = ins[0]
             if op not in OP_SIGNATURE:
                 raise ValueError(f"unknown opcode {op}")
@@ -254,7 +250,8 @@ class ToyProgram:
                     raise ValueError(f"negative operand in {ins}")
                 if kind == "r" and val >= N_REGISTERS:
                     raise ValueError(f"register out of range in {ins}")
-        object.__setattr__(self, "live", _halt_reachable(self.instructions))
+        _set_field(self, "instructions", instructions)
+        _set_field(self, "live", _halt_reachable(instructions))
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -347,8 +344,8 @@ _REGISTER_OPERANDS = tuple(tuple(kind == "r" for kind in OP_SIGNATURE[op])
 def _program(code: tuple[tuple[int, ...], ...]) -> ToyProgram:
     """The one ToyProgram for a decoded instruction tuple, with its liveness."""
     prog = object.__new__(ToyProgram)
-    object.__setattr__(prog, "instructions", code)
-    object.__setattr__(prog, "live", _halt_reachable(code))
+    _set_field(prog, "instructions", code)
+    _set_field(prog, "live", _halt_reachable(code))
     return prog
 
 

@@ -12,21 +12,21 @@ all prefixes are the bits of one integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
+from ._value import _set_field, _Value
 from .dyadic import WIDTH_LIMIT, ZERO, DyadicRational, dyadic_sum
 from .errors import CombinatorialBlowup, InsufficientOracle, WitnessBudgetExceeded
 from .machine import ProgramIndex, gamma_inverse, halted_value
 from .oracle import BitOracle, first_members
 
 
-@dataclass(frozen=True)
-class TableNumbering:
+class TableNumbering(_Value):
     """A numbering backed by an explicit table; index beyond it is empty."""
 
-    sets: tuple[frozenset[int], ...]
+    def __init__(self, sets: tuple[frozenset[int], ...]) -> None:
+        _set_field(self, "sets", sets)
 
     def finite_set(self, e: int) -> frozenset[int]:
         return self.sets[e] if e < len(self.sets) else frozenset()
@@ -134,12 +134,14 @@ def schnorr_measure(numbering, c: int, e_max: int) -> DyadicRational:
     return measure
 
 
-@dataclass(frozen=True)
-class LownessVerdict:
-    holds: bool
-    partial_sum: DyadicRational
-    first_violation: Optional[int] = None
-    violating_term: Optional[DyadicRational] = None
+class LownessVerdict(_Value):
+    def __init__(self, holds: bool, partial_sum: DyadicRational,
+                 first_violation: Optional[int] = None,
+                 violating_term: Optional[DyadicRational] = None) -> None:
+        _set_field(self, "holds", holds)
+        _set_field(self, "partial_sum", partial_sum)
+        _set_field(self, "first_violation", first_violation)
+        _set_field(self, "violating_term", violating_term)
 
     def to_jsonable(self) -> dict:
         out = {"holds": self.holds, "partial_sum": self.partial_sum.to_jsonable()}

@@ -10,63 +10,56 @@ so certificates can embed the oracle they were checked against.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
+from ._value import _set_field, _Value
 from .errors import CombinatorialBlowup
 
 
-@dataclass(frozen=True)
-class PrefixOracle:
+class PrefixOracle(_Value):
     """Explicit prefix, constant tail."""
 
-    bits: tuple[int, ...]
-    tail: int = 0
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits) or self.tail not in (0, 1):
+    def __init__(self, bits: tuple[int, ...], tail: int = 0) -> None:
+        if any(b not in (0, 1) for b in bits) or tail not in (0, 1):
             raise ValueError("oracle bits must be 0 or 1")
+        _set_field(self, "bits", bits)
+        _set_field(self, "tail", tail)
 
     def bit(self, i: int) -> int:
         return self.bits[i] if i < len(self.bits) else self.tail
 
 
-@dataclass(frozen=True)
-class PeriodicOracle:
+class PeriodicOracle(_Value):
     """Repeats a nonempty pattern forever."""
 
-    pattern: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.pattern or any(b not in (0, 1) for b in self.pattern):
+    def __init__(self, pattern: tuple[int, ...]) -> None:
+        if not pattern or any(b not in (0, 1) for b in pattern):
             raise ValueError("pattern must be nonempty 0/1")
+        _set_field(self, "pattern", pattern)
 
     def bit(self, i: int) -> int:
         return self.pattern[i % len(self.pattern)]
 
 
-@dataclass(frozen=True)
-class SetOracle:
+class SetOracle(_Value):
     """Characteristic function of a finite set."""
 
-    members: frozenset[int]
+    def __init__(self, members: frozenset[int]) -> None:
+        _set_field(self, "members", members)
 
     def bit(self, i: int) -> int:
         return 1 if i in self.members else 0
 
 
-@dataclass(frozen=True)
-class PatchedOracle:
+class PatchedOracle(_Value):
     """A base oracle with finitely many positions overridden."""
 
-    base: "BitOracle"
-    patches: tuple[tuple[int, int], ...]  # sorted (position, bit) pairs
-
-    def __post_init__(self) -> None:
-        by_pos = dict(self.patches)
-        object.__setattr__(self, "patches", tuple(sorted(by_pos.items())))
-        if any(b not in (0, 1) for _, b in self.patches):
+    def __init__(self, base: BitOracle, patches: tuple[tuple[int, int], ...]) -> None:
+        by_pos = dict(patches)
+        if any(b not in (0, 1) for b in by_pos.values()):
             raise ValueError("patch bits must be 0 or 1")
-        object.__setattr__(self, "_by_pos", by_pos)
+        _set_field(self, "base", base)
+        _set_field(self, "patches", tuple(sorted(by_pos.items())))  # (position, bit) pairs
+        _set_field(self, "_by_pos", by_pos)
 
     def bit(self, i: int) -> int:
         b = self._by_pos.get(i)

@@ -21,8 +21,7 @@ is recorded in the trace rather than silently dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import _set_field, _Value
 from .asm import _template_index
 from .errors import CombinatorialBlowup
 from .machine import ProgramIndex, domain_window, halted_value, self_reference
@@ -56,20 +55,18 @@ def interval_slice_index(e: ProgramIndex, base: int) -> ProgramIndex:
     return self_reference(_interval_driver(e=e, base=base))
 
 
-@dataclass(frozen=True)
-class StageTrace:
+class StageTrace(_Value):
     """One record per stage, plus the parameters that produced them."""
 
-    stages: int
-    budget: int
-    records: tuple[dict, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.records) != self.stages:
+    def __init__(self, stages: int, budget: int, records: tuple[dict, ...]) -> None:
+        if len(records) != stages:
             raise ValueError("one record per stage")
-        for s, rec in enumerate(self.records, start=1):
+        for s, rec in enumerate(records, start=1):
             if rec["stage"] != s:
                 raise ValueError(f"record {rec} out of order at stage {s}")
+        _set_field(self, "stages", stages)
+        _set_field(self, "budget", budget)
+        _set_field(self, "records", records)
 
     def interval_records(self) -> list[dict]:
         return [rec["interval"] for rec in self.records if rec.get("interval")]

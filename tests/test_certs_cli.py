@@ -609,6 +609,48 @@ class TestInputErrors:
         (line,) = err.strip().splitlines()
         assert "error" in json.loads(line)
 
+    @pytest.mark.parametrize("args, message", [
+        (["--command", "nope"], "argument --command: invalid choice: 'nope' (choose from "),
+        ([], "the following arguments are required: --command"),
+        (["--command", "closure", "--bogus"], "unrecognized arguments: --bogus"),
+        (["--command", "closure", "--seed"], "argument --seed: expected one argument"),
+    ])
+    def test_bad_command_line_is_one_json_line(self, args, message, capsys):
+        assert main(args) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"].startswith(f"bad command line: {message}")
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dnrlab")
+
+    def test_replay_refuses_out(self, tmp_path, capsys):
+        _, trace = run_cli(["--command", "closure"], tmp_path)
+        capsys.readouterr()
+        out_path = tmp_path / "replayed.jsonl"
+        assert main(["--command", "replay", "--in", str(trace),
+                     "--out", str(out_path)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and not out_path.exists()
+        assert json.loads(err) == {"error": "replay writes no trace, so takes no --out"}
+
+    @pytest.mark.parametrize("spec", ["abc", " 3", "3,", "3;tail=2", "\u0665"])
+    def test_bad_order_function_spec_says_what_was_expected(self, spec, capsys):
+        expected = 'expected "v0,v1,...[;tail=base,period]" in ASCII digits'
+        assert main(["--command", "closure", "--g", spec]) == EXIT_INPUT
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": f"bad order function spec {spec!r}: {expected}"}
+        cert = {"kind": "closure_result", "g": spec, "n": 4, "depth": 3,
+                "set": [], "closure": []}
+        with pytest.raises(MalformedCertificate) as exc:
+            replay_certificate(cert)
+        assert str(exc.value) == ("closure_result field 'g' must hold an order function spec, "
+                                  f"got {spec!r} ({expected})")
+
     @pytest.mark.parametrize("command", ["bushy-check", "closure", "lemma-sweep",
                                          "density-search"])
     def test_given_g_reaches_the_certificates(self, command):
