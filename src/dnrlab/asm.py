@@ -83,14 +83,14 @@ def assemble(source: str) -> ToyProgram:
         operands = []
         for kind, tok in zip(sig, tokens):
             if kind == "r":
-                if not re.fullmatch(r"[rR](\d+)", tok):
+                if not re.fullmatch(r"[rR][0-9]+", tok):
                     raise AsmError(f"line {lineno}: expected register, got {tok!r}")
                 n = int(tok[1:])
                 if n >= 16:
                     raise AsmError(f"line {lineno}: register {tok!r} out of range")
                 operands.append(n)
             else:
-                if tok.isdigit():
+                if re.fullmatch(r"[0-9]+", tok):
                     operands.append(int(tok))
                 elif tok in labels:
                     operands.append(labels[tok])

@@ -76,6 +76,12 @@ def _naturals(value) -> list[int]:
     return value
 
 
+def _bits(value) -> list[int]:
+    if max(_naturals(value), default=0) > 1:
+        raise ValueError
+    return value
+
+
 def _node(value) -> Node:
     return tuple(_naturals(value))
 
@@ -137,8 +143,9 @@ _FIELDS: dict[str, tuple[Callable, str, Callable | None]] = {
         (_natural, "naturals", None)),
     **dict.fromkeys(("side_code", "complement_code"),
                     (lambda v: v if v is None else _natural(v), "naturals or null", None)),
-    **dict.fromkeys(("members", "ones", "order_prefix", "prefix", "q_values",
-                     "sigma", "w_winner"), (_naturals, "a list of naturals", list)),
+    **dict.fromkeys(("members", "ones", "order_prefix", "q_values", "w_winner"),
+                    (_naturals, "a list of naturals", list)),
+    **dict.fromkeys(("prefix", "sigma"), (_bits, "a list of bits (0 or 1)", list)),
     **dict.fromkeys(("new_stem", "stem", "tau"),
                     (_node, "a node (a list of naturals)", list)),
     **dict.fromkeys(("fused", "pairs", "stems"),

@@ -91,9 +91,7 @@ ProgramIndex = int  # type alias: indices into the numbering are plain naturals
 
 N_REGISTERS = 16
 
-# Opcode numbers.  LOAD and HALT get the cheapest Elias-gamma codes on
-# purpose: constant programs ("load r1, c; halt r1") must stay within reach
-# of small exhaustive index sweeps.
+# Opcode numbers, the row indices of _OPCODES below.
 OP_LOAD = 0
 OP_HALT = 1
 OP_JZ = 2
@@ -112,50 +110,38 @@ OP_MOD = 14
 OP_ORACLE = 15
 OP_BUDV = 16
 
-N_OPCODES = 17
-
-OP_NAMES = {
-    OP_LOAD: "load",
-    OP_HALT: "halt",
-    OP_JZ: "jz",
-    OP_JMP: "jmp",
-    OP_ADD: "add",
-    OP_SUB: "sub",
-    OP_MOV: "mov",
-    OP_UNIV: "univ",
-    OP_SMN: "smn",
-    OP_PAIR: "pair",
-    OP_LEFT: "left",
-    OP_RIGHT: "right",
-    OP_MUL: "mul",
-    OP_DIV: "div",
-    OP_MOD: "mod",
-    OP_ORACLE: "oracle",
-    OP_BUDV: "budv",
-}
-OP_BY_NAME = {v: k for k, v in OP_NAMES.items()}
-
-# Operand signatures: 'r' = register (canonical range 0..15), 'n' = natural
-# (constants and jump targets, unbounded).
-OP_SIGNATURE = {
-    OP_LOAD: "rn",
-    OP_HALT: "r",
-    OP_JZ: "rn",
-    OP_JMP: "n",
-    OP_ADD: "rrr",
-    OP_SUB: "rrr",
-    OP_MOV: "rr",
-    OP_UNIV: "rrr",
-    OP_SMN: "rrr",
-    OP_PAIR: "rrr",
-    OP_LEFT: "rr",
-    OP_RIGHT: "rr",
-    OP_MUL: "rrr",
-    OP_DIV: "rrr",
-    OP_MOD: "rrr",
-    OP_ORACLE: "rr",
-    OP_BUDV: "rrrr",
-}
+# The instruction set, one row per opcode in opcode order: its name, its
+# operand kinds ('r' = register, canonical range 0..15; 'n' = natural,
+# constants and jump targets, unbounded) and, for a straight-line opcode,
+# its compiled-block statement over registers a, b, c (else None).  LOAD
+# and HALT get the cheapest Elias-gamma codes on purpose: constant programs
+# ("load r1, c; halt r1") must stay within reach of small exhaustive index
+# sweeps.  LOAD has no statement: it reads its constant from the closure,
+# never from a source literal.
+_OPCODES = (
+    ("load", "rn", None),
+    ("halt", "r", None),
+    ("jz", "rn", None),
+    ("jmp", "n", None),
+    ("add", "rrr", "{a} = {b} + {c}"),
+    ("sub", "rrr", "{a} = {b} - {c} if {b} > {c} else 0"),
+    ("mov", "rr", "{a} = {b}"),
+    ("univ", "rrr", None),
+    ("smn", "rrr", "{a} = smn_fill({b}, {c})"),
+    ("pair", "rrr", "pl = {b}; pr = {c}; {a} = paired = pair(pl, pr)"),
+    ("left", "rr", "{a} = pl if {b} is paired else unpair({b})[0]"),
+    ("right", "rr", "{a} = pr if {b} is paired else unpair({b})[1]"),
+    ("mul", "rrr", "{a} = {b} * {c}"),
+    ("div", "rrr", "{a} = {b} // {c} if {c} else 0"),
+    ("mod", "rrr", "{a} = {b} % {c} if {c} else 0"),
+    ("oracle", "rr", "{a} = oracle.bit({b}) if oracle is not None else 0"),
+    ("budv", "rrrr", None),
+)
+N_OPCODES = len(_OPCODES)
+OP_BY_NAME = {name: op for op, (name, _, _) in enumerate(_OPCODES)}
+OP_SIGNATURE = {op: kinds for op, (_, kinds, _) in enumerate(_OPCODES)}
+# For each opcode, whether each operand is a register (taken mod 16).
+_REGISTER_OPERANDS = tuple(tuple(kind == "r" for kind in kinds) for _, kinds, _ in _OPCODES)
 
 # Additive step overhead of an smn_fill-produced program over the original:
 # the length of the pairing prefix.  Recorded here as the implementation
@@ -242,9 +228,9 @@ class ToyProgram(_Value):
             op = ins[0]
             if op not in OP_SIGNATURE:
                 raise ValueError(f"unknown opcode {op}")
-            sig = OP_SIGNATURE[op]
+            name, sig, _ = _OPCODES[op]
             if len(ins) - 1 != len(sig):
-                raise ValueError(f"bad arity for {OP_NAMES[op]}: {ins}")
+                raise ValueError(f"bad arity for {name}: {ins}")
             for kind, val in zip(sig, ins[1:]):
                 if val < 0:
                     raise ValueError(f"negative operand in {ins}")
@@ -333,11 +319,6 @@ def encode(prog: ToyProgram | Sequence[Sequence[int]]) -> ProgramIndex:
     if not isinstance(prog, ToyProgram):
         prog = program(prog)
     return _nat_of_bits(_code_bits(prog.instructions))
-
-
-# For each opcode, whether each operand is a register (taken mod 16).
-_REGISTER_OPERANDS = tuple(tuple(kind == "r" for kind in OP_SIGNATURE[op])
-                           for op in range(N_OPCODES))
 
 
 @lru_cache(maxsize=8192)
@@ -591,22 +572,6 @@ _COMPILE_MIN_RUNS = 64
 # the hot window programs are under a dozen instructions.
 _COMPILE_MAX_LENGTH = 256
 
-# Straight-line opcodes as source over registers a, b, c; LOAD reads its
-# constant from the closure, never from a source literal.
-_INLINE = {
-    OP_ADD: "{a} = {b} + {c}",
-    OP_SUB: "{a} = {b} - {c} if {b} > {c} else 0",
-    OP_MOV: "{a} = {b}",
-    OP_SMN: "{a} = smn_fill({b}, {c})",
-    OP_PAIR: "pl = {b}; pr = {c}; {a} = paired = pair(pl, pr)",
-    OP_LEFT: "{a} = pl if {b} is paired else unpair({b})[0]",
-    OP_RIGHT: "{a} = pr if {b} is paired else unpair({b})[1]",
-    OP_MUL: "{a} = {b} * {c}",
-    OP_DIV: "{a} = {b} // {c} if {c} else 0",
-    OP_MOD: "{a} = {b} % {c} if {c} else 0",
-    OP_ORACLE: "{a} = oracle.bit({b}) if oracle is not None else 0",
-}
-
 
 @lru_cache(maxsize=256)
 def _compile(prog: ToyProgram) -> Callable[..., tuple[Optional[int], int]]:
@@ -668,7 +633,7 @@ def _compile(prog: ToyProgram) -> Callable[..., tuple[Optional[int], int]]:
                 lines.append(f"if not {regs[0]}:")
                 lines += ["    " + line for line in goto(ins[2], True)]
             else:
-                lines.append(_INLINE[op].format(a=regs[0], b=regs[1], c=regs[-1]))
+                lines.append(_OPCODES[op][2].format(a=regs[0], b=regs[1], c=regs[-1]))
         if code[end - 1][0] != OP_HALT and code[end - 1][0] != OP_JMP:
             lines += goto(end, False)
         blocks[start] = lines

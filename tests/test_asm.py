@@ -85,6 +85,18 @@ def test_malformed_source_rejected(bad):
         assemble(bad)
 
 
+# Unicode digits that str.isdigit() and int() read: Arabic-Indic five and
+# three, and a superscript two that int() refuses.
+@pytest.mark.parametrize("source", [
+    "halt r0\nload r1, \u0665",
+    "halt r0\nload r\u0663, 5",
+    "halt r0\nload r1, \u00b2",
+])
+def test_only_ascii_digits_are_read(source):
+    with pytest.raises(AsmError, match="^line 2: "):
+        assemble(source)
+
+
 def test_label_exactly_one_past_end_allowed():
     p = assemble("jmp far\nhalt r0\nfar:")
     assert len(p) == 2

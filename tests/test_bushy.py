@@ -19,6 +19,7 @@ from dnrlab import bushy
 from dnrlab.bushy import (
     BIG_CAP,
     REGION_NODE_LIMIT,
+    CounterexampleWitness,
     LemmaHolds,
     MalformedTree,
     OrderFunction,
@@ -609,6 +610,52 @@ def test_intersection_bushiness_preconditions():
     not_exact = TreeWitness((), _pruned_full_tree(G6, 2, range(5)))
     v2 = intersection_bushiness_check(not_exact, ok, ok, k, G6)
     assert isinstance(v2, PreconditionViolated)
+
+
+def test_intersection_subtree_outside_the_ambient_tree():
+    ambient = TreeWitness((), _pruned_full_tree(G6, 2, range(6)))
+    ok = _pruned_full_tree(G6, 2, range(4))
+    v = intersection_bushiness_check(ambient, ok, ok | {(0, 0, 0)}, 1, G6)
+    assert v == PreconditionViolated("second subtree leaves the ambient tree")
+
+
+def test_intersection_counterexample_names_its_node(monkeypatch):
+    # two 4k-bushy subtrees of an exactly-6k tree always meet 2k-bushily, so
+    # the 4k check is skipped to let a 3-bushy second subtree through
+    real = bushy.verify_bushy
+    monkeypatch.setattr(bushy, "verify_bushy",
+                        lambda witness, n, g, **kw: None if n == 4 else real(witness, n, g, **kw))
+    ambient = TreeWitness((), _pruned_full_tree(G6, 2, range(6)))
+    first = _pruned_full_tree(G6, 2, range(4))
+    # node (0,) keeps children 3..5, so only (0, 3) is shared below it
+    second = first - {(0, 0), (0, 1), (0, 2)} | {(0, 4), (0, 5)}
+    v = intersection_bushiness_check(ambient, first, second, 1, G6)
+    assert v == CounterexampleWitness(
+        "intersection fails to be 2-bushy: internal node (0,) has 1 children, wanted at least 2",
+        TreeWitness((), first & second))
+
+
+def _edited_mark(monkeypatch, edits):
+    """bushy._mark with the beta value of each node in `edits` replaced."""
+    real = bushy._mark
+
+    def mark(*args):
+        levels, rows = real(*args)
+        return levels, tuple(tuple(edits.get(tau, v) for tau, v in zip(level, row))
+                             for level, row in zip(levels, rows))
+    monkeypatch.setattr(bushy, "_mark", mark)
+
+
+@pytest.mark.parametrize("B, edits, detail", [
+    # the closure law holds for every set, so each failure needs an edited marking
+    ({(0,), (1,)}, {(1,): 0}, "members escaped the closure: [(1,)]"),
+    ({(0,), (1,), (2,)}, {(): 0}, "node () outside the closure has 3 children inside"),
+    ({(0,)}, {(): BIG_CAP}, "closure node () not in the base has only 1 children inside"),
+])
+def test_closure_check_counterexamples(monkeypatch, B, edits, detail):
+    assert isinstance(closure_check(B, 2, G3, 1), LemmaHolds)
+    _edited_mark(monkeypatch, edits)
+    assert closure_check(B, 2, G3, 1) == CounterexampleWitness(detail)
 
 
 

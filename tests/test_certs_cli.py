@@ -230,13 +230,17 @@ FAST_FLAGS = {
 
 def _documented(intro: str) -> dict[str, str]:
     """The list after `intro` in docs/formats.md: each command named in an
-    item's backticks, mapped to the rest of the item."""
+    item's backticks, mapped to the rest of the item.  Every line is one
+    item, and no command is named twice, so no entry can hide in a wrapped
+    line or behind a later one."""
     text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
     listing = text.split(intro)[1].lstrip().split("\n\n")[0]
     documented = {}
     for line in listing.splitlines():
+        assert line.startswith("- `"), line
         commands, _, rest = line.removeprefix("- ").partition(": ")
         for command in re.findall(r"`([a-z-]+)`", commands):
+            assert command not in documented, command
             documented[command] = rest
     return documented
 
@@ -714,6 +718,21 @@ class TestTypedReplayFields:
         cert["members"] = [True if x == 1 else x for x in cert["members"]] + [0.5]
         with pytest.raises(MalformedCertificate, match="members"):
             replay_certificate(cert)
+
+    @pytest.mark.parametrize("kind", ["blocking_finite", "blocking_infinite"])
+    @pytest.mark.parametrize("edit", [
+        lambda sigma: [2 if bit == 0 else bit for bit in sigma],
+        lambda sigma: sigma + [2],
+        lambda sigma: [bool(bit) for bit in sigma],
+    ], ids=["zeros_made_twos", "two_appended", "bools"])
+    def test_sigma_that_is_not_a_bit_string_is_malformed(self, kind, edit, tmp_path, capsys):
+        cert = copy.deepcopy(next(c for c in _every_kind_seeds() if c["kind"] == kind))
+        assert _replay_one(cert, tmp_path) == EXIT_OK
+        cert["sigma"] = edit(cert["sigma"])
+        assert _replay_one(cert, tmp_path) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        (line,) = err.strip().splitlines()
+        assert f"{kind} field 'sigma' must hold a list of bits" in json.loads(line)["error"]
 
     def test_null_side_code_still_accepted(self):
         # the all-ones oracle has an empty complement side

@@ -56,10 +56,12 @@ kind of earlier parse.
 from __future__ import annotations
 
 import random
+import re
 import sys
 import threading
 import time
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -328,6 +330,37 @@ def test_frozen_index_vectors():
     assert decode(0) == EMPTY_PROGRAM
     assert encode(IDENTITY) == 23
     assert encode(CONST1) == 10531
+
+
+# docs/formats.md writes register operands as rd, rs, ... and naturals as c, t.
+_DOC_OPERAND_KINDS = {"rd": "r", "rs": "r", "ra": "r", "rb": "r", "re": "r", "rx": "r",
+                      "c": "n", "t": "n"}
+
+
+def test_opcode_numbering_is_the_table_order():
+    names = [name for name, _, _ in machine._OPCODES]
+    constants = {name[3:].lower(): value for name, value in vars(machine).items()
+                 if name.startswith("OP_") and type(value) is int}
+    assert constants == {name: op for op, name in enumerate(names)}
+    assert machine.N_OPCODES == len(names)
+    for op, (name, kinds, _) in enumerate(machine._OPCODES):
+        with pytest.raises(ValueError, match=f"bad arity for {name}:"):
+            ToyProgram(((op,) + (0,) * (len(kinds) + 1),))
+
+
+def test_documented_opcode_table_is_the_machine_table():
+    # docs/formats.md numbers the opcodes "in the order of the table above"
+    text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    start = text.index("| opcode ")
+    rows = re.findall(r"^\| `(\w+)` +\| `([^`]*)` *\|", text[start:text.index("\n\n", start)],
+                      re.MULTILINE)
+    documented = [(name, "".join(_DOC_OPERAND_KINDS[operand.strip()]
+                                 for operand in operands.split(",") if operand.strip()))
+                  for name, operands in rows]
+    assert documented == [(name, kinds) for name, kinds, _ in machine._OPCODES]
+    n = machine.N_OPCODES
+    assert (f"numbered 0..{n - 1} in the order of the table above and taken mod {n}."
+            in " ".join(text.split()))
 
 
 def test_decode_total_small_range():
