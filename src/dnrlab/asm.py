@@ -46,6 +46,15 @@ def _tokenize_operands(text: str) -> list[str]:
     return [tok for tok in re.split(r"[,\s]+", text.strip()) if tok]
 
 
+def _natural(digits: str, lineno: int) -> int:
+    """The value of an ASCII digit string, or AsmError naming its line when it
+    has more digits than Python converts (4300 by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise AsmError(f"line {lineno}: a number of {len(digits)} digits is too long to read") from None
+
+
 def assemble(source: str) -> ToyProgram:
     """Assemble source text into a canonical program."""
     # first pass: strip comments, collect labels and raw instructions
@@ -85,13 +94,13 @@ def assemble(source: str) -> ToyProgram:
             if kind == "r":
                 if not re.fullmatch(r"[rR][0-9]+", tok):
                     raise AsmError(f"line {lineno}: expected register, got {tok!r}")
-                n = int(tok[1:])
+                n = _natural(tok[1:], lineno)
                 if n >= 16:
                     raise AsmError(f"line {lineno}: register {tok!r} out of range")
                 operands.append(n)
             else:
                 if re.fullmatch(r"[0-9]+", tok):
-                    operands.append(int(tok))
+                    operands.append(_natural(tok, lineno))
                 elif tok in labels:
                     operands.append(labels[tok])
                 else:

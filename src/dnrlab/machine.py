@@ -65,15 +65,18 @@ Fast paths, each mirrored by a naive version in tests/test_machine.py:
   as soon as its question is decided: the first k elements in canonical
   order stop once the inputs pass the k-th smallest key, and growth past
   the checkpoint W_{e,budget//2} stops at its first witness;
-* windows of many inputs (`domain_window`, `EnumerationScan`) over a flat
-  program, one with no `univ` or `budv`, run it compiled: one generated
-  Python function with the registers in locals and one budget check per
-  basic block.  It returns exactly what `_run` returns, because a run that
-  does not halt always reports the whole budget (so any sound loop check
-  gives the same result wherever it fires) and a run that cannot pay for a
-  whole block cannot halt inside it.  Nested programs are interpreted: cheap
-  when their time goes to the callees, but a caller that loops on its own
-  after its call runs about 4x slower than compiled (ROADMAP item 11).
+* windows of many inputs (`domain_window`, `EnumerationScan`) run their
+  program compiled: one generated Python function with the registers in
+  locals and one budget check per basic block.  It returns exactly what
+  `_run` returns, because a run that does not halt always reports the whole
+  budget (so any sound loop check gives the same result wherever it fires)
+  and a run that cannot pay for a whole block cannot halt inside it.  The
+  function is generated once per shape, the instructions with every `load`
+  constant left out, and each program of that shape binds its own
+  constants.  A compiled window sends each nested call through `_run` until
+  that callee index has run there `_COMPILE_MIN_RUNS` times, and from then
+  on through the callee's compiled function, whose own nested calls go
+  through `_run`: so at most two generated frames sit over `_run`.
 """
 
 from __future__ import annotations
@@ -557,42 +560,57 @@ def _run(prog: ToyProgram, x: int, budget: int, oracle: Optional[Oracle]) -> tup
 
 
 # ---------------------------------------------------------------------------
-# Compiled windows: one generated Python function per program.
+# Compiled windows: one generated Python function per program shape.
 
-# Windows of at least this many inputs run a compiled program.  Compiling a
-# 5-8 instruction program takes 0.25-0.4 ms and saves 0.5-1 us of a 0.7-1.3
-# us interpreted run, so a program pays back over a few hundred runs, in one
-# window or in the same program windowed again (CPython 3.11, 2-core VM).
-# Compiling every window made the immunity-audits replay slower: its many
-# EBI-violation windows are short, distinct programs.  Thresholds from 16
-# to 1024 measured alike on that workload.
+# Windows of at least this many inputs run a compiled program, and a compiled
+# window compiles a callee past this many runs.  Compiling a 5-8 instruction
+# program takes 0.25-0.4 ms and saves 0.5-1 us of a 0.7-1.3 us interpreted
+# run, so a program pays back over a few hundred runs, in one window or in
+# the same program windowed again (CPython 3.11, 2-core VM).  Compiling every
+# window made the immunity-audits replay slower: its many EBI-violation
+# windows are short, distinct programs.  Thresholds from 16 to 1024 measured
+# alike on that workload.
 _COMPILE_MIN_RUNS = 64
 # Longer programs are always interpreted: compile time and the cached code
 # grow with the length, about 50 us an instruction (13 ms at 256), while
 # the hot window programs are under a dozen instructions.
 _COMPILE_MAX_LENGTH = 256
 
+# Nested runs from compiled windows, by callee index: how many went through
+# `_run`, and the compiled runner of each callee past _COMPILE_MIN_RUNS of
+# them.  Cleared whole when full, as _halting is.
+_callee_runs: dict[int, int] = {}
+_hot_callees: dict[int, Callable[..., tuple[Optional[int], int]]] = {}
 
-@lru_cache(maxsize=256)
-def _compile(prog: ToyProgram) -> Callable[..., tuple[Optional[int], int]]:
-    """`run(x, budget, oracle=None)` of a flat program, exactly what `_run` returns.
+
+def _shape(code: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The instructions with every `load` constant left out: what the generated source reads."""
+    return tuple(ins[:2] if ins[0] == OP_LOAD else ins for ins in code)
+
+
+def _source(shape: tuple[tuple[int, ...], ...], live: tuple[bool, ...]) -> str:
+    """Source of `build(K, hot)`, which returns `run(x, budget, oracle=None)` for
+    every program of this shape, K holding its `load` constants in order.
+    `live` is the shape's liveness table, which its programs share.
 
     Basic blocks start at jump targets and after each jump or halt; the
     registers are locals, and the dispatch on pc is a bisection over the
     live block starts, so no program needs a long `elif` chain.  Each block
     pays its whole length at entry: a run that cannot pay for a block
     cannot halt inside it, and a run that does not halt reports the whole
-    budget.  A taken jump checks the registers the program writes against
-    a configuration saved as in `_run` (Brent's cycle finding); the loop
-    check is sound, so wherever it fires the result is the same.
+    budget.  So a `univ` callee runs on the budget left after its whole
+    block, and a `budv` callee on the least of its bound and that; when the
+    bound is the larger and the callee does not halt, the run withholds
+    (any larger budget would have to pay the rest of the block too).  A
+    taken jump checks the registers the program writes against a
+    configuration saved as in `_run` (Brent's cycle finding); the loop check
+    is sound, so wherever it fires the result is the same.
     """
-    code = prog.instructions
-    n = len(code)
-    live = prog.live
+    n = len(shape)
     leaders = {0}
     registers = set()
     written = set()
-    for pc, ins in enumerate(code):
+    for pc, ins in enumerate(shape):
         op = ins[0]
         if op == OP_JMP or op == OP_JZ:
             leaders.update((ins[-1], pc + 1))
@@ -603,7 +621,7 @@ def _compile(prog: ToyProgram) -> Callable[..., tuple[Optional[int], int]]:
         registers.update(r for r, is_reg in zip(ins[1:], _REGISTER_OPERANDS[op]) if is_reg)
     bounds = sorted(pc for pc in leaders if pc < n) + [n]
     state = "(" + "".join(f"r{r}, " for r in sorted(written)) + ")"
-    constants: list[int] = []
+    loads = {pc: k for k, pc in enumerate(pc for pc, ins in enumerate(shape) if ins[0] == OP_LOAD)}
     blocks: dict[int, list[str]] = {}
 
     def goto(pc: int, taken: bool) -> list[str]:
@@ -619,12 +637,12 @@ def _compile(prog: ToyProgram) -> Callable[..., tuple[Optional[int], int]]:
         if not live[start]:
             continue
         lines = [f"used += {end - start}", "if used > budget:", "    return None, budget"]
-        for ins in code[start:end]:
+        for pc in range(start, end):
+            ins = shape[pc]
             op = ins[0]
             regs = [f"r{r}" for r, is_reg in zip(ins[1:], _REGISTER_OPERANDS[op]) if is_reg]
             if op == OP_LOAD:
-                lines.append(f"{regs[0]} = k{len(constants)}")
-                constants.append(ins[2])
+                lines.append(f"{regs[0]} = k{loads[pc]}")
             elif op == OP_HALT:
                 lines.append(f"return {regs[0]}, used")
             elif op == OP_JMP:
@@ -632,15 +650,25 @@ def _compile(prog: ToyProgram) -> Callable[..., tuple[Optional[int], int]]:
             elif op == OP_JZ:
                 lines.append(f"if not {regs[0]}:")
                 lines += ["    " + line for line in goto(ins[2], True)]
+            elif op == OP_UNIV:
+                lines += [f"value, steps = nested({regs[1]}, {regs[2]}, budget - used, oracle, hot)",
+                          "if value is None:", "    return None, budget",
+                          f"used += steps; {regs[0]} = value"]
+            elif op == OP_BUDV:
+                lines += [f"bounded = min({regs[3]}, budget - used)",
+                          f"value, steps = nested({regs[1]}, {regs[2]}, bounded, oracle, hot)",
+                          "if value is not None:", f"    used += steps; {regs[0]} = value + 1",
+                          f"elif bounded == {regs[3]}:", f"    used += bounded; {regs[0]} = 0",
+                          "else:", "    return None, budget"]
             else:
                 lines.append(_OPCODES[op][2].format(a=regs[0], b=regs[1], c=regs[-1]))
-        if code[end - 1][0] != OP_HALT and code[end - 1][0] != OP_JMP:
+        if shape[end - 1][0] != OP_HALT and shape[end - 1][0] != OP_JMP:
             lines += goto(end, False)
         blocks[start] = lines
 
     source = [
-        "def build(K):",
-        "    (" + "".join(f"k{i}, " for i in range(len(constants))) + ") = K",
+        "def build(K, hot):",
+        "    (" + "".join(f"k{i}, " for i in range(len(loads))) + ") = K",
         "    def run(x, budget, oracle=None):",
         "        r0 = x",
         "        " + "".join(f"r{r} = " for r in sorted(registers - {0})) + "used = pc = 0",
@@ -664,15 +692,70 @@ def _compile(prog: ToyProgram) -> Callable[..., tuple[Optional[int], int]]:
     else:
         source.append("        return None, budget")
     source.append("    return run")
-    namespace = {"smn_fill": smn_fill, "pair": pair, "unpair": unpair}
-    exec("\n".join(source), namespace)
-    return namespace["build"](tuple(constants))
+    return "\n".join(source)
+
+
+@lru_cache(maxsize=256)
+def _shape_build(shape: tuple[tuple[int, ...], ...],
+                 live: tuple[bool, ...]) -> Callable[..., Callable[..., tuple[Optional[int], int]]]:
+    """The generated `build` of one program shape (see `_source`)."""
+    namespace = {"nested": _nested, "smn_fill": smn_fill, "pair": pair, "unpair": unpair}
+    exec(_source(shape, live), namespace)
+    return namespace["build"]
+
+
+@lru_cache(maxsize=256)
+def _compile(prog: ToyProgram, hot: bool = True) -> Callable[..., tuple[Optional[int], int]]:
+    """`run(x, budget, oracle=None)` of a program, exactly what `_run` returns.
+
+    The function is its shape's generated `build` (one per shape, so programs
+    that differ only in `load` constants share it) applied to the program's
+    constants.  Its nested calls go through `_nested`, hot or not.
+    """
+    code = prog.instructions
+    return _shape_build(_shape(code), prog.live)(tuple(ins[2] for ins in code if ins[0] == OP_LOAD), hot)
+
+
+def _nested(index: int, arg: int, allowance: int, oracle: Optional[Oracle],
+            hot: bool) -> tuple[Optional[int], int]:
+    """A compiled program's `univ`/`budv` run of phi_index(arg) within `allowance` steps.
+
+    Without an oracle, `_halting` answers first and a run that halts is
+    written to it, as `_run` does for its nested calls.  A call it does not
+    answer runs through `_run`; from a hot (window) program, a callee index
+    that has run there _COMPILE_MIN_RUNS times runs compiled from then on,
+    but not hot: its own nested calls go through `_run`.  So at most two
+    generated frames sit over `_run`, however deep the program nests.
+    """
+    if oracle is None:
+        cached = _halting.get((index, arg))
+        if cached is not None:
+            return cached if cached[1] <= allowance else (None, allowance)
+    run = _hot_callees.get(index) if hot else None
+    if run is not None:
+        value, steps = run(arg, allowance, oracle)
+    else:
+        prog = decode(index)
+        if hot:
+            if len(_callee_runs) >= _HALTING_CAP:
+                _callee_runs.clear()
+            runs = _callee_runs[index] = _callee_runs.get(index, 0) + 1
+            if runs == _COMPILE_MIN_RUNS and len(prog) <= _COMPILE_MAX_LENGTH:
+                if len(_hot_callees) >= _HALTING_CAP:
+                    _hot_callees.clear()
+                _hot_callees[index] = _compile(prog, False)
+        value, steps = _run(prog, arg, allowance, oracle)
+    if value is not None and oracle is None:
+        if len(_halting) >= _HALTING_CAP:
+            _halting.clear()
+        _halting[index, arg] = value, steps
+    return value, steps
 
 
 def _window_runner(prog: ToyProgram, runs: int) -> Callable[..., tuple[Optional[int], int]]:
-    """What a window of `runs` inputs calls as run(x, budget, None); only flat programs compile."""
-    if (runs >= _COMPILE_MIN_RUNS and len(prog) <= _COMPILE_MAX_LENGTH
-            and not any(ins[0] == OP_UNIV or ins[0] == OP_BUDV for ins in prog.instructions)):
+    """What a window of `runs` inputs calls as run(x, budget, None): compiled
+    from _COMPILE_MIN_RUNS inputs, unless the program is too long."""
+    if runs >= _COMPILE_MIN_RUNS and len(prog) <= _COMPILE_MAX_LENGTH:
         return _compile(prog)
     return partial(_run, prog)
 

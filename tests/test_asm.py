@@ -97,6 +97,14 @@ def test_only_ascii_digits_are_read(source):
         assemble(source)
 
 
+@pytest.mark.parametrize("source", ["halt r0\nload r1, " + "1" * 5000,
+                                    "halt r0\nload r" + "1" * 5000 + ", 5"],
+                         ids=["constant", "register"])
+def test_numbers_too_long_to_read_name_their_line(source):
+    with pytest.raises(AsmError, match="^line 2: a number of 5000 digits is too long to read$"):
+        assemble(source)
+
+
 def test_label_exactly_one_past_end_allowed():
     p = assemble("jmp far\nhalt r0\nfar:")
     assert len(p) == 2

@@ -34,15 +34,19 @@ once after a warming run at a larger budget, and check every entry against
 inside an outer `budv` timeout, and check that no frame was opened for it.
 Oracle runs neither read nor fill the cache, and it never passes its cap.
 
-Windows of many inputs over a flat program (no `univ` or `budv`) run it
-compiled: `_compile` turns it into one generated Python function, and
-`compiled_eval` below runs it.  The mirror tests compare it with
-`eval_steps` (that is, `_run`) and `naive_eval` on flat programs; nested
-programs are compared through `eval_steps` and through `domain_window`
-over a window long enough to compile, which must interpret them.  The
-window tests straddle the compile threshold, and two hostile programs (a
-load constant too long to print, thousands of blocks) check that the
-compiler copes.
+Windows of many inputs run their program compiled: `_compile` turns it
+into one generated Python function, shared by every program of its shape
+(the instructions less their `load` constants), and `compiled_eval` below
+runs it.  The mirror tests compare it with `eval_steps` (that is, `_run`)
+and `naive_eval`, and `domain_window` over windows long enough to compile.
+A compiled window's nested calls go through `_run` until their callee has
+run there `_COMPILE_MIN_RUNS` times, then through the callee compiled: the
+nested mirrors run windows long enough for both, on the stock nested
+programs, the self-nesting ones and the 200-deep `budv` chain (under the
+lowered recursion limit), at budgets around each halting step.  The window
+tests straddle the compile threshold, and two hostile programs (a load
+constant too long to print, thousands of blocks) check that the compiler
+copes.
 
 The program codec has fast paths too: `decode` scans its bit string with
 `str.find`, resumes from the last parse where the code words share leading
@@ -270,27 +274,25 @@ def naive_eval(e, x, budget, oracle=None):
 
 
 def is_flat(p):
-    """Whether p makes no nested run (no univ or budv): only such programs compile."""
+    """Whether p makes no nested run (no univ or budv)."""
     return all(ins[0] not in (OP_UNIV, OP_BUDV) for ins in p.instructions)
 
 
 def compiled_eval(e, x, budget, oracle=None):
-    """eval_steps through the compiled function of decode(e), a flat program."""
+    """eval_steps through the compiled function of decode(e)."""
     value, steps = _compile(decode(e))(x, budget, oracle)
     return (RUNNING if value is None else Halted(value)), steps
 
 
 def assert_eval_matches_naive(e, x, budget, oracle=None):
-    """eval_steps, and the compiled function of a flat program, against naive_eval."""
+    """eval_steps, and the compiled function, against naive_eval."""
     want = naive_eval(e, x, budget, oracle)
     assert eval_steps(e, x, budget, oracle) == want, (e, x, budget, oracle)
-    if is_flat(decode(e)):
-        assert compiled_eval(e, x, budget, oracle) == want, (e, x, budget, oracle)
+    assert compiled_eval(e, x, budget, oracle) == want, (e, x, budget, oracle)
 
 
 def assert_window_matches_naive(e, budget, horizon=_COMPILE_MIN_RUNS):
-    """domain_window over a window long enough to compile (nested programs
-    are interpreted there) against naive_eval."""
+    """domain_window over a window long enough to compile against naive_eval."""
     naive = frozenset(x for x in range(horizon) if naive_eval(e, x, budget)[0] is not RUNNING)
     assert domain_window(e, horizon, budget) == naive, (e, budget)
 
@@ -844,7 +846,7 @@ LOOP3 = program([(OP_LOAD, 0, 0), (OP_JZ, 0, 0), (OP_HALT, 0)])
 ])
 def test_configuration_loops_end_at_once(looper):
     e = encode(looper)
-    for run in (eval_steps, compiled_eval) if is_flat(looper) else (eval_steps,):
+    for run in (eval_steps, compiled_eval):
         start = time.perf_counter()
         assert run(e, 3, 10**9) == (RUNNING, 10**9)
         assert time.perf_counter() - start < 0.5
@@ -1292,14 +1294,14 @@ def test_compiled_matches_interpreters_on_every_small_index():
     # small budgets: mul loops square their operands
     for e in range(2**12):
         p = decode(e)
-        run = _compile(p) if is_flat(p) else None
+        run = _compile(p)
         for budget in (0, 1, 2, 3, 5, 8, 13, 21):
             for x in range(12):
                 want = _run(p, x, budget, None)
-                assert run is None or run(x, budget) == want, (e, x, budget)
+                assert run(x, budget) == want, (e, x, budget)
                 halted, value, steps = _naive_run(p.instructions, x, budget, None)
                 assert want == ((value if halted else None), steps), (e, x, budget)
-            if run is None:
+            if not is_flat(p):
                 assert_window_matches_naive(e, budget)
 
 
@@ -1337,12 +1339,109 @@ NESTED_STOCK = [COUNTDOWN_CALLS, SAME_LANDING, decode(UNIV2_INDEX),
                 decode(self_reference(encode(LEFT_PROG))), *map(decode, SELF_NESTING.values())]
 
 
-@given(st.one_of(st.sampled_from(NESTED_STOCK), program_st.filter(lambda p: not is_flat(p))))
+NESTED_IDS = ["countdown-calls", "same-landing", "univ2", "slice-2", "self-left", "self-budv",
+              "self-univ"]
+# Past the compile threshold: the windows below compile a callee that every
+# input calls at input _COMPILE_MIN_RUNS - 1, and run it compiled after that.
+NESTED_HORIZON = _COMPILE_MIN_RUNS + 8
+
+
+@given(st.one_of(st.sampled_from(NESTED_STOCK), program_st.filter(lambda p: not is_flat(p))),
+       st.integers(0, 40))
 @settings(max_examples=100, deadline=None)
-def test_nested_programs_are_always_interpreted(p):
-    for runs in (_COMPILE_MIN_RUNS, 10**6):
-        run = _window_runner(p, runs)
-        assert isinstance(run, partial) and run.func is _run and run.args == (p,)
+def test_nested_windows_compile_and_match_naive(p, budget):
+    # budgets stay small: mul squares its operand every round
+    assert _window_runner(p, _COMPILE_MIN_RUNS) is _compile(p)
+    assert isinstance(_window_runner(p, _COMPILE_MIN_RUNS - 1), partial)
+    assert_window_matches_naive(encode(p), budget)
+
+
+def _budgets_around_halting(e, inputs):
+    """Budgets 0 and s-1, s, s+1 for the halting step s of each run of e on `inputs`."""
+    budgets = {0}
+    for x in inputs:
+        out, steps = naive_eval(e, x, 10**4)
+        if out is not RUNNING:
+            budgets.update((steps - 1, steps, steps + 1))
+    return sorted(budgets)
+
+
+@pytest.mark.parametrize("p", NESTED_STOCK, ids=NESTED_IDS)
+def test_nested_windows_match_naive_around_each_halting_step(p):
+    e = encode(p)
+    budgets = _budgets_around_halting(e, (0, 1, 2, NESTED_HORIZON - 1))
+    if budgets == [0]:  # never halts (the self-nesting programs)
+        budgets = [0, 1, 50, 300]
+    for budget in budgets:
+        machine._halting.clear()  # every nested call that halts runs again
+        assert_window_matches_naive(e, budget, NESTED_HORIZON)
+        for x in (0, NESTED_HORIZON - 1):
+            assert compiled_eval(e, x, budget) == naive_eval(e, x, budget), (x, budget)
+
+
+@pytest.mark.parametrize("bound", ["load r3, 1000000", "load r3, 1000", "mul r3, r2, r2"])
+def test_deep_budv_chain_windows_match_naive(bound):
+    e = _countdown_chain(bound)
+    window_budgets = _budgets_around_halting(e, (NESTED_HORIZON - 1,))[1:]
+    windows = [frozenset(x for x in range(NESTED_HORIZON) if naive_eval(e, x, b)[0] is not RUNNING)
+               for b in window_budgets]
+    deep_budgets = _budgets_around_halting(e, (200,)) + [10**6]
+    deep = [naive_eval(e, 200, b) for b in deep_budgets]  # 200 levels deep at most
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)  # a recursive interpreter needs a frame per level
+    try:
+        machine._halting.clear()
+        # every input calls the callee phi_{phi_v(v)}, so the window compiles it
+        got_windows = [domain_window(e, NESTED_HORIZON, b) for b in window_budgets]
+        # the compiled callee calls e itself on every input past that: a
+        # callee compiled in turn would nest generated frames level by level
+        horizon = 2 * _COMPILE_MIN_RUNS + 8
+        assert domain_window(e, horizon, 10**6) == frozenset(range(horizon))
+        got_deep = []
+        for b in deep_budgets:
+            machine._halting.clear()  # the whole chain runs again
+            got_deep.append(compiled_eval(e, 200, b))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got_windows == windows
+    assert got_deep == deep
+
+
+def test_programs_of_one_shape_share_one_generated_function():
+    five, seven = (assemble(f"load r1, {c}\nload r2, 3\nmul r1, r1, r2\nhalt r1") for c in (5, 7))
+    assert _compile(five).__code__ is _compile(seven).__code__
+    assert _compile(five)(0, 10) == (15, 4) and _compile(seven)(0, 10) == (21, 4)
+    # the interval slices differ in their constants only: a slice index and
+    # its callee each share one function over every target and base
+    slices = [interval_slice_index(f, base) for f, base in ((const_index(2), 7), (ZERO_INDEX, 5))]
+    assert _compile(decode(slices[0])).__code__ is _compile(decode(slices[1])).__code__
+    callees = [halted_value(decode(a).instructions[0][2], decode(a).instructions[0][2], 1000)
+               for a in slices]
+    assert callees[0] != callees[1]
+    assert _compile(decode(callees[0])).__code__ is _compile(decode(callees[1])).__code__
+
+
+def test_window_compiles_no_callee_before_its_threshold(monkeypatch):
+    # phi_x(x) on every input x: each callee index runs once a window
+    e = encode(assemble("univ r1, r0, r0\nhalt r1"))
+    monkeypatch.setattr(machine, "_callee_runs", {})
+    monkeypatch.setattr(machine, "_hot_callees", {})
+    compiled = []
+    compile_ = machine._compile
+
+    def recording(prog, hot=True):
+        if not hot:
+            compiled.append(prog)
+        return compile_(prog, hot)
+    monkeypatch.setattr(machine, "_compile", recording)
+    assert len(domain_window(e, 20_000, 50)) > 0 and compiled == []
+    horizon, budget = 200, 50
+    want = frozenset(x for x in range(horizon) if naive_eval(e, x, budget)[0] is not RUNNING)
+    monkeypatch.setattr(machine, "_callee_runs", {})
+    for calls in range(1, _COMPILE_MIN_RUNS + 2):
+        machine._halting.clear()  # so every callee runs again
+        assert domain_window(e, horizon, budget) == want, calls
+        assert len(compiled) == (horizon if calls >= _COMPILE_MIN_RUNS else 0), calls
 
 
 def test_compiled_window_over_a_load_constant_too_long_to_print():
