@@ -33,7 +33,11 @@ its mirror.
 
 Trees (`TreeWitness`) are checked by `verify_bushy` with set operations
 over the whole node set and one count of parents; only a tree that fails
-is walked node by node, to name the offending node.
+is walked node by node, to name the offending node.  A tree keeps what is
+derived from it (its parent counts, and each exactly-n verdict the fusion
+check asked for), so the fusion check verifies an ambient tree once per
+object, and subtrees shown to lie inside it get the shape and count checks
+only: their strings are the ambient's.
 """
 
 from __future__ import annotations
@@ -353,6 +357,13 @@ class TreeWitness(_Value):
         longer = compress(self.nodes, map(k.__lt__, map(len, self.nodes)))
         return Counter(map(_parent, longer))
 
+    @cached_property
+    def _exact_verdicts(self) -> dict[tuple[int, OrderFunction], Optional[str]]:
+        """(n, g) -> what `verify_bushy(self, n, g, exactly=True)` found:
+        None when the tree passed, else the MalformedTree text.  Filled by
+        `_verify_exactly`, so a tree asked again is not verified again."""
+        return {}
+
     def leaves(self) -> frozenset[Node]:
         # a filter, not `nodes - counts`: the difference may build a table of
         # another size, so iterate in another order, and callers iterate leaves
@@ -410,18 +421,50 @@ def verify_bushy(witness: TreeWitness, n: int, g: OrderFunction,
     Only a set that fails is walked node by node, to name the first
     offending node in the set's order.
     """
+    if not _valid_strings(witness.nodes, g):
+        _name_offender(witness, n, g, exactly, witness._parent_counts)
+    _verify_shape(witness, n, g, exactly=exactly)
+    if leaves_in is not None:
+        stray = witness.nodes.difference(witness._parent_counts, leaves_in)
+        if stray:
+            raise MalformedTree(f"leaves outside the target set: {sorted(stray)[:3]}")
+
+
+def _verify_shape(witness: TreeWitness, n: int, g: OrderFunction, exactly: bool = False,
+                  leaves_of: Optional[TreeWitness] = None) -> None:
+    """verify_bushy for a witness whose nodes are known to be valid strings
+    for g, as those of a subtree of a verified tree are: the shape and the
+    counts only.  `leaves_of` (that tree) stands for `leaves_in=` its
+    leaves: a leaf strays when it has children there, so the tree's few
+    parents are searched, not its many leaves."""
     stem, nodes = witness.stem, witness.nodes
     counts = witness._parent_counts
     kids = counts.values()
     if not (stem in nodes and counts.total() == len(nodes) - 1
-            and counts.keys() <= nodes and _valid_strings(nodes, g)
-            and min(kids, default=n) >= n
+            and counts.keys() <= nodes and min(kids, default=n) >= n
             and (not exactly or max(kids, default=n) == n)):
         _name_offender(witness, n, g, exactly, counts)
-    if leaves_in is not None:
-        stray = nodes.difference(counts, leaves_in)
+    if leaves_of is not None:
+        stray = [node for node in leaves_of._parent_counts
+                 if node in nodes and node not in counts]
         if stray:
             raise MalformedTree(f"leaves outside the target set: {sorted(stray)[:3]}")
+
+
+def _verify_exactly(witness: TreeWitness, n: int, g: OrderFunction) -> None:
+    """verify_bushy(witness, n, g, exactly=True), decided once per (n, g)
+    and kept on the witness: a replay that meets one tree object many
+    times pays for one verification."""
+    verdicts = witness._exact_verdicts
+    key = (n, g)
+    if key not in verdicts:
+        try:
+            verify_bushy(witness, n, g, exactly=True)
+            verdicts[key] = None
+        except MalformedTree as exc:
+            verdicts[key] = str(exc)
+    if verdicts[key] is not None:
+        raise MalformedTree(verdicts[key])
 
 
 def witness_tree(B: Iterable[Node], n: int, g: OrderFunction, stem: Node,
@@ -542,25 +585,31 @@ def intersection_bushiness_check(ambient: TreeWitness, F: Iterable[Node],
     be 4k-bushy above the common stem with leaves among the ambient leaves.
     The verdict confirms F intersect C is 2k-bushy (witness included), or
     reports the node where the count argument fails.
+
+    The ambient is verified once per tree object and (6k, g), the verdict
+    kept on the object, so a trace that repeats an ambient pays for it
+    once when equal ambients are one object, as the replay's field rule
+    makes them.  F, C and F intersect C are first shown to lie inside the
+    verified ambient, so their strings are valid already: they get the
+    shape and count checks only.
     """
     F = _string_set(F)
     C = _string_set(C)
     try:
-        verify_bushy(ambient, 6 * k, g, exactly=True)
+        _verify_exactly(ambient, 6 * k, g)
     except MalformedTree as exc:
         return PreconditionViolated(f"ambient tree is not exactly {6 * k}-bushy: {exc}")
-    leaves = ambient.leaves()
     for name, sub in (("first", F), ("second", C)):
         if not sub <= ambient.nodes:
             return PreconditionViolated(f"{name} subtree leaves the ambient tree")
         try:
-            verify_bushy(TreeWitness(ambient.stem, sub), 4 * k, g, leaves_in=leaves)
+            _verify_shape(TreeWitness(ambient.stem, sub), 4 * k, g, leaves_of=ambient)
         except MalformedTree as exc:
             return PreconditionViolated(f"{name} subtree is not {4 * k}-bushy: {exc}")
     inter = F & C
     tree = TreeWitness(ambient.stem, inter)
     try:
-        verify_bushy(tree, 2 * k, g)
+        _verify_shape(tree, 2 * k, g)
     except MalformedTree as exc:
         return CounterexampleWitness(f"intersection fails to be {2 * k}-bushy: {exc}", tree)
     return LemmaHolds(f"intersection of {len(inter)} nodes is {2 * k}-bushy")

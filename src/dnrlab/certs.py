@@ -11,7 +11,10 @@ disagreement.
 Structural problems (missing fields, unknown kinds, fields that break
 their rule) are MalformedCertificate instead: a broken file is not a
 refuted claim.  The one decode pass names its own failure: the missing
-required fields if any, else the field it stopped at.
+required fields if any, else the field it stopped at.  The `ambient` rule
+interns: equal (stem, nodes) decode to one tree object, which keeps the
+verdict of verifying it, so a fusion trace that repeats an ambient
+verifies it once; a tree that differs in any node is another object.
 
 The same rules write certificates: `certificate` encodes native values
 by them, for exactly its replayer's fields.  Every module builds its
@@ -23,6 +26,7 @@ dict literals: it writes thousands of certificates a run.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import lru_cache
 from itertools import chain
 from typing import Callable
 
@@ -88,7 +92,8 @@ def _node(value) -> Node:
 
 def _lists_of_naturals(value) -> list[list[int]]:
     # C-level passes over the whole value: a trace's node lists hold tens
-    # of thousands of integers
+    # of thousands of integers; the flattened copy is measured faster than
+    # two passes over the chain
     if type(value) is not list or not set(map(type, value)) <= {list}:
         raise ValueError
     _naturals(list(chain.from_iterable(value)))
@@ -128,6 +133,13 @@ def _one_of(*values) -> tuple[Callable, str, None]:
 
 
 _LISTS = "a list of lists of naturals"
+_TREE = "a tree {stem, nodes} of lists of naturals"
+
+# Equal ambients decode to one tree object, which keeps what verifying it
+# found (bushy._verify_exactly): a fusion trace repeats a few ambients, and
+# each is verified once while it is among the last 8 distinct ones.  Only
+# decoding reaches this, so no emit process holds a tree in it.
+_ambient_tree = lru_cache(maxsize=8)(TreeWitness)
 
 # The rule of every field name, for certificates and --in files alike: its
 # decoder, what it must hold, and how a certificate writes it (None: as given).
@@ -156,9 +168,11 @@ _FIELDS: dict[str, tuple[Callable, str, Callable | None]] = {
                     (_node_set, _LISTS, lambda v: sorted(map(list, v)))),
     "sets": (lambda v: tuple(map(frozenset, _lists_of_naturals(v))), _LISTS,
              lambda v: sorted(map(sorted, v))),
-    **dict.fromkeys(("ambient", "tree", "witness"), (
-        lambda v: TreeWitness(_node(v["stem"]), _node_set(v["nodes"])),
-        "a tree {stem, nodes} of lists of naturals", TreeWitness.to_jsonable)),
+    "ambient": (lambda v: _ambient_tree(_node(v["stem"]), _node_set(v["nodes"])), _TREE,
+                TreeWitness.to_jsonable),
+    **dict.fromkeys(("tree", "witness"), (
+        lambda v: TreeWitness(_node(v["stem"]), _node_set(v["nodes"])), _TREE,
+        TreeWitness.to_jsonable)),
     "colors": (_coloring, "a list of [node, color] pairs",
                lambda v: sorted([list(node), color] for color, nodes in v.items()
                                 for node in nodes)),

@@ -622,8 +622,8 @@ def test_intersection_subtree_outside_the_ambient_tree():
 def test_intersection_counterexample_names_its_node(monkeypatch):
     # two 4k-bushy subtrees of an exactly-6k tree always meet 2k-bushily, so
     # the 4k check is skipped to let a 3-bushy second subtree through
-    real = bushy.verify_bushy
-    monkeypatch.setattr(bushy, "verify_bushy",
+    real = bushy._verify_shape
+    monkeypatch.setattr(bushy, "_verify_shape",
                         lambda witness, n, g, **kw: None if n == 4 else real(witness, n, g, **kw))
     ambient = TreeWitness((), _pruned_full_tree(G6, 2, range(6)))
     first = _pruned_full_tree(G6, 2, range(4))
@@ -633,6 +633,150 @@ def test_intersection_counterexample_names_its_node(monkeypatch):
     assert v == CounterexampleWitness(
         "intersection fails to be 2-bushy: internal node (0,) has 1 children, wanted at least 2",
         TreeWitness((), first & second))
+
+
+# ---------------------------------------------------------------------------
+# The fusion check against a naive composition: four full verifications with
+# no facts shared between calls and no subset shortcut.
+
+def _naive_intersection_check(ambient, F, C, k, g):
+    """intersection_bushiness_check composed from _reference_verify_bushy:
+    every string of every tree validated in each call, leaves found by a
+    scan, nothing kept on the tree objects."""
+    F, C = frozenset(F), frozenset(C)
+    try:
+        _reference_verify_bushy(ambient, 6 * k, g, exactly=True)
+    except MalformedTree as exc:
+        return PreconditionViolated(f"ambient tree is not exactly {6 * k}-bushy: {exc}")
+    parents = {node[:-1] for node in ambient.nodes if len(node) > len(ambient.stem)}
+    leaves = frozenset(node for node in ambient.nodes if node not in parents)
+    for name, sub in (("first", F), ("second", C)):
+        if not sub <= ambient.nodes:
+            return PreconditionViolated(f"{name} subtree leaves the ambient tree")
+        try:
+            _reference_verify_bushy(TreeWitness(ambient.stem, sub), 4 * k, g, leaves_in=leaves)
+        except MalformedTree as exc:
+            return PreconditionViolated(f"{name} subtree is not {4 * k}-bushy: {exc}")
+    tree = TreeWitness(ambient.stem, F & C)
+    try:
+        _reference_verify_bushy(tree, 2 * k, g)
+    except MalformedTree as exc:
+        return CounterexampleWitness(f"intersection fails to be {2 * k}-bushy: {exc}", tree)
+    return LemmaHolds(f"intersection of {len(F & C)} nodes is {2 * k}-bushy")
+
+
+# one object per (k, depth), shared by every example below, so the facts a
+# check keeps on a tree are read back by later checks
+_FUSION_AMBIENTS = {
+    (k, depth): witness_tree(frozenset(level_nodes(OrderFunction.constant(6 * k), depth)),
+                             6 * k, OrderFunction.constant(6 * k), (), depth)
+    for k in (1, 2) for depth in (2, 3)}
+
+
+def _hostile_subtree(rnd, ambient, k):
+    """A random subtree of the ambient: mostly at least 4k children per
+    internal node; sometimes a thinner node, a node that stops early, a
+    dropped node, an ambient node added without its parent, or a node from
+    outside the ambient."""
+    thin = rnd.random() < 0.3
+    keep, frontier = {ambient.stem}, [ambient.stem]
+    while frontier:
+        node = frontier.pop()
+        children = ambient.children_of(node)
+        if not children or (thin and rnd.random() < 0.05):
+            continue
+        width = rnd.choice([3, 4 * k - 1]) if thin and rnd.random() < 0.1 \
+            else rnd.randint(4 * k, 6 * k)
+        chosen = rnd.sample(children, width)
+        keep.update(chosen)
+        frontier.extend(chosen)
+    roll = rnd.random()
+    if roll < 0.02:
+        keep.discard(ambient.stem)
+    elif roll < 0.1 and len(keep) > 1:
+        keep.discard(rnd.choice(sorted(keep - {ambient.stem})))
+    elif roll < 0.2:
+        keep.add(rnd.choice(sorted(ambient.nodes)))
+    elif roll < 0.3:
+        keep.add(rnd.choice([(6 * k,), (0,) * 4, (0, 6 * k)]))
+    return frozenset(keep)
+
+
+@given(st.sampled_from(sorted(_FUSION_AMBIENTS)), st.randoms(use_true_random=False),
+       st.sampled_from(["same", "copy", "one leaf less", "one node moved"]))
+@settings(max_examples=120, deadline=None)
+def test_fusion_check_matches_naive_composition(key, rnd, ambient_kind):
+    k, depth = key
+    g = OrderFunction.constant(6 * k)
+    ambient = _FUSION_AMBIENTS[key]
+    if ambient_kind == "copy":  # the same value as another object
+        ambient = TreeWitness(ambient.stem, frozenset(ambient.nodes))
+    elif ambient_kind != "same":  # not exact; "moved" keeps the node count
+        leaf = rnd.choice(sorted(ambient.leaves()))
+        nodes = ambient.nodes - {leaf}
+        if ambient_kind == "one node moved":
+            nodes |= {min(ambient.leaves()) + (0,)}
+        ambient = TreeWitness(ambient.stem, nodes)
+    F = _hostile_subtree(rnd, _FUSION_AMBIENTS[key], k)
+    C = _hostile_subtree(rnd, _FUSION_AMBIENTS[key], k)
+    want = _naive_intersection_check(ambient, F, C, k, g)
+    # twice: the second call reads what the first kept on the ambient
+    assert intersection_bushiness_check(ambient, F, C, k, g) == want
+    assert intersection_bushiness_check(ambient, F, C, k, g) == want
+
+
+def test_fusion_check_hostile_cases_match_naive_composition():
+    ambient = _FUSION_AMBIENTS[1, 2]
+    ok = _pruned_full_tree(G6, 2, range(4))
+    moved = ambient.nodes - {(5, 5)} | {(0, 0, 0)}
+    assert len(moved) == len(ambient.nodes)
+    cases = [
+        (ambient, ok, ok, 1, G6),
+        (ambient, ok, ok | {(0, 0, 0)}, 1, G6),  # leaves the ambient
+        (ambient, _pruned_full_tree(G6, 2, range(3)), ok, 1, G6),  # 3-bushy
+        (ambient, ok, _pruned_full_tree(G6, 1, range(4)), 1, G6),  # ends above the leaves
+        # same stem and node count as the verified ambient, not exact
+        (TreeWitness((), moved), ok, ok, 1, G6),
+        (TreeWitness((), frozenset(ambient.nodes)), ok, ok, 1, G6),  # equal, another object
+        # the same tree at another n, at another g, and at both
+        (ambient, ok, ok, 2, G6),
+        (ambient, ok, ok, 1, OrderFunction.constant(5)),
+        (ambient, ok, ok, 1, OrderFunction((6, 7))),
+        (ambient, ok, ok, 2, OrderFunction.constant(12)),
+        (ambient, ok, ok, 1, G6),
+    ]
+    verdicts = []
+    for case in cases:
+        verdicts.append(intersection_bushiness_check(*case))
+        assert verdicts[-1] == _naive_intersection_check(*case), case[1:]
+    assert [type(v) for v in verdicts] == [
+        LemmaHolds, *[PreconditionViolated] * 4, LemmaHolds, PreconditionViolated,
+        PreconditionViolated, LemmaHolds, PreconditionViolated, LemmaHolds]
+
+
+def test_fusion_check_verifies_each_ambient_object_once(monkeypatch):
+    calls = []
+    real = bushy.verify_bushy
+
+    def counted(witness, n, g, **kw):
+        calls.append((len(witness.nodes), n, g))
+        return real(witness, n, g, **kw)
+    monkeypatch.setattr(bushy, "verify_bushy", counted)
+    nodes = _pruned_full_tree(G6, 2, range(6))
+    ambient = TreeWitness((), nodes)
+    F, C = _pruned_full_tree(G6, 2, range(4)), _pruned_full_tree(G6, 2, range(2, 6))
+    for _ in range(3):
+        assert isinstance(intersection_bushiness_check(ambient, F, C, 1, G6), LemmaHolds)
+    assert calls == [(43, 6, G6)]
+    # another object, n or g is verified on its own
+    assert isinstance(intersection_bushiness_check(TreeWitness((), nodes), F, C, 1, G6),
+                      LemmaHolds)
+    G6_again = OrderFunction.constant(6)
+    intersection_bushiness_check(ambient, F, C, 1, G6_again)  # equal g: kept
+    intersection_bushiness_check(ambient, F, C, 2, G6)
+    intersection_bushiness_check(ambient, F, C, 1, G3)
+    intersection_bushiness_check(ambient, F, C, 1, G3)
+    assert calls == [(43, 6, G6), (43, 6, G6), (43, 12, G6), (43, 6, G3)]
 
 
 def _edited_mark(monkeypatch, edits):

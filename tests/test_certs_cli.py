@@ -17,10 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dnrlab import certs, cli
+from dnrlab import bushy, certs, cli
 from dnrlab.asm import DIVERGE_INDEX, IDENTITY_INDEX, ZERO_INDEX, assemble_index, \
     const_index
-from dnrlab.bushy import OrderFunction, closure, region_nodes, \
+from dnrlab.bushy import OrderFunction, closure, level_nodes, region_nodes, \
     union_smallness_sweep, witness_tree
 from dnrlab.certs import _FIELDS, REPLAYERS, decode_field, replay_certificate
 from dnrlab.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INPUT, EXIT_OK, \
@@ -1311,6 +1311,88 @@ _CLEAN_LINE = json.dumps({"kind": "diagonal_diverges", "e": 0, "budget": 5})
 
 
 _BROKEN = 1.5  # breaks every field rule: nothing is coerced
+
+
+G6 = OrderFunction.constant(6)
+AMBIENT6 = witness_tree(frozenset(level_nodes(G6, 2)), 6, G6, (), 2)
+
+
+def _fusion_line(ambient_nodes=AMBIENT6.nodes) -> str:
+    """A fusion_intersection line over the width-6, depth-2 ambient (or
+    over `ambient_nodes`), with the subtrees on children 0-3 and 2-5."""
+    first = frozenset(node for node in AMBIENT6.nodes if all(c < 4 for c in node))
+    second = frozenset(node for node in AMBIENT6.nodes if all(c >= 2 for c in node))
+    return json.dumps(certs.certificate(
+        "fusion_intersection", g=G6, k=1, ambient=bushy.TreeWitness((), ambient_nodes),
+        first=first, second=second, intersection_size=len(first & second)))
+
+
+class TestFusionAmbients:
+    """Equal ambients decode to one tree object, which is verified once a
+    replay; a tree that differs in any node is another object."""
+
+    def test_equal_ambients_decode_to_one_object(self):
+        value = json.loads(_fusion_line())["ambient"]
+        tree = decode_field("c", "ambient", value)
+        assert decode_field("c", "ambient", json.loads(json.dumps(value))) is tree
+        assert tree == AMBIENT6
+        value["nodes"].pop()
+        assert decode_field("c", "ambient", value) is not tree
+
+    def test_each_distinct_ambient_is_verified_on_its_own(self, monkeypatch, tmp_path):
+        certs._ambient_tree.cache_clear()
+        verified = []
+        real = bushy.verify_bushy
+
+        def counted(witness, n, g, **kw):
+            verified.append(len(witness.nodes))
+            return real(witness, n, g, **kw)
+        monkeypatch.setattr(bushy, "verify_bushy", counted)
+        one_less = AMBIENT6.nodes - {(5, 5)}
+        moved = one_less | {(0, 0, 0)}  # as many nodes as the good ambient
+        lines = [_fusion_line(), _fusion_line(), _fusion_line(one_less),
+                 _fusion_line(moved), _fusion_line()]
+        code, out, err = _replay_lines(lines, tmp_path)
+        assert verified == [43, 42, 43]
+        assert code == EXIT_COUNTEREXAMPLE and err == ""
+        refuted = ("fusion_intersection: intersection check no longer holds: "
+                   "PreconditionViolated(reason='ambient tree is not exactly 6-bushy: ")
+        assert out.splitlines() == [
+            "3 certificates verified, 2 mismatches",
+            "  fusion_intersection: 3",
+            *(f"  MISMATCH line {i}: {refuted}internal node (5,) has 5 children, wanted exactly 6')"
+              for i in (4, 5))]
+
+    @pytest.mark.parametrize("ambient", [
+        {"stem": [], "nodes": [[0], [1.0]]},
+        {"stem": [], "nodes": [[0], [True]]},
+        {"stem": [], "nodes": [[0], [-1]]},
+        {"stem": [], "nodes": [[0], 1]},
+        {"stem": [0.0], "nodes": [[0]]},
+        {"nodes": [[0]]},
+    ])
+    def test_malformed_ambient_after_a_good_one_exits_1(self, ambient, tmp_path):
+        bad = json.loads(_fusion_line())
+        bad["ambient"] = ambient
+        code, out, err = _replay_lines([_fusion_line(), json.dumps(bad)], tmp_path)
+        assert code == EXIT_INPUT and out == ""
+        assert json.loads(err)["error"].startswith(
+            "line 3: fusion_intersection field 'ambient' must hold a tree {stem, nodes}")
+
+    def test_an_emit_keeps_no_ambient(self, tmp_path):
+        certs._ambient_tree.cache_clear()
+        code, _ = run_cli(["--command", "fusion-check", "--budget.instances=3"], tmp_path)
+        assert code == EXIT_OK
+        assert certs._ambient_tree.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("field", ["first", "stems", "sets"])
+@pytest.mark.parametrize("value", [
+    # a bool or a float equal to an int an earlier list holds is refused too
+    [[1], [True]], [[1], [1.0]], [[0, 2], [0, -1]], [[1], 1], [[1], (1,)], ([1],)])
+def test_lists_of_naturals_refuse_every_non_natural(field, value):
+    with pytest.raises(MalformedCertificate):
+        decode_field("c", field, value)
 
 
 class TestReplayPerLineCost:

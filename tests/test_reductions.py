@@ -20,6 +20,7 @@ from dnrlab.machine import (
     enumerate_re,
     eval_program,
     gamma,
+    halted_value,
     re_enumeration_order,
 )
 from dnrlab.oracle import (
@@ -278,6 +279,33 @@ class TestBlockingPrefixInfinite:
     def test_slice_member_on_a_zero_is_rejected(self):
         with pytest.raises(PreconditionViolated):
             blocking_prefix((1, 0, 0), EVEN_HALT_INDEX, const_index(2), 100_000)
+
+    def test_f_diverging_on_e_is_a_budget_error(self):
+        with pytest.raises(WitnessBudgetExceeded, match=r"did not converge on \d+ within 2000"):
+            blocking_prefix((1,), EVEN_HALT_INDEX, DIVERGE_INDEX, 2_000)
+
+    def test_f_diverging_on_the_slice_index_is_a_budget_error(self):
+        # f halts on e alone, so never on the slice index e' != e
+        f = assemble_index(f"""
+            load r1, {EVEN_HALT_INDEX}
+            sub r2, r0, r1
+            sub r3, r1, r0
+            add r2, r2, r3
+            jz r2, ok
+            jmp stuck
+        ok:
+            load r4, 2
+            halt r4
+        stuck:
+        """)
+        assert halted_value(f, EVEN_HALT_INDEX, 2_000) == 2
+        with pytest.raises(WitnessBudgetExceeded, match="on the slice index within 2000"):
+            blocking_prefix((1,), EVEN_HALT_INDEX, f, 2_000)
+
+    def test_too_few_elements_for_the_slice_is_a_budget_error(self):
+        with pytest.raises(WitnessBudgetExceeded,
+                           match="only 1001 elements enumerated, slice needs 1000001"):
+            blocking_prefix((1,), EVEN_HALT_INDEX, const_index(10**6), 2_000)
 
 
 class TestFirstSliceIndex:
