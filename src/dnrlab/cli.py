@@ -293,14 +293,16 @@ def _cmd_schnorr_measure(g, data, budgets, seed) -> CommandResult:
     c, e_max = budgets["c"], budgets["e_max"]
     constraints = tail_constraints(TableNumbering(data["sets"]), c, e_max)
     measure = union_cylinder_measure(constraints)
-    bound = DyadicRational.half_power(c)
-    if measure > bound:
-        raise AssertionError("tail bound violated: the measure proof is broken")
+    cert = certificate("cylinder_measure", sets=constraints, term_cap=TERM_LIMIT,
+                       measure=measure, tail_exponent=c)
+    if measure > DyadicRational.half_power(c):  # the measure proof is broken
+        return CommandResult(exit_code=EXIT_COUNTEREXAMPLE,
+                             summary=[f"tail bound violated: union measure {measure} > 2^-{c}"],
+                             certificates=[cert])
     return CommandResult(
         summary=[f"{len(constraints)} constraint sets over ({c}, {e_max}]",
                  f"union measure {measure} <= 2^-{c}"],
-        certificates=[certificate("cylinder_measure", sets=constraints, term_cap=TERM_LIMIT,
-                                  measure=measure, tail_exponent=c)])
+        certificates=[cert])
 
 
 def _cmd_lowness_check(g, data, budgets, seed) -> CommandResult:

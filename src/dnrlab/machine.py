@@ -54,6 +54,14 @@ Fast paths, each mirrored by a naive version in tests/test_machine.py:
   instruction, the empty program included) is not run: `eval_steps`
   answers Running at the whole budget, and `domain_window` and
   `EnumerationScan` find no member, without entering `_run`;
+* a program whose first `halt`, at pc h, comes before any `jz`, `jmp`,
+  `univ` or `budv` is not run by `domain_window` either: every other
+  opcode takes one step and always finishes, so each input halts after
+  exactly h + 1 steps, and the window is every input when h + 1 <= budget
+  and none otherwise.  The scan stops at the first `halt` or branch, so it
+  needs no cache or ToyProgram field.  Steps charged by operand width
+  (ROADMAP item 9) would make that count depend on x; the mirror test over
+  every such index below 2^14 would then fail;
 * `decode` scans its bit string with `str.find` and resumes from the last
   parse: a code word of the same bit length keeps every instruction that
   lies wholly inside the leading bits the two share, so consecutive
@@ -752,6 +760,19 @@ def _nested(index: int, arg: int, allowance: int, oracle: Optional[Oracle],
     return value, steps
 
 
+def _straight_halt_steps(code: tuple[tuple[int, ...], ...]) -> Optional[int]:
+    """h + 1 when the first `halt` is at pc h with no jz, jmp, univ or budv
+    before it, else None.  Every other opcode takes one step and always
+    finishes, so such a program halts on every input after exactly h + 1."""
+    for pc, ins in enumerate(code):
+        op = ins[0]
+        if op == OP_HALT:
+            return pc + 1
+        if op == OP_JZ or op == OP_JMP or op == OP_UNIV or op == OP_BUDV:
+            return None
+    return None
+
+
 def _window_runner(prog: ToyProgram, runs: int) -> Callable[..., tuple[Optional[int], int]]:
     """What a window of `runs` inputs calls as run(x, budget, None): compiled
     from _COMPILE_MIN_RUNS inputs, unless the program is too long."""
@@ -791,7 +812,14 @@ def enumerate_re(e: ProgramIndex, budget: int) -> frozenset[int]:
 
 
 def domain_window(e: ProgramIndex, horizon: int, budget: int) -> frozenset[int]:
-    """{x < horizon : eval(e, x, budget) halts}: a bounded domain snapshot."""
+    """{x < horizon : eval(e, x, budget) halts}: a bounded domain snapshot.
+
+    A program dead at pc 0 halts nowhere, and one whose first `halt` comes
+    before any branch or nested call halts on every input after the same
+    number of steps (`_straight_halt_steps`): both are answered from their
+    instructions, with nothing run or compiled.  Any other program runs on
+    each input, compiled once the window is long enough (`_window_runner`).
+    """
     if budget < 0:
         raise ValueError("budget is a natural")
     if horizon < 0:
@@ -799,6 +827,9 @@ def domain_window(e: ProgramIndex, horizon: int, budget: int) -> frozenset[int]:
     prog = decode(e)
     if not prog.live or not prog.live[0]:
         return frozenset()
+    steps = _straight_halt_steps(prog.instructions)
+    if steps is not None:
+        return frozenset(range(horizon)) if steps <= budget else frozenset()
     run = _window_runner(prog, horizon)
     return frozenset(x for x in range(horizon) if run(x, budget, None)[0] is not None)
 
@@ -810,6 +841,10 @@ class EnumerationScan:
     stable as the budget grows, so "the first k elements of W_e" does not
     depend on the budget that first exposed them.  Each input runs at most
     once, and each question runs only the inputs its answer needs.
+
+    Unlike `domain_window`, it runs a program that halts before branching
+    too: its callers' programs (EVEN_HALT and the blocking slices) all
+    branch first, so that shortcut would only add a scan to every scan.
     """
 
     def __init__(self, e: ProgramIndex, budget: int) -> None:

@@ -323,6 +323,22 @@ class TestCliCommands:
         assert code == EXIT_OK
         assert far.read_text().splitlines()[1] == default.read_text().splitlines()[1]
 
+    def test_schnorr_measure_reports_a_broken_tail_bound(self, tmp_path, monkeypatch, capsys):
+        # only a broken measure proof exceeds 2^-c: patch the measure the command reads
+        monkeypatch.setattr(cli, "union_cylinder_measure", lambda sets: DyadicRational(1))
+        code, out = run_cli(["--command", "schnorr-measure"], tmp_path)
+        assert code == EXIT_COUNTEREXAMPLE
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["tail bound violated: union measure 1 > 2^-2"]
+        assert captured.err == ""
+        header, line = out.read_text().splitlines()
+        assert json.loads(line)["kind"] == "cylinder_measure"
+        monkeypatch.undo()
+        # the certificate records the broken measure; its replay re-derives 39/2^11
+        assert main(["--command", "replay", "--in", str(out)]) == EXIT_COUNTEREXAMPLE
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "  MISMATCH line 2: cylinder_measure: measure is now 39/2^11, recorded 1")
+
     def test_malformed_input_file(self, tmp_path):
         path = tmp_path / "in.json"
         path.write_text("{not json")

@@ -46,7 +46,18 @@ programs, the self-nesting ones and the 200-deep `budv` chain (under the
 lowered recursion limit), at budgets around each halting step.  The window
 tests straddle the compile threshold, and two hostile programs (a load
 constant too long to print, thousands of blocks) check that the compiler
-copes.
+copes.  `assert_window_matches_naive` also runs the compiled function over
+the whole window, since `domain_window` itself runs no program that halts
+before it branches.
+
+`domain_window` answers such a program (its first `halt` at pc h, no `jz`,
+`jmp`, `univ` or `budv` before it) without running it: every input halts
+after exactly h + 1 steps.  `first_halt_before_branching` below finds h
+separately, and the mirror compares the answer with `naive_eval` for every
+such index below 2^14, at budgets on both sides of h + 1, with the window
+runner patched to fail; random straight-line prefixes (a nested call after
+the halt included) do the same, and a program whose branch comes first
+(`jz r0, 0; halt r0`) still runs every input.
 
 The program codec has fast paths too: `decode` scans its bit string with
 `str.find`, resumes from the last parse where the code words share leading
@@ -278,6 +289,16 @@ def is_flat(p):
     return all(ins[0] not in (OP_UNIV, OP_BUDV) for ins in p.instructions)
 
 
+def first_halt_before_branching(p):
+    """The pc of p's first halt when no jz, jmp, univ or budv comes before it, else None."""
+    for pc, ins in enumerate(p.instructions):
+        if ins[0] == OP_HALT:
+            return pc
+        if ins[0] in (OP_JZ, OP_JMP, OP_UNIV, OP_BUDV):
+            return None
+    return None
+
+
 def compiled_eval(e, x, budget, oracle=None):
     """eval_steps through the compiled function of decode(e)."""
     value, steps = _compile(decode(e))(x, budget, oracle)
@@ -292,9 +313,12 @@ def assert_eval_matches_naive(e, x, budget, oracle=None):
 
 
 def assert_window_matches_naive(e, budget, horizon=_COMPILE_MIN_RUNS):
-    """domain_window over a window long enough to compile against naive_eval."""
+    """domain_window over a window long enough to compile, and the compiled
+    function over every input of it, against naive_eval."""
     naive = frozenset(x for x in range(horizon) if naive_eval(e, x, budget)[0] is not RUNNING)
     assert domain_window(e, horizon, budget) == naive, (e, budget)
+    run = _compile(decode(e))
+    assert frozenset(x for x in range(horizon) if run(x, budget)[0] is not None) == naive, (e, budget)
 
 
 def naive_live(instructions):
@@ -1326,7 +1350,8 @@ def test_compiled_matches_interpreters_on_stock_indices(e):
 def test_windows_match_naive_loop_across_the_compile_threshold(runs):
     compiled = not isinstance(_window_runner(decode(encode(EVEN_HALT)), runs), partial)
     assert compiled == (runs >= _COMPILE_MIN_RUNS)
-    for e in (encode(EVEN_HALT), IDENTITY_INDEX, encode(COUNTDOWN_CALLS),
+    # every program here branches before it halts, so each window runs its inputs
+    for e in (encode(EVEN_HALT), encode(SLOW_ZERO), encode(COUNTDOWN_CALLS),
               interval_slice_index(const_index(1), 30), self_reference(encode(LEFT_PROG))):
         for budget in (0, 3, 4, 13, 200):
             naive = frozenset(x for x in range(runs) if naive_eval(e, x, budget)[0] is not RUNNING)
@@ -1447,12 +1472,87 @@ def test_window_compiles_no_callee_before_its_threshold(monkeypatch):
 def test_compiled_window_over_a_load_constant_too_long_to_print():
     a = 1 << 20000
     assert a.bit_length() * 0.30103 > sys.get_int_max_str_digits()
-    e = smn_fill(encode(LEFT_PROG), a)
-    budget = 2 + SMN_STEP_OVERHEAD
+    # LEFT_PROG behind a jump: a window runs, and so compiles, a program
+    # that branches before its halt
+    e = smn_fill(encode(program([(OP_JMP, 1), *LEFT_PROG.instructions])), a)
+    assert first_halt_before_branching(decode(e)) is None
+    budget = 3 + SMN_STEP_OVERHEAD
+    info = _compile.cache_info()
     assert domain_window(e, _COMPILE_MIN_RUNS, budget) == frozenset(range(_COMPILE_MIN_RUNS))
     assert domain_window(e, _COMPILE_MIN_RUNS, budget - 1) == frozenset()
+    after = _compile.cache_info()
+    assert after.hits + after.misses == info.hits + info.misses + 2
     for x in (0, 7):
         assert compiled_eval(e, x, budget) == naive_eval(e, x, budget) == (Halted(a), budget)
+
+
+def _refuse_to_run(prog, runs):
+    raise AssertionError(f"the window ran {prog}")
+
+
+def test_windows_of_programs_that_halt_before_branching_match_naive(monkeypatch):
+    # every index below 2^14 whose first halt, at pc h, comes before any
+    # branch or nested call, with h
+    halters = [(e, h) for e in range(1 << 14)
+               if (h := first_halt_before_branching(decode(e))) is not None]
+    assert len(halters) == 2609 and max(h for _, h in halters) == 3
+    monkeypatch.setattr(machine, "_window_runner", _refuse_to_run)
+    for e, h in halters:
+        for budget in (0, h, h + 1, 10**5):
+            naive = [x for x in range(200) if naive_eval(e, x, budget)[0] is not RUNNING]
+            for horizon in (1, 64, 200):
+                want = frozenset(x for x in naive if x < horizon)
+                assert domain_window(e, horizon, budget) == want, (e, horizon, budget)
+
+
+# A straight-line prefix, then a halt, then anything: a jump, a loop or a
+# nested call after the halt must not make the window run its inputs.
+halt_first_program_st = st.builds(
+    lambda prefix, r, tail: program([*prefix, (OP_HALT, r), *tail]),
+    st.lists(instruction_st.filter(
+        lambda ins: ins[0] not in (OP_HALT, OP_JZ, OP_JMP, OP_UNIV, OP_BUDV)), max_size=6),
+    st.integers(0, 15),
+    st.lists(instruction_st, max_size=4))
+
+
+@given(halt_first_program_st, st.integers(0, 10**5),
+       st.sampled_from((1, _COMPILE_MIN_RUNS - 1, _COMPILE_MIN_RUNS, 200)))
+@settings(max_examples=150, deadline=None)
+def test_halt_first_windows_match_naive_without_running(p, budget, horizon):
+    e = encode(p)
+    h = first_halt_before_branching(p)
+    assert h is not None
+    saved, machine._window_runner = machine._window_runner, _refuse_to_run
+    try:
+        got = {b: domain_window(e, horizon, b) for b in (0, h, h + 1, budget)}
+    finally:
+        machine._window_runner = saved
+    for b, window in got.items():
+        naive = frozenset(x for x in range(horizon) if naive_eval(e, x, b)[0] is not RUNNING)
+        assert window == naive, (p, horizon, b)
+
+
+def test_a_program_that_branches_before_halting_runs_every_input(monkeypatch):
+    # 839 = jz r0, 0; halt r0: input 0 loops, any other halts in two steps
+    assert decode(839).instructions == ((OP_JZ, 0, 0), (OP_HALT, 0))
+    ran = []
+    runner = machine._window_runner
+
+    def recording(prog, runs):
+        run = runner(prog, runs)
+
+        def counted(x, budget, oracle):
+            ran.append(x)
+            return run(x, budget, oracle)
+        return counted
+    monkeypatch.setattr(machine, "_window_runner", recording)
+    for horizon in (1, 64, 200):
+        for budget in (0, 1, 2, 10**5):
+            ran.clear()
+            naive = frozenset(x for x in range(horizon) if naive_eval(839, x, budget)[0] is not RUNNING)
+            assert domain_window(839, horizon, budget) == naive, (horizon, budget)
+            assert ran == list(range(horizon)), (horizon, budget)
+    assert domain_window(839, 200, 2) == frozenset(range(1, 200))
 
 
 def test_compiled_dispatch_over_thousands_of_blocks():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dnrlab import stages
 from dnrlab.asm import ZERO_INDEX, const_index
 from dnrlab.certs import replay_certificate
 from dnrlab.errors import CombinatorialBlowup
@@ -116,6 +117,32 @@ class TestStageEvents:
         records = trace.interval_records()
         assert records
         assert any(r["e"] == ZERO_INDEX for r in records)
+
+    def test_a_window_with_no_fresh_member_is_recorded(self, monkeypatch):
+        # stage 1 pins 1 out and pulls 2 in, stage 3 puts 3 in: a window of
+        # W_1 holding 0..3 exceeds the bound 3 with every member taken
+        windows = {0: frozenset(range(8)), 1: frozenset(range(4))}
+        monkeypatch.setattr(stages, "domain_window",
+                            lambda e, horizon, budget: windows.get(e, frozenset()))
+        trace, g = ei_not_coei(3, BUDGET)
+        assert g == {0: 1, 1: 0, 2: 1, 3: 1}
+        assert trace.records[2]["events"] == [
+            {"event": "bound_exceeded_no_fresh", "e": 1, "count": 4}]
+
+    def test_a_diagonal_past_the_budget_is_skipped(self, monkeypatch):
+        # phi_0 halts on the three probes only, not on the manufactured index
+        monkeypatch.setattr(stages, "halted_value",
+                            lambda e, x, budget: 0 if x < 3 else None)
+        trace, g = ei_not_coei(2, BUDGET)
+        assert g == {0: 1}
+        assert trace.records[1]["events"] == [
+            {"event": "skipped_diagonal_budget", "e": 0, "a": interval_slice_index(0, 1)}]
+
+    def test_without_probes_a_dead_program_skips_its_diagonal(self):
+        # no probe stops phi_0, which halts nowhere, so the index is tried
+        trace, _ = ei_not_coei(2, BUDGET, probes=0)
+        assert trace.records[1]["events"] == [
+            {"event": "skipped_diagonal_budget", "e": 0, "a": interval_slice_index(0, 1)}]
 
 
 class TestIntervalRecords:
